@@ -1,0 +1,152 @@
+"""Check that a refactor leaves the command-line outputs byte-identical.
+
+    python3 scripts/compare_outputs.py --base REV
+
+Unpacks REV with `git archive` into a temporary directory, then runs
+`trackgraph synth`, `track`, `eval` and `graph-stats --dump` on a fixed
+ladder of scenes under both trees: REV and this working tree
+(uncommitted edits included). Prints one SHA-256 per scene and output
+of the working tree, marks each one `same` or `DIFFERS`, and exits 1
+on any mismatch. `track` is compared on its output file and `eval` on
+its report; the timing line of `track`'s summary is left out. The
+temporary directory follows TMPDIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKPOINT = ROOT / "benchmarks" / "long_mpn.ckpt"
+
+# name -> synth flags
+SCENES = {
+    # the long-mpn benchmark scene: 10 x 384 frames
+    "long": ["--objects", "10", "--frames", "384", "--seed", "60",
+             "--sigma", "0.1", "--miss-rate", "0.05"],
+    # the weak-appearance benchmark scene: 10 x 160 frames
+    "weak": ["--objects", "10", "--frames", "160", "--seed", "60",
+             "--sigma", "0.2", "--miss-rate", "0.1"],
+    # the noisy 10 x 700 scene of the acceptance gate
+    "gate700": ["--objects", "10", "--frames", "700", "--seed", "60",
+                "--sigma", "0.1", "--miss-rate", "0.05"],
+    # denser and noisier: 20 objects at sigma 0.3
+    "dense20": ["--objects", "20", "--frames", "128", "--seed", "60",
+                "--sigma", "0.3", "--miss-rate", "0.05"],
+}
+
+CKPT = ["--params", str(CHECKPOINT)]
+LONG_CLIPS = ["--clip-len", "128", "--overlap", "64"]
+
+# (scene, run name, extra track flags)
+TRACK_RUNS = [
+    ("long", "mpn", CKPT + LONG_CLIPS),
+    ("weak", "handcrafted", []),
+    ("gate700", "handcrafted", []),
+    ("gate700", "mpn", CKPT),
+    ("gate700", "oracle", ["--oracle"]),
+    ("gate700", "step8", ["--step", "8"]),
+]
+
+# (scene, run name, extra graph-stats flags)
+GRAPH_RUNS = [
+    ("long", "step16", []),
+    ("long", "step8", ["--step", "8"]),
+    ("long", "step5", ["--step", "5"]),
+    ("weak", "step16", []),
+    ("gate700", "step16", []),
+    ("gate700", "step8", ["--step", "8"]),
+    ("dense20", "step16", []),
+    ("dense20", "step5", ["--step", "5"]),
+]
+
+
+def unpack(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def trackgraph(tree: Path, args: list[str]) -> str:
+    """Run the tree's CLI; returns stdout, raises on a non-zero exit."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    code = "import sys; from trackgraph.cli import main; sys.exit(main())"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree}: trackgraph {' '.join(args)} exited "
+                           f"{done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_ladder(tree: Path, work: Path) -> dict[str, str]:
+    """SHA-256 of every ladder output under one tree."""
+    out: dict[str, str] = {}
+    for scene, flags in SCENES.items():
+        data = work / scene
+        trackgraph(tree, ["synth", *flags, "--out", str(data)])
+        for name in ("det.txt", "det.emb", "gt.txt"):
+            out[f"{scene}/synth/{name}"] = sha((data / name).read_bytes())
+
+    def det(scene: str) -> list[str]:
+        return ["--det", str(work / scene / "det.txt"),
+                "--emb", str(work / scene / "det.emb")]
+
+    for scene, run, flags in TRACK_RUNS:
+        result = work / f"{scene}-{run}.txt"
+        summary = trackgraph(tree, ["track", *det(scene), *flags, "--out", str(result)])
+        out[f"{scene}/track-{run}"] = sha(result.read_bytes())
+        kept = [ln for ln in summary.splitlines() if not ln.startswith("seconds=")]
+        out[f"{scene}/track-{run}-summary"] = sha("\n".join(kept).encode())
+        report = trackgraph(tree, ["eval", "--pred", str(result),
+                                   "--gt", str(work / scene / "gt.txt")])
+        out[f"{scene}/eval-{run}"] = sha(report.encode())
+    for scene, run, flags in GRAPH_RUNS:
+        dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
+        out[f"{scene}/graph-stats-{run}"] = sha(dump.encode())
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        unpack(args.base, base)
+        (tmp / "out-base").mkdir()
+        (tmp / "out-head").mkdir()
+        # one worker per tree
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            base_f = pool.submit(run_ladder, base, tmp / "out-base")
+            head_f = pool.submit(run_ladder, ROOT, tmp / "out-head")
+            base_sums, head_sums = base_f.result(), head_f.result()
+    mismatches = 0
+    for key, digest in head_sums.items():
+        same = base_sums.get(key) == digest
+        mismatches += not same
+        print(f"{key:34s} {digest}  {'same' if same else 'DIFFERS'}")
+    print(f"{len(head_sums) - mismatches} of {len(head_sums)} outputs identical "
+          f"to {args.base}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,20 +1,20 @@
-"""Sliding-window appearance affinity over a clip.
+"""Window-gated appearance affinity over a clip.
 
-A scorer produces a dense pairwise similarity block for the detections
-inside one window. Blocks from overlapping windows are accumulated as
-(sum, count) per detection pair and averaged on read, so a pair scored
-in several windows gets the arithmetic mean of its window scores.
-Similarity is only defined across frames; same-frame pairs are never
-stored.
+Sliding windows (WindowPlan) cover the clip. Two detections in
+different frames are compared only when some window holds both; every
+other pair, same-frame pairs included, reads 0. With frames f_i < f_j
+the pair shares a window iff f_j < s(f_i) + window, where s(f) is the
+latest window start at or before f. The test is closed-form, so no
+score is stored: a scorer is bound to the clip once and evaluated only
+on the pairs association looks up.
 
-The per-step association cost combines the windowed appearance mean
-against each tracklet member with the IoU of the tracklet's last box:
+The per-step association cost combines the mean appearance against
+each tracklet member with the IoU of the tracklet's last box:
 C = -max(appearance, iou), entries in [-1, 0].
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,128 +51,84 @@ class WindowPlan:
             s += self.step
         return out
 
+    def window_end(self, frames: np.ndarray, origin: int = 0) -> np.ndarray:
+        """End (exclusive) of the latest window starting at or before each frame.
 
-@dataclass(frozen=True)
-class Window:
-    """One window's detections in global-index order."""
-
-    start: int
-    indices: np.ndarray  # positions in the parent detection set
-    frames: np.ndarray
-    embeddings: np.ndarray  # (n, D)
-    gt_ids: tuple  # entries may be None
-
-
-Scorer = Callable[[Window], np.ndarray]
+        A later frame shares a window with frame f iff it lies below
+        window_end(f): that window reaches furthest among those holding f.
+        """
+        last = len(self.starts()) - 1
+        k = np.minimum((np.asarray(frames, dtype=np.int64) - origin) // self.step, last)
+        return origin + self.step * k + self.window
 
 
-def cosine_scorer(window: Window) -> np.ndarray:
+PairScore = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Scorer = Callable[[DetectionSet], PairScore]
+
+
+def cosine_scorer(dets: DetectionSet) -> PairScore:
     """(1 + cosine) / 2 between embeddings, mapped onto [0, 1]."""
-    emb = window.embeddings
+    emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise ValidationError("cosine similarity undefined for zero embeddings")
     unit = emb / norms[:, None]
-    sims = (1.0 + unit @ unit.T) / 2.0
-    return np.clip(sims, 0.0, 1.0)
+
+    def score(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        dots = np.einsum("ij,ij->i", unit[i], unit[j])
+        return np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
+
+    return score
 
 
-def oracle_scorer(window: Window) -> np.ndarray:
+def oracle_scorer(dets: DetectionSet) -> PairScore:
     """1 for same annotated identity, 0 otherwise."""
-    ids = window.gt_ids
+    ids = [d.gt_id for d in dets.detections]
     if any(g is None for g in ids):
         raise ValidationError("oracle scorer needs identities on every detection")
     arr = np.asarray(ids)
-    return (arr[:, None] == arr[None, :]).astype(np.float64)
+
+    def score(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return (arr[i] == arr[j]).astype(np.float64)
+
+    return score
 
 
 class AffinityMatrix:
-    """Sparse cross-frame similarity, averaged over contributing windows.
+    """Cross-frame similarity of the pairs that share a window.
 
-    Stored as sorted flat keys (i * n + j with i < j) with per-pair
-    sums and window counts.
+    Holds each detection's frame and window end (WindowPlan.window_end)
+    plus the clip-bound scorer; pairs are scored when looked up.
     """
 
-    def __init__(self, n: int, keys: np.ndarray, sums: np.ndarray, counts: np.ndarray):
-        self.n = int(n)
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._sums = sums[order]
-        self._counts = counts[order]
-        if np.any(self._counts < 1):
-            raise ValidationError("every stored pair needs a positive count")
+    def __init__(self, frames: np.ndarray, window_end: np.ndarray, score: PairScore):
+        self._frames = frames
+        self._window_end = window_end
+        self._score = score
 
     def __len__(self) -> int:
-        return self._keys.size
-
-    @staticmethod
-    def _flat(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        lo = np.minimum(i, j).astype(np.int64)
-        hi = np.maximum(i, j).astype(np.int64)
-        return lo * n + hi
+        """Number of cross-frame pairs that share a window."""
+        f = self._frames
+        # frames are integers, so f + 1 on the left side skips f's own frame
+        hi, lo = np.searchsorted(f, np.stack([self._window_end, f + 1]))
+        return int((hi - lo).sum())
 
     def lookup(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Averaged similarities for index pairs; second array flags hits."""
+        """Similarities for index pairs; second array flags window-sharing pairs."""
         i = np.atleast_1d(np.asarray(i, dtype=np.int64))
         j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-        flat = self._flat(self.n, i, j)
-        vals = np.zeros(flat.shape)
-        if self._keys.size == 0:
-            return vals, np.zeros(flat.shape, dtype=bool)
-        pos = np.searchsorted(self._keys, flat)
-        pos = np.clip(pos, 0, self._keys.size - 1)
-        found = self._keys[pos] == flat
-        hit = np.flatnonzero(found)
-        vals[hit] = self._sums[pos[hit]] / self._counts[pos[hit]]
+        vals = np.zeros(i.shape)
+        if self._frames.size == 0:
+            return vals, np.zeros(i.shape, dtype=bool)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        f_lo, f_hi = self._frames[lo], self._frames[hi]
+        found = (f_lo < f_hi) & (f_hi < self._window_end[lo])
+        if found.any():
+            hit = self._score(lo[found], hi[found])
+            if hit.min() < 0.0 or hit.max() > 1.0:
+                raise ValidationError("scorer similarities must lie in [0, 1]")
+            vals[found] = hit
         return vals, found
-
-    def value(self, i: int, j: int, default: float = 0.0) -> float:
-        v, found = self.lookup(np.asarray([i]), np.asarray([j]))
-        return float(v[0]) if found[0] else default
-
-    def entry(self, i: int, j: int) -> tuple[float, int]:
-        """(sum, count) of a stored pair; raises KeyError when absent."""
-        flat = self._flat(self.n, np.asarray([i]), np.asarray([j]))
-        pos = int(np.searchsorted(self._keys, flat[0]))
-        if pos >= self._keys.size or self._keys[pos] != flat[0]:
-            raise KeyError((i, j))
-        return float(self._sums[pos]), int(self._counts[pos])
-
-    def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for k in self._keys.tolist():
-            out.append((k // self.n, k % self.n))
-        return out
-
-
-def _window_contributions(dets: DetectionSet, frames: np.ndarray, emb: np.ndarray,
-                          start: int, plan: WindowPlan, scorer: Scorer):
-    lo = np.searchsorted(frames, start, side="left")
-    hi = np.searchsorted(frames, start + plan.window, side="left")
-    idx = np.arange(lo, hi, dtype=np.int64)
-    if idx.size < 2:
-        return None
-    wframes = frames[lo:hi]
-    window = Window(
-        start=start,
-        indices=idx,
-        frames=wframes,
-        embeddings=emb[lo:hi],
-        gt_ids=tuple(dets.detections[k].gt_id for k in idx),
-    )
-    block = scorer(window)
-    if block.shape != (idx.size, idx.size):
-        raise ValidationError(
-            f"scorer returned shape {block.shape} for a window of {idx.size}"
-        )
-    if block.size and (block.min() < 0.0 or block.max() > 1.0):
-        raise ValidationError("scorer similarities must lie in [0, 1]")
-    # keep upper-triangle cross-frame pairs; detections are frame-sorted
-    li, lj = np.triu_indices(idx.size, k=1)
-    cross = wframes[li] != wframes[lj]
-    li, lj = li[cross], lj[cross]
-    keys = idx[li] * len(dets) + idx[lj]
-    return keys, block[li, lj]
 
 
 def accumulate_affinity(
@@ -180,43 +136,16 @@ def accumulate_affinity(
     plan: WindowPlan,
     scorer: Scorer,
     origin: int = 0,
-    threads: int = 1,
 ) -> AffinityMatrix:
-    """Score every window and average overlapping contributions.
+    """Bind the scorer to the clip and gate its pairs by the window layout.
 
     origin anchors the first window; detections are expected to lie in
-    [origin, origin + clip_len). Windows are independent, so they can
-    be scored on a small thread pool; merging stays deterministic
-    because contributions are reduced in window order.
+    [origin, origin + clip_len).
     """
-    n = len(dets)
     frames = np.asarray([d.frame for d in dets.detections], dtype=np.int64)
-    if n and (frames.min() < origin or frames.max() >= origin + plan.clip_len):
+    if frames.size and (frames.min() < origin or frames.max() >= origin + plan.clip_len):
         raise ValidationError("detections fall outside the planned clip")
-    emb = dets.embeddings()
-    starts = plan.starts(origin)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda s: _window_contributions(dets, frames, emb, s, plan, scorer),
-                    starts,
-                )
-            )
-    else:
-        results = [
-            _window_contributions(dets, frames, emb, s, plan, scorer) for s in starts
-        ]
-    parts = [r for r in results if r is not None]
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return AffinityMatrix(n, empty, np.empty(0), np.empty(0, dtype=np.int64))
-    all_keys = np.concatenate([p[0] for p in parts])
-    all_vals = np.concatenate([p[1] for p in parts])
-    keys, inverse = np.unique(all_keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=all_vals, minlength=keys.size)
-    counts = np.bincount(inverse, minlength=keys.size)
-    return AffinityMatrix(n, keys, sums, counts.astype(np.int64))
+    return AffinityMatrix(frames, plan.window_end(frames, origin), scorer(dets))
 
 
 def appearance_matrix(
@@ -224,10 +153,10 @@ def appearance_matrix(
     frame_dets: np.ndarray,
     aff: AffinityMatrix,
 ) -> np.ndarray:
-    """Mean windowed similarity of each track's members to each detection.
+    """Mean similarity of each track's members to each detection.
 
-    Pairs the accumulator never saw contribute 0 to the mean, keeping
-    rows in [0, 1].
+    Pairs that share no window contribute 0 to the mean, keeping rows
+    in [0, 1].
     """
     n_t, n_d = len(members_in_window), len(frame_dets)
     out = np.zeros((n_t, n_d))

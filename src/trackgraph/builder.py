@@ -64,7 +64,7 @@ def associate_frames(
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
     still have a member inside the lookback window; a pairing whose best
-    score (mean windowed appearance or last-box overlap) falls below the
+    score (mean window-gated appearance or last-box overlap) falls below the
     threshold is dropped and the detection starts a new tracklet. Each
     accepted match emits detection links from the tracklet's last member
     to the assigned detection and to the top-k appearance candidates of
@@ -119,6 +119,30 @@ def associate_frames(
         )
     tracklets = [Tracklet.from_members(k, mem) for k, mem in enumerate(tracks)]
     return tracklets, links
+
+
+def span_disjoint_edges(traj_nodes: Sequence[CompositeNode]) -> list[Edge]:
+    """Trajectory edges for every node pair whose frame spans are disjoint.
+
+    Each edge points from the earlier span to the later one; pairs come
+    in node order.
+    """
+    edges = []
+    for a in range(len(traj_nodes)):
+        for b in range(a + 1, len(traj_nodes)):
+            ta, tb = traj_nodes[a], traj_nodes[b]
+            if temporal_iou(ta.payload, tb.payload) != 0.0:
+                continue
+            u, v = (ta, tb) if ta.span[1] < tb.span[0] else (tb, ta)
+            edges.append(
+                Edge(
+                    u.node_index,
+                    v.node_index,
+                    EdgeKind.TRAJ_TRAJ,
+                    init_edge_features(u, v),
+                )
+            )
+    return edges
 
 
 def build_part_graph(
@@ -179,20 +203,7 @@ def build_part_graph(
                     init_edge_features(det_nodes[i], tn),
                 )
             )
-    for a in range(len(traj_nodes)):
-        for b in range(a + 1, len(traj_nodes)):
-            ta, tb = traj_nodes[a], traj_nodes[b]
-            if temporal_iou(ta.payload, tb.payload) != 0.0:
-                continue
-            u, v = (ta, tb) if ta.span[1] < tb.span[0] else (tb, ta)
-            edges.append(
-                Edge(
-                    u.node_index,
-                    v.node_index,
-                    EdgeKind.TRAJ_TRAJ,
-                    init_edge_features(u, v),
-                )
-            )
+    edges.extend(span_disjoint_edges(traj_nodes))
     return TrackGraph(tuple(det_nodes + traj_nodes), tuple(edges))
 
 

@@ -11,8 +11,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from trackgraph.builder import dump_graph, edge_coverage, fully_connected_edge_count
 from trackgraph.config import RunConfig, load_config
 from trackgraph.core import NumericError, ValidationError
@@ -35,7 +33,7 @@ from trackgraph.mpn import (
     train,
 )
 from trackgraph.pipeline import ClipTracker
-from trackgraph.solver import build_traj_graph
+from trackgraph.solver import build_traj_graph, tracklet_ids
 from trackgraph.stitcher import ClipPlan, run_clipped
 
 
@@ -61,7 +59,6 @@ def _tracker(cfg: RunConfig, **kw) -> ClipTracker:
         new_track_threshold=cfg.new_track_threshold,
         assign_threshold=cfg.assign_threshold,
         traj_passes=cfg.traj_passes,
-        threads=cfg.threads,
         pass1_mode=cfg.pass1_mode,
         **kw,
     )
@@ -136,13 +133,8 @@ def _labelled_graphs(dets, cfg: RunConfig):
         graph = tracker.build_graph(sub)
         if graph.edges:
             primary.append((graph, edge_labels(graph)))
-        n_det = graph.n_det_nodes
-        ids = np.arange(n_det, dtype=np.int64)
-        for node in graph.nodes[n_det:]:
-            for i in node.payload.det_indices:
-                if i >= 0:
-                    ids[i] = n_det + node.node_index
-        frag = build_traj_graph([graph.nodes[i].payload for i in range(n_det)], ids)
+        dets_seq = [graph.nodes[i].payload for i in range(graph.n_det_nodes)]
+        frag = build_traj_graph(dets_seq, tracklet_ids(graph))
         if frag.edges:
             secondary.append((frag, edge_labels(frag)))
     return primary, secondary

@@ -39,7 +39,6 @@ class RunConfig:
     gamma: float = 1.0
     iou_gate: float = 0.5
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         WindowPlan(self.clip_len, self.window, self.step)
@@ -62,8 +61,6 @@ class RunConfig:
             raise ValidationError("iou_gate must lie in (0, 1]")
         if self.gamma < 0:
             raise ValidationError("gamma must be non-negative")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
         for name in ("embed_dim", "node_dim", "edge_dim", "hidden_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")

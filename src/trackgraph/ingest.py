@@ -84,10 +84,6 @@ class DetectionSet:
             return 0
         return self.detections[0].embedding.size
 
-    def frame_detections(self, frame: int) -> np.ndarray:
-        """Indices of this frame's detections (empty when none)."""
-        return self.by_frame.get(frame, np.empty(0, dtype=np.int64))
-
     def embeddings(self) -> np.ndarray:
         if not self.detections:
             return np.empty((0, 0))

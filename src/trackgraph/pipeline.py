@@ -1,7 +1,7 @@
 """Single-clip tracking pipeline, packaged as a callable.
 
-Wires the stages end to end: windowed appearance affinity, frame-by-
-frame association, part-graph assembly, edge scoring, and identity
+Wires the stages end to end: window-gated appearance affinity, frame-
+by-frame association, part-graph assembly, edge scoring, and identity
 aggregation. A ClipTracker instance closes over all knobs, so it plugs
 straight into run_clipped as the per-clip pipeline.
 """
@@ -36,6 +36,8 @@ class ClipTracker:
     ground-truth ids, and "auto" resolves to "mpn" when params are
     present, "handcrafted" otherwise. The affinity stage follows suit:
     oracle mode gets identity similarities, every other mode cosine.
+    window and step lay out the affinity windows (both shrink to fit a
+    short clip); window also bounds the association lookback.
     """
 
     window: int = 32
@@ -44,7 +46,6 @@ class ClipTracker:
     new_track_threshold: float = 0.3
     assign_threshold: float = 0.5
     traj_passes: int = 1
-    threads: int = 1
     params: Optional[MpnParams] = None
     score_mode: str = "auto"
     pass1_mode: str = "rounding"
@@ -56,8 +57,6 @@ class ClipTracker:
             raise ValidationError(f"unknown score_mode {self.score_mode!r}")
         if self.score_mode == "mpn" and self.params is None:
             raise ValidationError("score_mode 'mpn' needs trained params")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
     @property
     def mode(self) -> str:
@@ -72,9 +71,7 @@ class ClipTracker:
         window = min(self.window, span)
         plan = WindowPlan(span, window, min(self.step, window))
         scorer = oracle_scorer if self.mode == "oracle" else cosine_scorer
-        aff = accumulate_affinity(
-            dets, plan, scorer, origin=frames[0], threads=self.threads
-        )
+        aff = accumulate_affinity(dets, plan, scorer, origin=frames[0])
         cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
         tracklets, links = associate_frames(dets, aff, cfg)
         return build_part_graph(tracklets, links, dets, cfg)

@@ -18,18 +18,17 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from trackgraph.builder import span_disjoint_edges
 from trackgraph.core import (
     CompositeNode,
     Detection,
-    Edge,
     EdgeKind,
     NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
-    temporal_iou,
 )
-from trackgraph.mpn import GraphTensors, MpnParams, forward, init_edge_features
+from trackgraph.mpn import GraphTensors, MpnParams, forward
 
 _EXACT_EDGE_CAP = 20
 
@@ -229,22 +228,22 @@ def build_traj_graph(
         nodes.append(
             CompositeNode(NodeKind.TRAJ, Tracklet.from_members(g, members[g]), p)
         )
-    edges = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            ta, tb = nodes[a], nodes[b]
-            if temporal_iou(ta.payload, tb.payload) != 0.0:
-                continue
-            u, v = (ta, tb) if ta.span[1] < tb.span[0] else (tb, ta)
-            edges.append(
-                Edge(
-                    u.node_index,
-                    v.node_index,
-                    EdgeKind.TRAJ_TRAJ,
-                    init_edge_features(u, v),
-                )
-            )
-    return TrackGraph(tuple(nodes), tuple(edges))
+    return TrackGraph(tuple(nodes), tuple(span_disjoint_edges(nodes)))
+
+
+def tracklet_ids(graph: TrackGraph) -> np.ndarray:
+    """One raw id per detection node: the builder's coarse tracklets.
+
+    A detection absorbed by a trajectory node gets n_det + that node's
+    index; any other detection keeps its own index.
+    """
+    n_det = graph.n_det_nodes
+    ids = np.arange(n_det, dtype=np.int64)
+    for node in graph.nodes[n_det:]:
+        for i in node.payload.det_indices:
+            if i >= 0:
+                ids[i] = n_det + node.node_index
+    return ids
 
 
 ScoreFn = Callable[[Union[TrackGraph, GraphTensors]], np.ndarray]
@@ -301,12 +300,7 @@ def aggregate(
         det_spans = np.asarray([graph.nodes[i].span for i in range(n_det)])
         ids = connected_components_ids(det_spans, positive)
     else:
-        ids = np.arange(n_det, dtype=np.int64)
-        for node in graph.nodes[n_det:]:
-            for i in node.payload.det_indices:
-                if i >= 0:
-                    ids[i] = n_det + node.node_index
-        ids = _relabel(ids)
+        ids = _relabel(tracklet_ids(graph))
 
     dets_seq = [graph.nodes[i].payload for i in range(n_det)]
     for _ in range(traj_passes):

@@ -4,7 +4,8 @@ Two per-clip tracks describe the same object when they picked the same
 input detections in the frames both cover. That overlap ratio drives a
 bipartite assignment between consecutive clips; matched tracks merge
 under the earlier clip's id, with the later clip owning any frame both
-claim. Remaining gaps are closed by linear interpolation at the end.
+claim. A detection two output tracks would hold stays with the first.
+Remaining gaps are closed by linear interpolation at the end.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def stitch(
     Pairs that never chose a common detection cannot match. The
     assignment minimises total (1 - overlap ratio) over the rest;
     unmatched tracks pass through, right-side ones under fresh ids.
+    Each input detection is placed once: the first track in output
+    order (merged left tracks, then unmatched right ones) keeps it,
+    later tracks drop it, and tracks left empty are dropped.
     """
     if not tracks_a or not tracks_b:
         return list(tracks_a) + list(tracks_b)
@@ -100,16 +104,25 @@ def stitch(
     rows, cols = linear_sum_assignment(cost)
     matched = [(r, c) for r, c in zip(rows, cols) if cost[r, c] < 1.5]
 
-    out = []
-    used_b = {c for _, c in matched}
     pair = dict(matched)
-    for i, ta in enumerate(tracks_a):
-        out.append(_merge(ta, tracks_b[pair[i]]) if i in pair else ta)
-    next_id = max((t.id for t in out), default=-1) + 1
-    for j, tb in enumerate(tracks_b):
-        if j not in used_b:
-            out.append(Tracklet.from_members(
-                next_id, list(zip(tb.det_indices, tb.detections))))
+    left = [_merge(ta, tracks_b[pair[i]]) if i in pair else ta
+            for i, ta in enumerate(tracks_a)]
+    used_b = set(pair.values())
+    right = [tb for j, tb in enumerate(tracks_b) if j not in used_b]
+    next_id = max(t.id for t in left) + 1
+    # the first track in output order keeps a detection; later ones drop it
+    out, placed = [], set()
+    for k, t in enumerate(left + right):
+        members = [(i, d) for i, d in zip(t.det_indices, t.detections)
+                   if i < 0 or i not in placed]
+        placed.update(i for i, _ in members)
+        if not members:
+            continue
+        if k < len(left):
+            out.append(t if len(members) == len(t) else
+                       Tracklet.from_members(t.id, members))
+        else:
+            out.append(Tracklet.from_members(next_id, members))
             next_id += 1
     return out
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackgraph.affinity import (
-    AffinityMatrix,
-    Window,
     WindowPlan,
     accumulate_affinity,
     appearance_matrix,
@@ -29,6 +29,10 @@ def simple_set(frames, gt=None):
     gt = gt or [None] * len(frames)
     dets = [det(f, [1.0, 0.0], g) for f, g in zip(frames, gt)]
     return DetectionSet.build(dets)
+
+
+def constant_scorer(value):
+    return lambda ds: lambda i, j: np.full(i.shape, value)
 
 
 # ------------------------------------------------------------ window plan
@@ -62,100 +66,159 @@ def test_window_plan_validation():
         WindowPlan(64, 32, 0)
 
 
+def test_window_end_is_furthest_end_of_any_window_holding_the_frame():
+    plan = WindowPlan(70, 32, 16)  # starts 0, 16, 32, 48
+    frames = np.asarray([0, 15, 16, 47, 48, 69])
+    assert plan.window_end(frames).tolist() == [32, 32, 48, 64, 80, 80]
+    assert plan.window_end(frames + 100, origin=100).tolist() == [132, 132, 148,
+                                                                  164, 180, 180]
+
+
+@st.composite
+def plans_and_frames(draw):
+    clip_len = draw(st.integers(1, 60))
+    window = draw(st.integers(1, clip_len))
+    step = draw(st.integers(1, window))
+    origin = draw(st.integers(0, 50))
+    frames = draw(st.lists(st.integers(origin, origin + clip_len - 1), max_size=25))
+    return WindowPlan(clip_len, window, step), origin, sorted(frames)
+
+
+def shares_a_window(plan, origin, fa, fb):
+    return any(s <= min(fa, fb) and max(fa, fb) < s + plan.window
+               for s in plan.starts(origin))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=plans_and_frames())
+def test_window_gate_and_pair_count_match_brute_force(case):
+    plan, origin, frames = case
+    ds = simple_set(frames)
+    aff = accumulate_affinity(ds, plan, constant_scorer(0.5), origin=origin)
+    n = len(frames)
+    ii, jj = np.triu_indices(n, k=1)
+    expect = np.asarray(
+        [fa != fb and shares_a_window(plan, origin, fa, fb)
+         for fa, fb in zip(np.asarray(frames)[ii], np.asarray(frames)[jj])],
+        dtype=bool,
+    )
+    vals, found = aff.lookup(ii, jj)
+    assert np.array_equal(found, expect)
+    assert np.array_equal(vals, np.where(expect, 0.5, 0.0))
+    _, found_rev = aff.lookup(jj, ii)
+    assert np.array_equal(found_rev, expect)
+    assert len(aff) == int(expect.sum())
+
+
 # --------------------------------------------------------------- scorers
 
 
-def window_of(embs, frames, gt=None):
-    embs = np.asarray(embs, dtype=np.float64)
-    gt = tuple(gt) if gt is not None else tuple([None] * len(frames))
-    return Window(
-        start=0,
-        indices=np.arange(len(frames)),
-        frames=np.asarray(frames),
-        embeddings=embs,
-        gt_ids=gt,
-    )
+def scored(scorer, embs, gt=None):
+    """Dense matrix of a clip-bound scorer; detection k sits in frame k."""
+    gt = gt if gt is not None else [None] * len(embs)
+    ds = DetectionSet.build([det(f, e, g) for f, (e, g) in enumerate(zip(embs, gt))])
+    score = scorer(ds)
+    ii, jj = np.meshgrid(np.arange(len(ds)), np.arange(len(ds)), indexing="ij")
+    return score(ii.ravel(), jj.ravel()).reshape(len(ds), len(ds))
 
 
 def test_cosine_scorer_reference_points():
-    w = window_of([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [0, 1, 2, 3])
-    s = cosine_scorer(w)
+    s = scored(cosine_scorer, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     assert s[0, 1] == pytest.approx(1.0)  # identical
     assert s[0, 2] == pytest.approx(0.5)  # orthogonal
     assert s[0, 3] == pytest.approx(0.0)  # opposite
 
 
 def test_cosine_scorer_scale_invariant():
-    w1 = window_of([[2.0, 0.0], [0.0, 3.0]], [0, 1])
-    w2 = window_of([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    assert np.allclose(cosine_scorer(w1), cosine_scorer(w2))
+    s1 = scored(cosine_scorer, [[2.0, 0.0], [0.0, 3.0]])
+    s2 = scored(cosine_scorer, [[1.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(s1, s2)
 
 
 def test_cosine_scorer_rejects_zero_vector():
     with pytest.raises(ValidationError):
-        cosine_scorer(window_of([[0.0, 0.0], [1.0, 0.0]], [0, 1]))
+        scored(cosine_scorer, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_oracle_scorer_is_identity_indicator():
-    w = window_of(np.eye(3), [0, 1, 2], gt=[5, 7, 5])
-    s = oracle_scorer(w)
+    s = scored(oracle_scorer, np.eye(3), gt=[5, 7, 5])
     assert s[0, 2] == 1.0 and s[2, 0] == 1.0
     assert s[0, 1] == 0.0 and s[1, 2] == 0.0
 
 
 def test_oracle_scorer_needs_identities():
     with pytest.raises(ValidationError):
-        oracle_scorer(window_of(np.eye(2), [0, 1], gt=[1, None]))
+        scored(oracle_scorer, np.eye(2), gt=[1, None])
 
 
-# ------------------------------------------------------------ accumulation
+# ---------------------------------------------------------- pair lookup
 
 
 def test_single_window_scores_stored_verbatim():
     ds = simple_set([0, 1, 2])
     plan = WindowPlan(clip_len=8, window=8, step=4)
-    aff = accumulate_affinity(ds, plan, lambda w: np.full((len(w.frames),) * 2, 0.7))
+    aff = accumulate_affinity(ds, plan, constant_scorer(0.7))
     assert len(aff) == 3  # pairs (0,1), (0,2), (1,2)
-    for i, j in [(0, 1), (0, 2), (1, 2)]:
-        s, c = aff.entry(i, j)
-        assert c == 1
-        assert s == pytest.approx(0.7)
-        assert aff.value(i, j) == pytest.approx(0.7)
+    vals, found = aff.lookup(np.asarray([0, 0, 1]), np.asarray([1, 2, 2]))
+    assert found.all()
+    assert vals == pytest.approx([0.7, 0.7, 0.7])
 
 
 def test_same_frame_pairs_never_stored():
     ds = simple_set([0, 0, 1])
     plan = WindowPlan(clip_len=4, window=4, step=2)
-    aff = accumulate_affinity(ds, plan, lambda w: np.ones((len(w.frames),) * 2))
-    assert (0, 1) not in aff.pairs()
-    assert set(aff.pairs()) == {(0, 2), (1, 2)}
+    aff = accumulate_affinity(ds, plan, constant_scorer(1.0))
+    assert len(aff) == 2
+    vals, found = aff.lookup(np.asarray([0, 0, 1, 2]), np.asarray([1, 2, 2, 2]))
+    assert found.tolist() == [False, True, True, False]
+    assert vals.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
-def test_overlapping_windows_average():
-    # two detections seen by both windows, scored 0.4 then 0.6 -> 0.5
-    ds = simple_set([16, 17])
-    plan = WindowPlan(clip_len=48, window=32, step=16)
-
-    def scorer(w):
-        val = 0.4 if w.start == 0 else 0.6
-        return np.full((len(w.frames),) * 2, val)
-
-    aff = accumulate_affinity(ds, plan, scorer)
-    s, c = aff.entry(0, 1)
-    assert c == 2
-    assert s == pytest.approx(1.0)
-    assert aff.value(0, 1) == pytest.approx(0.5)
+def test_scores_outside_unit_interval_rejected():
+    aff = accumulate_affinity(simple_set([0, 1]), WindowPlan(4, 4, 2),
+                              constant_scorer(1.5))
+    with pytest.raises(ValidationError):
+        aff.lookup(np.asarray([0]), np.asarray([1]))
 
 
-def test_stored_sum_equals_value_times_count():
-    spec = ScenarioSpec(n_objects=4, n_frames=80, seed=21, embedding_noise_sigma=0.1)
-    ds = synthesize(spec)
-    plan = WindowPlan(clip_len=80, window=32, step=16)
-    aff = accumulate_affinity(ds, plan, cosine_scorer)
-    assert len(aff) > 0
-    for i, j in aff.pairs()[::7]:
-        s, c = aff.entry(i, j)
-        assert abs(s - aff.value(i, j) * c) <= 1e-9 * max(1.0, abs(s))
+def window_averaged(ds, plan, origin):
+    """Reference: score every window as a dense block, average per pair.
+
+    Reproduces the windowed (sum, count) accumulation the pair gate
+    replaced: cosine blocks over each window's detections, cross-frame
+    upper-triangle pairs only.
+    """
+    frames = np.asarray([d.frame for d in ds.detections])
+    emb = ds.embeddings()
+    unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+    sums, counts = {}, {}
+    for start in plan.starts(origin):
+        idx = np.flatnonzero((frames >= start) & (frames < start + plan.window))
+        block = np.clip((1.0 + unit[idx] @ unit[idx].T) / 2.0, 0.0, 1.0)
+        for a in range(idx.size):
+            for b in range(a + 1, idx.size):
+                if frames[idx[a]] != frames[idx[b]]:
+                    key = (int(idx[a]), int(idx[b]))
+                    sums[key] = sums.get(key, 0.0) + block[a, b]
+                    counts[key] = counts.get(key, 0) + 1
+    return {k: sums[k] / counts[k] for k in sums}
+
+
+@pytest.mark.parametrize("step,start", [(16, 0), (8, 0), (5, 40)])
+def test_lookup_matches_window_averaging_reference(step, start):
+    spec = ScenarioSpec(n_objects=4, n_frames=120, seed=21, embedding_noise_sigma=0.1)
+    ds, _ = synthesize(spec).slice_frames(start, start + 80)
+    plan = WindowPlan(clip_len=80, window=32, step=step)
+    aff = accumulate_affinity(ds, plan, cosine_scorer, origin=start)
+    ref = window_averaged(ds, plan, start)
+    ii, jj = np.triu_indices(len(ds), k=1)
+    vals, found = aff.lookup(ii, jj)
+    hits = set(zip(ii[found].tolist(), jj[found].tolist()))
+    assert hits == set(ref)
+    assert len(aff) == len(ref)
+    expect = np.asarray([ref[k] for k in zip(ii[found].tolist(), jj[found].tolist())])
+    assert np.max(np.abs(vals[found] - expect)) <= 1e-15
+    assert np.all(vals[~found] == 0.0)
 
 
 def test_oracle_affinity_nonzero_iff_same_identity():
@@ -163,9 +226,11 @@ def test_oracle_affinity_nonzero_iff_same_identity():
     ds = synthesize(spec)
     plan = WindowPlan(clip_len=40, window=16, step=8)
     aff = accumulate_affinity(ds, plan, oracle_scorer)
-    for i, j in aff.pairs()[::11]:
-        same = ds.detections[i].gt_id == ds.detections[j].gt_id
-        assert aff.value(i, j) == (1.0 if same else 0.0)
+    ii, jj = np.triu_indices(len(ds), k=1)
+    vals, found = aff.lookup(ii, jj)
+    assert found.any()
+    gt = np.asarray([d.gt_id for d in ds.detections])
+    assert np.array_equal(vals[found], (gt[ii] == gt[jj])[found].astype(float))
 
 
 def test_empty_set_gives_empty_matrix():
@@ -174,17 +239,6 @@ def test_empty_set_gives_empty_matrix():
     assert len(aff) == 0
     v, found = aff.lookup(np.asarray([0]), np.asarray([1]))
     assert not found[0] and v[0] == 0.0
-
-
-def test_threaded_accumulation_matches_serial():
-    spec = ScenarioSpec(n_objects=3, n_frames=64, seed=8, embedding_noise_sigma=0.05)
-    ds = synthesize(spec)
-    plan = WindowPlan(clip_len=64, window=32, step=16)
-    a = accumulate_affinity(ds, plan, cosine_scorer, threads=1)
-    b = accumulate_affinity(ds, plan, cosine_scorer, threads=4)
-    assert np.array_equal(a._keys, b._keys)
-    assert np.array_equal(a._sums, b._sums)
-    assert np.array_equal(a._counts, b._counts)
 
 
 def test_detections_outside_clip_rejected():

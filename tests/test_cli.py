@@ -259,8 +259,10 @@ def test_config_file_reaches_the_command(tmp_path):
 def test_unknown_config_key_exits_two(tmp_path):
     data = synth(tmp_path, frames=30, objects=1)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("windows=40\n")
-    assert track(data, tmp_path / "r.txt", "--config", str(cfg)) == 2
+    # threads was a key once; a file that still sets it is refused too
+    for line in ("windows=40", "threads=2"):
+        cfg.write_text(line + "\n")
+        assert track(data, tmp_path / "r.txt", "--config", str(cfg)) == 2
 
 
 def test_argparse_errors_exit_two(tmp_path):

@@ -29,7 +29,6 @@ def test_defaults_match_module_defaults():
     assert cfg.gamma == 1.0
     assert cfg.iou_gate == 0.5
     assert cfg.seed == 0
-    assert cfg.threads == 1
 
 
 def test_parse_config_file(tmp_path):
@@ -58,9 +57,10 @@ def test_load_config_three_layer_precedence(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("windows=40\n")
-    with pytest.raises(ValidationError):
-        load_config(p)
+    for line in ("windows=40", "threads=2"):
+        p.write_text(line + "\n")
+        with pytest.raises(ValidationError):
+            load_config(p)
 
 
 def test_bad_values_rejected(tmp_path):
@@ -93,8 +93,6 @@ def test_module_invariants_enforced_at_load():
         RunConfig(pass1_mode="magic")
     with pytest.raises(ValidationError):
         RunConfig(iterations=-1)
-    with pytest.raises(ValidationError):
-        RunConfig(threads=0)
     with pytest.raises(ValidationError):
         RunConfig(traj_passes=-1)
     with pytest.raises(ValidationError):

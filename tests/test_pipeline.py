@@ -34,8 +34,6 @@ def test_mode_resolution_and_validation():
         ClipTracker(score_mode="mpn")
     with pytest.raises(ValidationError):
         ClipTracker(score_mode="magic")
-    with pytest.raises(ValidationError):
-        ClipTracker(threads=0)
 
 
 def test_empty_input_gives_no_tracks():
@@ -103,14 +101,6 @@ def test_tracker_is_deterministic():
                                    embedding_noise_sigma=0.1))
     a = ClipTracker()(dets)
     b = ClipTracker()(dets)
-    assert [t.det_indices for t in a] == [t.det_indices for t in b]
-
-
-def test_threads_do_not_change_the_result():
-    dets = synthesize(ScenarioSpec(n_objects=3, n_frames=40, seed=9,
-                                   embedding_noise_sigma=0.1))
-    a = ClipTracker(threads=1)(dets)
-    b = ClipTracker(threads=3)(dets)
     assert [t.det_indices for t in a] == [t.det_indices for t in b]
 
 

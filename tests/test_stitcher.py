@@ -7,6 +7,8 @@ is members_a + members_b - intersection.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackgraph.core import BoundingBox, Detection, Tracklet, ValidationError
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
@@ -118,7 +120,8 @@ def test_stitch_assignment_is_globally_optimal():
     # costs: a1-b1 0.6, a1-b2 0.75, a2-b1 0.8, a2-b2 forbidden. Taking
     # the cheapest pair first would leave a2 unmatched; the optimal
     # assignment matches both rows. The b tracks reuse detections 2, 3
-    # to compete for a1, which stitch does not forbid.
+    # to compete for a1; the distinctive members 20 and 21 show which
+    # b track each a track merged with.
     a1 = trk(0, (10, 1), (11, 2), (12, 3))
     a2 = trk(1, (13, 5), (14, 6))
     b1 = trk(0, (11, 2), (12, 3), (13, 20), (14, 6))
@@ -126,8 +129,57 @@ def test_stitch_assignment_is_globally_optimal():
     out = stitch([a1, a2], [b1, b2])
     assert len(out) == 2
     by_id = {t.id: t for t in out}
+    assert (13, 21) in members(by_id[0])  # a1 merged with b2
+    assert (13, 20) in members(by_id[1])  # a2 merged with b1
+    # the shared detections 2 and 3 stay with the first track only
     assert members(by_id[0]) == [(10, 1), (11, 2), (12, 3), (13, 21)]
-    assert members(by_id[1]) == [(11, 2), (12, 3), (13, 20), (14, 6)]
+    assert members(by_id[1]) == [(13, 20), (14, 6)]
+
+
+def test_stitch_places_a_shared_detection_once():
+    # A's detection 6 sits alone in B2 while B1 matches A: A keeps it
+    out = stitch([trk(0, (10, 5), (11, 6))], [trk(0, (10, 5)), trk(1, (11, 6))])
+    assert [(t.id, members(t)) for t in out] == [(0, [(10, 5), (11, 6)])]
+
+
+@st.composite
+def clip_partitions(draw):
+    """Two overlapping clips' track sets, each a partition of its detections.
+
+    Frames [0, left_end) belong to the left clip and [right_start,
+    n_frames) to the right one, as run_clipped hands them to stitch.
+    """
+    n_frames = draw(st.integers(2, 10))
+    right_start = draw(st.integers(0, n_frames - 1))
+    left_end = draw(st.integers(right_start + 1, n_frames))
+    frame_of = []
+    for f in range(n_frames):
+        frame_of += [f] * draw(st.integers(0, 3))
+
+    def partition(lo, hi):
+        groups = {}
+        for f in range(lo, hi):
+            idxs = [i for i, g in enumerate(frame_of) if g == f]
+            labels = draw(st.permutations(range(4)))
+            for i, label in zip(idxs, labels):
+                groups.setdefault(label, []).append((f, i))
+        return [trk(label, *groups[label]) for label in sorted(groups)]
+
+    return frame_of, partition(0, left_end), partition(right_start, n_frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clip_partitions())
+def test_stitch_places_every_detection_exactly_once(case):
+    frame_of, left, right = case
+    out = stitch(left, right)
+    placed = [i for t in out for i in t.det_indices]
+    assert sorted(placed) == list(range(len(frame_of)))
+    for t in out:
+        frames = [d.frame for d in t.detections]
+        assert all(b > a for a, b in zip(frames, frames[1:]))
+        assert all(frame_of[i] == d.frame for i, d in zip(t.det_indices, t.detections))
+    assert len({t.id for t in out}) == len(out)
 
 
 def test_stitch_empty_sides_pass_through():
