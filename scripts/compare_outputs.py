@@ -3,13 +3,14 @@
     python3 scripts/compare_outputs.py --base REV
 
 Unpacks REV with `git archive` into a temporary directory, then runs
-`trackgraph synth`, `track`, `eval` and `graph-stats --dump` on a fixed
-ladder of scenes under both trees: REV and this working tree
+`trackgraph synth`, `track`, `eval`, `graph-stats --dump` and `train`
+on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). Prints one SHA-256 per scene and output
 of the working tree, marks each one `same` or `DIFFERS`, and exits 1
 on any mismatch. `track` is compared on its output file and `eval` on
-its report; the timing line of `track`'s summary is left out. The
-temporary directory follows TMPDIR.
+its report; the timing line of `track`'s summary is left out. `train`
+is compared on the checkpoint bytes and on its summary without the
+output path. The temporary directory follows TMPDIR.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ SCENES = {
     # denser and noisier: 20 objects at sigma 0.3
     "dense20": ["--objects", "20", "--frames", "128", "--seed", "60",
                 "--sigma", "0.3", "--miss-rate", "0.05"],
+    # a training scene noisy enough that its 64-frame clips break into
+    # fragments, so training also gets trajectory-level graphs
+    "train120": ["--objects", "10", "--frames", "120", "--seed", "70",
+                 "--sigma", "0.5", "--miss-rate", "0.2", "--turn-prob", "0.1"],
 }
 
 CKPT = ["--params", str(CHECKPOINT)]
@@ -67,6 +72,18 @@ GRAPH_RUNS = [
     ("gate700", "step8", ["--step", "8"]),
     ("dense20", "step16", []),
     ("dense20", "step5", ["--step", "5"]),
+]
+
+
+# (scene, run name, extra train flags): small dims and few iterations
+# keep a run short, and the trajectory-level graphs join the loss at
+# iteration 10
+TRAIN_RUNS = [
+    ("train120", "small", ["--clip-len", "64", "--overlap", "32",
+                           "--node-dim", "8", "--edge-dim", "4",
+                           "--hidden-dim", "16", "--steps", "3",
+                           "--iterations", "20", "--unfreeze-at", "10",
+                           "--learning-rate", "0.01", "--seed", "3"]),
 ]
 
 
@@ -120,6 +137,14 @@ def run_ladder(tree: Path, work: Path) -> dict[str, str]:
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         out[f"{scene}/graph-stats-{run}"] = sha(dump.encode())
+    for scene, run, flags in TRAIN_RUNS:
+        ckpt = work / f"{scene}-{run}.ckpt"
+        summary = trackgraph(tree, ["train", "--gt", str(work / scene / "det.txt"),
+                                    "--emb", str(work / scene / "det.emb"),
+                                    *flags, "--out", str(ckpt)])
+        out[f"{scene}/train-{run}"] = sha(ckpt.read_bytes())
+        kept = [ln for ln in summary.splitlines() if not ln.startswith("out=")]
+        out[f"{scene}/train-{run}-summary"] = sha("\n".join(kept).encode())
     return out
 
 

@@ -6,7 +6,9 @@ keeps every detection as a node, promotes tracklets with two or more
 members to trajectory nodes, links isolated detections to their
 temporally nearest trajectory nodes, and fully connects trajectory
 pairs whose frame spans do not overlap. Every edge points forward in
-time, so the result is a DAG by construction.
+time, so the result is a DAG by construction. The builder only decides
+which (u, v, kind) links exist; their descriptors are computed later,
+for the whole graph at once, by mpn.graph_tensors.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from trackgraph.core import (
     TrackGraph,
     Tracklet,
     ValidationError,
-    temporal_iou,
 )
 from trackgraph.ingest import DetectionSet
-from trackgraph.mpn import init_edge_features
+from trackgraph.mpn import graph_tensors
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,6 @@ class BuilderConfig:
             )
         if self.lookback < 1:
             raise ValidationError(f"lookback must be >= 1, got {self.lookback}")
-
-
-def _det_node(index: int, det: Detection) -> CompositeNode:
-    return CompositeNode(NodeKind.DET, det, index)
 
 
 def associate_frames(
@@ -95,21 +92,12 @@ def associate_frames(
                 if -cost[r, c] < cfg.new_track_threshold:
                     continue
                 track = tracks[active[r]]
-                u_idx, u_det = track[-1]
+                u_idx = track[-1][0]
                 order = np.argsort(-m_bar[r], kind="stable")[: cfg.top_k]
                 targets = {int(idxs[c])} | {int(idxs[c2]) for c2 in order}
-                for v_idx in sorted(targets):
-                    links.append(
-                        Edge(
-                            u_idx,
-                            v_idx,
-                            EdgeKind.DET_DET,
-                            init_edge_features(
-                                _det_node(u_idx, u_det),
-                                _det_node(v_idx, dets.detections[v_idx]),
-                            ),
-                        )
-                    )
+                links.extend(
+                    Edge(u_idx, v_idx, EdgeKind.DET_DET) for v_idx in sorted(targets)
+                )
                 track.append((int(idxs[c]), dets.detections[int(idxs[c])]))
                 taken.add(int(c))
         tracks.extend(
@@ -127,22 +115,16 @@ def span_disjoint_edges(traj_nodes: Sequence[CompositeNode]) -> list[Edge]:
     Each edge points from the earlier span to the later one; pairs come
     in node order.
     """
-    edges = []
-    for a in range(len(traj_nodes)):
-        for b in range(a + 1, len(traj_nodes)):
-            ta, tb = traj_nodes[a], traj_nodes[b]
-            if temporal_iou(ta.payload, tb.payload) != 0.0:
-                continue
-            u, v = (ta, tb) if ta.span[1] < tb.span[0] else (tb, ta)
-            edges.append(
-                Edge(
-                    u.node_index,
-                    v.node_index,
-                    EdgeKind.TRAJ_TRAJ,
-                    init_edge_features(u, v),
-                )
-            )
-    return edges
+    index = np.asarray([tn.node_index for tn in traj_nodes], dtype=np.int64)
+    spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
+    a, b = np.triu_indices(len(traj_nodes), 1)
+    a_first = spans[a, 1] < spans[b, 0]
+    keep = a_first | (spans[b, 1] < spans[a, 0])
+    u = index[np.where(a_first, a, b)[keep]]
+    v = index[np.where(a_first, b, a)[keep]]
+    return [
+        Edge(x, y, EdgeKind.TRAJ_TRAJ) for x, y in zip(u.tolist(), v.tolist())
+    ]
 
 
 def build_part_graph(
@@ -161,7 +143,9 @@ def build_part_graph(
     earlier span first.
     """
     cfg = cfg or BuilderConfig()
-    det_nodes = [_det_node(i, d) for i, d in enumerate(dets.detections)]
+    det_nodes = [
+        CompositeNode(NodeKind.DET, d, i) for i, d in enumerate(dets.detections)
+    ]
     promoted = [t for t in tracklets if len(t) >= 2]
     traj_nodes = [
         CompositeNode(NodeKind.TRAJ, t, len(det_nodes) + p)
@@ -180,14 +164,7 @@ def build_part_graph(
         if before:
             # latest end wins; ties fall to the lower node index
             tn = max(before, key=lambda tn: (tn.span[1], -tn.node_index))
-            edges.append(
-                Edge(
-                    tn.node_index,
-                    i,
-                    EdgeKind.DET_TRAJ,
-                    init_edge_features(tn, det_nodes[i]),
-                )
-            )
+            edges.append(Edge(tn.node_index, i, EdgeKind.DET_TRAJ))
         after = [
             tn
             for tn in traj_nodes
@@ -195,14 +172,7 @@ def build_part_graph(
         ]
         if after:
             tn = min(after, key=lambda tn: (tn.span[0], tn.node_index))
-            edges.append(
-                Edge(
-                    i,
-                    tn.node_index,
-                    EdgeKind.DET_TRAJ,
-                    init_edge_features(det_nodes[i], tn),
-                )
-            )
+            edges.append(Edge(i, tn.node_index, EdgeKind.DET_TRAJ))
     edges.extend(span_disjoint_edges(traj_nodes))
     return TrackGraph(tuple(det_nodes + traj_nodes), tuple(edges))
 
@@ -269,8 +239,9 @@ def dump_graph(graph: TrackGraph) -> str:
                 f"node {node.node_index} traj start={t.start_frame} "
                 f"end={t.end_frame} members={len(t)}"
             )
-    for e in graph.edges:
-        feats = ",".join(f"{x:g}" for x in e.init_features)
-        score = "none" if e.score is None else f"{e.score:g}"
-        lines.append(f"edge {e.u} {e.v} {e.kind.value} f={feats} score={score}")
+    if graph.edges:
+        for e, row in zip(graph.edges, graph_tensors(graph).feats):
+            feats = ",".join(f"{x:g}" for x in row)
+            # the format keeps a score field; a built graph is unscored
+            lines.append(f"edge {e.u} {e.v} {e.kind.value} f={feats} score=none")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -27,6 +27,7 @@ from trackgraph.metrics import evaluate, graph_stats, render_keyvalues, render_r
 from trackgraph.mpn import (
     TrainSchedule,
     edge_labels,
+    graph_tensors,
     init_params,
     load_params,
     save_params,
@@ -59,7 +60,6 @@ def _tracker(cfg: RunConfig, **kw) -> ClipTracker:
         new_track_threshold=cfg.new_track_threshold,
         assign_threshold=cfg.assign_threshold,
         traj_passes=cfg.traj_passes,
-        pass1_mode=cfg.pass1_mode,
         **kw,
     )
 
@@ -123,7 +123,11 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def _labelled_graphs(dets, cfg: RunConfig):
-    """Per-clip training graphs: part graphs plus fragment-level graphs."""
+    """Per-clip training graphs: part graphs plus fragment-level graphs.
+
+    Each graph is packed for the network once, here, so training never
+    converts it again.
+    """
     tracker = _tracker(cfg)
     primary, secondary = [], []
     for s in ClipPlan(cfg.clip_len, cfg.overlap).starts(dets.n_frames):
@@ -132,11 +136,11 @@ def _labelled_graphs(dets, cfg: RunConfig):
             continue
         graph = tracker.build_graph(sub)
         if graph.edges:
-            primary.append((graph, edge_labels(graph)))
+            primary.append((graph_tensors(graph), edge_labels(graph)))
         dets_seq = [graph.nodes[i].payload for i in range(graph.n_det_nodes)]
         frag = build_traj_graph(dets_seq, tracklet_ids(graph))
         if frag.edges:
-            secondary.append((frag, edge_labels(frag)))
+            secondary.append((graph_tensors(frag), edge_labels(frag)))
     return primary, secondary
 
 

@@ -26,7 +26,6 @@ class RunConfig:
     new_track_threshold: float = 0.3
     assign_threshold: float = 0.5
     traj_passes: int = 1
-    pass1_mode: str = "rounding"
     embed_dim: int = 16
     node_dim: int = 32
     edge_dim: int = 16
@@ -53,8 +52,6 @@ class RunConfig:
         )
         if not (0.0 < self.assign_threshold <= 1.0):
             raise ValidationError("assign_threshold must lie in (0, 1]")
-        if self.pass1_mode not in ("rounding", "tracker"):
-            raise ValidationError(f"unknown pass1_mode {self.pass1_mode!r}")
         if self.traj_passes < 0:
             raise ValidationError("traj_passes must be non-negative")
         if not (0.0 < self.iou_gate <= 1.0):

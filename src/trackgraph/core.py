@@ -3,15 +3,17 @@
 Boxes live in pixel space as (left, top, width, height). Frames are
 integer time indices starting at 0. A tracklet is a strictly
 time-ordered run of detections, at most one per frame, carrying the
-arithmetic mean of its members' appearance embeddings.
+arithmetic mean of its members' appearance embeddings. A graph edge is
+a bare (u, v, kind) record over node indices; edge descriptors are
+computed for a whole graph at once by mpn.graph_tensors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,33 +247,17 @@ class CompositeNode:
         return self.payload.mean_embedding
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Directed link between two nodes; u's span ends before v's starts."""
+class Edge(NamedTuple):
+    """Directed link u -> v between two node indices.
+
+    An edge is only which nodes it joins and what kind of link it is;
+    its numeric descriptor is computed for all edges at once by
+    mpn.graph_tensors.
+    """
 
     u: int
     v: int
     kind: EdgeKind
-    init_features: np.ndarray
-    score: Optional[float] = None
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValidationError("edge endpoints must differ")
-        feats = np.asarray(self.init_features, dtype=np.float64)
-        if feats.shape != (6,):
-            raise ValidationError(
-                f"init_features must have shape (6,), got {feats.shape}"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError("init_features must be finite")
-        feats.setflags(write=False)
-        object.__setattr__(self, "init_features", feats)
-        if self.score is not None and not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score must lie in [0, 1], got {self.score}")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -279,13 +265,12 @@ class TrackGraph:
     """Immutable composite-node graph.
 
     Every edge points forward in time (u's span ends strictly before
-    v's span starts), so the graph is a DAG by construction.
-    frame_index maps each frame to the nodes active at it.
+    v's span starts), so the graph is a DAG by construction; this also
+    rules out self-loops. Edges are unique as (u, v, kind).
     """
 
     nodes: tuple[CompositeNode, ...]
     edges: tuple[Edge, ...]
-    frame_index: dict[int, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         for pos, node in enumerate(self.nodes):
@@ -293,26 +278,24 @@ class TrackGraph:
                 raise ValidationError(
                     f"node at position {pos} carries index {node.node_index}"
                 )
-        seen = set()
+        if not self.edges:
+            return
         n = len(self.nodes)
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValidationError(f"edge ({e.u}, {e.v}) endpoint out of range")
-            key = (e.u, e.v, e.kind)
-            if key in seen:
-                raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
-            if self.nodes[e.u].span[1] >= self.nodes[e.v].span[0]:
-                raise ValidationError(
-                    f"edge ({e.u}, {e.v}) does not move forward in time"
-                )
-        index: dict[int, list[int]] = {}
-        for node in self.nodes:
-            lo, hi = node.span
-            for f in range(lo, hi + 1):
-                index.setdefault(f, []).append(node.node_index)
-        frozen = {f: tuple(ix) for f, ix in sorted(index.items())}
-        object.__setattr__(self, "frame_index", frozen)
+        u, v, _ = zip(*self.edges)
+        u, v = np.asarray(u), np.asarray(v)
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"edge ({u[k]}, {v[k]}) endpoint out of range")
+        if len(set(self.edges)) < len(self.edges):
+            raise ValidationError("graph repeats a (u, v, kind) edge")
+        spans = np.asarray([node.span for node in self.nodes], dtype=np.int64)
+        back = spans[u, 1] >= spans[v, 0]
+        if back.any():
+            k = int(np.argmax(back))
+            raise ValidationError(
+                f"edge ({u[k]}, {v[k]}) does not move forward in time"
+            )
 
     @property
     def n_det_nodes(self) -> int:

@@ -1,15 +1,17 @@
 """Time-aware message passing over a track graph, with analytic gradients.
 
 Edges carry a 6-feature descriptor (height-normalised offsets, log size
-ratios, frame gap, appearance distance). Node states start as an affine
-projection of the appearance embedding; edge states start as an encoded
-feature vector. Each step updates every edge from its endpoints, then
-every node from directional message sums: messages arriving from
-earlier neighbours pass through the past MLP, those from later
-neighbours through the future MLP, and the node MLP fuses the two sums.
-Edge states keep their initial encoding concatenated alongside, so step
-0 information survives every update. A logistic classifier on the final
-edge state yields link scores in (0, 1).
+ratios, frame gap, appearance distance). graph_tensors computes it for
+every edge of a graph in one array pass while it packs the graph for
+the network; a core.Edge holds only (u, v, kind). Node states start as
+an affine projection of the appearance embedding; edge states start as
+an encoded feature vector. Each step updates every edge from its
+endpoints, then every node from directional message sums: messages
+arriving from earlier neighbours pass through the past MLP, those from
+later neighbours through the future MLP, and the node MLP fuses the two
+sums. Edge states keep their initial encoding concatenated alongside,
+so step 0 information survives every update. A logistic classifier on
+the final edge state yields link scores in (0, 1).
 
 All forward passes are mirrored by hand-written reverse-mode backward
 passes; gradients are exact, not approximated.
@@ -34,38 +36,6 @@ from trackgraph.core import (
 
 _CKPT_MAGIC = b"TGCKPT01"
 _SCORE_CLAMP = 1e-7
-
-
-# ----------------------------------------------------------- edge features
-
-
-def init_edge_features(u: CompositeNode, v: CompositeNode) -> np.ndarray:
-    """Raw descriptor of a forward link u -> v.
-
-    Uses u's last box against v's first box: offsets normalised by the
-    summed heights, log width/height ratios, frame gap, and euclidean
-    distance of the (mean) appearance embeddings. Detections act as
-    length-1 tracklets.
-    """
-    bu = u.last_box
-    bv = v.first_box
-    gap = v.span[0] - u.span[1]
-    if gap <= 0:
-        raise ValidationError("edge features need u to end before v starts")
-    denom = bu.h + bv.h
-    fu, fv = u.feature, v.feature
-    if fu.shape != fv.shape:
-        raise ValidationError("endpoint embeddings disagree in dimension")
-    return np.asarray(
-        [
-            2.0 * (bv.x - bu.x) / denom,
-            2.0 * (bv.y - bu.y) / denom,
-            np.log(bv.w / bu.w),
-            np.log(bv.h / bu.h),
-            float(gap),
-            float(np.linalg.norm(fu - fv)),
-        ]
-    )
 
 
 # ------------------------------------------------------------------- MLPs
@@ -274,20 +244,45 @@ class GraphTensors:
         return self.u.size
 
 
+def _box_rows(boxes) -> np.ndarray:
+    return np.asarray([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64)
+
+
 def graph_tensors(graph: TrackGraph) -> GraphTensors:
+    """Pack a graph for the network; the one place edge descriptors are made.
+
+    The descriptor of a forward edge u -> v compares u's last box with
+    v's first box: offsets normalised by the summed heights, log
+    width/height ratios, then the frame gap and the euclidean distance
+    of the (mean) appearance vectors. Detections act as length-1
+    tracklets. All edges are computed in one array pass.
+    """
     n = len(graph.nodes)
     if n == 0:
         raise ValidationError("graph has no nodes")
     node_feat = np.stack([node.feature for node in graph.nodes])
     spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64)
-    m = len(graph.edges)
     u = np.asarray([e.u for e in graph.edges], dtype=np.int64)
     v = np.asarray([e.v for e in graph.edges], dtype=np.int64)
-    feats = (
-        np.stack([e.init_features for e in graph.edges])
-        if m
-        else np.empty((0, 6))
+    bu = _box_rows(node.last_box for node in graph.nodes)[u]
+    bv = _box_rows(node.first_box for node in graph.nodes)[v]
+    denom = bu[:, 3] + bv[:, 3]
+    diff = node_feat[u] - node_feat[v]
+    # a stacked row-by-row product sums in the order np.linalg.norm uses
+    # for one vector, so a descriptor does not depend on its batch
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
+    feats = np.column_stack(
+        [
+            2.0 * (bv[:, 0] - bu[:, 0]) / denom,
+            2.0 * (bv[:, 1] - bu[:, 1]) / denom,
+            np.log(bv[:, 2] / bu[:, 2]),
+            np.log(bv[:, 3] / bu[:, 3]),
+            (spans[v, 0] - spans[u, 1]).astype(np.float64),
+            dist,
+        ]
     )
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError("edge descriptors must be finite")
     return GraphTensors(u, v, feats, node_feat, spans)
 
 

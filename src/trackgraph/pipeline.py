@@ -48,7 +48,6 @@ class ClipTracker:
     traj_passes: int = 1
     params: Optional[MpnParams] = None
     score_mode: str = "auto"
-    pass1_mode: str = "rounding"
     # receives one GraphStats per processed clip when set
     stats_sink: Optional[list] = None
 
@@ -94,7 +93,6 @@ class ClipTracker:
             eps=self.assign_threshold,
             traj_passes=self.traj_passes,
             score_fn=score_fn,
-            pass1_mode=self.pass1_mode,
         )
         groups: dict[int, list[tuple[int, object]]] = {}
         for i, g in enumerate(ids.tolist()):

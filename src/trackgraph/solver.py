@@ -235,7 +235,8 @@ def tracklet_ids(graph: TrackGraph) -> np.ndarray:
     """One raw id per detection node: the builder's coarse tracklets.
 
     A detection absorbed by a trajectory node gets n_det + that node's
-    index; any other detection keeps its own index.
+    index; any other detection keeps its own index. Training groups the
+    detections by these ids into its trajectory-level graphs.
     """
     n_det = graph.n_det_nodes
     ids = np.arange(n_det, dtype=np.int64)
@@ -255,21 +256,16 @@ def aggregate(
     eps: float = 0.5,
     traj_passes: int = 1,
     score_fn: Optional[ScoreFn] = None,
-    pass1_mode: str = "rounding",
 ) -> np.ndarray:
     """Two-stage identity assignment over a part graph.
 
     Pass 1 scores every edge and rounds the detection-level links into
-    identities ("rounding"), or adopts the coarse tracklets the builder
-    already formed ("tracker"). Each trajectory pass then regroups the
-    current identities into tracklet nodes, re-scores their graph with
-    the same parameters, keeps edges above the threshold, and merges
-    groups whose spans stay disjoint; it stops early when nothing
-    merges. Returns one id per detection node, numbered by first
-    appearance.
+    identities. Each trajectory pass then regroups the current
+    identities into tracklet nodes, re-scores their graph with the same
+    parameters, keeps edges above the threshold, and merges groups whose
+    spans stay disjoint; it stops early when nothing merges. Returns one
+    id per detection node, numbered by first appearance.
     """
-    if pass1_mode not in ("rounding", "tracker"):
-        raise ValidationError(f"unknown pass1_mode {pass1_mode!r}")
     if not (0.0 < eps <= 1.0):
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
     if traj_passes < 0:
@@ -287,20 +283,17 @@ def aggregate(
             raise ValidationError("aggregate needs params or a score_fn")
         return forward(g, params)[1]
 
-    if pass1_mode == "rounding":
-        scores = run_scores(graph)
-        det_edges = tuple(
-            (e.u, e.v, float(np.clip(scores[k], 0.0, 1.0)))
-            for k, e in enumerate(graph.edges)
-            if e.kind is EdgeKind.DET_DET
-        )
-        problem = RoundingProblem(n_det, det_edges)
-        lab = greedy_round(problem, eps)
-        positive = [det_edges[k] for k in np.flatnonzero(lab.labels)]
-        det_spans = np.asarray([graph.nodes[i].span for i in range(n_det)])
-        ids = connected_components_ids(det_spans, positive)
-    else:
-        ids = _relabel(tracklet_ids(graph))
+    scores = run_scores(graph)
+    det_edges = tuple(
+        (e.u, e.v, float(np.clip(scores[k], 0.0, 1.0)))
+        for k, e in enumerate(graph.edges)
+        if e.kind is EdgeKind.DET_DET
+    )
+    problem = RoundingProblem(n_det, det_edges)
+    lab = greedy_round(problem, eps)
+    positive = [det_edges[k] for k in np.flatnonzero(lab.labels)]
+    det_spans = np.asarray([graph.nodes[i].span for i in range(n_det)])
+    ids = connected_components_ids(det_spans, positive)
 
     dets_seq = [graph.nodes[i].payload for i in range(n_det)]
     for _ in range(traj_passes):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
@@ -19,6 +21,9 @@ from trackgraph.core import (
     ValidationError,
 )
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
+from trackgraph.mpn import graph_tensors
+from trackgraph.pipeline import ClipTracker
+from trackgraph.solver import build_traj_graph, tracklet_ids
 
 
 def det(frame, x, gt, y=0.0, emb=None):
@@ -144,6 +149,40 @@ def test_detdet_bound_and_dag_on_noisy_scenario():
     graph = build_part_graph(tracklets, links, dets, cfg)
     for e in graph.edges:  # forward in time, already enforced on build
         assert graph.nodes[e.u].span[1] < graph.nodes[e.v].span[0]
+
+
+def assert_forward_dag(graph):
+    """Endpoints in range, (u, v, kind) unique, every frame gap >= 1."""
+    g = graph_tensors(graph)
+    n = len(graph.nodes)
+    assert np.all((0 <= g.u) & (g.u < n) & (0 <= g.v) & (g.v < n))
+    keys = {(e.u, e.v, e.kind) for e in graph.edges}
+    assert len(keys) == len(graph.edges)
+    assert np.all(g.feats[:, 4] >= 1.0)
+    assert np.array_equal(g.feats[:, 4], g.spans[g.v, 0] - g.spans[g.u, 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    objects=st.integers(1, 4),
+    frames=st.integers(2, 30),
+    seed=st.integers(0, 10_000),
+    miss_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    sigma=st.sampled_from([0.0, 0.2, 0.6]),
+    window=st.integers(2, 12),
+)
+def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
+                                           sigma, window):
+    spec = ScenarioSpec(n_objects=objects, n_frames=frames, seed=seed,
+                        miss_rate=miss_rate, embedding_noise_sigma=sigma)
+    dets = synthesize(spec)
+    assume(len(dets) > 0)
+    part = ClipTracker(window=window, step=max(1, window // 2)).build_graph(dets)
+    assert_forward_dag(part)
+    members = [part.nodes[i].payload for i in range(part.n_det_nodes)]
+    # the builder's tracklets, and every detection on its own
+    for ids in (tracklet_ids(part), np.arange(len(dets))):
+        assert_forward_dag(build_traj_graph(members, ids))
 
 
 def test_empty_set_round_trips():

@@ -259,8 +259,9 @@ def test_config_file_reaches_the_command(tmp_path):
 def test_unknown_config_key_exits_two(tmp_path):
     data = synth(tmp_path, frames=30, objects=1)
     cfg = tmp_path / "run.cfg"
-    # threads was a key once; a file that still sets it is refused too
-    for line in ("windows=40", "threads=2"):
+    # threads and pass1_mode were keys once; a file that still sets one
+    # is refused too
+    for line in ("windows=40", "threads=2", "pass1_mode=rounding"):
         cfg.write_text(line + "\n")
         assert track(data, tmp_path / "r.txt", "--config", str(cfg)) == 2
 

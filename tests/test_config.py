@@ -16,7 +16,6 @@ def test_defaults_match_module_defaults():
     assert cfg.new_track_threshold == 0.3
     assert cfg.assign_threshold == 0.5
     assert cfg.traj_passes == 1
-    assert cfg.pass1_mode == "rounding"
     assert cfg.embed_dim == 16
     assert cfg.node_dim == 32
     assert cfg.edge_dim == 16
@@ -38,10 +37,10 @@ def test_parse_config_file(tmp_path):
         "window = 40\n"
         "\n"
         "learning_rate=1e-3   # trailing comment\n"
-        "pass1_mode = tracker\n"
+        "iou_gate = 0.3\n"
     )
     raw = parse_config_file(p)
-    assert raw == {"window": "40", "learning_rate": "1e-3", "pass1_mode": "tracker"}
+    assert raw == {"window": "40", "learning_rate": "1e-3", "iou_gate": "0.3"}
 
 
 def test_load_config_three_layer_precedence(tmp_path):
@@ -57,7 +56,7 @@ def test_load_config_three_layer_precedence(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "run.cfg"
-    for line in ("windows=40", "threads=2"):
+    for line in ("windows=40", "threads=2", "pass1_mode=rounding"):
         p.write_text(line + "\n")
         with pytest.raises(ValidationError):
             load_config(p)
@@ -89,8 +88,6 @@ def test_module_invariants_enforced_at_load():
         RunConfig(new_track_threshold=1.5)
     with pytest.raises(ValidationError):
         RunConfig(assign_threshold=0.0)
-    with pytest.raises(ValidationError):
-        RunConfig(pass1_mode="magic")
     with pytest.raises(ValidationError):
         RunConfig(iterations=-1)
     with pytest.raises(ValidationError):

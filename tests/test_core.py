@@ -194,11 +194,7 @@ def test_temporal_iou_zero_iff_disjoint(s1, l1, s2, l2):
 # ----------------------------------------------------------------- graph
 
 
-def zero_feats():
-    return np.zeros(6)
-
-
-def test_graph_construction_and_frame_index():
+def test_graph_construction():
     d0, d1 = make_det(0), make_det(1)
     nodes = (
         CompositeNode(NodeKind.DET, d0, 0),
@@ -206,14 +202,13 @@ def test_graph_construction_and_frame_index():
         CompositeNode(NodeKind.TRAJ, span_tracklet(0, 3, 5), 2),
     )
     edges = (
-        Edge(0, 1, EdgeKind.DET_DET, zero_feats()),
-        Edge(1, 2, EdgeKind.DET_TRAJ, zero_feats()),
+        Edge(0, 1, EdgeKind.DET_DET),
+        Edge(1, 2, EdgeKind.DET_TRAJ),
     )
     g = TrackGraph(nodes, edges)
     assert g.n_det_nodes == 2
     assert g.n_traj_nodes == 1
-    assert g.frame_index[0] == (0,)
-    assert g.frame_index[4] == (2,)
+    assert g.edges[1] == (1, 2, EdgeKind.DET_TRAJ)
 
 
 def test_graph_rejects_backward_edge():
@@ -222,7 +217,7 @@ def test_graph_rejects_backward_edge():
         CompositeNode(NodeKind.DET, make_det(2), 1),
     )
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET, zero_feats()),))
+        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
 
 
 def test_graph_rejects_same_frame_edge():
@@ -231,7 +226,7 @@ def test_graph_rejects_same_frame_edge():
         CompositeNode(NodeKind.DET, make_det(2), 1),
     )
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET, zero_feats()),))
+        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
 
 
 def test_graph_rejects_duplicate_edge():
@@ -239,23 +234,22 @@ def test_graph_rejects_duplicate_edge():
         CompositeNode(NodeKind.DET, make_det(0), 0),
         CompositeNode(NodeKind.DET, make_det(1), 1),
     )
-    e = Edge(0, 1, EdgeKind.DET_DET, zero_feats())
+    e = Edge(0, 1, EdgeKind.DET_DET)
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_DET, zero_feats())))
+        TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_DET)))
+    # the same endpoints under another kind are a different edge
+    TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_TRAJ)))
 
 
 def test_graph_rejects_dangling_endpoint():
     nodes = (CompositeNode(NodeKind.DET, make_det(0), 0),)
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 3, EdgeKind.DET_DET, zero_feats()),))
+        TrackGraph(nodes, (Edge(0, 3, EdgeKind.DET_DET),))
+    with pytest.raises(ValidationError):
+        TrackGraph(nodes, (Edge(-1, 0, EdgeKind.DET_DET),))
 
 
 def test_graph_rejects_misplaced_node_index():
     nodes = (CompositeNode(NodeKind.DET, make_det(0), 5),)
     with pytest.raises(ValidationError):
         TrackGraph(nodes, ())
-
-
-def test_edge_validates_score_range():
-    with pytest.raises(ValidationError):
-        Edge(0, 1, EdgeKind.DET_DET, zero_feats(), score=1.5)

@@ -28,7 +28,6 @@ from trackgraph.metrics import (
     render_keyvalues,
     render_report,
 )
-from trackgraph.mpn import init_edge_features
 
 EMB = np.asarray([1.0, 0.0])
 
@@ -189,8 +188,8 @@ def test_graph_stats_empty():
 def test_graph_stats_counts_by_kind():
     a, b, c = det_node(0, 0), det_node(1, 1), det_node(2, 2)
     edges = (
-        Edge(0, 1, EdgeKind.DET_DET, init_edge_features(a, b)),
-        Edge(1, 2, EdgeKind.DET_DET, init_edge_features(b, c)),
+        Edge(0, 1, EdgeKind.DET_DET),
+        Edge(1, 2, EdgeKind.DET_DET),
     )
     s = graph_stats(TrackGraph((a, b, c), edges))
     assert s.det_nodes == 3 and s.traj_nodes == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackgraph.core import (
     BoundingBox,
@@ -26,7 +28,6 @@ from trackgraph.mpn import (
     forward,
     graph_tensors,
     handcrafted_scores,
-    init_edge_features,
     init_node_features,
     init_params,
     load_params,
@@ -56,12 +57,34 @@ def det_node(idx, frame, box=None, emb=(1.0, 0.0), gt_id=None):
 # ------------------------------------------------------------ edge features
 
 
+def reference_features(u, v):
+    """Scalar descriptor of one forward edge u -> v, straight from its definition."""
+    bu = u.last_box
+    bv = v.first_box
+    denom = bu.h + bv.h
+    return np.asarray(
+        [
+            2.0 * (bv.x - bu.x) / denom,
+            2.0 * (bv.y - bu.y) / denom,
+            np.log(bv.w / bu.w),
+            np.log(bv.h / bu.h),
+            float(v.span[0] - u.span[1]),
+            float(np.linalg.norm(u.feature - v.feature)),
+        ]
+    )
+
+
+def edge_features(u, v, kind=EdgeKind.DET_DET):
+    """Descriptor of the edge u -> v of a two-node graph (u is node 0)."""
+    return graph_tensors(TrackGraph((u, v), (Edge(0, 1, kind),))).feats[0]
+
+
 def test_edge_features_derived_case():
     # u: box (0,0,2,2) at t=3, f=(1,0); v: box (1,2,4,4) at t=5, f=(0,1)
     # offsets 2*1/(2+4)=1/3 and 2*2/6=2/3, ratios ln2, gap 2, dist sqrt2
     u = det_node(0, 3, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
     v = det_node(1, 5, BoundingBox(1, 2, 4, 4), (0.0, 1.0))
-    f = init_edge_features(u, v)
+    f = edge_features(u, v)
     expect = [1 / 3, 2 / 3, math.log(2), math.log(2), 2.0, math.sqrt(2)]
     assert np.allclose(f, expect, rtol=1e-12, atol=0)
 
@@ -69,7 +92,7 @@ def test_edge_features_derived_case():
 def test_edge_features_identical_stationary():
     u = det_node(0, 0, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
     v = det_node(1, 1, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
-    assert np.allclose(init_edge_features(u, v), [0, 0, 0, 0, 1, 0])
+    assert np.allclose(edge_features(u, v), [0, 0, 0, 0, 1, 0])
 
 
 def test_edge_features_scale_invariant_geometry():
@@ -77,7 +100,7 @@ def test_edge_features_scale_invariant_geometry():
     v1 = det_node(1, 1, BoundingBox(1, 2, 4, 4), (1.0, 0.0))
     u2 = det_node(0, 0, BoundingBox(0, 0, 20, 20), (1.0, 0.0))
     v2 = det_node(1, 1, BoundingBox(10, 20, 40, 40), (1.0, 0.0))
-    assert np.allclose(init_edge_features(u1, v1), init_edge_features(u2, v2))
+    assert np.allclose(edge_features(u1, v1), edge_features(u2, v2))
 
 
 def test_edge_features_tracklet_uses_boundary_boxes():
@@ -85,16 +108,61 @@ def test_edge_features_tracklet_uses_boundary_boxes():
     d1 = det(1, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
     tr = CompositeNode(NodeKind.TRAJ, Tracklet.from_members(0, [(0, d0), (1, d1)]), 0)
     v = det_node(1, 3, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
-    f = init_edge_features(tr, v)
+    f = edge_features(tr, v, EdgeKind.DET_TRAJ)
     assert f[0] == pytest.approx(0.0)  # last box of the tracklet already at x=4
     assert f[4] == pytest.approx(2.0)  # frames 1 -> 3
 
 
 def test_edge_features_reject_non_forward_pair():
+    # no descriptor exists for a pair that does not move forward in
+    # time: the graph holding it is refused before any is computed
     u = det_node(0, 5)
     v = det_node(1, 5)
-    with pytest.raises(ValidationError):
-        init_edge_features(u, v)
+    for edge in (Edge(0, 1, EdgeKind.DET_DET), Edge(0, 0, EdgeKind.DET_DET)):
+        with pytest.raises(ValidationError):
+            TrackGraph((u, v), (edge,))
+
+
+@st.composite
+def forward_graphs(draw):
+    """Random detection and tracklet nodes, linked by every forward pair."""
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-100.0, 100.0)
+    extent = st.floats(0.5, 60.0)
+    vector = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
+
+    def detection(frame):
+        box = BoundingBox(draw(coord), draw(coord), draw(extent), draw(extent))
+        return det(frame, box, draw(vector))
+
+    nodes = []
+    for index in range(draw(st.integers(2, 6))):
+        start = draw(st.integers(0, 12))
+        if draw(st.booleans()):
+            nodes.append(CompositeNode(NodeKind.DET, detection(start), index))
+        else:
+            steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            frames = np.cumsum([start] + steps).tolist()
+            members = [(k, detection(f)) for k, f in enumerate(frames)]
+            tracklet = Tracklet.from_members(index, members)
+            nodes.append(CompositeNode(NodeKind.TRAJ, tracklet, index))
+    edges = [
+        Edge(a.node_index, b.node_index, EdgeKind.DET_DET)
+        for a in nodes
+        for b in nodes
+        if a.span[1] < b.span[0]
+    ]
+    return TrackGraph(tuple(nodes), tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=forward_graphs())
+def test_graph_tensors_match_scalar_reference(graph):
+    g = graph_tensors(graph)
+    assert g.feats.shape == (len(graph.edges), 6)
+    for k, e in enumerate(graph.edges):
+        want = reference_features(graph.nodes[e.u], graph.nodes[e.v])
+        np.testing.assert_allclose(g.feats[k], want, rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------- node features
@@ -363,16 +431,15 @@ def build_label_graph():
         CompositeNode(NodeKind.TRAJ, pure, 6),
         CompositeNode(NodeKind.TRAJ, mixed, 7),
     )
-    f = np.zeros(6) + [0, 0, 0, 0, 1, 0]
     edges = (
-        Edge(0, 1, EdgeKind.DET_DET, f),  # consecutive id 7 -> 1
-        Edge(1, 2, EdgeKind.DET_DET, f),  # gap, nothing between -> 1
-        Edge(0, 2, EdgeKind.DET_DET, f),  # skips frame 1 member -> 0
-        Edge(3, 2, EdgeKind.DET_DET, f),  # cross identity -> 0
-        Edge(3, 4, EdgeKind.DET_DET, f),  # consecutive id 8 -> 1
-        Edge(5, 2, EdgeKind.DET_DET, f),  # unlabelled endpoint -> 0
-        Edge(6, 2, EdgeKind.DET_TRAJ, f),  # pure tracklet to next det -> 1
-        Edge(7, 2, EdgeKind.DET_TRAJ, f),  # mixed tracklet -> 0
+        Edge(0, 1, EdgeKind.DET_DET),  # consecutive id 7 -> 1
+        Edge(1, 2, EdgeKind.DET_DET),  # gap, nothing between -> 1
+        Edge(0, 2, EdgeKind.DET_DET),  # skips frame 1 member -> 0
+        Edge(3, 2, EdgeKind.DET_DET),  # cross identity -> 0
+        Edge(3, 4, EdgeKind.DET_DET),  # consecutive id 8 -> 1
+        Edge(5, 2, EdgeKind.DET_DET),  # unlabelled endpoint -> 0
+        Edge(6, 2, EdgeKind.DET_TRAJ),  # pure tracklet to next det -> 1
+        Edge(7, 2, EdgeKind.DET_TRAJ),  # mixed tracklet -> 0
     )
     return TrackGraph(nodes, edges)
 

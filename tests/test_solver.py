@@ -340,14 +340,3 @@ def test_aggregate_invariant_to_storage_order():
         return {frozenset(v) for v in parts.values()}
 
     assert build(False) == build(True)
-
-
-def test_aggregate_tracker_pass_uses_builder_tracklets():
-    dets, graph = fragmented_fixture()
-    ids = aggregate(graph, None, eps=1.0, score_fn=oracle_scores,
-                    pass1_mode="tracker")
-    # with merging disabled the ids are exactly the coarse tracklets
-    assert len(set(ids.tolist())) == 3
-    assert len({int(ids[i]) for i in range(3)}) == 1
-    assert len({int(ids[i]) for i in range(3, 6)}) == 1
-    assert ids[0] != ids[6]  # the long gap stays split
