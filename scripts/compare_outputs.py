@@ -72,6 +72,8 @@ GRAPH_RUNS = [
     ("gate700", "step8", ["--step", "8"]),
     ("dense20", "step16", []),
     ("dense20", "step5", ["--step", "5"]),
+    # a lookback shorter than most tracks cuts their members at the window
+    ("dense20", "window8", ["--window", "8", "--step", "4"]),
 ]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from trackgraph.core import BoundingBox, ValidationError, iou
+from trackgraph.core import ValidationError, iou_matrix
 from trackgraph.ingest import DetectionSet
 
 
@@ -75,7 +75,7 @@ def cosine_scorer(dets: DetectionSet) -> PairScore:
     unit = emb / norms[:, None]
 
     def score(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        dots = np.einsum("ij,ij->i", unit[i], unit[j])
+        dots = np.einsum("ij,ij->i", unit.take(i, axis=0), unit.take(j, axis=0))
         return np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
 
     return score
@@ -155,40 +155,41 @@ def appearance_matrix(
 ) -> np.ndarray:
     """Mean similarity of each track's members to each detection.
 
-    Pairs that share no window contribute 0 to the mean, keeping rows
-    in [0, 1].
+    All tracks' member pairs are looked up at once; each track's mean
+    sums its own contiguous block of rows. Pairs that share no window
+    contribute 0 to the mean, keeping rows in [0, 1].
     """
-    n_t, n_d = len(members_in_window), len(frame_dets)
-    out = np.zeros((n_t, n_d))
+    sizes = [len(members) for members in members_in_window]
+    if 0 in sizes:
+        raise ValidationError("active track has no members in the window")
+    n_d = len(frame_dets)
+    m = np.asarray([i for mem in members_in_window for i in mem], dtype=np.int64)
     fd = np.asarray(frame_dets, dtype=np.int64)
-    for r, members in enumerate(members_in_window):
-        m = np.asarray(members, dtype=np.int64)
-        if m.size == 0:
-            raise ValidationError("active track has no members in the window")
-        ii = np.repeat(m, n_d)
-        jj = np.tile(fd, m.size)
-        vals, _ = aff.lookup(ii, jj)
-        out[r] = vals.reshape(m.size, n_d).sum(axis=0) / m.size
-    return out
+    vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(fd, m.size))
+    vals = vals.reshape(m.size, n_d)
+    sums = np.empty((len(sizes), n_d))
+    start = 0
+    for r, size in enumerate(sizes):
+        sums[r] = vals[start:start + size].sum(axis=0)
+        start += size
+    return sums / np.asarray(sizes, dtype=np.float64)[:, None]
 
 
 def step_cost_matrix(
     members_in_window: Sequence[Sequence[int]],
-    last_boxes: Sequence[BoundingBox],
+    last_boxes: np.ndarray,
     frame_dets: np.ndarray,
-    frame_boxes: Sequence[BoundingBox],
+    frame_boxes: np.ndarray,
     aff: AffinityMatrix,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Association costs C = -max(appearance mean, last-box IoU).
 
-    Returns (C, appearance matrix); the appearance rows also drive
-    candidate-link selection downstream.
+    Boxes are (x, y, w, h) rows (core.box_rows). Returns (C, appearance
+    matrix); the appearance rows also drive candidate-link selection
+    downstream.
     """
     if len(members_in_window) != len(last_boxes):
         raise ValidationError("member lists and last boxes must align")
     m_bar = appearance_matrix(members_in_window, frame_dets, aff)
-    m_hat = np.zeros_like(m_bar)
-    for r, lb in enumerate(last_boxes):
-        for c, fb in enumerate(frame_boxes):
-            m_hat[r, c] = iou(lb, fb)
+    m_hat = iou_matrix(last_boxes, frame_boxes)
     return -np.maximum(m_bar, m_hat), m_bar

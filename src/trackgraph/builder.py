@@ -13,6 +13,7 @@ for the whole graph at once, by mpn.graph_tensors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,13 +23,13 @@ from scipy.optimize import linear_sum_assignment
 from trackgraph.affinity import AffinityMatrix, step_cost_matrix
 from trackgraph.core import (
     CompositeNode,
-    Detection,
     Edge,
     EdgeKind,
     NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
+    box_rows,
 )
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
@@ -69,43 +70,46 @@ def associate_frames(
     """
     if len(dets) == 0:
         return [], []
-    tracks: list[list[tuple[int, Detection]]] = []
+    boxes = box_rows(d.box for d in dets.detections)
+    frame_of = [d.frame for d in dets.detections]
+    # each track's members (detection indices) are appended in frame order
+    tracks: list[list[int]] = []
+    last_frame = np.empty(len(dets), dtype=np.int64)
     links: list[Edge] = []
     frames = sorted(dets.by_frame)
     first = frames[0]
     for t in frames:
         idxs = dets.by_frame[t]
-        if t == first:
-            tracks.extend([(int(j), dets.detections[int(j)])] for j in idxs)
-            continue
         lo = max(first, t - cfg.lookback)
-        active = [k for k, mem in enumerate(tracks) if lo <= mem[-1][1].frame < t]
+        # every track so far ends before t
+        active = np.flatnonzero(last_frame[: len(tracks)] >= lo).tolist()
         taken: set[int] = set()
         if active:
             members = [
-                [i for i, d in tracks[k] if lo <= d.frame < t] for k in active
+                tracks[k][bisect_left(tracks[k], lo, key=frame_of.__getitem__):]
+                for k in active
             ]
-            last_boxes = [tracks[k][-1][1].box for k in active]
-            frame_boxes = [dets.detections[int(j)].box for j in idxs]
-            cost, m_bar = step_cost_matrix(members, last_boxes, idxs, frame_boxes, aff)
+            last = [tracks[k][-1] for k in active]
+            cost, m_bar = step_cost_matrix(members, boxes[last], idxs, boxes[idxs], aff)
+            top = np.argsort(-m_bar, axis=1, kind="stable")[:, : cfg.top_k]
             for r, c in zip(*linear_sum_assignment(cost)):
                 if -cost[r, c] < cfg.new_track_threshold:
                     continue
-                track = tracks[active[r]]
-                u_idx = track[-1][0]
-                order = np.argsort(-m_bar[r], kind="stable")[: cfg.top_k]
-                targets = {int(idxs[c])} | {int(idxs[c2]) for c2 in order}
+                v = int(idxs[c])
+                targets = {v} | set(idxs[top[r]].tolist())
                 links.extend(
-                    Edge(u_idx, v_idx, EdgeKind.DET_DET) for v_idx in sorted(targets)
+                    Edge(last[r], v_idx, EdgeKind.DET_DET) for v_idx in sorted(targets)
                 )
-                track.append((int(idxs[c]), dets.detections[int(idxs[c])]))
+                tracks[active[r]].append(v)
+                last_frame[active[r]] = t
                 taken.add(int(c))
-        tracks.extend(
-            [(int(j), dets.detections[int(j)])]
-            for c, j in enumerate(idxs)
-            if c not in taken
-        )
-    tracklets = [Tracklet.from_members(k, mem) for k, mem in enumerate(tracks)]
+        new = [[int(j)] for c, j in enumerate(idxs) if c not in taken]
+        last_frame[len(tracks): len(tracks) + len(new)] = t
+        tracks.extend(new)
+    tracklets = [
+        Tracklet.from_members(k, [(i, dets.detections[i]) for i in mem])
+        for k, mem in enumerate(tracks)
+    ]
     return tracklets, links
 
 

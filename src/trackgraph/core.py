@@ -83,6 +83,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(1.0, inter / (a.area + b.area - inter))
 
 
+def box_rows(boxes) -> np.ndarray:
+    """Boxes as an (n, 4) float array of (x, y, w, h) rows."""
+    return np.asarray(
+        [(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row box of a against every row box of b.
+
+    Rows are (x, y, w, h). Each entry is computed in the operation order
+    of iou, so it equals the scalar result exactly.
+    """
+    ax, ay, aw, ah = a.T[:, :, None]
+    bx, by, bw, bh = b.T[:, None, :]
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = ix * iy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(1.0, inter / (aw * ah + bw * bh - inter))
+    return np.where((ix > 0) & (iy > 0), ratio, 0.0)
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detector output: frame, box, confidence, appearance embedding.

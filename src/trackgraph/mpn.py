@@ -32,6 +32,7 @@ from trackgraph.core import (
     ParseError,
     TrackGraph,
     ValidationError,
+    box_rows,
 )
 
 _CKPT_MAGIC = b"TGCKPT01"
@@ -244,10 +245,6 @@ class GraphTensors:
         return self.u.size
 
 
-def _box_rows(boxes) -> np.ndarray:
-    return np.asarray([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64)
-
-
 def graph_tensors(graph: TrackGraph) -> GraphTensors:
     """Pack a graph for the network; the one place edge descriptors are made.
 
@@ -264,8 +261,8 @@ def graph_tensors(graph: TrackGraph) -> GraphTensors:
     spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64)
     u = np.asarray([e.u for e in graph.edges], dtype=np.int64)
     v = np.asarray([e.v for e in graph.edges], dtype=np.int64)
-    bu = _box_rows(node.last_box for node in graph.nodes)[u]
-    bv = _box_rows(node.first_box for node in graph.nodes)[v]
+    bu = box_rows(node.last_box for node in graph.nodes)[u]
+    bv = box_rows(node.first_box for node in graph.nodes)[v]
     denom = bu[:, 3] + bv[:, 3]
     diff = node_feat[u] - node_feat[v]
     # a stacked row-by-row product sums in the order np.linalg.norm uses

@@ -283,9 +283,9 @@ def aggregate(
             raise ValidationError("aggregate needs params or a score_fn")
         return forward(g, params)[1]
 
-    scores = run_scores(graph)
+    scores = np.clip(run_scores(graph), 0.0, 1.0).tolist()
     det_edges = tuple(
-        (e.u, e.v, float(np.clip(scores[k], 0.0, 1.0)))
+        (e.u, e.v, scores[k])
         for k, e in enumerate(graph.edges)
         if e.kind is EdgeKind.DET_DET
     )
@@ -301,10 +301,10 @@ def aggregate(
         if tg.n_traj_nodes <= 1:
             break
         t_scores = run_scores(tg)
+        clipped = np.clip(t_scores, 0.0, 1.0).tolist()
         positive = [
-            (e.u, e.v, float(np.clip(t_scores[k], 0.0, 1.0)))
-            for k, e in enumerate(tg.edges)
-            if t_scores[k] > eps
+            (tg.edges[k].u, tg.edges[k].v, clipped[k])
+            for k in np.flatnonzero(t_scores > eps).tolist()
         ]
         t_spans = np.asarray([node.span for node in tg.nodes])
         gids = connected_components_ids(t_spans, positive)

@@ -95,12 +95,18 @@ def stitch(
     """
     if not tracks_a or not tracks_b:
         return list(tracks_a) + list(tracks_b)
+    # right-side tracks by (frame, detection) choice: a left track can
+    # only overlap the ones holding one of its own choices
+    holders: dict[tuple[int, int], list[int]] = {}
+    for j, tb in enumerate(tracks_b):
+        for choice in _assignments(tb).items():
+            holders.setdefault(choice, []).append(j)
     cost = np.full((len(tracks_a), len(tracks_b)), _FORBIDDEN)
-    for i, ta in enumerate(tracks_a):
-        for j, tb in enumerate(tracks_b):
-            iou = track_iou(ta, tb)
-            if iou > 0.0:
-                cost[i, j] = 1.0 - iou
+    for r, ta in enumerate(tracks_a):
+        shared = {j for choice in _assignments(ta).items()
+                  for j in holders.get(choice, ())}
+        for j in shared:
+            cost[r, j] = 1.0 - track_iou(ta, tracks_b[j])
     rows, cols = linear_sum_assignment(cost)
     matched = [(r, c) for r, c in zip(rows, cols) if cost[r, c] < 1.5]
 

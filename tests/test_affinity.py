@@ -11,7 +11,7 @@ from trackgraph.affinity import (
     oracle_scorer,
     step_cost_matrix,
 )
-from trackgraph.core import BoundingBox, Detection, ValidationError
+from trackgraph.core import BoundingBox, Detection, ValidationError, box_rows, iou
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 
 
@@ -291,7 +291,8 @@ def test_step_cost_takes_max_of_appearance_and_iou():
     # 10x10 vs 10x10 shifted so inter=70, union=130... use overlap 0.7:
     # iou(a,b) with b=(0,1.76,10,10): inter=10*8.24=82.4 union=117.6 -> 0.7007
     near = BoundingBox(0.0, 30.0, 10.0, 10.0)  # iou 0 with big
-    C, m_bar = step_cost_matrix([[0, 1]], [big], np.asarray([2]), [near], aff)
+    C, m_bar = step_cost_matrix(
+        [[0, 1]], box_rows([big]), np.asarray([2]), box_rows([near]), aff)
     assert m_bar[0, 0] == pytest.approx(0.8)
     assert C[0, 0] == pytest.approx(-0.8)
 
@@ -299,7 +300,7 @@ def test_step_cost_takes_max_of_appearance_and_iou():
 def test_step_cost_prefers_iou_when_appearance_weak():
     aff = FakeAff({})
     b = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    C, _ = step_cost_matrix([[0]], [b], np.asarray([1]), [b], aff)
+    C, _ = step_cost_matrix([[0]], box_rows([b]), np.asarray([1]), box_rows([b]), aff)
     # stationary identical box, no appearance signal: cost -1 via iou
     assert C[0, 0] == pytest.approx(-1.0)
 
@@ -311,10 +312,55 @@ def test_step_cost_entries_bounded():
     members = [[0], [1, 2], [3]]
     boxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(3)]
     fboxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(5)]
-    C, _ = step_cost_matrix(members, boxes, np.arange(4, 9), fboxes, aff)
+    C, _ = step_cost_matrix(members, box_rows(boxes), np.arange(4, 9), box_rows(fboxes), aff)
     assert np.all(C <= 0.0) and np.all(C >= -1.0)
 
 
 def test_step_cost_rejects_empty_member_window():
     with pytest.raises(ValidationError):
         appearance_matrix([[]], np.asarray([1]), FakeAff({}))
+
+
+def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes, aff):
+    """Reference step cost: one lookup per track, one iou call per pair."""
+    fd = np.asarray(frame_dets, dtype=np.int64)
+    n_d = fd.size
+    m_bar = np.zeros((len(members_in_window), n_d))
+    m_hat = np.zeros_like(m_bar)
+    for r, members in enumerate(members_in_window):
+        m = np.asarray(members, dtype=np.int64)
+        vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(fd, m.size))
+        m_bar[r] = vals.reshape(m.size, n_d).sum(axis=0) / m.size
+        for c, fb in enumerate(frame_boxes):
+            m_hat[r, c] = iou(last_boxes[r], fb)
+    return -np.maximum(m_bar, m_hat), m_bar
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    sizes=st.lists(st.sampled_from([1, 2, 3, 9, 10, 13]), min_size=1, max_size=4),
+    n_d=st.integers(1, 4),
+    step=st.sampled_from([2, 4, 8]),
+)
+def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step):
+    # 14 earlier frames of 2 detections each, then one frame of n_d; an
+    # 8-frame window leaves some member pairs outside every window
+    rng = np.random.default_rng(seed)
+    frames = [f for f in range(14) for _ in range(2)] + [14] * n_d
+    dets = DetectionSet.build([
+        Detection(f, BoundingBox(*np.round(rng.uniform(0, 6, 2), 1),
+                                 *np.round(rng.uniform(1, 4, 2), 1)),
+                  1.0, rng.normal(size=4))
+        for f in frames
+    ])
+    aff = accumulate_affinity(dets, WindowPlan(clip_len=15, window=8, step=step),
+                              cosine_scorer)
+    members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
+    last = [dets.detections[m[-1]].box for m in members]
+    fd = np.arange(28, 28 + n_d)
+    fboxes = [dets.detections[j].box for j in fd]
+    C, m_bar = step_cost_matrix(members, box_rows(last), fd, box_rows(fboxes), aff)
+    ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, aff)
+    assert np.array_equal(m_bar, ref_m_bar)
+    assert np.array_equal(C, ref_C)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
@@ -15,10 +16,12 @@ from trackgraph.builder import (
 from trackgraph.core import (
     BoundingBox,
     Detection,
+    Edge,
     EdgeKind,
     NodeKind,
     Tracklet,
     ValidationError,
+    iou,
 )
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.mpn import graph_tensors
@@ -183,6 +186,79 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
     # the builder's tracklets, and every detection on its own
     for ids in (tracklet_ids(part), np.arange(len(dets))):
         assert_forward_dag(build_traj_graph(members, ids))
+
+
+def reference_associate_frames(dets, aff, cfg):
+    """Frame-by-frame association that rescans every track's members.
+
+    Per frame: each active track's in-window members are filtered from
+    all its members, its appearance mean comes from its own lookup, and
+    every last-box overlap from a scalar iou call.
+    """
+    tracks, links = [], []
+    frames = sorted(dets.by_frame)
+    first = frames[0]
+    for t in frames:
+        idxs = dets.by_frame[t]
+        if t == first:
+            tracks.extend([(int(j), dets.detections[int(j)])] for j in idxs)
+            continue
+        lo = max(first, t - cfg.lookback)
+        active = [k for k, mem in enumerate(tracks) if lo <= mem[-1][1].frame < t]
+        taken = set()
+        if active:
+            n_d = len(idxs)
+            m_bar = np.zeros((len(active), n_d))
+            m_hat = np.zeros_like(m_bar)
+            for r, k in enumerate(active):
+                m = np.asarray([i for i, d in tracks[k] if lo <= d.frame < t])
+                vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(idxs, m.size))
+                m_bar[r] = vals.reshape(m.size, n_d).sum(axis=0) / m.size
+                for c, j in enumerate(idxs):
+                    m_hat[r, c] = iou(tracks[k][-1][1].box, dets.detections[j].box)
+            cost = -np.maximum(m_bar, m_hat)
+            for r, c in zip(*linear_sum_assignment(cost)):
+                if -cost[r, c] < cfg.new_track_threshold:
+                    continue
+                track = tracks[active[r]]
+                order = np.argsort(-m_bar[r], kind="stable")[: cfg.top_k]
+                targets = {int(idxs[c])} | {int(idxs[c2]) for c2 in order}
+                links.extend(Edge(track[-1][0], v, EdgeKind.DET_DET)
+                             for v in sorted(targets))
+                track.append((int(idxs[c]), dets.detections[int(idxs[c])]))
+                taken.add(int(c))
+        tracks.extend([(int(j), dets.detections[int(j)])]
+                      for c, j in enumerate(idxs) if c not in taken)
+    return [tuple(i for i, _ in mem) for mem in tracks], links
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    objects=st.integers(1, 6),
+    frames=st.integers(2, 40),
+    seed=st.integers(0, 10_000),
+    miss_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    sigma=st.sampled_from([0.0, 0.3, 0.8]),
+    lookback=st.integers(1, 6),
+    top_k=st.integers(1, 3),
+)
+def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
+                                                       miss_rate, sigma,
+                                                       lookback, top_k):
+    # a lookback below the track lengths cuts members out of the window
+    spec = ScenarioSpec(n_objects=objects, n_frames=frames, seed=seed,
+                        miss_rate=miss_rate, embedding_noise_sigma=sigma,
+                        speed=12.0)
+    dets = synthesize(spec)
+    assume(len(dets) > 0)
+    window = min(2 * lookback, frames)
+    plan = WindowPlan(clip_len=frames, window=window, step=max(1, window // 2))
+    aff = accumulate_affinity(dets, plan, cosine_scorer)
+    cfg = BuilderConfig(top_k=top_k, lookback=lookback)
+    tracklets, links = associate_frames(dets, aff, cfg)
+    ref_tracks, ref_links = reference_associate_frames(dets, aff, cfg)
+    assert [t.det_indices for t in tracklets] == ref_tracks
+    assert links == ref_links
 
 
 def test_empty_set_round_trips():

@@ -13,7 +13,9 @@ from trackgraph.core import (
     TrackGraph,
     Tracklet,
     ValidationError,
+    box_rows,
     iou,
+    iou_matrix,
     temporal_iou,
 )
 
@@ -54,6 +56,40 @@ def test_iou_known_overlap():
     a = BoundingBox(0.0, 0.0, 2.0, 2.0)
     b = BoundingBox(1.0, 0.0, 2.0, 2.0)
     assert iou(a, b) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+# coordinates on a coarse grid make identical, touching (ix == 0) and
+# nested boxes common; the fine values exercise inexact rounding
+_coord = st.one_of(st.integers(-4, 4).map(float),
+                   st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+_extent = st.one_of(st.integers(1, 4).map(float),
+                    st.floats(0.01, 6.0, allow_nan=False, allow_infinity=False))
+_box = st.builds(BoundingBox, _coord, _coord, _extent, _extent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_box, min_size=1, max_size=4),
+       b=st.lists(_box, min_size=1, max_size=4))
+def test_iou_matrix_equals_scalar_iou(a, b):
+    m = iou_matrix(box_rows(a), box_rows(b))
+    assert m.shape == (len(a), len(b))
+    for r, ba in enumerate(a):
+        for c, bb in enumerate(b):
+            assert m[r, c] == iou(ba, bb)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((3.0, 4.0, 5.0, 6.0), (3.0, 4.0, 5.0, 6.0)),  # identical: the clamp at 1
+    ((0.1, 0.2, 0.3, 0.7), (0.1, 0.2, 0.3, 0.7)),  # identical, inexact floats
+    ((0.0, 0.0, 2.0, 2.0), (2.0, 0.0, 2.0, 2.0)),  # touching: ix == 0
+    ((0.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 2.0)),  # touching: iy == 0
+    ((0.0, 0.0, 10.0, 10.0), (2.0, 3.0, 4.0, 5.0)),  # nested
+    ((2.0, 3.0, 4.0, 5.0), (0.0, 0.0, 10.0, 10.0)),  # nested, swapped
+    ((0.0, 0.0, 2.0, 2.0), (10.0, 10.0, 2.0, 2.0)),  # disjoint
+])
+def test_iou_matrix_edge_cases_equal_scalar_iou(a, b):
+    ba, bb = BoundingBox(*a), BoundingBox(*b)
+    assert iou_matrix(box_rows([ba]), box_rows([bb]))[0, 0] == iou(ba, bb)
 
 
 def test_box_rejects_nonpositive_extent():
