@@ -10,7 +10,9 @@ of the working tree, marks each one `same` or `DIFFERS`, and exits 1
 on any mismatch. `track` is compared on its output file and `eval` on
 its report; the timing line of `track`'s summary is left out. `train`
 is compared on the checkpoint bytes and on its summary without the
-output path. The temporary directory follows TMPDIR.
+output path. A differing printout (a summary, eval report or
+graph-stats dump) is followed by its first differing line from each
+tree. The temporary directory follows TMPDIR.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKPOINT = ROOT / "benchmarks" / "long_mpn.ckpt"
@@ -114,14 +117,36 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_ladder(tree: Path, work: Path) -> dict[str, str]:
-    """SHA-256 of every ladder output under one tree."""
-    out: dict[str, str] = {}
+# an output: its SHA-256, and its text when it is a command's printout
+Output = tuple[str, Optional[str]]
+
+
+def first_difference(base: str, head: str) -> tuple[int, str, str]:
+    """1-based number of the first differing line, and that line per tree."""
+    a, b = base.splitlines(), head.splitlines()
+    n = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+    def line(lines: list[str]) -> str:
+        return lines[n] if n < len(lines) else "<end of output>"
+
+    return n + 1, line(a), line(b)
+
+
+def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
+    """Every ladder output under one tree."""
+    out: dict[str, Output] = {}
+
+    def file(key: str, path: Path) -> None:
+        out[key] = (sha(path.read_bytes()), None)
+
+    def text(key: str, printed: str) -> None:
+        out[key] = (sha(printed.encode()), printed)
+
     for scene, flags in SCENES.items():
         data = work / scene
         trackgraph(tree, ["synth", *flags, "--out", str(data)])
         for name in ("det.txt", "det.emb", "gt.txt"):
-            out[f"{scene}/synth/{name}"] = sha((data / name).read_bytes())
+            file(f"{scene}/synth/{name}", data / name)
 
     def det(scene: str) -> list[str]:
         return ["--det", str(work / scene / "det.txt"),
@@ -130,23 +155,23 @@ def run_ladder(tree: Path, work: Path) -> dict[str, str]:
     for scene, run, flags in TRACK_RUNS:
         result = work / f"{scene}-{run}.txt"
         summary = trackgraph(tree, ["track", *det(scene), *flags, "--out", str(result)])
-        out[f"{scene}/track-{run}"] = sha(result.read_bytes())
+        file(f"{scene}/track-{run}", result)
         kept = [ln for ln in summary.splitlines() if not ln.startswith("seconds=")]
-        out[f"{scene}/track-{run}-summary"] = sha("\n".join(kept).encode())
+        text(f"{scene}/track-{run}-summary", "\n".join(kept))
         report = trackgraph(tree, ["eval", "--pred", str(result),
                                    "--gt", str(work / scene / "gt.txt")])
-        out[f"{scene}/eval-{run}"] = sha(report.encode())
+        text(f"{scene}/eval-{run}", report)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
-        out[f"{scene}/graph-stats-{run}"] = sha(dump.encode())
+        text(f"{scene}/graph-stats-{run}", dump)
     for scene, run, flags in TRAIN_RUNS:
         ckpt = work / f"{scene}-{run}.ckpt"
         summary = trackgraph(tree, ["train", "--gt", str(work / scene / "det.txt"),
                                     "--emb", str(work / scene / "det.emb"),
                                     *flags, "--out", str(ckpt)])
-        out[f"{scene}/train-{run}"] = sha(ckpt.read_bytes())
+        file(f"{scene}/train-{run}", ckpt)
         kept = [ln for ln in summary.splitlines() if not ln.startswith("out=")]
-        out[f"{scene}/train-{run}-summary"] = sha("\n".join(kept).encode())
+        text(f"{scene}/train-{run}-summary", "\n".join(kept))
     return out
 
 
@@ -164,13 +189,18 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             base_f = pool.submit(run_ladder, base, tmp / "out-base")
             head_f = pool.submit(run_ladder, ROOT, tmp / "out-head")
-            base_sums, head_sums = base_f.result(), head_f.result()
+            base_out, head_out = base_f.result(), head_f.result()
     mismatches = 0
-    for key, digest in head_sums.items():
-        same = base_sums.get(key) == digest
+    for key, (digest, head_text) in head_out.items():
+        base_digest, base_text = base_out.get(key, (None, None))
+        same = base_digest == digest
         mismatches += not same
         print(f"{key:34s} {digest}  {'same' if same else 'DIFFERS'}")
-    print(f"{len(head_sums) - mismatches} of {len(head_sums)} outputs identical "
+        if not same and base_text is not None and head_text is not None:
+            n, was, now = first_difference(base_text, head_text)
+            print(f"    line {n}: base {was!r}")
+            print(f"    line {n}: head {now!r}")
+    print(f"{len(head_out) - mismatches} of {len(head_out)} outputs identical "
           f"to {args.base}")
     return 1 if mismatches else 0
 

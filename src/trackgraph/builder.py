@@ -1,21 +1,21 @@
-"""Partially connected composite-node graph construction.
+"""Partially connected detection graph construction.
 
 Frame-by-frame association turns raw detections into coarse tracklets
-and emits candidate detection links along the way. The part graph then
-keeps every detection as a node, promotes tracklets with two or more
-members to trajectory nodes, links isolated detections to their
-temporally nearest trajectory nodes, and fully connects trajectory
-pairs whose frame spans do not overlap. Every edge points forward in
-time, so the result is a DAG by construction. The builder only decides
-which (u, v, kind) links exist; their descriptors are computed later,
-for the whole graph at once, by mpn.graph_tensors.
+and emits candidate detection links along the way. The part graph keeps
+every detection as a node (detection i is node i) and exactly those
+links. Tracklets become nodes only in the solver's trajectory graphs,
+built from the fragments of pass 1 when tracking and from these
+tracklets when training. Every edge points forward in time, so the
+result is a DAG by construction. The builder only decides which (u, v, kind) links exist;
+their descriptors are computed later, for the whole graph at once, by
+mpn.graph_tensors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -113,91 +113,22 @@ def associate_frames(
     return tracklets, links
 
 
-def span_disjoint_edges(traj_nodes: Sequence[CompositeNode]) -> list[Edge]:
-    """Trajectory edges for every node pair whose frame spans are disjoint.
-
-    Each edge points from the earlier span to the later one; pairs come
-    in node order.
-    """
-    index = np.asarray([tn.node_index for tn in traj_nodes], dtype=np.int64)
-    spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
-    a, b = np.triu_indices(len(traj_nodes), 1)
-    a_first = spans[a, 1] < spans[b, 0]
-    keep = a_first | (spans[b, 1] < spans[a, 0])
-    u = index[np.where(a_first, a, b)[keep]]
-    v = index[np.where(a_first, b, a)[keep]]
-    return [
-        Edge(x, y, EdgeKind.TRAJ_TRAJ) for x, y in zip(u.tolist(), v.tolist())
-    ]
-
-
-def build_part_graph(
-    tracklets: Sequence[Tracklet],
-    detdet_links: Sequence[Edge],
-    dets: DetectionSet,
-    cfg: Optional[BuilderConfig] = None,
-) -> TrackGraph:
-    """Assemble the partially connected graph over detections and tracklets.
-
-    Node indices follow the detection set (detection i becomes node i);
-    tracklets with at least two members append after them. Singleton
-    detections link to the nearest trajectory node ending before them
-    and the nearest one starting after them, both within the lookback.
-    Trajectory pairs connect exactly when their spans are disjoint,
-    earlier span first.
-    """
-    cfg = cfg or BuilderConfig()
-    det_nodes = [
+def build_part_graph(detdet_links: Sequence[Edge], dets: DetectionSet) -> TrackGraph:
+    """The part graph: detection i as node i, plus the association links."""
+    nodes = tuple(
         CompositeNode(NodeKind.DET, d, i) for i, d in enumerate(dets.detections)
-    ]
-    promoted = [t for t in tracklets if len(t) >= 2]
-    traj_nodes = [
-        CompositeNode(NodeKind.TRAJ, t, len(det_nodes) + p)
-        for p, t in enumerate(promoted)
-    ]
-    absorbed = {i for t in promoted for i in t.det_indices}
-    edges = list(detdet_links)
-    for i, d in enumerate(dets.detections):
-        if i in absorbed:
-            continue
-        before = [
-            tn
-            for tn in traj_nodes
-            if tn.span[1] < d.frame and d.frame - tn.span[1] <= cfg.lookback
-        ]
-        if before:
-            # latest end wins; ties fall to the lower node index
-            tn = max(before, key=lambda tn: (tn.span[1], -tn.node_index))
-            edges.append(Edge(tn.node_index, i, EdgeKind.DET_TRAJ))
-        after = [
-            tn
-            for tn in traj_nodes
-            if tn.span[0] > d.frame and tn.span[0] - d.frame <= cfg.lookback
-        ]
-        if after:
-            tn = min(after, key=lambda tn: (tn.span[0], tn.node_index))
-            edges.append(Edge(i, tn.node_index, EdgeKind.DET_TRAJ))
-    edges.extend(span_disjoint_edges(traj_nodes))
-    return TrackGraph(tuple(det_nodes + traj_nodes), tuple(edges))
+    )
+    return TrackGraph(nodes, tuple(detdet_links))
 
 
 def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
-    """Fraction of consecutive same-identity pairs the graph can realise.
+    """Fraction of consecutive same-identity pairs an edge joins.
 
-    A pair counts when its detections sit inside one trajectory node,
-    or when an edge joins the nodes standing in for them (the detection
-    node itself, or the trajectory node absorbing it). Expects a graph
-    whose detection nodes are indexed like dets. Vacuously 1.0 with no
-    pairs.
+    Expects a part graph, whose node i is detection i of dets.
+    Vacuously 1.0 with no pairs.
     """
     if not dets.has_gt:
         raise ValidationError("coverage needs ground-truth identities")
-    in_traj: dict[int, int] = {}
-    for node in graph.nodes:
-        if node.kind is NodeKind.TRAJ:
-            for i in node.payload.det_indices:
-                if i >= 0:
-                    in_traj[i] = node.node_index
     by_id: dict[int, list[int]] = {}
     for i, d in enumerate(dets.detections):
         by_id.setdefault(d.gt_id, []).append(i)
@@ -207,16 +138,7 @@ def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
     if not pairs:
         return 1.0
     edge_set = {(e.u, e.v) for e in graph.edges}
-
-    def covered(i: int, j: int) -> bool:
-        ti, tj = in_traj.get(i), in_traj.get(j)
-        if ti is not None and ti == tj:
-            return True
-        us = {i} if ti is None else {i, ti}
-        vs = {j} if tj is None else {j, tj}
-        return any((a, b) in edge_set for a in us for b in vs)
-
-    return sum(covered(i, j) for i, j in pairs) / len(pairs)
+    return sum(p in edge_set for p in pairs) / len(pairs)
 
 
 def fully_connected_edge_count(dets: DetectionSet) -> int:
@@ -227,22 +149,15 @@ def fully_connected_edge_count(dets: DetectionSet) -> int:
 
 
 def dump_graph(graph: TrackGraph) -> str:
-    """Line-oriented dump: all nodes, then all edges."""
+    """Line-oriented dump of a part graph: all nodes, then all edges."""
     lines = []
     for node in graph.nodes:
-        if node.kind is NodeKind.DET:
-            d = node.payload
-            b = d.box
-            lines.append(
-                f"node {node.node_index} det frame={d.frame} "
-                f"box={b.x:g},{b.y:g},{b.w:g},{b.h:g} conf={d.confidence:g}"
-            )
-        else:
-            t = node.payload
-            lines.append(
-                f"node {node.node_index} traj start={t.start_frame} "
-                f"end={t.end_frame} members={len(t)}"
-            )
+        d = node.payload
+        b = d.box
+        lines.append(
+            f"node {node.node_index} det frame={d.frame} "
+            f"box={b.x:g},{b.y:g},{b.w:g},{b.h:g} conf={d.confidence:g}"
+        )
     if graph.edges:
         for e, row in zip(graph.edges, graph_tensors(graph).feats):
             feats = ",".join(f"{x:g}" for x in row)

@@ -134,11 +134,10 @@ def _labelled_graphs(dets, cfg: RunConfig):
         sub, _ = dets.slice_frames(s, s + cfg.clip_len)
         if len(sub) == 0:
             continue
-        graph = tracker.build_graph(sub)
+        graph, tracklets = tracker.build_graph(sub)
         if graph.edges:
             primary.append((graph_tensors(graph), edge_labels(graph)))
-        dets_seq = [graph.nodes[i].payload for i in range(graph.n_det_nodes)]
-        frag = build_traj_graph(dets_seq, tracklet_ids(graph))
+        frag = build_traj_graph(sub.detections, tracklet_ids(tracklets, len(sub)))
         if frag.edges:
             secondary.append((graph_tensors(frag), edge_labels(frag)))
     return primary, secondary
@@ -192,7 +191,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_graph_stats(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     dets = parse_mot(args.det, args.emb, cfg.embed_dim)
-    graph = _tracker(cfg).build_graph(dets)
+    graph, _ = _tracker(cfg).build_graph(dets)
     s = graph_stats(graph)
     print(f"det_nodes={s.det_nodes}")
     print(f"traj_nodes={s.traj_nodes}")

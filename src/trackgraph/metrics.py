@@ -18,7 +18,6 @@ from scipy.optimize import linear_sum_assignment
 from trackgraph.core import (
     BoundingBox,
     EdgeKind,
-    NodeKind,
     TrackGraph,
     ValidationError,
     iou,
@@ -164,8 +163,8 @@ class GraphStats:
 def graph_stats(graph: TrackGraph) -> GraphStats:
     kinds = [e.kind for e in graph.edges]
     return GraphStats(
-        det_nodes=sum(1 for n in graph.nodes if n.kind is NodeKind.DET),
-        traj_nodes=sum(1 for n in graph.nodes if n.kind is NodeKind.TRAJ),
+        det_nodes=graph.n_det_nodes,
+        traj_nodes=graph.n_traj_nodes,
         det_det=kinds.count(EdgeKind.DET_DET),
         det_traj=kinds.count(EdgeKind.DET_TRAJ),
         traj_traj=kinds.count(EdgeKind.TRAJ_TRAJ),

@@ -1,9 +1,11 @@
 """Single-clip tracking pipeline, packaged as a callable.
 
 Wires the stages end to end: window-gated appearance affinity, frame-
-by-frame association, part-graph assembly, edge scoring, and identity
-aggregation. A ClipTracker instance closes over all knobs, so it plugs
-straight into run_clipped as the per-clip pipeline.
+by-frame association, part-graph assembly (detection nodes and their
+links), edge scoring, and identity aggregation, whose trajectory passes
+are where tracklets become nodes. A ClipTracker instance closes over
+all knobs, so it plugs straight into run_clipped as the per-clip
+pipeline.
 """
 
 from __future__ import annotations
@@ -63,8 +65,14 @@ class ClipTracker:
             return self.score_mode
         return "mpn" if self.params is not None else "handcrafted"
 
-    def build_graph(self, dets: DetectionSet) -> TrackGraph:
-        """Affinity, association, and part-graph assembly for one clip."""
+    def build_graph(self, dets: DetectionSet) -> tuple[TrackGraph, list[Tracklet]]:
+        """Affinity, association, and part-graph assembly for one clip.
+
+        Returns the part graph and the association's tracklets; an empty
+        set gives an empty graph.
+        """
+        if len(dets) == 0:
+            return TrackGraph((), ()), []
         frames = sorted(dets.by_frame)
         span = frames[-1] - frames[0] + 1
         window = min(self.window, span)
@@ -73,13 +81,11 @@ class ClipTracker:
         aff = accumulate_affinity(dets, plan, scorer, origin=frames[0])
         cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
         tracklets, links = associate_frames(dets, aff, cfg)
-        return build_part_graph(tracklets, links, dets, cfg)
+        return build_part_graph(links, dets), tracklets
 
     def __call__(self, dets: DetectionSet) -> list[Tracklet]:
-        if len(dets) == 0:
-            return []
         mode = self.mode
-        graph = self.build_graph(dets)
+        graph, _ = self.build_graph(dets)
         if self.stats_sink is not None:
             self.stats_sink.append(graph_stats(graph))
         score_fn = None

@@ -7,8 +7,9 @@ projection handles real instances; an exhaustive oracle checks it on
 small ones. Connected components over the positive edges then assign
 identities, refusing any merge that would put two time-overlapping
 nodes in one group. Aggregation applies the machinery twice: once over
-detection links, then over trajectory graphs built from the first
-pass, re-scored with the same parameters.
+the part graph's detection links, then over trajectory graphs whose
+nodes are the tracklets of the first pass, re-scored with the same
+parameters. Tracklets are nodes only in those trajectory graphs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from trackgraph.builder import span_disjoint_edges
 from trackgraph.core import (
     CompositeNode,
     Detection,
+    Edge,
     EdgeKind,
     NodeKind,
     TrackGraph,
@@ -209,6 +210,24 @@ def _relabel(ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def span_disjoint_edges(traj_nodes: Sequence[CompositeNode]) -> list[Edge]:
+    """Trajectory edges for every node pair whose frame spans are disjoint.
+
+    Each edge points from the earlier span to the later one; pairs come
+    in node order.
+    """
+    index = np.asarray([tn.node_index for tn in traj_nodes], dtype=np.int64)
+    spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
+    a, b = np.triu_indices(len(traj_nodes), 1)
+    a_first = spans[a, 1] < spans[b, 0]
+    keep = a_first | (spans[b, 1] < spans[a, 0])
+    u = index[np.where(a_first, a, b)[keep]]
+    v = index[np.where(a_first, b, a)[keep]]
+    return [
+        Edge(x, y, EdgeKind.TRAJ_TRAJ) for x, y in zip(u.tolist(), v.tolist())
+    ]
+
+
 def build_traj_graph(
     detections: Sequence[Detection], det_ids: np.ndarray
 ) -> TrackGraph:
@@ -231,19 +250,18 @@ def build_traj_graph(
     return TrackGraph(tuple(nodes), tuple(span_disjoint_edges(nodes)))
 
 
-def tracklet_ids(graph: TrackGraph) -> np.ndarray:
-    """One raw id per detection node: the builder's coarse tracklets.
+def tracklet_ids(tracklets: Sequence[Tracklet], n_det: int) -> np.ndarray:
+    """One raw id per detection: the builder's coarse tracklets.
 
-    A detection absorbed by a trajectory node gets n_det + that node's
-    index; any other detection keeps its own index. Training groups the
-    detections by these ids into its trajectory-level graphs.
+    A detection of a tracklet with two or more members gets n_det plus
+    that tracklet's rank among them; any other detection keeps its own
+    index. Training groups the detections by these ids into its
+    trajectory-level graphs.
     """
-    n_det = graph.n_det_nodes
     ids = np.arange(n_det, dtype=np.int64)
-    for node in graph.nodes[n_det:]:
-        for i in node.payload.det_indices:
-            if i >= 0:
-                ids[i] = n_det + node.node_index
+    multi = (t for t in tracklets if len(t) >= 2)
+    for p, t in enumerate(multi):
+        ids[list(t.det_indices)] = n_det + p
     return ids
 
 
@@ -259,22 +277,23 @@ def aggregate(
 ) -> np.ndarray:
     """Two-stage identity assignment over a part graph.
 
-    Pass 1 scores every edge and rounds the detection-level links into
-    identities. Each trajectory pass then regroups the current
-    identities into tracklet nodes, re-scores their graph with the same
-    parameters, keeps edges above the threshold, and merges groups whose
-    spans stay disjoint; it stops early when nothing merges. Returns one
-    id per detection node, numbered by first appearance.
+    Pass 1 scores and rounds the detection links into identities. Each
+    trajectory pass then regroups the current identities into tracklet
+    nodes, re-scores their graph with the same parameters, keeps edges
+    above the threshold, and merges groups whose spans stay disjoint;
+    it stops early when nothing merges. Takes a graph of detection
+    nodes only and returns one id per node, numbered by first
+    appearance.
     """
     if not (0.0 < eps <= 1.0):
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
     if traj_passes < 0:
         raise ValidationError("traj_passes must be non-negative")
-    n_det = graph.n_det_nodes
+    n_det = len(graph.nodes)
     if n_det == 0:
         return np.zeros(0, dtype=np.int64)
-    if any(node.kind is not NodeKind.DET for node in graph.nodes[:n_det]):
-        raise ValidationError("detection nodes must come first in the graph")
+    if any(node.kind is not NodeKind.DET for node in graph.nodes):
+        raise ValidationError("aggregate takes a graph of detection nodes only")
 
     def run_scores(g: TrackGraph) -> np.ndarray:
         if score_fn is not None:
@@ -284,18 +303,14 @@ def aggregate(
         return forward(g, params)[1]
 
     scores = np.clip(run_scores(graph), 0.0, 1.0).tolist()
-    det_edges = tuple(
-        (e.u, e.v, scores[k])
-        for k, e in enumerate(graph.edges)
-        if e.kind is EdgeKind.DET_DET
-    )
+    det_edges = tuple((e.u, e.v, s) for e, s in zip(graph.edges, scores))
     problem = RoundingProblem(n_det, det_edges)
     lab = greedy_round(problem, eps)
     positive = [det_edges[k] for k in np.flatnonzero(lab.labels)]
-    det_spans = np.asarray([graph.nodes[i].span for i in range(n_det)])
+    det_spans = np.asarray([node.span for node in graph.nodes])
     ids = connected_components_ids(det_spans, positive)
 
-    dets_seq = [graph.nodes[i].payload for i in range(n_det)]
+    dets_seq = [node.payload for node in graph.nodes]
     for _ in range(traj_passes):
         tg = build_traj_graph(dets_seq, ids)
         if tg.n_traj_nodes <= 1:

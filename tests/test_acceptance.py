@@ -117,8 +117,8 @@ def _part_graph(dets, scorer, top_k=5):
     plan = WindowPlan(dets.n_frames, 32, 16)
     aff = accumulate_affinity(dets, plan, scorer)
     cfg = BuilderConfig(top_k=top_k, new_track_threshold=0.3, lookback=32)
-    tracklets, links = associate_frames(dets, aff, cfg)
-    return build_part_graph(tracklets, links, dets, cfg)
+    _, links = associate_frames(dets, aff, cfg)
+    return build_part_graph(links, dets)
 
 
 def test_criterion_4_coverage_at_top5():

@@ -19,7 +19,6 @@ from trackgraph.core import (
     Edge,
     EdgeKind,
     NodeKind,
-    Tracklet,
     ValidationError,
     iou,
 )
@@ -147,9 +146,9 @@ def test_detdet_bound_and_dag_on_noisy_scenario():
     plan = WindowPlan(clip_len=24, window=16, step=8)
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     cfg = BuilderConfig(top_k=2)
-    tracklets, links = associate_frames(dets, aff, cfg)
+    _, links = associate_frames(dets, aff, cfg)
     assert len(links) <= len(dets) * (cfg.top_k + 1)
-    graph = build_part_graph(tracklets, links, dets, cfg)
+    graph = build_part_graph(links, dets)
     for e in graph.edges:  # forward in time, already enforced on build
         assert graph.nodes[e.u].span[1] < graph.nodes[e.v].span[0]
 
@@ -180,12 +179,25 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
                         miss_rate=miss_rate, embedding_noise_sigma=sigma)
     dets = synthesize(spec)
     assume(len(dets) > 0)
-    part = ClipTracker(window=window, step=max(1, window // 2)).build_graph(dets)
+    tracker = ClipTracker(window=window, step=max(1, window // 2))
+    part, tracklets = tracker.build_graph(dets)
     assert_forward_dag(part)
-    members = [part.nodes[i].payload for i in range(part.n_det_nodes)]
+    # node i is detection i, and every edge is an association link
+    assert len(part.nodes) == len(dets)
+    for node, d in zip(part.nodes, dets.detections):
+        assert node.kind is NodeKind.DET and node.payload is d
+    assert all(e.kind is EdgeKind.DET_DET for e in part.edges)
+    # a singleton keeps its own index; a longer tracklet shares one id
+    ids = tracklet_ids(tracklets, len(dets))
+    assert len(set(ids.tolist())) == len(tracklets)
+    for t in tracklets:
+        group = set(ids[list(t.det_indices)].tolist())
+        assert len(group) == 1
+        if len(t) == 1:
+            assert group == {t.det_indices[0]}
     # the builder's tracklets, and every detection on its own
-    for ids in (tracklet_ids(part), np.arange(len(dets))):
-        assert_forward_dag(build_traj_graph(members, ids))
+    for ids in (ids, np.arange(len(dets))):
+        assert_forward_dag(build_traj_graph(dets.detections, ids))
 
 
 def reference_associate_frames(dets, aff, cfg):
@@ -266,7 +278,7 @@ def test_empty_set_round_trips():
     aff = oracle_affinity(dets, clip_len=1)
     tracklets, links = associate_frames(dets, aff, BuilderConfig())
     assert tracklets == [] and links == []
-    graph = build_part_graph(tracklets, links, dets)
+    graph = build_part_graph(links, dets)
     assert graph.nodes == () and graph.edges == ()
     assert dump_graph(graph) == ""
 
@@ -278,125 +290,30 @@ def disjoint_pair_fixture():
     rows = [det(f, 0.0, 1) for f in (0, 1, 2)] + [det(f, 50.0, 2) for f in (4, 5, 6)]
     dets = make_set(rows)
     aff = oracle_affinity(dets, clip_len=7)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    return dets, tracklets, links
-
-
-def kinds(graph):
-    out = {k: 0 for k in EdgeKind}
-    for e in graph.edges:
-        out[e.kind] += 1
-    return out
-
-
-def test_two_disjoint_tracklets_one_traj_link():
-    dets, tracklets, links = disjoint_pair_fixture()
-    graph = build_part_graph(tracklets, links, dets)
-    assert graph.n_det_nodes == 6 and graph.n_traj_nodes == 2
-    by_kind = kinds(graph)
-    assert by_kind[EdgeKind.DET_DET] == 4  # (0,1),(1,2),(3,4),(4,5)
-    assert by_kind[EdgeKind.TRAJ_TRAJ] == 1
-    assert by_kind[EdgeKind.DET_TRAJ] == 0
-    tt = [e for e in graph.edges if e.kind is EdgeKind.TRAJ_TRAJ][0]
-    assert (tt.u, tt.v) == (6, 7)  # earlier span first
-
-
-def test_overlapping_tracklets_no_traj_link():
-    rows = [det(f, 0.0, 1) for f in (0, 1, 2)] + [det(f, 50.0, 2) for f in (1, 2, 3)]
-    dets = make_set(rows)
-    aff = oracle_affinity(dets, clip_len=4)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    graph = build_part_graph(tracklets, links, dets)
-    assert graph.n_traj_nodes == 2
-    assert kinds(graph)[EdgeKind.TRAJ_TRAJ] == 0
-
-
-def test_three_disjoint_tracklets_complete_dag():
-    rows = (
-        [det(f, 0.0, 1) for f in (0, 1)]
-        + [det(f, 40.0, 2) for f in (3, 4)]
-        + [det(f, 80.0, 3) for f in (6, 7)]
-    )
-    dets = make_set(rows)
-    aff = oracle_affinity(dets, clip_len=8)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    graph = build_part_graph(tracklets, links, dets)
-    assert kinds(graph)[EdgeKind.TRAJ_TRAJ] == 3
-
-
-def isolated_fixture():
-    # three real tracks plus one singleton between them
-    rows = [
-        det(0, 0.0, 1), det(1, 0.0, 1),          # track P, frames 0-1
-        det(2, 40.0, 2), det(3, 40.0, 2),        # track Q, frames 2-3
-        det(5, 90.0, 3),                          # singleton S, frame 5
-        det(7, 130.0, 4), det(8, 130.0, 4),      # track R, frames 7-8
-    ]
-    dets = make_set(rows)
-    aff = oracle_affinity(dets, clip_len=9)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    return dets, build_part_graph(tracklets, links, dets)
-
-
-def test_isolated_detection_links_to_nearest_tracklets():
-    dets, graph = isolated_fixture()
-    assert graph.n_det_nodes == 7 and graph.n_traj_nodes == 3
-    by_kind = kinds(graph)
-    assert by_kind[EdgeKind.DET_DET] == 3
-    assert by_kind[EdgeKind.TRAJ_TRAJ] == 3
-    assert by_kind[EdgeKind.DET_TRAJ] == 2
-    dt = {(e.u, e.v) for e in graph.edges if e.kind is EdgeKind.DET_TRAJ}
-    # singleton is det node 4; Q is traj node 8 (nearest before), R is 9
-    assert dt == {(8, 4), (4, 9)}
-
-
-def test_isolated_far_from_everything_gets_no_traj_links():
-    rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(60, 90.0, 2)]
-    dets = make_set(rows)
-    plan = WindowPlan(clip_len=61, window=32, step=16)
-    aff = accumulate_affinity(dets, plan, oracle_scorer)
-    cfg = BuilderConfig(lookback=32)
-    tracklets, links = associate_frames(dets, aff, cfg)
-    graph = build_part_graph(tracklets, links, dets, cfg)
-    assert kinds(graph)[EdgeKind.DET_TRAJ] == 0  # gap 59 exceeds the lookback
+    _, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
+    return dets, build_part_graph(links, dets)
 
 
 # ---------------------------------------------------------------- coverage
 
 
 def test_coverage_full_on_clean_tracks():
-    dets, tracklets, links = disjoint_pair_fixture()
-    graph = build_part_graph(tracklets, links, dets)
+    dets, graph = disjoint_pair_fixture()
     assert edge_coverage(graph, dets) == 1.0
 
 
 def test_coverage_zero_without_edges():
     dets = make_set([det(0, 0.0, 1), det(1, 0.0, 1)])
-    graph = build_part_graph([], [], dets)
+    graph = build_part_graph([], dets)
     assert graph.edges == ()
     assert edge_coverage(graph, dets) == 0.0
-
-
-def test_coverage_counts_traj_mediated_pairs_and_is_monotone():
-    d0, d1, d5 = det(0, 0.0, 1), det(1, 0.0, 1), det(5, 30.0, 1)
-    dets = make_set([d0, d1, d5])
-    tr = Tracklet.from_members(0, [(0, d0), (1, d1)])
-    graph = build_part_graph([tr], [], dets)
-    dt = [e for e in graph.edges if e.kind is EdgeKind.DET_TRAJ]
-    assert [(e.u, e.v) for e in dt] == [(3, 2)]  # traj node -> singleton det
-    assert edge_coverage(graph, dets) == 1.0  # (0,1) in-node, (1,5) via link
-    from trackgraph.core import TrackGraph
-
-    stripped = TrackGraph(graph.nodes, ())
-    assert edge_coverage(stripped, dets) == 0.5
-    assert edge_coverage(stripped, dets) <= edge_coverage(graph, dets)
 
 
 def test_coverage_requires_ground_truth():
     d = Detection(frame=0, box=BoundingBox(0, 0, 2, 2), confidence=1.0,
                   embedding=np.asarray([1.0, 0.0]), gt_id=None)
     dets = DetectionSet.build([d])
-    graph = build_part_graph([], [], dets)
+    graph = build_part_graph([], dets)
     with pytest.raises(ValidationError):
         edge_coverage(graph, dets)
 
@@ -424,8 +341,8 @@ def test_part_graph_stays_below_fully_connected():
     dets = synthesize(spec)
     plan = WindowPlan(clip_len=32, window=16, step=8)
     aff = accumulate_affinity(dets, plan, cosine_scorer)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig())
-    graph = build_part_graph(tracklets, links, dets)
+    _, links = associate_frames(dets, aff, BuilderConfig())
+    graph = build_part_graph(links, dets)
     assert len(graph.edges) < fully_connected_edge_count(dets)
 
 
@@ -433,13 +350,11 @@ def test_part_graph_stays_below_fully_connected():
 
 
 def test_dump_graph_lists_nodes_then_edges():
-    dets, graph = isolated_fixture()
-    text = dump_graph(graph)
-    lines = text.strip().split("\n")
-    assert len(lines) == len(graph.nodes) + len(graph.edges)
+    dets, graph = disjoint_pair_fixture()
+    lines = dump_graph(graph).strip().split("\n")
+    assert len(lines) == len(graph.nodes) + len(graph.edges) == 6 + 4
     assert lines[0].startswith("node 0 det frame=0")
-    assert lines[7].startswith("node 7 traj")
-    edge_lines = [l for l in lines if l.startswith("edge ")]
-    assert len(edge_lines) == len(graph.edges)
-    assert any("det-traj" in l for l in edge_lines)
-    assert all("score=" in l and "f=" in l for l in edge_lines)
+    assert all(line.startswith(f"node {i} det ") for i, line in enumerate(lines[:6]))
+    assert lines[6].startswith("edge 0 1 det-det f=")
+    assert all(line.startswith("edge ") and line.endswith(" score=none")
+               for line in lines[6:])

@@ -235,6 +235,18 @@ def test_graph_stats_reports_counts_and_coverage(tmp_path, capsys):
     assert int(report["edge_count"]) > 0
     assert int(report["fully_connected"]) > int(report["edge_count"])
     assert 0.0 <= float(report["coverage"]) <= 1.0
+    # the part graph holds detections only
+    assert report["traj_nodes"] == report["det_traj"] == report["traj_traj"] == "0"
+    assert report["node_count"] == report["det_nodes"]
+
+
+def test_graph_stats_on_an_empty_file_prints_zero_counts(tmp_path, capsys):
+    det = tmp_path / "det.txt"
+    det.write_text("")
+    assert main(["graph-stats", "--det", str(det), "--dump"]) == 0
+    report = kv(capsys.readouterr().out)
+    assert report["node_count"] == report["edge_count"] == "0"
+    assert report["fully_connected"] == "0"
 
 
 def test_graph_stats_dump_lists_nodes(tmp_path, capsys):

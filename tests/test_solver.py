@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
-from trackgraph.core import BoundingBox, Detection, ValidationError
+from trackgraph.core import (
+    BoundingBox,
+    CompositeNode,
+    Detection,
+    Edge,
+    EdgeKind,
+    NodeKind,
+    TrackGraph,
+    Tracklet,
+    ValidationError,
+)
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.mpn import handcrafted_scores, oracle_scores
+from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import (
     Labeling,
     RoundingProblem,
@@ -40,7 +53,7 @@ def part_graph(rows, clip_len, cfg=None, scorer=oracle_scorer, window=None, step
     aff = accumulate_affinity(dets, plan, scorer)
     cfg = cfg or BuilderConfig(top_k=1)
     tracklets, links = associate_frames(dets, aff, cfg)
-    return dets, build_part_graph(tracklets, links, dets, cfg)
+    return dets, build_part_graph(links, dets), tracklets
 
 
 # ----------------------------------------------------------------- problem
@@ -89,21 +102,31 @@ def test_greedy_parallel_chains_all_accepted():
     assert lab.labels.tolist() == [1, 1, 1]
 
 
-def test_greedy_feasibility_on_random_problems():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        n = int(rng.integers(3, 8))
-        m = int(rng.integers(1, 11))
-        edges = []
-        for _ in range(m):
-            u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
-            edges.append((u, v, float(rng.uniform())))
-        p = prob(n, *edges)
-        lab = greedy_round(p, 0.5)
-        assert is_feasible(p, lab)
-        for (u, v, s), y in zip(p.edges, lab.labels):
-            if y:
-                assert s > 0.5
+@st.composite
+def rounding_problems(draw):
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    # coarse scores make equal-score ties common
+    score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                      st.floats(0.0, 1.0))
+    edges = draw(st.lists(st.tuples(pairs, score), max_size=16))
+    return prob(n, *((u, v, s) for (u, v), s in edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=rounding_problems(), eps=st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+def test_greedy_feasibility_on_random_problems(p, eps):
+    lab = greedy_round(p, eps)
+    assert is_feasible(p, lab)
+    out_used = {u for (u, _, _), y in zip(p.edges, lab.labels) if y}
+    in_used = {v for (_, v, _), y in zip(p.edges, lab.labels) if y}
+    for (u, v, s), y in zip(p.edges, lab.labels):
+        if y:
+            assert s > eps
+        elif s > eps:
+            # a rejected candidate was blocked by a taken budget
+            assert u in out_used or v in in_used
 
 
 # ------------------------------------------------------------------- exact
@@ -237,6 +260,11 @@ def test_build_traj_graph_groups_and_gates():
     tg2 = build_traj_graph(dets2.detections, np.asarray([0, 0, 1, 1]))
     assert len(tg2.edges) == 1
     assert (tg2.edges[0].u, tg2.edges[0].v) == (0, 1)
+    # three mutually disjoint spans connect completely, earlier span first
+    rows3 = rows2 + [det(6, 90.0, 3), det(7, 90.0, 3)]
+    dets3 = DetectionSet.build(rows3)
+    tg3 = build_traj_graph(dets3.detections, np.asarray([0, 0, 1, 1, 2, 2]))
+    assert [(e.u, e.v) for e in tg3.edges] == [(0, 1), (0, 2), (1, 2)]
 
 
 # --------------------------------------------------------------- aggregate
@@ -252,8 +280,8 @@ def fragmented_fixture():
 
 
 def test_aggregate_bridges_long_gap_with_traj_pass():
-    dets, graph = fragmented_fixture()
-    assert graph.n_traj_nodes == 3  # the step tracker cannot cross the gap
+    dets, graph, tracklets = fragmented_fixture()
+    assert len(tracklets) == 3  # the step tracker cannot cross the gap
     ids = aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     gt = [d.gt_id for d in dets.detections]
     assert len(set(ids.tolist())) == 2
@@ -263,21 +291,34 @@ def test_aggregate_bridges_long_gap_with_traj_pass():
 
 
 def test_aggregate_strict_threshold_disables_merging():
-    dets, graph = fragmented_fixture()
+    dets, graph, _ = fragmented_fixture()
     ids = aggregate(graph, None, eps=1.0, score_fn=oracle_scores)
     # oracle scores are exactly 1.0 and the threshold is strict
     assert ids.tolist() == list(range(len(dets)))
 
 
 def test_aggregate_more_traj_passes_idempotent():
-    _, graph = fragmented_fixture()
+    _, graph, _ = fragmented_fixture()
     one = aggregate(graph, None, eps=0.5, score_fn=oracle_scores, traj_passes=1)
     three = aggregate(graph, None, eps=0.5, score_fn=oracle_scores, traj_passes=3)
     assert one.tolist() == three.tolist()
 
 
+def test_aggregate_refuses_a_trajectory_node():
+    rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(2, 0.0, 1)]
+    nodes = [CompositeNode(NodeKind.DET, d, i) for i, d in enumerate(rows)]
+    traj = Tracklet.from_members(0, [(0, rows[0]), (1, rows[1])])
+    nodes.append(CompositeNode(NodeKind.TRAJ, traj, 3))
+    graph = TrackGraph(tuple(nodes), (Edge(0, 1, EdgeKind.DET_DET),))
+    with pytest.raises(ValidationError, match="detection nodes only"):
+        aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
+    # the same graph without the trajectory node is accepted
+    part = TrackGraph(graph.nodes[:3], graph.edges)
+    assert aggregate(part, None, eps=0.5, score_fn=oracle_scores).tolist() == [0, 0, 0]
+
+
 def test_aggregate_single_detection():
-    dets, graph = part_graph([det(0, 0.0, 1)], clip_len=1)
+    _, graph, _ = part_graph([det(0, 0.0, 1)], clip_len=1)
     ids = aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     assert ids.tolist() == [0]
 
@@ -289,8 +330,8 @@ def test_aggregate_recovers_clean_partition():
     plan = WindowPlan(clip_len=8, window=8, step=8)
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     cfg = BuilderConfig()
-    tracklets, links = associate_frames(dets, aff, cfg)
-    graph = build_part_graph(tracklets, links, dets, cfg)
+    _, links = associate_frames(dets, aff, cfg)
+    graph = build_part_graph(links, dets)
     ids = aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     gt = [d.gt_id for d in dets.detections]
     pred_parts = {}
@@ -302,22 +343,48 @@ def test_aggregate_recovers_clean_partition():
     assert sorted(pred_parts.values(), key=min) == sorted(gt_parts.values(), key=min)
 
 
-def test_aggregate_partition_invariants_on_noisy_scenario():
-    spec = ScenarioSpec(n_objects=4, n_frames=24, seed=11, miss_rate=0.1,
-                        embedding_noise_sigma=0.1)
+@settings(max_examples=25, deadline=None)
+@given(
+    objects=st.integers(1, 4),
+    frames=st.integers(2, 24),
+    seed=st.integers(0, 10_000),
+    miss_rate=st.sampled_from([0.0, 0.1, 0.2]),
+    sigma=st.sampled_from([0.0, 0.1, 0.8]),
+    window=st.sampled_from([4, 8, 16]),
+    scorer=st.sampled_from(["handcrafted", "oracle", "random"]),
+    traj_passes=st.integers(0, 2),
+)
+@example(objects=4, frames=24, seed=11, miss_rate=0.1, sigma=0.1, window=16,
+         scorer="handcrafted", traj_passes=1)
+def test_aggregate_partition_invariants_on_noisy_scenario(
+        objects, frames, seed, miss_rate, sigma, window, scorer, traj_passes):
+    spec = ScenarioSpec(n_objects=objects, n_frames=frames, seed=seed,
+                        miss_rate=miss_rate, embedding_noise_sigma=sigma)
     dets = synthesize(spec)
-    plan = WindowPlan(clip_len=24, window=16, step=8)
-    aff = accumulate_affinity(dets, plan, cosine_scorer)
-    cfg = BuilderConfig()
-    tracklets, links = associate_frames(dets, aff, cfg)
-    graph = build_part_graph(tracklets, links, dets, cfg)
-    ids = aggregate(graph, None, eps=0.5, score_fn=handcrafted_scores)
-    assert ids.shape == (len(dets),)
+    assume(len(dets) > 0)
+    mode = "oracle" if scorer == "oracle" else "handcrafted"
+    graph, _ = ClipTracker(window=window, step=window // 2,
+                           score_mode=mode).build_graph(dets)
+    # random scores fragment pass 1 and then propose merges of fragments
+    # that overlap in time, which only the overlap refusal turns down
+    rng = np.random.default_rng(seed)
+    score_fn = {
+        "handcrafted": handcrafted_scores,
+        "oracle": oracle_scores,
+        "random": lambda g: rng.uniform(size=len(g.edges)),
+    }[scorer]
+    ids = aggregate(graph, None, eps=0.5, traj_passes=traj_passes,
+                    score_fn=score_fn).tolist()
+    assert len(ids) == len(dets)
+    seen = set()
+    for g in ids:  # ids count up from 0 in order of first appearance
+        assert g <= len(seen)
+        seen.add(g)
     by_id = {}
-    for i, g in enumerate(ids.tolist()):
-        by_id.setdefault(g, []).append(dets.detections[i].frame)
-    for frames in by_id.values():
-        assert len(frames) == len(set(frames))  # one detection per frame per id
+    for g, d in zip(ids, dets.detections):
+        by_id.setdefault(g, []).append(d.frame)
+    for frames_of in by_id.values():
+        assert len(frames_of) == len(set(frames_of))  # one detection per frame per id
 
 
 def test_aggregate_invariant_to_storage_order():
@@ -330,8 +397,8 @@ def test_aggregate_invariant_to_storage_order():
         plan = WindowPlan(clip_len=6, window=6, step=6)
         aff = accumulate_affinity(dets, plan, oracle_scorer)
         cfg = BuilderConfig(top_k=1)
-        tracklets, links = associate_frames(dets, aff, cfg)
-        graph = build_part_graph(tracklets, links, dets, cfg)
+        _, links = associate_frames(dets, aff, cfg)
+        graph = build_part_graph(links, dets)
         ids = aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
         parts = {}
         for i, g in enumerate(ids.tolist()):
