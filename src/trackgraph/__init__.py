@@ -20,7 +20,6 @@ from trackgraph.core import (
     Tracklet,
     ValidationError,
     iou,
-    temporal_iou,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "Tracklet",
     "ValidationError",
     "iou",
-    "temporal_iou",
 ]

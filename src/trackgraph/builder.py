@@ -1,13 +1,14 @@
 """Partially connected detection graph construction.
 
-Frame-by-frame association turns raw detections into coarse tracklets
-and emits candidate detection links along the way. The part graph keeps
-every detection as a node (detection i is node i) and exactly those
-links. Tracklets become nodes only in the solver's trajectory graphs,
-built from the fragments of pass 1 when tracking and from these
-tracklets when training. Every edge points forward in time, so the
-result is a DAG by construction. The builder only decides which (u, v, kind) links exist;
-their descriptors are computed later, for the whole graph at once, by
+Frame-by-frame association groups raw detections into coarse tracklets,
+returned as member index lists, and emits candidate detection links
+along the way. The part graph keeps every detection as a node
+(detection i is node i) and exactly those links. Tracklets become nodes
+only in the solver's trajectory graphs, built from the fragments of
+pass 1 when tracking and from these index lists when training. Every
+edge points forward in time, so the result is a DAG by construction.
+The builder only decides which (u, v, kind) links exist; their
+descriptors are computed later, for the whole graph at once, by
 mpn.graph_tensors.
 """
 
@@ -27,7 +28,6 @@ from trackgraph.core import (
     EdgeKind,
     NodeKind,
     TrackGraph,
-    Tracklet,
     ValidationError,
     box_rows,
 )
@@ -56,8 +56,11 @@ class BuilderConfig:
 
 def associate_frames(
     dets: DetectionSet, aff: AffinityMatrix, cfg: BuilderConfig
-) -> tuple[list[Tracklet], list[Edge]]:
+) -> tuple[list[list[int]], list[Edge]]:
     """Greedy-over-time association into tracklets plus candidate links.
+
+    Each tracklet comes back as the list of its members' detection
+    indices, in frame order.
 
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
@@ -106,11 +109,7 @@ def associate_frames(
         new = [[int(j)] for c, j in enumerate(idxs) if c not in taken]
         last_frame[len(tracks): len(tracks) + len(new)] = t
         tracks.extend(new)
-    tracklets = [
-        Tracklet.from_members(k, [(i, dets.detections[i]) for i in mem])
-        for k, mem in enumerate(tracks)
-    ]
-    return tracklets, links
+    return tracks, links
 
 
 def build_part_graph(detdet_links: Sequence[Edge], dets: DetectionSet) -> TrackGraph:

@@ -193,12 +193,7 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
     dets = parse_mot(args.det, args.emb, cfg.embed_dim)
     graph, _ = _tracker(cfg).build_graph(dets)
     s = graph_stats(graph)
-    print(f"det_nodes={s.det_nodes}")
-    print(f"traj_nodes={s.traj_nodes}")
     print(f"node_count={s.node_count}")
-    print(f"det_det={s.det_det}")
-    print(f"det_traj={s.det_traj}")
-    print(f"traj_traj={s.traj_traj}")
     print(f"edge_count={s.edge_count}")
     full = fully_connected_edge_count(dets)
     print(f"fully_connected={full}")

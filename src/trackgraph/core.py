@@ -1,11 +1,13 @@
 """Domain types and geometric primitives shared by the whole pipeline.
 
 Boxes live in pixel space as (left, top, width, height). Frames are
-integer time indices starting at 0. A tracklet is a strictly
-time-ordered run of detections, at most one per frame, carrying the
-arithmetic mean of its members' appearance embeddings. A graph edge is
-a bare (u, v, kind) record over node indices; edge descriptors are
-computed for a whole graph at once by mpn.graph_tensors.
+integer time indices starting at 0. A tracklet is its members: a
+strictly time-ordered run of detections, at most one per frame. Its
+span is that of its first and last member, and a trajectory node
+derives the members' mean appearance embedding where it is read. A
+graph edge is a bare (u, v, kind) record over node indices; edge
+descriptors are computed for a whole graph at once by
+mpn.graph_tensors.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 DEFAULT_EMBED_DIM = 16
-
-# relative tolerance used when validating cached aggregate values
-MEAN_RTOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -145,9 +144,6 @@ class Tracklet:
 
     id: int
     detections: tuple[Detection, ...]
-    mean_embedding: np.ndarray
-    start_frame: int
-    end_frame: int
     det_indices: tuple[int, ...]
 
     def __post_init__(self):
@@ -161,39 +157,29 @@ class Tracklet:
                 raise ValidationError(
                     f"tracklet frames must strictly increase, got {a} then {b}"
                 )
-        if self.start_frame != frames[0] or self.end_frame != frames[-1]:
-            raise ValidationError("start/end frames disagree with members")
-        mean = np.asarray(self.mean_embedding, dtype=np.float64)
-        expect = np.mean([d.embedding for d in self.detections], axis=0)
-        if mean.shape != expect.shape or not np.allclose(
-            mean, expect, rtol=MEAN_RTOL, atol=1e-12
-        ):
-            raise ValidationError("mean_embedding is not the member mean")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean_embedding", mean)
 
     @classmethod
     def from_members(
         cls, track_id: int, members: Sequence[tuple[int, Detection]]
     ) -> "Tracklet":
         """Build a tracklet from (detection index, detection) pairs."""
-        if not members:
-            raise ValidationError("tracklet needs at least one detection")
         ordered = sorted(members, key=lambda m: m[1].frame)
-        dets = tuple(d for _, d in ordered)
-        idxs = tuple(i for i, _ in ordered)
-        mean = np.mean([d.embedding for d in dets], axis=0)
         return cls(
             id=track_id,
-            detections=dets,
-            mean_embedding=mean,
-            start_frame=dets[0].frame,
-            end_frame=dets[-1].frame,
-            det_indices=idxs,
+            detections=tuple(d for _, d in ordered),
+            det_indices=tuple(i for i, _ in ordered),
         )
 
     def __len__(self) -> int:
         return len(self.detections)
+
+    @property
+    def start_frame(self) -> int:
+        return self.detections[0].frame
+
+    @property
+    def end_frame(self) -> int:
+        return self.detections[-1].frame
 
     @property
     def first_box(self) -> BoundingBox:
@@ -202,20 +188,6 @@ class Tracklet:
     @property
     def last_box(self) -> BoundingBox:
         return self.detections[-1].box
-
-
-def temporal_iou(a: Tracklet, b: Tracklet) -> float:
-    """Overlap of two tracklets' inclusive frame spans, in [0, 1].
-
-    Counted in whole frames: spans [1,5] and [4,8] share 2 frames out
-    of 8 covered, so 0.25. Zero exactly when the spans are disjoint.
-    """
-    inter = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame) + 1
-    if inter <= 0:
-        return 0.0
-    len_a = a.end_frame - a.start_frame + 1
-    len_b = b.end_frame - b.start_frame + 1
-    return inter / (len_a + len_b - inter)
 
 
 class NodeKind(Enum):
@@ -267,7 +239,7 @@ class CompositeNode:
         """Appearance vector: the embedding, or the member mean for tracklets."""
         if self.kind is NodeKind.DET:
             return self.payload.embedding
-        return self.payload.mean_embedding
+        return np.mean([d.embedding for d in self.payload.detections], axis=0)
 
 
 class Edge(NamedTuple):
@@ -319,10 +291,6 @@ class TrackGraph:
             raise ValidationError(
                 f"edge ({u[k]}, {v[k]}) does not move forward in time"
             )
-
-    @property
-    def n_det_nodes(self) -> int:
-        return sum(1 for n in self.nodes if n.kind is NodeKind.DET)
 
     @property
     def n_traj_nodes(self) -> int:

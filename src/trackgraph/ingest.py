@@ -122,6 +122,10 @@ def read_embeddings(path: Union[str, Path]) -> np.ndarray:
         raise ParseError(f"embedding sidecar {path} is truncated")
     head = np.frombuffer(raw, dtype=_SIDECAR_HEADER, count=2)
     rows, dim = int(head[0]), int(head[1])
+    if (len(raw) - 16) % _SIDECAR_VALUE.itemsize:
+        raise ParseError(
+            f"embedding sidecar {path} ends inside a float32 value"
+        )
     body = np.frombuffer(raw, dtype=_SIDECAR_VALUE, offset=16)
     if body.size != rows * dim:
         raise ParseError(
@@ -166,7 +170,7 @@ def parse_mot(
                 frame = int(float(parts[0]))
                 track_id = int(float(parts[1]))
                 x, y, w, h, conf = (float(p) for p in parts[2:7])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"bad numeric field ({exc})", line_no) from None
             if frame < 1:
                 raise ParseError(f"frame must be >= 1 on disk, got {frame}", line_no)
@@ -375,12 +379,3 @@ def ground_truth(spec: ScenarioSpec) -> DetectionSet:
     full = np.ones((spec.n_objects, spec.n_frames), dtype=bool)
     return _collect(spec, pos, emb, full)
 
-
-def as_tracklets(dets: DetectionSet) -> list[Tracklet]:
-    """Group a labelled detection set into one tracklet per identity."""
-    if not dets.has_gt:
-        raise ValidationError("detection set has no identities to group by")
-    groups: dict[int, list[tuple[int, Detection]]] = {}
-    for i, d in enumerate(dets.detections):
-        groups.setdefault(d.gt_id, []).append((i, d))
-    return [Tracklet.from_members(tid, m) for tid, m in sorted(groups.items())]

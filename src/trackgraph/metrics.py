@@ -17,7 +17,6 @@ from scipy.optimize import linear_sum_assignment
 
 from trackgraph.core import (
     BoundingBox,
-    EdgeKind,
     TrackGraph,
     ValidationError,
     iou,
@@ -143,32 +142,14 @@ def idf1(pred: DetectionSet, gt: DetectionSet, iou_gate: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Node and edge counts broken down by kind."""
+    """Node and edge counts of a graph."""
 
-    det_nodes: int
-    traj_nodes: int
-    det_det: int
-    det_traj: int
-    traj_traj: int
-
-    @property
-    def node_count(self) -> int:
-        return self.det_nodes + self.traj_nodes
-
-    @property
-    def edge_count(self) -> int:
-        return self.det_det + self.det_traj + self.traj_traj
+    node_count: int
+    edge_count: int
 
 
 def graph_stats(graph: TrackGraph) -> GraphStats:
-    kinds = [e.kind for e in graph.edges]
-    return GraphStats(
-        det_nodes=graph.n_det_nodes,
-        traj_nodes=graph.n_traj_nodes,
-        det_det=kinds.count(EdgeKind.DET_DET),
-        det_traj=kinds.count(EdgeKind.DET_TRAJ),
-        traj_traj=kinds.count(EdgeKind.TRAJ_TRAJ),
-    )
+    return GraphStats(len(graph.nodes), len(graph.edges))
 
 
 @dataclass(frozen=True)

@@ -301,13 +301,6 @@ class EmbeddingState:
     step: int
 
 
-def init_node_features(graph: Union[TrackGraph, GraphTensors], params: MpnParams) -> np.ndarray:
-    """Projected appearance vectors, the step-0 node states."""
-    g = _as_tensors(graph)
-    h0, _ = mlp_forward(params.node_proj, g.node_feat)
-    return h0
-
-
 def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     d_v, d_e = params.node_dim, params.edge_dim
     u, v = g.u, g.v

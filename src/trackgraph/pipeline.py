@@ -65,11 +65,11 @@ class ClipTracker:
             return self.score_mode
         return "mpn" if self.params is not None else "handcrafted"
 
-    def build_graph(self, dets: DetectionSet) -> tuple[TrackGraph, list[Tracklet]]:
+    def build_graph(self, dets: DetectionSet) -> tuple[TrackGraph, list[list[int]]]:
         """Affinity, association, and part-graph assembly for one clip.
 
-        Returns the part graph and the association's tracklets; an empty
-        set gives an empty graph.
+        Returns the part graph and the association's tracklets as member
+        index lists; an empty set gives an empty graph.
         """
         if len(dets) == 0:
             return TrackGraph((), ()), []
@@ -80,8 +80,8 @@ class ClipTracker:
         scorer = oracle_scorer if self.mode == "oracle" else cosine_scorer
         aff = accumulate_affinity(dets, plan, scorer, origin=frames[0])
         cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
-        tracklets, links = associate_frames(dets, aff, cfg)
-        return build_part_graph(links, dets), tracklets
+        tracks, links = associate_frames(dets, aff, cfg)
+        return build_part_graph(links, dets), tracks
 
     def __call__(self, dets: DetectionSet) -> list[Tracklet]:
         mode = self.mode

@@ -60,20 +60,6 @@ class RoundingProblem:
         return np.asarray([s for _, _, s in self.edges], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """Binary edge decisions, aligned with a problem's edge order."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.int64)
-        if arr.ndim != 1 or (arr.size and not np.all((arr == 0) | (arr == 1))):
-            raise ValidationError("labels must be a flat 0/1 array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
-
-
 def _candidate_order(problem: RoundingProblem, eps: float) -> list[int]:
     """Edges above the threshold, strongest first, endpoint tie-break."""
     idx = [k for k, (_, _, s) in enumerate(problem.edges) if s > eps]
@@ -81,8 +67,11 @@ def _candidate_order(problem: RoundingProblem, eps: float) -> list[int]:
     return idx
 
 
-def greedy_round(problem: RoundingProblem, eps: float = 0.5) -> Labeling:
-    """Accept edges strongest-first while both degree budgets are free."""
+def greedy_round(problem: RoundingProblem, eps: float = 0.5) -> np.ndarray:
+    """Accept edges strongest-first while both degree budgets are free.
+
+    Returns one 0/1 label per edge, in the problem's edge order.
+    """
     labels = np.zeros(problem.n_edges, dtype=np.int64)
     out_used = np.zeros(problem.n_nodes, dtype=bool)
     in_used = np.zeros(problem.n_nodes, dtype=bool)
@@ -92,10 +81,10 @@ def greedy_round(problem: RoundingProblem, eps: float = 0.5) -> Labeling:
             labels[k] = 1
             out_used[u] = True
             in_used[v] = True
-    return Labeling(labels)
+    return labels
 
 
-def exact_round(problem: RoundingProblem, eps: float = 0.5) -> Labeling:
+def exact_round(problem: RoundingProblem, eps: float = 0.5) -> np.ndarray:
     """Exhaustive optimum of the rounding objective; ties pick fewer ones.
 
     Only edges above the threshold may be labeled 1, mirroring the
@@ -143,24 +132,24 @@ def exact_round(problem: RoundingProblem, eps: float = 0.5) -> Labeling:
 
     walk(0, 0.0)
     assert best is not None  # the all-zero leaf always completes
-    return Labeling(best)
+    return best
 
 
-def rounding_objective(problem: RoundingProblem, labeling: Labeling) -> float:
+def rounding_objective(problem: RoundingProblem, labels: np.ndarray) -> float:
     """Squared distance between the binary labels and the scores."""
-    if labeling.labels.shape != (problem.n_edges,):
-        raise ValidationError("labeling does not align with the problem")
-    diff = labeling.labels.astype(np.float64) - problem.scores()
+    if labels.shape != (problem.n_edges,):
+        raise ValidationError("labels do not align with the problem")
+    diff = labels.astype(np.float64) - problem.scores()
     return float(np.dot(diff, diff))
 
 
-def is_feasible(problem: RoundingProblem, labeling: Labeling) -> bool:
+def is_feasible(problem: RoundingProblem, labels: np.ndarray) -> bool:
     """Degree check: at most one positive edge out of and into any node."""
-    if labeling.labels.shape != (problem.n_edges,):
+    if labels.shape != (problem.n_edges,):
         return False
     out_deg = np.zeros(problem.n_nodes, dtype=np.int64)
     in_deg = np.zeros(problem.n_nodes, dtype=np.int64)
-    for (u, v, _), y in zip(problem.edges, labeling.labels):
+    for (u, v, _), y in zip(problem.edges, labels):
         if y:
             out_deg[u] += 1
             in_deg[v] += 1
@@ -250,18 +239,19 @@ def build_traj_graph(
     return TrackGraph(tuple(nodes), tuple(span_disjoint_edges(nodes)))
 
 
-def tracklet_ids(tracklets: Sequence[Tracklet], n_det: int) -> np.ndarray:
+def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
     """One raw id per detection: the builder's coarse tracklets.
 
-    A detection of a tracklet with two or more members gets n_det plus
-    that tracklet's rank among them; any other detection keeps its own
+    tracks holds each tracklet's member detection indices. A detection
+    of a tracklet with two or more members gets n_det plus that
+    tracklet's rank among them; any other detection keeps its own
     index. Training groups the detections by these ids into its
     trajectory-level graphs.
     """
     ids = np.arange(n_det, dtype=np.int64)
-    multi = (t for t in tracklets if len(t) >= 2)
+    multi = (t for t in tracks if len(t) >= 2)
     for p, t in enumerate(multi):
-        ids[list(t.det_indices)] = n_det + p
+        ids[list(t)] = n_det + p
     return ids
 
 
@@ -305,8 +295,8 @@ def aggregate(
     scores = np.clip(run_scores(graph), 0.0, 1.0).tolist()
     det_edges = tuple((e.u, e.v, s) for e, s in zip(graph.edges, scores))
     problem = RoundingProblem(n_det, det_edges)
-    lab = greedy_round(problem, eps)
-    positive = [det_edges[k] for k in np.flatnonzero(lab.labels)]
+    labels = greedy_round(problem, eps)
+    positive = [det_edges[k] for k in np.flatnonzero(labels)]
     det_spans = np.asarray([node.span for node in graph.nodes])
     ids = connected_components_ids(det_spans, positive)
 
@@ -325,9 +315,6 @@ def aggregate(
         gids = connected_components_ids(t_spans, positive)
         if len(set(gids.tolist())) == tg.n_traj_nodes:
             break
-        new_ids = np.empty_like(ids)
-        for p, node in enumerate(tg.nodes):
-            for i in node.payload.det_indices:
-                new_ids[i] = gids[p]
-        ids = new_ids
+        # node p of the trajectory graph holds the p-th smallest id
+        ids = gids[np.unique(ids, return_inverse=True)[1]]
     return _relabel(ids)

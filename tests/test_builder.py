@@ -53,8 +53,8 @@ def oracle_affinity(dets, clip_len, window=None, step=None):
     return accumulate_affinity(dets, plan, oracle_scorer)
 
 
-def track_ids(tracklets):
-    return [tuple(d.gt_id for d in t.detections) for t in tracklets]
+def track_ids(tracks, dets):
+    return [tuple(dets.detections[i].gt_id for i in t) for t in tracks]
 
 
 # ----------------------------------------------------------------- config
@@ -78,9 +78,8 @@ def test_config_validation():
 def test_single_object_two_frames_one_link():
     dets = make_set([det(0, 0.0, 1), det(1, 1.0, 1)])
     aff = oracle_affinity(dets, clip_len=2)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    assert len(tracklets) == 1
-    assert len(tracklets[0]) == 2
+    tracks, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
+    assert tracks == [[0, 1]]
     assert [(e.u, e.v) for e in links] == [(0, 1)]
     assert links[0].kind is EdgeKind.DET_DET
 
@@ -94,15 +93,15 @@ def test_crossing_objects_keep_identities():
         rows.append(det(f, xb[f], 2))
     dets = make_set(rows)
     aff = oracle_affinity(dets, clip_len=4)
-    tracklets, _ = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    assert sorted(track_ids(tracklets)) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+    tracks, _ = associate_frames(dets, aff, BuilderConfig(top_k=1))
+    assert sorted(track_ids(tracks, dets)) == [(1, 1, 1, 1), (2, 2, 2, 2)]
 
 
 def test_unrelated_detection_starts_new_track_without_links():
     dets = make_set([det(0, 0.0, 1), det(1, 500.0, 2)])
     aff = oracle_affinity(dets, clip_len=2)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig())
-    assert len(tracklets) == 2
+    tracks, links = associate_frames(dets, aff, BuilderConfig())
+    assert tracks == [[0], [1]]
     assert links == []
 
 
@@ -123,8 +122,8 @@ def test_track_outside_lookbook_is_not_extended():
     dets = make_set([det(0, 0.0, 1), det(1, 1.0, 1), det(40, 2.0, 1)])
     plan = WindowPlan(clip_len=41, window=32, step=16)
     aff = accumulate_affinity(dets, plan, oracle_scorer)
-    tracklets, _ = associate_frames(dets, aff, BuilderConfig(lookback=32))
-    assert sorted(len(t) for t in tracklets) == [1, 2]
+    tracks, _ = associate_frames(dets, aff, BuilderConfig(lookback=32))
+    assert tracks == [[0, 1], [2]]
 
 
 def test_oracle_reproduces_ground_truth_partition():
@@ -132,11 +131,11 @@ def test_oracle_reproduces_ground_truth_partition():
                         embedding_noise_sigma=0.0)
     dets = synthesize(spec)
     aff = oracle_affinity(dets, clip_len=8)
-    tracklets, _ = associate_frames(dets, aff, BuilderConfig())
-    assert len(tracklets) == 3
-    for ids in track_ids(tracklets):
+    tracks, _ = associate_frames(dets, aff, BuilderConfig())
+    assert len(tracks) == 3
+    for ids in track_ids(tracks, dets):
         assert len(set(ids)) == 1
-    assert sum(len(t) for t in tracklets) == len(dets)
+    assert sorted(i for t in tracks for i in t) == list(range(len(dets)))
 
 
 def test_detdet_bound_and_dag_on_noisy_scenario():
@@ -180,21 +179,26 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
     dets = synthesize(spec)
     assume(len(dets) > 0)
     tracker = ClipTracker(window=window, step=max(1, window // 2))
-    part, tracklets = tracker.build_graph(dets)
+    part, tracks = tracker.build_graph(dets)
     assert_forward_dag(part)
     # node i is detection i, and every edge is an association link
     assert len(part.nodes) == len(dets)
     for node, d in zip(part.nodes, dets.detections):
         assert node.kind is NodeKind.DET and node.payload is d
     assert all(e.kind is EdgeKind.DET_DET for e in part.edges)
+    # each detection sits in one tracklet, members in frame order
+    assert sorted(i for t in tracks for i in t) == list(range(len(dets)))
+    for t in tracks:
+        frames_of = [dets.detections[i].frame for i in t]
+        assert frames_of == sorted(set(frames_of))
     # a singleton keeps its own index; a longer tracklet shares one id
-    ids = tracklet_ids(tracklets, len(dets))
-    assert len(set(ids.tolist())) == len(tracklets)
-    for t in tracklets:
-        group = set(ids[list(t.det_indices)].tolist())
+    ids = tracklet_ids(tracks, len(dets))
+    assert len(set(ids.tolist())) == len(tracks)
+    for t in tracks:
+        group = set(ids[t].tolist())
         assert len(group) == 1
         if len(t) == 1:
-            assert group == {t.det_indices[0]}
+            assert group == {t[0]}
     # the builder's tracklets, and every detection on its own
     for ids in (ids, np.arange(len(dets))):
         assert_forward_dag(build_traj_graph(dets.detections, ids))
@@ -241,7 +245,7 @@ def reference_associate_frames(dets, aff, cfg):
                 taken.add(int(c))
         tracks.extend([(int(j), dets.detections[int(j)])]
                       for c, j in enumerate(idxs) if c not in taken)
-    return [tuple(i for i, _ in mem) for mem in tracks], links
+    return [[i for i, _ in mem] for mem in tracks], links
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,17 +271,17 @@ def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
     plan = WindowPlan(clip_len=frames, window=window, step=max(1, window // 2))
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     cfg = BuilderConfig(top_k=top_k, lookback=lookback)
-    tracklets, links = associate_frames(dets, aff, cfg)
+    tracks, links = associate_frames(dets, aff, cfg)
     ref_tracks, ref_links = reference_associate_frames(dets, aff, cfg)
-    assert [t.det_indices for t in tracklets] == ref_tracks
+    assert tracks == ref_tracks
     assert links == ref_links
 
 
 def test_empty_set_round_trips():
     dets = DetectionSet.build([])
     aff = oracle_affinity(dets, clip_len=1)
-    tracklets, links = associate_frames(dets, aff, BuilderConfig())
-    assert tracklets == [] and links == []
+    tracks, links = associate_frames(dets, aff, BuilderConfig())
+    assert tracks == [] and links == []
     graph = build_part_graph(links, dets)
     assert graph.nodes == () and graph.edges == ()
     assert dump_graph(graph) == ""

@@ -120,6 +120,21 @@ def test_track_clip_chain_flags(tmp_path):
                  "--clip-len", "64", "--overlap", "32") == 0
 
 
+def test_track_malformed_input_exits_two(tmp_path, capsys):
+    data = synth(tmp_path, objects=1, frames=5)
+    rows = (data / "det.txt").read_text().splitlines()
+    bad = tmp_path / "inf.txt"
+    bad.write_text("\n".join(rows[:2] + ["inf" + rows[2][1:]] + rows[3:]) + "\n")
+    assert main(["track", "--det", str(bad), "--out", str(tmp_path / "r.txt")]) == 2
+    assert "line 3" in capsys.readouterr().err
+    # the sidecar payload ends inside a float32 value
+    emb = tmp_path / "cut.emb"
+    emb.write_bytes((data / "det.emb").read_bytes()[:-1])
+    assert main(["track", "--det", str(data / "det.txt"), "--emb", str(emb),
+                 "--out", str(tmp_path / "r.txt")]) == 2
+    assert "float32" in capsys.readouterr().err
+
+
 def test_track_missing_file_is_a_runtime_error(tmp_path):
     assert main(["track", "--det", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "r.txt")]) == 3
@@ -235,9 +250,10 @@ def test_graph_stats_reports_counts_and_coverage(tmp_path, capsys):
     assert int(report["edge_count"]) > 0
     assert int(report["fully_connected"]) > int(report["edge_count"])
     assert 0.0 <= float(report["coverage"]) <= 1.0
-    # the part graph holds detections only
-    assert report["traj_nodes"] == report["det_traj"] == report["traj_traj"] == "0"
-    assert report["node_count"] == report["det_nodes"]
+    # the part graph holds detections only: node i is detection i
+    assert int(report["node_count"]) == len(parse_mot(data / "det.txt"))
+    assert not {"det_nodes", "traj_nodes", "det_det", "det_traj",
+                "traj_traj"} & report.keys()
 
 
 def test_graph_stats_on_an_empty_file_prints_zero_counts(tmp_path, capsys):
@@ -245,8 +261,7 @@ def test_graph_stats_on_an_empty_file_prints_zero_counts(tmp_path, capsys):
     det.write_text("")
     assert main(["graph-stats", "--det", str(det), "--dump"]) == 0
     report = kv(capsys.readouterr().out)
-    assert report["node_count"] == report["edge_count"] == "0"
-    assert report["fully_connected"] == "0"
+    assert report == {"node_count": "0", "edge_count": "0", "fully_connected": "0"}
 
 
 def test_graph_stats_dump_lists_nodes(tmp_path, capsys):

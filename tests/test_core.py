@@ -16,7 +16,6 @@ from trackgraph.core import (
     box_rows,
     iou,
     iou_matrix,
-    temporal_iou,
 )
 
 
@@ -149,10 +148,14 @@ def test_tracklet_from_members_orders_and_averages():
     d3 = make_det(3, emb=(1.0, 0.0))
     t = Tracklet.from_members(7, [(11, d5), (10, d3)])
     assert t.id == 7
-    assert t.start_frame == 3 and t.end_frame == 5
+    assert t.detections == (d3, d5)
     assert t.det_indices == (10, 11)
-    assert np.allclose(t.mean_embedding, [0.5, 1.0])
+    assert t.start_frame == 3 and t.end_frame == 5
     assert len(t) == 2
+    # the trajectory node derives the member mean where it is read
+    feature = CompositeNode(NodeKind.TRAJ, t, 0).feature
+    assert np.all(feature == np.mean([d3.embedding, d5.embedding], axis=0))
+    assert np.all(feature == [0.5, 1.0])
 
 
 def test_tracklet_rejects_two_detections_same_frame():
@@ -160,71 +163,15 @@ def test_tracklet_rejects_two_detections_same_frame():
         Tracklet.from_members(0, [(0, make_det(4)), (1, make_det(4))])
 
 
-def test_tracklet_rejects_stale_mean():
-    d0, d1 = make_det(0, emb=(1.0, 0.0)), make_det(1, emb=(0.0, 1.0))
+def test_tracklet_rejects_empty_and_misaligned_members():
     with pytest.raises(ValidationError):
-        Tracklet(
-            id=0,
-            detections=(d0, d1),
-            mean_embedding=np.array([9.0, 9.0]),
-            start_frame=0,
-            end_frame=1,
-            det_indices=(0, 1),
-        )
-
-
-def test_tracklet_mean_recompute_matches_cached():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        members = [
-            (i, make_det(i, emb=rng.normal(size=6))) for i in range(n)
-        ]
-        t = Tracklet.from_members(0, members)
-        recomputed = np.mean([d.embedding for d in t.detections], axis=0)
-        assert np.allclose(t.mean_embedding, recomputed, rtol=1e-9, atol=0.0)
-
-
-def single_frame_tracklet(tid, frame):
-    return Tracklet.from_members(tid, [(0, make_det(frame))])
+        Tracklet.from_members(0, [])
+    with pytest.raises(ValidationError):
+        Tracklet(0, (make_det(0), make_det(1)), (0,))
 
 
 def span_tracklet(tid, start, end):
     return Tracklet.from_members(tid, [(f, make_det(f)) for f in range(start, end + 1)])
-
-
-# ----------------------------------------------------------- temporal iou
-
-
-def test_temporal_iou_disjoint_spans():
-    assert temporal_iou(span_tracklet(0, 0, 3), span_tracklet(1, 4, 8)) == 0.0
-
-
-def test_temporal_iou_identical_spans():
-    a = span_tracklet(0, 2, 6)
-    b = span_tracklet(1, 2, 6)
-    assert temporal_iou(a, b) == 1.0
-
-
-def test_temporal_iou_known_partial_overlap():
-    # [1,5] and [4,8]: 2 shared frames of 8 covered -> 0.25
-    a = span_tracklet(0, 1, 5)
-    b = span_tracklet(1, 4, 8)
-    assert temporal_iou(a, b) == pytest.approx(0.25, rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    s1=st.integers(0, 40),
-    l1=st.integers(0, 12),
-    s2=st.integers(0, 40),
-    l2=st.integers(0, 12),
-)
-def test_temporal_iou_zero_iff_disjoint(s1, l1, s2, l2):
-    a = span_tracklet(0, s1, s1 + l1)
-    b = span_tracklet(1, s2, s2 + l2)
-    disjoint = s1 + l1 < s2 or s2 + l2 < s1
-    assert (temporal_iou(a, b) == 0.0) == disjoint
 
 
 # ----------------------------------------------------------------- graph
@@ -242,8 +189,9 @@ def test_graph_construction():
         Edge(1, 2, EdgeKind.DET_TRAJ),
     )
     g = TrackGraph(nodes, edges)
-    assert g.n_det_nodes == 2
+    assert len(g.nodes) == 3
     assert g.n_traj_nodes == 1
+    assert g.nodes[2].span == (3, 5)
     assert g.edges[1] == (1, 2, EdgeKind.DET_TRAJ)
 
 

@@ -5,7 +5,6 @@ from trackgraph.core import BoundingBox, Detection, ParseError, ValidationError
 from trackgraph.ingest import (
     DetectionSet,
     ScenarioSpec,
-    as_tracklets,
     ground_truth,
     parse_mot,
     pseudo_embedding,
@@ -50,9 +49,11 @@ def test_parse_unlabelled_rows_have_no_gt(tmp_path):
 
 def test_parse_reports_line_number_for_malformed_row(tmp_path):
     p = tmp_path / "det.txt"
-    p.write_text("1,1,0,0,5,5,1.0,-1,-1,-1\n2,oops,0,0,5,5,1.0,-1,-1,-1\n")
-    with pytest.raises(ParseError, match="line 2"):
-        parse_mot(p)
+    # an infinite frame or id overflows the integer conversion
+    for bad in ("2,oops,0,0,5,5,1.0", "inf,1,0,0,5,5,1.0", "2,-inf,0,0,5,5,1.0"):
+        p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{bad},-1,-1,-1\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_mot(p)
 
 
 def test_parse_rejects_nonpositive_box(tmp_path):
@@ -102,9 +103,12 @@ def test_sidecar_count_mismatch_rejected(tmp_path):
 
 def test_sidecar_truncated_rejected(tmp_path):
     p = tmp_path / "x.emb"
-    p.write_bytes(b"\x01\x00")
-    with pytest.raises(ParseError):
-        read_embeddings(p)
+    header = np.asarray([1, 1], dtype="<u8").tobytes()
+    # a cut header, and a whole header before a partial float32 value
+    for raw in (b"\x01\x00", header + b"\x00\x00\x80"):
+        p.write_bytes(raw)
+        with pytest.raises(ParseError):
+            read_embeddings(p)
 
 
 def make_track(tid, frames, x0=0.0):
@@ -258,13 +262,3 @@ def test_scenario_spec_validation():
     with pytest.raises(ValidationError):
         ScenarioSpec(n_objects=1, n_frames=10, occlusions=((4, 0, 2),))
 
-
-def test_as_tracklets_groups_by_identity():
-    spec = ScenarioSpec(n_objects=3, n_frames=15, seed=2, miss_rate=0.1)
-    ds = synthesize(spec)
-    tracks = as_tracklets(ds)
-    assert [t.id for t in tracks] == [1, 2, 3]
-    assert sum(len(t) for t in tracks) == len(ds)
-    for t in tracks:
-        for i, d in zip(t.det_indices, t.detections):
-            assert ds.detections[i] is d

@@ -28,7 +28,6 @@ from trackgraph.mpn import (
     forward,
     graph_tensors,
     handcrafted_scores,
-    init_node_features,
     init_params,
     load_params,
     mlp_forward,
@@ -186,21 +185,16 @@ def test_node_features_zero_projection_gives_zero():
     for arr in params.node_proj.weights + params.node_proj.biases:
         arr[...] = 0.0
     g = random_tensors(np.random.default_rng(0))
-    assert np.all(init_node_features(g, params) == 0.0)
+    h0, _ = mlp_forward(params.node_proj, g.node_feat)
+    assert np.all(h0 == 0.0)
 
 
 def test_node_features_known_affine():
     params = init_params(0, embed_dim=2, node_dim=2, edge_dim=3, hidden=4, steps=1)
     params.node_proj.weights[0][...] = np.asarray([[1.0, 2.0], [3.0, 4.0]])
     params.node_proj.biases[0][...] = np.asarray([0.5, -0.5])
-    g = GraphTensors(
-        u=np.asarray([0]),
-        v=np.asarray([1]),
-        feats=np.zeros((1, 6)) + [0, 0, 0, 0, 1, 0],
-        node_feat=np.asarray([[1.0, 1.0], [2.0, 0.0]]),
-        spans=np.asarray([[0, 0], [1, 1]]),
-    )
-    h0 = init_node_features(g, params)
+    # the step-0 node states are the projected appearance vectors
+    h0, _ = mlp_forward(params.node_proj, np.asarray([[1.0, 1.0], [2.0, 0.0]]))
     assert np.allclose(h0, [[4.5, 5.5], [2.5, 3.5]])
 
 
