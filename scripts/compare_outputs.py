@@ -5,10 +5,12 @@
 Unpacks REV with `git archive` into a temporary directory, then runs
 `trackgraph synth`, `track`, `eval`, `graph-stats --dump` and `train`
 on a fixed ladder of scenes under both trees: REV and this working tree
-(uncommitted edits included). Prints one SHA-256 per scene and output
-of the working tree, marks each one `same` or `DIFFERS`, and exits 1
-on any mismatch. `track` is compared on its output file and `eval` on
-its report; the timing line of `track`'s summary is left out. `train`
+(uncommitted edits included). One more `track` run reads a sparse copy
+of a scene whose later half sits far ahead in time. Prints one SHA-256
+per scene and output of the working tree, marks each one `same` or
+`DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
+output file and summary, `eval` on its report; the timing line of
+`track`'s summary is left out. `train`
 is compared on the checkpoint bytes and on its summary without the
 output path. A differing printout (a summary, eval report or
 graph-stats dump) is followed by its first differing line from each
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -67,6 +70,11 @@ TRACK_RUNS = [
     # trajectory pass, stitching and interpolation see fragmented tracks
     ("train120", "clips64", ["--clip-len", "64", "--overlap", "32"]),
 ]
+
+# the sparse run: the long scene's rows after frame 192 (1-based, as on
+# disk) moved 100,000 frames later, same sidecar, tracked handcrafted in
+# 128/64 clips, so the clips between the two halves hold no detection
+SPARSE_AFTER, SPARSE_SHIFT = 192, 100_000
 
 # (scene, run name, extra graph-stats flags)
 GRAPH_RUNS = [
@@ -135,6 +143,17 @@ def first_difference(base: str, head: str) -> tuple[int, str, str]:
     return n + 1, line(a), line(b)
 
 
+def shift_frames(src: Path, dest: Path, after: int, by: int) -> None:
+    """Copy a MOT file, adding `by` to every frame above `after`."""
+    rows = []
+    for line in src.read_text().splitlines():
+        frame, rest = line.split(",", 1)
+        if int(frame) > after:
+            frame = str(int(frame) + by)
+        rows.append(f"{frame},{rest}")
+    dest.write_text("\n".join(rows) + "\n")
+
+
 def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
     """Every ladder output under one tree."""
     out: dict[str, Output] = {}
@@ -155,15 +174,24 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
         return ["--det", str(work / scene / "det.txt"),
                 "--emb", str(work / scene / "det.emb")]
 
-    for scene, run, flags in TRACK_RUNS:
+    def track(scene: str, run: str, flags: list[str]) -> Path:
         result = work / f"{scene}-{run}.txt"
         summary = trackgraph(tree, ["track", *det(scene), *flags, "--out", str(result)])
         file(f"{scene}/track-{run}", result)
         kept = [ln for ln in summary.splitlines() if not ln.startswith("seconds=")]
         text(f"{scene}/track-{run}-summary", "\n".join(kept))
+        return result
+
+    for scene, run, flags in TRACK_RUNS:
+        result = track(scene, run, flags)
         report = trackgraph(tree, ["eval", "--pred", str(result),
                                    "--gt", str(work / scene / "gt.txt")])
         text(f"{scene}/eval-{run}", report)
+    (work / "sparse").mkdir()
+    shift_frames(work / "long" / "det.txt", work / "sparse" / "det.txt",
+                 SPARSE_AFTER, SPARSE_SHIFT)
+    shutil.copyfile(work / "long" / "det.emb", work / "sparse" / "det.emb")
+    track("sparse", "handcrafted", LONG_CLIPS)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         text(f"{scene}/graph-stats-{run}", dump)

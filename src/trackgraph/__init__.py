@@ -9,7 +9,6 @@ metrics.
 
 from trackgraph.core import (
     BoundingBox,
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
@@ -24,7 +23,6 @@ from trackgraph.core import (
 
 __all__ = [
     "BoundingBox",
-    "CompositeNode",
     "Detection",
     "Edge",
     "EdgeKind",

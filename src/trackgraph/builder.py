@@ -23,10 +23,8 @@ from scipy.optimize import linear_sum_assignment
 
 from trackgraph.affinity import AffinityMatrix, step_cost_matrix
 from trackgraph.core import (
-    CompositeNode,
     Edge,
     EdgeKind,
-    NodeKind,
     TrackGraph,
     ValidationError,
     box_rows,
@@ -114,10 +112,7 @@ def associate_frames(
 
 def build_part_graph(detdet_links: Sequence[Edge], dets: DetectionSet) -> TrackGraph:
     """The part graph: detection i as node i, plus the association links."""
-    nodes = tuple(
-        CompositeNode(NodeKind.DET, d, i) for i, d in enumerate(dets.detections)
-    )
-    return TrackGraph(nodes, tuple(detdet_links))
+    return TrackGraph(dets.detections, tuple(detdet_links))
 
 
 def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
@@ -150,11 +145,10 @@ def fully_connected_edge_count(dets: DetectionSet) -> int:
 def dump_graph(graph: TrackGraph) -> str:
     """Line-oriented dump of a part graph: all nodes, then all edges."""
     lines = []
-    for node in graph.nodes:
-        d = node.payload
+    for i, d in enumerate(graph.nodes):
         b = d.box
         lines.append(
-            f"node {node.node_index} det frame={d.frame} "
+            f"node {i} det frame={d.frame} "
             f"box={b.x:g},{b.y:g},{b.w:g},{b.h:g} conf={d.confidence:g}"
         )
     if graph.edges:

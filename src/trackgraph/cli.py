@@ -130,10 +130,7 @@ def _labelled_graphs(dets, cfg: RunConfig):
     """
     tracker = _tracker(cfg)
     primary, secondary = [], []
-    for s in ClipPlan(cfg.clip_len, cfg.overlap).starts(dets.n_frames):
-        sub, _ = dets.slice_frames(s, s + cfg.clip_len)
-        if len(sub) == 0:
-            continue
+    for sub, _ in ClipPlan(cfg.clip_len, cfg.overlap).clips(dets):
         graph, tracklets = tracker.build_graph(sub)
         if graph.edges:
             primary.append((graph_tensors(graph), edge_labels(graph)))

@@ -2,12 +2,13 @@
 
 Boxes live in pixel space as (left, top, width, height). Frames are
 integer time indices starting at 0. A tracklet is its members: a
-strictly time-ordered run of detections, at most one per frame. Its
-span is that of its first and last member, and a trajectory node
-derives the members' mean appearance embedding where it is read. A
-graph edge is a bare (u, v, kind) record over node indices; edge
-descriptors are computed for a whole graph at once by
-mpn.graph_tensors.
+strictly time-ordered run of detections, at most one per frame. The
+nodes of a graph are the detections or tracklets themselves: each
+answers its kind, its inclusive frame span, its first and last box and
+its appearance feature (a tracklet derives the members' mean embedding
+where it is read). A graph edge is a bare (u, v, kind) record over
+node positions; edge descriptors are computed for a whole graph at
+once by mpn.graph_tensors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,13 +106,26 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((ix > 0) & (iy > 0), ratio, 0.0)
 
 
+class NodeKind(Enum):
+    DET = "det"
+    TRAJ = "traj"
+
+
+class EdgeKind(Enum):
+    DET_DET = "det-det"
+    DET_TRAJ = "det-traj"
+    TRAJ_TRAJ = "traj-traj"
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detector output: frame, box, confidence, appearance embedding.
 
-    gt_id is the annotated identity when known, None otherwise.
+    gt_id is the annotated identity when known, None otherwise. As a
+    graph node it spans its own frame.
     """
 
+    kind: ClassVar[NodeKind] = NodeKind.DET
     frame: int
     box: BoundingBox
     confidence: float
@@ -133,6 +147,22 @@ class Detection:
         emb.setflags(write=False)
         object.__setattr__(self, "embedding", emb)
 
+    @property
+    def span(self) -> tuple[int, int]:
+        return (self.frame, self.frame)
+
+    @property
+    def first_box(self) -> BoundingBox:
+        return self.box
+
+    @property
+    def last_box(self) -> BoundingBox:
+        return self.box
+
+    @property
+    def feature(self) -> np.ndarray:
+        return self.embedding
+
 
 @dataclass(frozen=True)
 class Tracklet:
@@ -142,6 +172,7 @@ class Tracklet:
     detection set; -1 marks synthesized (interpolated) members.
     """
 
+    kind: ClassVar[NodeKind] = NodeKind.TRAJ
     id: int
     detections: tuple[Detection, ...]
     det_indices: tuple[int, ...]
@@ -174,12 +205,9 @@ class Tracklet:
         return len(self.detections)
 
     @property
-    def start_frame(self) -> int:
-        return self.detections[0].frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.detections[-1].frame
+    def span(self) -> tuple[int, int]:
+        """Inclusive (first, last) frame span."""
+        return (self.detections[0].frame, self.detections[-1].frame)
 
     @property
     def first_box(self) -> BoundingBox:
@@ -189,57 +217,10 @@ class Tracklet:
     def last_box(self) -> BoundingBox:
         return self.detections[-1].box
 
-
-class NodeKind(Enum):
-    DET = "det"
-    TRAJ = "traj"
-
-
-class EdgeKind(Enum):
-    DET_DET = "det-det"
-    DET_TRAJ = "det-traj"
-    TRAJ_TRAJ = "traj-traj"
-
-
-@dataclass(frozen=True)
-class CompositeNode:
-    """Graph node wrapping either a single detection or a tracklet."""
-
-    kind: NodeKind
-    payload: Union[Detection, Tracklet]
-    node_index: int
-
-    def __post_init__(self):
-        if self.kind is NodeKind.DET and not isinstance(self.payload, Detection):
-            raise ValidationError("det node must wrap a Detection")
-        if self.kind is NodeKind.TRAJ and not isinstance(self.payload, Tracklet):
-            raise ValidationError("traj node must wrap a Tracklet")
-
-    @property
-    def span(self) -> tuple[int, int]:
-        """Inclusive (start, end) frame span."""
-        if self.kind is NodeKind.DET:
-            return (self.payload.frame, self.payload.frame)
-        return (self.payload.start_frame, self.payload.end_frame)
-
-    @property
-    def first_box(self) -> BoundingBox:
-        if self.kind is NodeKind.DET:
-            return self.payload.box
-        return self.payload.first_box
-
-    @property
-    def last_box(self) -> BoundingBox:
-        if self.kind is NodeKind.DET:
-            return self.payload.box
-        return self.payload.last_box
-
     @property
     def feature(self) -> np.ndarray:
-        """Appearance vector: the embedding, or the member mean for tracklets."""
-        if self.kind is NodeKind.DET:
-            return self.payload.embedding
-        return np.mean([d.embedding for d in self.payload.detections], axis=0)
+        """The members' mean appearance embedding."""
+        return np.mean([d.embedding for d in self.detections], axis=0)
 
 
 class Edge(NamedTuple):
@@ -257,22 +238,18 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class TrackGraph:
-    """Immutable composite-node graph.
+    """Immutable graph whose nodes are detections or tracklets themselves.
 
+    Node i is the i-th entry of nodes, and edges name nodes by position.
     Every edge points forward in time (u's span ends strictly before
     v's span starts), so the graph is a DAG by construction; this also
     rules out self-loops. Edges are unique as (u, v, kind).
     """
 
-    nodes: tuple[CompositeNode, ...]
+    nodes: tuple[Union[Detection, Tracklet], ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        for pos, node in enumerate(self.nodes):
-            if node.node_index != pos:
-                raise ValidationError(
-                    f"node at position {pos} carries index {node.node_index}"
-                )
         if not self.edges:
             return
         n = len(self.nodes)

@@ -89,20 +89,6 @@ class DetectionSet:
             return np.empty((0, 0))
         return np.stack([d.embedding for d in self.detections])
 
-    def slice_frames(self, start: int, stop: int) -> tuple["DetectionSet", np.ndarray]:
-        """Subset with frames in [start, stop); keeps original frame values.
-
-        Also returns each kept detection's index in this set.
-        """
-        keep = [
-            (i, d)
-            for i, d in enumerate(self.detections)
-            if start <= d.frame < stop
-        ]
-        idx = np.asarray([i for i, _ in keep], dtype=np.int64)
-        sub = DetectionSet.build([d for _, d in keep], n_frames=min(stop, self.n_frames))
-        return sub, idx
-
 
 def pseudo_embedding(frame: int, box: BoundingBox, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Deterministic unit vector hashed from (frame, box).

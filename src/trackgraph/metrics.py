@@ -156,8 +156,7 @@ def graph_stats(graph: TrackGraph) -> GraphStats:
 class EvalReport:
     """Everything one evaluation run produces.
 
-    mota is None when the ground truth is empty; coverage is None when
-    no graph-level audit was requested.
+    mota is None when the ground truth is empty.
     """
 
     mota: Optional[float]
@@ -167,9 +166,6 @@ class EvalReport:
     fn: int
     ids: int
     gt_count: int
-    edge_count: int = 0
-    node_count: int = 0
-    coverage: Optional[float] = None
 
     def __post_init__(self):
         if self.gt_count > 0:
@@ -178,15 +174,8 @@ class EvalReport:
                 raise ValidationError("mota disagrees with its own counts")
 
 
-def evaluate(
-    pred: DetectionSet,
-    gt: DetectionSet,
-    iou_gate: float = 0.5,
-    graph: Optional[TrackGraph] = None,
-    coverage: Optional[float] = None,
-) -> EvalReport:
+def evaluate(pred: DetectionSet, gt: DetectionSet, iou_gate: float = 0.5) -> EvalReport:
     c = match_frames(pred, gt, iou_gate)
-    stats = graph_stats(graph) if graph is not None else None
     return EvalReport(
         mota=mota(c),
         idf1=idf1(pred, gt, iou_gate),
@@ -195,9 +184,6 @@ def evaluate(
         fn=c.fn,
         ids=c.ids,
         gt_count=c.gt_count,
-        edge_count=stats.edge_count if stats else 0,
-        node_count=stats.node_count if stats else 0,
-        coverage=coverage,
     )
 
 
@@ -205,36 +191,26 @@ def _num(value: Optional[float]) -> str:
     return "undefined" if value is None else repr(float(value))
 
 
+def _rows(r: EvalReport) -> list[tuple[str, str, str]]:
+    """(table label, key, rendered value) per reported metric."""
+    return [
+        ("MOTA", "mota", _num(r.mota)),
+        ("IDF1", "idf1", _num(r.idf1)),
+        ("TP", "tp", str(r.tp)),
+        ("FP", "fp", str(r.fp)),
+        ("FN", "fn", str(r.fn)),
+        ("IDS", "ids", str(r.ids)),
+        ("GT", "gt_count", str(r.gt_count)),
+    ]
+
+
 def render_report(r: EvalReport) -> str:
     """Human-readable two-column table."""
-    rows = [
-        ("MOTA", _num(r.mota)),
-        ("IDF1", _num(r.idf1)),
-        ("TP", str(r.tp)),
-        ("FP", str(r.fp)),
-        ("FN", str(r.fn)),
-        ("IDS", str(r.ids)),
-        ("GT", str(r.gt_count)),
-        ("Nodes", str(r.node_count)),
-        ("Edges", str(r.edge_count)),
-        ("Coverage", _num(r.coverage)),
-    ]
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
+    rows = _rows(r)
+    width = max(len(label) for label, _, _ in rows)
+    return "\n".join(f"{label:<{width}}  {v}" for label, _, v in rows) + "\n"
 
 
 def render_keyvalues(r: EvalReport) -> str:
     """Machine-readable key=value lines, one metric per line."""
-    rows = [
-        ("mota", _num(r.mota)),
-        ("idf1", _num(r.idf1)),
-        ("tp", str(r.tp)),
-        ("fp", str(r.fp)),
-        ("fn", str(r.fn)),
-        ("ids", str(r.ids)),
-        ("gt_count", str(r.gt_count)),
-        ("node_count", str(r.node_count)),
-        ("edge_count", str(r.edge_count)),
-        ("coverage", _num(r.coverage)),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in rows) + "\n"
+    return "".join(f"{k}={v}\n" for _, k, v in _rows(r))

@@ -27,10 +27,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from trackgraph.core import (
-    CompositeNode,
+    Detection,
+    NodeKind,
     NumericError,
     ParseError,
     TrackGraph,
+    Tracklet,
     ValidationError,
     box_rows,
 )
@@ -454,15 +456,16 @@ def backward(
 # ------------------------------------------------------------------ labels
 
 
-def _node_purity(node: CompositeNode):
-    """(gt id, first index/frame, last) when all members share an id."""
-    if node.kind.value == "det":
-        d = node.payload
-        return (d.gt_id, d.frame, d.frame) if d.gt_id is not None else None
-    ids = {d.gt_id for d in node.payload.detections}
+def _members(node: Union[Detection, Tracklet]) -> Sequence[Detection]:
+    return (node,) if node.kind is NodeKind.DET else node.detections
+
+
+def _node_purity(node: Union[Detection, Tracklet]):
+    """(gt id, first frame, last frame) when all members share an id."""
+    ids = {d.gt_id for d in _members(node)}
     if len(ids) != 1 or None in ids:
         return None
-    return (ids.pop(), node.payload.start_frame, node.payload.end_frame)
+    return (ids.pop(), *node.span)
 
 
 def edge_labels(graph: TrackGraph) -> np.ndarray:
@@ -474,17 +477,15 @@ def edge_labels(graph: TrackGraph) -> np.ndarray:
     """
     id_frames: dict[int, set[int]] = {}
     for node in graph.nodes:
-        payload = node.payload
-        dets = (payload,) if node.kind.value == "det" else payload.detections
-        for d in dets:
+        for d in _members(node):
             if d.gt_id is not None:
                 id_frames.setdefault(d.gt_id, set()).add(d.frame)
     sorted_frames = {g: np.asarray(sorted(fs)) for g, fs in id_frames.items()}
 
+    purity = [_node_purity(node) for node in graph.nodes]
     labels = np.zeros(len(graph.edges), dtype=np.int64)
     for k, e in enumerate(graph.edges):
-        pu = _node_purity(graph.nodes[e.u])
-        pv = _node_purity(graph.nodes[e.v])
+        pu, pv = purity[e.u], purity[e.v]
         if pu is None or pv is None or pu[0] != pv[0]:
             continue
         frames = sorted_frames[pu[0]]
@@ -525,21 +526,21 @@ def handcrafted_scores(graph: Union[TrackGraph, GraphTensors]) -> np.ndarray:
 
 
 def save_params(path: Union[str, Path], params: MpnParams) -> None:
-    """Versioned little-endian binary checkpoint (float32 payload)."""
+    """Versioned little-endian binary checkpoint (float32 weights)."""
     head = [params.embed_dim, params.node_dim, params.edge_dim, params.steps]
     shapes: list[int] = []
-    payload = []
+    arrays = []
     for _, mlp in params.components():
         shapes.append(len(mlp.weights))
         shapes.append(1 if mlp.output == "logistic" else 0)
         for w, b in zip(mlp.weights, mlp.biases):
             shapes.extend(w.shape)
-            payload.append(w.astype("<f4").ravel())
-            payload.append(b.astype("<f4"))
+            arrays.append(w.astype("<f4").ravel())
+            arrays.append(b.astype("<f4"))
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(np.asarray(head + shapes, dtype="<u8").tobytes())
-        for arr in payload:
+        for arr in arrays:
             fh.write(arr.tobytes())
 
 
@@ -553,7 +554,7 @@ def load_params(path: Union[str, Path]) -> MpnParams:
         raise _ckpt_error(path)
     # layout mirrors save_params; consume the integer header first. The
     # header length is data-dependent, so read it word by word instead
-    # of viewing the whole remainder as integers (the float32 payload
+    # of viewing the whole remainder as integers (the float32 weights
     # need not align to 8 bytes).
     pos = len(_CKPT_MAGIC)
 

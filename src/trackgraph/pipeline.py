@@ -24,7 +24,7 @@ from trackgraph.core import TrackGraph, Tracklet, ValidationError
 from trackgraph.ingest import DetectionSet
 from trackgraph.metrics import graph_stats
 from trackgraph.mpn import MpnParams, handcrafted_scores, oracle_scores
-from trackgraph.solver import aggregate
+from trackgraph.solver import aggregate, group_tracklets
 
 _MODES = ("auto", "mpn", "handcrafted", "oracle")
 
@@ -100,7 +100,4 @@ class ClipTracker:
             traj_passes=self.traj_passes,
             score_fn=score_fn,
         )
-        groups: dict[int, list[tuple[int, object]]] = {}
-        for i, g in enumerate(ids.tolist()):
-            groups.setdefault(g, []).append((i, dets.detections[i]))
-        return [Tracklet.from_members(g, groups[g]) for g in sorted(groups)]
+        return group_tracklets(dets.detections, ids)

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from trackgraph.core import (
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
@@ -199,22 +198,37 @@ def _relabel(ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_disjoint_edges(traj_nodes: Sequence[CompositeNode]) -> list[Edge]:
+def span_disjoint_edges(traj_nodes: Sequence[Tracklet]) -> list[Edge]:
     """Trajectory edges for every node pair whose frame spans are disjoint.
 
-    Each edge points from the earlier span to the later one; pairs come
-    in node order.
+    Nodes are named by position. Each edge points from the earlier span
+    to the later one; pairs come in node order.
     """
-    index = np.asarray([tn.node_index for tn in traj_nodes], dtype=np.int64)
     spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
     a, b = np.triu_indices(len(traj_nodes), 1)
     a_first = spans[a, 1] < spans[b, 0]
     keep = a_first | (spans[b, 1] < spans[a, 0])
-    u = index[np.where(a_first, a, b)[keep]]
-    v = index[np.where(a_first, b, a)[keep]]
+    u = np.where(a_first, a, b)[keep]
+    v = np.where(a_first, b, a)[keep]
     return [
         Edge(x, y, EdgeKind.TRAJ_TRAJ) for x, y in zip(u.tolist(), v.tolist())
     ]
+
+
+def group_tracklets(
+    detections: Sequence[Detection], det_ids: np.ndarray
+) -> list[Tracklet]:
+    """One tracklet per id, in ascending id order.
+
+    Detection i joins the tracklet of det_ids[i] with index i.
+    """
+    det_ids = np.asarray(det_ids, dtype=np.int64)
+    if det_ids.shape != (len(detections),):
+        raise ValidationError("det_ids must align with detections")
+    members: dict[int, list[tuple[int, Detection]]] = {}
+    for i, g in enumerate(det_ids.tolist()):
+        members.setdefault(g, []).append((i, detections[i]))
+    return [Tracklet.from_members(g, members[g]) for g in sorted(members)]
 
 
 def build_traj_graph(
@@ -225,18 +239,8 @@ def build_traj_graph(
     Every id becomes a tracklet node, length one included; pairs with
     disjoint frame spans connect fully, earlier span first.
     """
-    det_ids = np.asarray(det_ids, dtype=np.int64)
-    if det_ids.shape != (len(detections),):
-        raise ValidationError("det_ids must align with detections")
-    members: dict[int, list[tuple[int, Detection]]] = {}
-    for i, d in enumerate(detections):
-        members.setdefault(int(det_ids[i]), []).append((i, d))
-    nodes = []
-    for p, g in enumerate(sorted(members)):
-        nodes.append(
-            CompositeNode(NodeKind.TRAJ, Tracklet.from_members(g, members[g]), p)
-        )
-    return TrackGraph(tuple(nodes), tuple(span_disjoint_edges(nodes)))
+    nodes = tuple(group_tracklets(detections, det_ids))
+    return TrackGraph(nodes, tuple(span_disjoint_edges(nodes)))
 
 
 def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
@@ -300,10 +304,9 @@ def aggregate(
     det_spans = np.asarray([node.span for node in graph.nodes])
     ids = connected_components_ids(det_spans, positive)
 
-    dets_seq = [node.payload for node in graph.nodes]
     for _ in range(traj_passes):
-        tg = build_traj_graph(dets_seq, ids)
-        if tg.n_traj_nodes <= 1:
+        tg = build_traj_graph(graph.nodes, ids)
+        if len(tg.nodes) <= 1:
             break
         t_scores = run_scores(tg)
         clipped = np.clip(t_scores, 0.0, 1.0).tolist()
@@ -313,7 +316,7 @@ def aggregate(
         ]
         t_spans = np.asarray([node.span for node in tg.nodes])
         gids = connected_components_ids(t_spans, positive)
-        if len(set(gids.tolist())) == tg.n_traj_nodes:
+        if len(set(gids.tolist())) == len(tg.nodes):
             break
         # node p of the trajectory graph holds the p-th smallest id
         ids = gids[np.unique(ids, return_inverse=True)[1]]

@@ -5,13 +5,17 @@ input detections in the frames both cover. That overlap ratio drives a
 bipartite assignment between consecutive clips; matched tracks merge
 under the earlier clip's id, with the later clip owning any frame both
 claim. A detection two output tracks would hold stays with the first.
-Remaining gaps are closed by linear interpolation at the end.
+Only clips that hold a detection are tracked, so a long run of empty
+frames costs nothing. Remaining gaps are closed by linear interpolation
+at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,16 +49,30 @@ class ClipPlan:
     def stride(self) -> int:
         return self.clip_len - self.overlap
 
-    def starts(self, n_frames: int) -> list[int]:
-        """Clip start frames; the last clip reaches the video end."""
-        out = []
-        s = 0
+    def clips(self, dets: DetectionSet) -> Iterator[tuple[DetectionSet, int]]:
+        """The clips that hold a detection, as (clip set, offset) pairs.
+
+        Clips start every stride frames from frame 0, and the last one
+        reaches the video end. A clip set keeps the frames [s, s +
+        clip_len) of dets; detection i of it is detection offset + i of
+        dets. Runs of empty clips are skipped in one step, so the work
+        is bounded by the detections, not by the largest frame.
+        """
+        seq, frame = dets.detections, attrgetter("frame")
+        k = 0
         while True:
-            out.append(s)
-            if s + self.clip_len >= n_frames:
-                break
-            s += self.stride
-        return out
+            s = k * self.stride
+            lo = bisect_left(seq, s, key=frame)
+            if lo == len(seq):
+                return
+            hi = bisect_left(seq, s + self.clip_len, lo, key=frame)
+            if hi > lo:
+                stop = min(s + self.clip_len, dets.n_frames)
+                yield DetectionSet.build(seq[lo:hi], n_frames=stop), lo
+            if s + self.clip_len >= dets.n_frames:
+                return
+            # the first later clip that holds detection lo
+            k = max(k + 1, (seq[lo].frame - self.clip_len) // self.stride + 1)
 
 
 def _assignments(track: Tracklet) -> dict[int, int]:
@@ -167,19 +185,15 @@ def run_clipped(
 ) -> list[Tracklet]:
     """Track a long video clip by clip and fold the results left to right.
 
-    The pipeline sees each clip as its own detection set; its track
-    indices are translated back to the full set before stitching. Gap
-    interpolation runs once, on the final tracks.
+    Only clips that hold a detection are tracked. The pipeline sees each
+    clip as its own detection set; its track indices are translated back
+    to the full set before stitching. Gap interpolation runs once, on
+    the final tracks.
     """
     merged: list[Tracklet] = []
-    for s in plan.starts(dets.n_frames):
-        sub, idx = dets.slice_frames(s, s + plan.clip_len)
-        if len(sub) == 0:
-            continue
+    for sub, offset in plan.clips(dets):
         clip_tracks = [
-            Tracklet.from_members(
-                t.id, [(int(idx[i]), d) for i, d in zip(t.det_indices, t.detections)]
-            )
+            Tracklet(t.id, t.detections, tuple(offset + i for i in t.det_indices))
             for t in pipeline(sub)
         ]
         merged = stitch(merged, clip_tracks) if merged else clip_tracks

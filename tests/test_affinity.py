@@ -207,7 +207,10 @@ def window_averaged(ds, plan, origin):
 @pytest.mark.parametrize("step,start", [(16, 0), (8, 0), (5, 40)])
 def test_lookup_matches_window_averaging_reference(step, start):
     spec = ScenarioSpec(n_objects=4, n_frames=120, seed=21, embedding_noise_sigma=0.1)
-    ds, _ = synthesize(spec).slice_frames(start, start + 80)
+    ds = DetectionSet.build(
+        [d for d in synthesize(spec).detections if start <= d.frame < start + 80],
+        n_frames=start + 80,
+    )
     plan = WindowPlan(clip_len=80, window=32, step=step)
     aff = accumulate_affinity(ds, plan, cosine_scorer, origin=start)
     ref = window_averaged(ds, plan, start)

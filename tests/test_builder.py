@@ -18,7 +18,6 @@ from trackgraph.core import (
     Detection,
     Edge,
     EdgeKind,
-    NodeKind,
     ValidationError,
     iou,
 )
@@ -184,7 +183,7 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
     # node i is detection i, and every edge is an association link
     assert len(part.nodes) == len(dets)
     for node, d in zip(part.nodes, dets.detections):
-        assert node.kind is NodeKind.DET and node.payload is d
+        assert node is d
     assert all(e.kind is EdgeKind.DET_DET for e in part.edges)
     # each detection sits in one tracklet, members in frame order
     assert sorted(i for t in tracks for i in t) == list(range(len(dets)))

@@ -109,6 +109,15 @@ def test_track_prints_stats(tmp_path, capsys):
     assert "seconds" in report
 
 
+def test_track_far_apart_frames_run_two_clips(tmp_path, capsys):
+    det = tmp_path / "far.txt"
+    det.write_text("1,-1,0,0,10,10,1,-1,-1,-1\n"
+                   "1000000000000,-1,0,0,10,10,1,-1,-1,-1\n")
+    assert main(["track", "--det", str(det), "--out", str(tmp_path / "r.txt")]) == 0
+    report = kv(capsys.readouterr().out)
+    assert report["clips"] == "2" and report["tracks"] == "2"
+
+
 def test_track_require_params_without_params_fails(tmp_path):
     data = synth(tmp_path)
     assert track(data, tmp_path / "r.txt", "--require-params") == 2

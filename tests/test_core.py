@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from trackgraph.core import (
     BoundingBox,
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
@@ -150,12 +149,25 @@ def test_tracklet_from_members_orders_and_averages():
     assert t.id == 7
     assert t.detections == (d3, d5)
     assert t.det_indices == (10, 11)
-    assert t.start_frame == 3 and t.end_frame == 5
+    assert t.span == (3, 5)
     assert len(t) == 2
-    # the trajectory node derives the member mean where it is read
-    feature = CompositeNode(NodeKind.TRAJ, t, 0).feature
-    assert np.all(feature == np.mean([d3.embedding, d5.embedding], axis=0))
-    assert np.all(feature == [0.5, 1.0])
+    # a tracklet derives its member mean where it is read
+    assert np.all(t.feature == np.mean([d3.embedding, d5.embedding], axis=0))
+    assert np.all(t.feature == [0.5, 1.0])
+
+
+def test_detection_and_tracklet_answer_node_attributes():
+    d = make_det(4, x=1.0, emb=(0.0, 3.0))
+    assert d.kind is NodeKind.DET
+    assert d.span == (4, 4)
+    assert d.first_box is d.box and d.last_box is d.box
+    assert d.feature is d.embedding
+    first, last = make_det(2, x=5.0, emb=(1.0, 1.0)), make_det(6, x=9.0, emb=(3.0, 1.0))
+    t = Tracklet.from_members(0, [(0, first), (1, d), (2, last)])
+    assert t.kind is NodeKind.TRAJ
+    assert t.span == (2, 6)
+    assert t.first_box is first.box and t.last_box is last.box
+    assert np.all(t.feature == [4.0 / 3.0, 5.0 / 3.0])
 
 
 def test_tracklet_rejects_two_detections_same_frame():
@@ -179,11 +191,7 @@ def span_tracklet(tid, start, end):
 
 def test_graph_construction():
     d0, d1 = make_det(0), make_det(1)
-    nodes = (
-        CompositeNode(NodeKind.DET, d0, 0),
-        CompositeNode(NodeKind.DET, d1, 1),
-        CompositeNode(NodeKind.TRAJ, span_tracklet(0, 3, 5), 2),
-    )
+    nodes = (d0, d1, span_tracklet(0, 3, 5))
     edges = (
         Edge(0, 1, EdgeKind.DET_DET),
         Edge(1, 2, EdgeKind.DET_TRAJ),
@@ -191,33 +199,25 @@ def test_graph_construction():
     g = TrackGraph(nodes, edges)
     assert len(g.nodes) == 3
     assert g.n_traj_nodes == 1
+    assert g.nodes[0] is d0
     assert g.nodes[2].span == (3, 5)
     assert g.edges[1] == (1, 2, EdgeKind.DET_TRAJ)
 
 
 def test_graph_rejects_backward_edge():
-    nodes = (
-        CompositeNode(NodeKind.DET, make_det(5), 0),
-        CompositeNode(NodeKind.DET, make_det(2), 1),
-    )
+    nodes = (make_det(5), make_det(2))
     with pytest.raises(ValidationError):
         TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
 
 
 def test_graph_rejects_same_frame_edge():
-    nodes = (
-        CompositeNode(NodeKind.DET, make_det(2), 0),
-        CompositeNode(NodeKind.DET, make_det(2), 1),
-    )
+    nodes = (make_det(2), make_det(2))
     with pytest.raises(ValidationError):
         TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
 
 
 def test_graph_rejects_duplicate_edge():
-    nodes = (
-        CompositeNode(NodeKind.DET, make_det(0), 0),
-        CompositeNode(NodeKind.DET, make_det(1), 1),
-    )
+    nodes = (make_det(0), make_det(1))
     e = Edge(0, 1, EdgeKind.DET_DET)
     with pytest.raises(ValidationError):
         TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_DET)))
@@ -226,14 +226,8 @@ def test_graph_rejects_duplicate_edge():
 
 
 def test_graph_rejects_dangling_endpoint():
-    nodes = (CompositeNode(NodeKind.DET, make_det(0), 0),)
+    nodes = (make_det(0),)
     with pytest.raises(ValidationError):
         TrackGraph(nodes, (Edge(0, 3, EdgeKind.DET_DET),))
     with pytest.raises(ValidationError):
         TrackGraph(nodes, (Edge(-1, 0, EdgeKind.DET_DET),))
-
-
-def test_graph_rejects_misplaced_node_index():
-    nodes = (CompositeNode(NodeKind.DET, make_det(0), 5),)
-    with pytest.raises(ValidationError):
-        TrackGraph(nodes, ())

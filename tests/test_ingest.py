@@ -165,16 +165,6 @@ def test_detection_set_rejects_mixed_embedding_dims():
         DetectionSet.build([d1, d2])
 
 
-def test_slice_frames_keeps_global_frames_and_indices():
-    spec = ScenarioSpec(n_objects=2, n_frames=30, seed=1)
-    ds = synthesize(spec)
-    sub, idx = ds.slice_frames(10, 20)
-    assert all(10 <= d.frame < 20 for d in sub.detections)
-    assert len(idx) == len(sub)
-    for local, parent in enumerate(idx):
-        assert sub.detections[local] is ds.detections[parent]
-
-
 # --------------------------------------------------------------- synthesis
 
 

@@ -9,11 +9,9 @@ import pytest
 
 from trackgraph.core import (
     BoundingBox,
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
-    NodeKind,
     TrackGraph,
     ValidationError,
 )
@@ -176,17 +174,13 @@ def test_relabeling_changes_nothing():
 # ------------------------------------------------------------ graph stats
 
 
-def det_node(i, frame):
-    return CompositeNode(NodeKind.DET, mk(frame, None), i)
-
-
 def test_graph_stats_empty():
     s = graph_stats(TrackGraph((), ()))
     assert s.node_count == 0 and s.edge_count == 0
 
 
 def test_graph_stats_counts_by_kind():
-    a, b, c = det_node(0, 0), det_node(1, 1), det_node(2, 2)
+    a, b, c = mk(0, None), mk(1, None), mk(2, None)
     edges = (
         Edge(0, 1, EdgeKind.DET_DET),
         Edge(1, 2, EdgeKind.DET_DET),
@@ -212,6 +206,10 @@ def test_evaluate_report_invariant_and_rendering():
     assert "mota=" in kv and "gt_count=10" in kv
     parsed = dict(line.split("=", 1) for line in kv.strip().splitlines())
     assert float(parsed["mota"]) == pytest.approx(0.8)
+    # the report carries no graph-level rows
+    assert not {"node_count", "edge_count", "coverage"} & set(parsed)
+    labels = {line.split()[0] for line in text.strip().splitlines()}
+    assert labels == {"MOTA", "IDF1", "TP", "FP", "FN", "IDS", "GT"}
 
 
 def test_report_undefined_mota_renders():

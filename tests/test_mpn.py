@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from trackgraph.core import (
     BoundingBox,
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
-    NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -48,9 +46,9 @@ def det(frame, box, emb, gt_id=None):
     )
 
 
-def det_node(idx, frame, box=None, emb=(1.0, 0.0), gt_id=None):
+def det_node(frame, box=None, emb=(1.0, 0.0), gt_id=None):
     box = box or BoundingBox(0.0, 0.0, 2.0, 2.0)
-    return CompositeNode(NodeKind.DET, det(frame, box, emb, gt_id), idx)
+    return det(frame, box, emb, gt_id)
 
 
 # ------------------------------------------------------------ edge features
@@ -81,32 +79,32 @@ def edge_features(u, v, kind=EdgeKind.DET_DET):
 def test_edge_features_derived_case():
     # u: box (0,0,2,2) at t=3, f=(1,0); v: box (1,2,4,4) at t=5, f=(0,1)
     # offsets 2*1/(2+4)=1/3 and 2*2/6=2/3, ratios ln2, gap 2, dist sqrt2
-    u = det_node(0, 3, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
-    v = det_node(1, 5, BoundingBox(1, 2, 4, 4), (0.0, 1.0))
+    u = det_node(3, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
+    v = det_node(5, BoundingBox(1, 2, 4, 4), (0.0, 1.0))
     f = edge_features(u, v)
     expect = [1 / 3, 2 / 3, math.log(2), math.log(2), 2.0, math.sqrt(2)]
     assert np.allclose(f, expect, rtol=1e-12, atol=0)
 
 
 def test_edge_features_identical_stationary():
-    u = det_node(0, 0, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
-    v = det_node(1, 1, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
+    u = det_node(0, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
+    v = det_node(1, BoundingBox(5, 5, 3, 3), (1.0, 0.0))
     assert np.allclose(edge_features(u, v), [0, 0, 0, 0, 1, 0])
 
 
 def test_edge_features_scale_invariant_geometry():
-    u1 = det_node(0, 0, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
-    v1 = det_node(1, 1, BoundingBox(1, 2, 4, 4), (1.0, 0.0))
-    u2 = det_node(0, 0, BoundingBox(0, 0, 20, 20), (1.0, 0.0))
-    v2 = det_node(1, 1, BoundingBox(10, 20, 40, 40), (1.0, 0.0))
+    u1 = det_node(0, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
+    v1 = det_node(1, BoundingBox(1, 2, 4, 4), (1.0, 0.0))
+    u2 = det_node(0, BoundingBox(0, 0, 20, 20), (1.0, 0.0))
+    v2 = det_node(1, BoundingBox(10, 20, 40, 40), (1.0, 0.0))
     assert np.allclose(edge_features(u1, v1), edge_features(u2, v2))
 
 
 def test_edge_features_tracklet_uses_boundary_boxes():
     d0 = det(0, BoundingBox(0, 0, 2, 2), (1.0, 0.0))
     d1 = det(1, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
-    tr = CompositeNode(NodeKind.TRAJ, Tracklet.from_members(0, [(0, d0), (1, d1)]), 0)
-    v = det_node(1, 3, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
+    tr = Tracklet.from_members(0, [(0, d0), (1, d1)])
+    v = det_node(3, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
     f = edge_features(tr, v, EdgeKind.DET_TRAJ)
     assert f[0] == pytest.approx(0.0)  # last box of the tracklet already at x=4
     assert f[4] == pytest.approx(2.0)  # frames 1 -> 3
@@ -115,8 +113,8 @@ def test_edge_features_tracklet_uses_boundary_boxes():
 def test_edge_features_reject_non_forward_pair():
     # no descriptor exists for a pair that does not move forward in
     # time: the graph holding it is refused before any is computed
-    u = det_node(0, 5)
-    v = det_node(1, 5)
+    u = det_node(5)
+    v = det_node(5)
     for edge in (Edge(0, 1, EdgeKind.DET_DET), Edge(0, 0, EdgeKind.DET_DET)):
         with pytest.raises(ValidationError):
             TrackGraph((u, v), (edge,))
@@ -138,18 +136,18 @@ def forward_graphs(draw):
     for index in range(draw(st.integers(2, 6))):
         start = draw(st.integers(0, 12))
         if draw(st.booleans()):
-            nodes.append(CompositeNode(NodeKind.DET, detection(start), index))
+            nodes.append(detection(start))
         else:
             steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
             frames = np.cumsum([start] + steps).tolist()
             members = [(k, detection(f)) for k, f in enumerate(frames)]
             tracklet = Tracklet.from_members(index, members)
-            nodes.append(CompositeNode(NodeKind.TRAJ, tracklet, index))
+            nodes.append(tracklet)
     edges = [
-        Edge(a.node_index, b.node_index, EdgeKind.DET_DET)
-        for a in nodes
-        for b in nodes
-        if a.span[1] < b.span[0]
+        Edge(a, b, EdgeKind.DET_DET)
+        for a, na in enumerate(nodes)
+        for b, nb in enumerate(nodes)
+        if na.span[1] < nb.span[0]
     ]
     return TrackGraph(tuple(nodes), tuple(edges))
 
@@ -415,16 +413,7 @@ def build_label_graph():
     d_n0 = det(0, b, (0.5, 0.5), gt_id=None)
     pure = Tracklet.from_members(0, [(0, d_a0), (1, d_a1)])
     mixed = Tracklet.from_members(1, [(3, d_b0), (1, d_a1)])
-    nodes = (
-        CompositeNode(NodeKind.DET, d_a0, 0),
-        CompositeNode(NodeKind.DET, d_a1, 1),
-        CompositeNode(NodeKind.DET, d_a3, 2),
-        CompositeNode(NodeKind.DET, d_b0, 3),
-        CompositeNode(NodeKind.DET, d_b1, 4),
-        CompositeNode(NodeKind.DET, d_n0, 5),
-        CompositeNode(NodeKind.TRAJ, pure, 6),
-        CompositeNode(NodeKind.TRAJ, mixed, 7),
-    )
+    nodes = (d_a0, d_a1, d_a3, d_b0, d_b1, d_n0, pure, mixed)
     edges = (
         Edge(0, 1, EdgeKind.DET_DET),  # consecutive id 7 -> 1
         Edge(1, 2, EdgeKind.DET_DET),  # gap, nothing between -> 1

@@ -74,7 +74,7 @@ def test_untrained_params_still_produce_a_partition():
 
 def test_single_frame_clip_yields_singletons():
     dets = synthesize(ScenarioSpec(n_objects=3, n_frames=2, seed=0))
-    sub, _ = dets.slice_frames(0, 1)
+    sub = DetectionSet.build([d for d in dets.detections if d.frame == 0])
     tracks = ClipTracker()(sub)
     assert len(tracks) == len(sub)
     assert all(len(t) == 1 for t in tracks)

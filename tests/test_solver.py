@@ -7,11 +7,9 @@ from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, 
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
 from trackgraph.core import (
     BoundingBox,
-    CompositeNode,
     Detection,
     Edge,
     EdgeKind,
-    NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -253,7 +251,12 @@ def test_build_traj_graph_groups_and_gates():
     ids = np.asarray([0, 1, 0, 1])
     tg = build_traj_graph(dets.detections, ids)
     assert len(tg.nodes) == tg.n_traj_nodes == 2
+    # node p is the tracklet of the p-th smallest id, its members in order
+    assert [n.detections for n in tg.nodes] == [
+        dets.detections[::2], dets.detections[1::2]]
     assert tg.edges == ()  # spans overlap, gate closed
+    with pytest.raises(ValidationError, match="align"):
+        build_traj_graph(dets.detections, ids[:3])
     rows2 = [det(0, 0.0, 1), det(1, 0.0, 1), det(3, 50.0, 2), det(4, 50.0, 2)]
     dets2 = DetectionSet.build(rows2)
     tg2 = build_traj_graph(dets2.detections, np.asarray([0, 0, 1, 1]))
@@ -305,10 +308,8 @@ def test_aggregate_more_traj_passes_idempotent():
 
 def test_aggregate_refuses_a_trajectory_node():
     rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(2, 0.0, 1)]
-    nodes = [CompositeNode(NodeKind.DET, d, i) for i, d in enumerate(rows)]
     traj = Tracklet.from_members(0, [(0, rows[0]), (1, rows[1])])
-    nodes.append(CompositeNode(NodeKind.TRAJ, traj, 3))
-    graph = TrackGraph(tuple(nodes), (Edge(0, 1, EdgeKind.DET_DET),))
+    graph = TrackGraph((*rows, traj), (Edge(0, 1, EdgeKind.DET_DET),))
     with pytest.raises(ValidationError, match="detection nodes only"):
         aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     # the same graph without the trajectory node is accepted

@@ -7,7 +7,7 @@ is members_a + members_b - intersection.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackgraph.core import BoundingBox, Detection, Tracklet, ValidationError
@@ -39,12 +39,47 @@ def members(track):
 # -------------------------------------------------------------- clip plan
 
 
-def test_clip_plan_starts_cover_the_video():
-    plan = ClipPlan(512, 256)
-    assert plan.starts(700) == [0, 256]
-    assert plan.starts(400) == [0]
-    assert plan.starts(1025) == [0, 256, 512, 768]
-    assert plan.starts(1024) == [0, 256, 512]
+def every_start_clips(dets: DetectionSet, plan: ClipPlan):
+    """Brute force: scan the set at every start until a clip reaches the end.
+
+    Returns (start, member indices, clip n_frames) for each non-empty clip.
+    """
+    out, s = [], 0
+    while True:
+        idx = [i for i, d in enumerate(dets.detections)
+               if s <= d.frame < s + plan.clip_len]
+        if idx:
+            out.append((s, idx, min(s + plan.clip_len, dets.n_frames)))
+        if s + plan.clip_len >= dets.n_frames:
+            return out
+        s += plan.stride
+
+
+# the reference cases have a detection on every frame, so every clip holds
+# one and the clip starts are 0, 256 | 0 | 0, 256, 512, 768 | 0, 256, 512
+@settings(max_examples=200, deadline=None)
+@given(
+    plan=st.integers(2, 20).flatmap(
+        lambda n: st.builds(ClipPlan, st.just(n), st.integers(1, n - 1))),
+    frames=st.lists(st.one_of(st.integers(0, 60), st.integers(0, 5000)),
+                    max_size=8).map(sorted),
+    tail=st.integers(0, 40),
+)
+@example(plan=ClipPlan(512, 256), frames=list(range(700)), tail=0)
+@example(plan=ClipPlan(512, 256), frames=list(range(400)), tail=0)
+@example(plan=ClipPlan(512, 256), frames=list(range(1025)), tail=0)
+@example(plan=ClipPlan(512, 256), frames=list(range(1024)), tail=0)
+def test_clip_plan_clips_match_every_start(plan, frames, tail):
+    dets = DetectionSet.build([det(f, i) for i, f in enumerate(frames)],
+                              n_frames=(frames[-1] + 1 if frames else 0) + tail)
+    expect = every_start_clips(dets, plan)
+    got = list(plan.clips(dets))
+    assert len(got) == len(expect)
+    for (sub, offset), (s, idx, n_frames) in zip(got, expect):
+        assert offset == idx[0]
+        assert sub.detections == tuple(dets.detections[i] for i in idx)
+        assert all(s <= d.frame < s + plan.clip_len for d in sub.detections)
+        assert sub.n_frames == n_frames
 
 
 def test_clip_plan_defaults_and_validation():
@@ -290,6 +325,20 @@ def test_run_clipped_many_clips():
     dets = synthesize(ScenarioSpec(n_objects=2, n_frames=700, seed=5))
     tracks = run_clipped(dets, ClipPlan(256, 128), oracle_pipeline)
     assert partition(dets, tracks) == gt_partition(dets)
+
+
+def test_run_clipped_tracks_only_the_clips_holding_a_detection():
+    far = 10**12
+    dets = DetectionSet.build([det(0, 0), det(far, 1)])
+    calls = []
+
+    def pipeline(sub):
+        calls.append([d.frame for d in sub.detections])
+        return [Tracklet.from_members(0, [(0, sub.detections[0])])]
+
+    tracks = run_clipped(dets, ClipPlan(512, 256), pipeline)
+    assert calls == [[0], [far]]
+    assert [members(t) for t in tracks] == [[(0, 0)], [(far, 1)]]
 
 
 def test_run_clipped_interpolates_occlusion_gaps():
