@@ -62,6 +62,9 @@ LONG_CLIPS = ["--clip-len", "128", "--overlap", "64"]
 TRACK_RUNS = [
     ("long", "mpn", CKPT + LONG_CLIPS),
     ("weak", "handcrafted", []),
+    # message passing and oracle labels over weak's large trajectory graph
+    ("weak", "mpn", CKPT),
+    ("weak", "oracle", ["--oracle"]),
     ("gate700", "handcrafted", []),
     ("gate700", "mpn", CKPT),
     ("gate700", "oracle", ["--oracle"]),

@@ -7,9 +7,9 @@ along the way. The part graph keeps every detection as a node
 only in the solver's trajectory graphs, built from the fragments of
 pass 1 when tracking and from these index lists when training. Every
 edge points forward in time, so the result is a DAG by construction.
-The builder only decides which (u, v, kind) links exist; their
-descriptors are computed later, for the whole graph at once, by
-mpn.graph_tensors.
+The builder only decides which links exist, as two lists of endpoint
+indices; their descriptors are computed later, for the whole graph at
+once, by mpn.graph_tensors.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackgraph.affinity import AffinityMatrix, step_cost_matrix
-from trackgraph.core import (
-    Edge,
-    EdgeKind,
-    TrackGraph,
-    ValidationError,
-    box_rows,
-)
+from trackgraph.core import EdgeKind, TrackGraph, ValidationError, box_rows
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
 
@@ -54,11 +48,12 @@ class BuilderConfig:
 
 def associate_frames(
     dets: DetectionSet, aff: AffinityMatrix, cfg: BuilderConfig
-) -> tuple[list[list[int]], list[Edge]]:
+) -> tuple[list[list[int]], tuple[list[int], list[int]]]:
     """Greedy-over-time association into tracklets plus candidate links.
 
     Each tracklet comes back as the list of its members' detection
-    indices, in frame order.
+    indices, in frame order; the links come back as (u, v), two aligned
+    lists of their endpoints' detection indices.
 
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
@@ -70,13 +65,14 @@ def associate_frames(
     that frame, which caps the link count at len(dets) * (top_k + 1).
     """
     if len(dets) == 0:
-        return [], []
+        return [], ([], [])
     boxes = box_rows(d.box for d in dets.detections)
     frame_of = [d.frame for d in dets.detections]
     # each track's members (detection indices) are appended in frame order
     tracks: list[list[int]] = []
     last_frame = np.empty(len(dets), dtype=np.int64)
-    links: list[Edge] = []
+    link_u: list[int] = []
+    link_v: list[int] = []
     frames = sorted(dets.by_frame)
     first = frames[0]
     for t in frames:
@@ -97,22 +93,23 @@ def associate_frames(
                 if -cost[r, c] < cfg.new_track_threshold:
                     continue
                 v = int(idxs[c])
-                targets = {v} | set(idxs[top[r]].tolist())
-                links.extend(
-                    Edge(last[r], v_idx, EdgeKind.DET_DET) for v_idx in sorted(targets)
-                )
+                targets = sorted({v} | set(idxs[top[r]].tolist()))
+                link_u.extend([last[r]] * len(targets))
+                link_v.extend(targets)
                 tracks[active[r]].append(v)
                 last_frame[active[r]] = t
                 taken.add(int(c))
         new = [[int(j)] for c, j in enumerate(idxs) if c not in taken]
         last_frame[len(tracks): len(tracks) + len(new)] = t
         tracks.extend(new)
-    return tracks, links
+    return tracks, (link_u, link_v)
 
 
-def build_part_graph(detdet_links: Sequence[Edge], dets: DetectionSet) -> TrackGraph:
-    """The part graph: detection i as node i, plus the association links."""
-    return TrackGraph(dets.detections, tuple(detdet_links))
+def build_part_graph(
+    links: tuple[Sequence[int], Sequence[int]], dets: DetectionSet
+) -> TrackGraph:
+    """The part graph: detection i as node i, plus the (u, v) links."""
+    return TrackGraph(dets.detections, *links)
 
 
 def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
@@ -131,7 +128,7 @@ def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
     ]
     if not pairs:
         return 1.0
-    edge_set = {(e.u, e.v) for e in graph.edges}
+    edge_set = set(zip(graph.u.tolist(), graph.v.tolist()))
     return sum(p in edge_set for p in pairs) / len(pairs)
 
 
@@ -151,9 +148,11 @@ def dump_graph(graph: TrackGraph) -> str:
             f"node {i} det frame={d.frame} "
             f"box={b.x:g},{b.y:g},{b.w:g},{b.h:g} conf={d.confidence:g}"
         )
-    if graph.edges:
-        for e, row in zip(graph.edges, graph_tensors(graph).feats):
+    if graph.n_edges:
+        kind = EdgeKind.DET_DET.value
+        rows = zip(graph.u.tolist(), graph.v.tolist(), graph_tensors(graph).feats)
+        for u, v, row in rows:
             feats = ",".join(f"{x:g}" for x in row)
             # the format keeps a score field; a built graph is unscored
-            lines.append(f"edge {e.u} {e.v} {e.kind.value} f={feats} score=none")
+            lines.append(f"edge {u} {v} {kind} f={feats} score=none")
     return "\n".join(lines) + ("\n" if lines else "")

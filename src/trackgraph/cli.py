@@ -132,10 +132,10 @@ def _labelled_graphs(dets, cfg: RunConfig):
     primary, secondary = [], []
     for sub, _ in ClipPlan(cfg.clip_len, cfg.overlap).clips(dets):
         graph, tracklets = tracker.build_graph(sub)
-        if graph.edges:
+        if graph.n_edges:
             primary.append((graph_tensors(graph), edge_labels(graph)))
         frag = build_traj_graph(sub.detections, tracklet_ids(tracklets, len(sub)))
-        if frag.edges:
+        if frag.n_edges:
             secondary.append((graph_tensors(frag), edge_labels(frag)))
     return primary, secondary
 

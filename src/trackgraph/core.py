@@ -6,9 +6,10 @@ strictly time-ordered run of detections, at most one per frame. The
 nodes of a graph are the detections or tracklets themselves: each
 answers its kind, its inclusive frame span, its first and last box and
 its appearance feature (a tracklet derives the members' mean embedding
-where it is read). A graph edge is a bare (u, v, kind) record over
-node positions; edge descriptors are computed for a whole graph at
-once by mpn.graph_tensors.
+where it is read). A graph's edges are two aligned arrays of node
+positions, u and v; an edge's kind follows from its endpoints' node
+kinds, and edge descriptors are computed for a whole graph at once by
+mpn.graph_tensors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -224,11 +226,10 @@ class Tracklet:
 
 
 class Edge(NamedTuple):
-    """Directed link u -> v between two node indices.
+    """Directed link u -> v between two node indices, with its kind.
 
-    An edge is only which nodes it joins and what kind of link it is;
-    its numeric descriptor is computed for all edges at once by
-    mpn.graph_tensors.
+    Only TrackGraph.edges makes these, as a record view of the graph's
+    endpoint arrays.
     """
 
     u: int
@@ -236,31 +237,51 @@ class Edge(NamedTuple):
     kind: EdgeKind
 
 
-@dataclass(frozen=True)
+def _endpoints(name: str, values) -> np.ndarray:
+    """A read-only 1-d int64 copy of one endpoint array."""
+    raw = np.asarray(values)
+    if raw.ndim != 1:
+        raise ValidationError(f"edge endpoints {name} must be a 1-d array")
+    if raw.size and not np.issubdtype(raw.dtype, np.integer):
+        raise ValidationError(f"edge endpoints {name} must be integers")
+    out = raw.astype(np.int64)  # always a copy: nobody else holds it
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class TrackGraph:
     """Immutable graph whose nodes are detections or tracklets themselves.
 
-    Node i is the i-th entry of nodes, and edges name nodes by position.
-    Every edge points forward in time (u's span ends strictly before
-    v's span starts), so the graph is a DAG by construction; this also
-    rules out self-loops. Edges are unique as (u, v, kind).
+    Node i is the i-th entry of nodes. Edge k runs from node u[k] to
+    node v[k]; u and v are read-only int64 arrays of equal length. Every
+    edge points forward in time (u's span ends strictly before v's span
+    starts), so the graph is a DAG by construction; this also rules out
+    self-loops. No (u, v) pair repeats.
     """
 
     nodes: tuple[Union[Detection, Tracklet], ...]
-    edges: tuple[Edge, ...]
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        if not self.edges:
+        u, v = _endpoints("u", self.u), _endpoints("v", self.v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        if u.size != v.size:
+            raise ValidationError(
+                f"edge endpoints must align, got {u.size} u and {v.size} v"
+            )
+        if not u.size:
             return
         n = len(self.nodes)
-        u, v, _ = zip(*self.edges)
-        u, v = np.asarray(u), np.asarray(v)
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():
             k = int(np.argmax(bad))
             raise ValidationError(f"edge ({u[k]}, {v[k]}) endpoint out of range")
-        if len(set(self.edges)) < len(self.edges):
-            raise ValidationError("graph repeats a (u, v, kind) edge")
+        keys = np.sort(u * n + v)
+        if (keys[1:] == keys[:-1]).any():
+            raise ValidationError("graph repeats a (u, v) edge")
         spans = np.asarray([node.span for node in self.nodes], dtype=np.int64)
         back = spans[u, 1] >= spans[v, 0]
         if back.any():
@@ -268,6 +289,24 @@ class TrackGraph:
             raise ValidationError(
                 f"edge ({u[k]}, {v[k]}) does not move forward in time"
             )
+
+    @property
+    def n_edges(self) -> int:
+        return self.u.size
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as Edge(u, v, kind) records, built on first read.
+
+        The kind follows from the endpoints: two detections make
+        DET_DET, two tracklets TRAJ_TRAJ, one of each DET_TRAJ.
+        """
+        traj = [node.kind is NodeKind.TRAJ for node in self.nodes]
+        kinds = (EdgeKind.DET_DET, EdgeKind.DET_TRAJ, EdgeKind.TRAJ_TRAJ)
+        return tuple(
+            Edge(a, b, kinds[traj[a] + traj[b]])
+            for a, b in zip(self.u.tolist(), self.v.tolist())
+        )
 
     @property
     def n_traj_nodes(self) -> int:

@@ -2,9 +2,11 @@
 
 Text rows follow the usual challenge layout
 ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z`` with 1-based
-frames on disk and 0-based frames in memory. An id of -1 means
-"unlabelled". The embedding sidecar is little-endian binary: two uint64
-(row count, dimension) followed by float32 rows in detection order.
+frames on disk and 0-based frames in memory. Fields are read as floats,
+so a frame on disk may be at most 2**53: past it, floats skip integers.
+An id of -1 means "unlabelled". The embedding sidecar is little-endian
+binary: two uint64 (row count, dimension) followed by float32 rows in
+detection order.
 
 Synthetic scenarios draw constant-velocity box tracks that bounce off
 the arena walls, attach identity-anchored unit embeddings with optional
@@ -32,6 +34,7 @@ from trackgraph.core import (
     ValidationError,
 )
 
+_MAX_FRAME = 2**53
 _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
 
@@ -160,6 +163,10 @@ def parse_mot(
                 raise ParseError(f"bad numeric field ({exc})", line_no) from None
             if frame < 1:
                 raise ParseError(f"frame must be >= 1 on disk, got {frame}", line_no)
+            if frame > _MAX_FRAME:
+                raise ParseError(
+                    f"frame must be <= {_MAX_FRAME} on disk, got {frame}", line_no
+                )
             try:
                 box = BoundingBox(x, y, w, h)
             except ValidationError as exc:

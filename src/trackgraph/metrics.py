@@ -149,7 +149,7 @@ class GraphStats:
 
 
 def graph_stats(graph: TrackGraph) -> GraphStats:
-    return GraphStats(len(graph.nodes), len(graph.edges))
+    return GraphStats(len(graph.nodes), graph.n_edges)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Edges carry a 6-feature descriptor (height-normalised offsets, log size
 ratios, frame gap, appearance distance). graph_tensors computes it for
 every edge of a graph in one array pass while it packs the graph for
-the network; a core.Edge holds only (u, v, kind). Node states start as
+the network from the graph's u/v endpoint arrays. Node states start as
 an affine projection of the appearance embedding; edge states start as
 an encoded feature vector. Each step updates every edge from its
 endpoints, then every node from directional message sums: messages
@@ -261,8 +261,7 @@ def graph_tensors(graph: TrackGraph) -> GraphTensors:
         raise ValidationError("graph has no nodes")
     node_feat = np.stack([node.feature for node in graph.nodes])
     spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64)
-    u = np.asarray([e.u for e in graph.edges], dtype=np.int64)
-    v = np.asarray([e.v for e in graph.edges], dtype=np.int64)
+    u, v = graph.u, graph.v
     bu = box_rows(node.last_box for node in graph.nodes)[u]
     bv = box_rows(node.first_box for node in graph.nodes)[v]
     denom = bu[:, 3] + bv[:, 3]
@@ -483,9 +482,9 @@ def edge_labels(graph: TrackGraph) -> np.ndarray:
     sorted_frames = {g: np.asarray(sorted(fs)) for g, fs in id_frames.items()}
 
     purity = [_node_purity(node) for node in graph.nodes]
-    labels = np.zeros(len(graph.edges), dtype=np.int64)
-    for k, e in enumerate(graph.edges):
-        pu, pv = purity[e.u], purity[e.v]
+    labels = np.zeros(graph.n_edges, dtype=np.int64)
+    for k, (a, b) in enumerate(zip(graph.u.tolist(), graph.v.tolist())):
+        pu, pv = purity[a], purity[b]
         if pu is None or pv is None or pu[0] != pv[0]:
             continue
         frames = sorted_frames[pu[0]]

@@ -72,7 +72,7 @@ class ClipTracker:
         index lists; an empty set gives an empty graph.
         """
         if len(dets) == 0:
-            return TrackGraph((), ()), []
+            return TrackGraph((), (), ()), []
         frames = sorted(dets.by_frame)
         span = frames[-1] - frames[0] + 1
         window = min(self.window, span)

@@ -21,8 +21,6 @@ import numpy as np
 
 from trackgraph.core import (
     Detection,
-    Edge,
-    EdgeKind,
     NodeKind,
     TrackGraph,
     Tracklet,
@@ -198,21 +196,20 @@ def _relabel(ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_disjoint_edges(traj_nodes: Sequence[Tracklet]) -> list[Edge]:
+def span_disjoint_edges(
+    traj_nodes: Sequence[Tracklet],
+) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory edges for every node pair whose frame spans are disjoint.
 
-    Nodes are named by position. Each edge points from the earlier span
-    to the later one; pairs come in node order.
+    Returns the (u, v) endpoint arrays, naming nodes by position. Each
+    edge points from the earlier span to the later one; pairs come in
+    node order (that of np.triu_indices).
     """
     spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
     a, b = np.triu_indices(len(traj_nodes), 1)
     a_first = spans[a, 1] < spans[b, 0]
     keep = a_first | (spans[b, 1] < spans[a, 0])
-    u = np.where(a_first, a, b)[keep]
-    v = np.where(a_first, b, a)[keep]
-    return [
-        Edge(x, y, EdgeKind.TRAJ_TRAJ) for x, y in zip(u.tolist(), v.tolist())
-    ]
+    return np.where(a_first, a, b)[keep], np.where(a_first, b, a)[keep]
 
 
 def group_tracklets(
@@ -237,10 +234,11 @@ def build_traj_graph(
     """Trajectory-level graph: one node per id, edges where spans allow.
 
     Every id becomes a tracklet node, length one included; pairs with
-    disjoint frame spans connect fully, earlier span first.
+    disjoint frame spans connect fully, earlier span first, in the
+    order span_disjoint_edges gives.
     """
     nodes = tuple(group_tracklets(detections, det_ids))
-    return TrackGraph(nodes, tuple(span_disjoint_edges(nodes)))
+    return TrackGraph(nodes, *span_disjoint_edges(nodes))
 
 
 def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
@@ -297,7 +295,7 @@ def aggregate(
         return forward(g, params)[1]
 
     scores = np.clip(run_scores(graph), 0.0, 1.0).tolist()
-    det_edges = tuple((e.u, e.v, s) for e, s in zip(graph.edges, scores))
+    det_edges = tuple(zip(graph.u.tolist(), graph.v.tolist(), scores))
     problem = RoundingProblem(n_det, det_edges)
     labels = greedy_round(problem, eps)
     positive = [det_edges[k] for k in np.flatnonzero(labels)]
@@ -309,11 +307,12 @@ def aggregate(
         if len(tg.nodes) <= 1:
             break
         t_scores = run_scores(tg)
-        clipped = np.clip(t_scores, 0.0, 1.0).tolist()
-        positive = [
-            (tg.edges[k].u, tg.edges[k].v, clipped[k])
-            for k in np.flatnonzero(t_scores > eps).tolist()
-        ]
+        keep = t_scores > eps
+        positive = list(zip(
+            tg.u[keep].tolist(),
+            tg.v[keep].tolist(),
+            np.clip(t_scores[keep], 0.0, 1.0).tolist(),
+        ))
         t_spans = np.asarray([node.span for node in tg.nodes])
         gids = connected_components_ids(t_spans, positive)
         if len(set(gids.tolist())) == len(tg.nodes):

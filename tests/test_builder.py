@@ -79,8 +79,7 @@ def test_single_object_two_frames_one_link():
     aff = oracle_affinity(dets, clip_len=2)
     tracks, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
     assert tracks == [[0, 1]]
-    assert [(e.u, e.v) for e in links] == [(0, 1)]
-    assert links[0].kind is EdgeKind.DET_DET
+    assert links == ([0], [1])
 
 
 def test_crossing_objects_keep_identities():
@@ -101,7 +100,7 @@ def test_unrelated_detection_starts_new_track_without_links():
     aff = oracle_affinity(dets, clip_len=2)
     tracks, links = associate_frames(dets, aff, BuilderConfig())
     assert tracks == [[0], [1]]
-    assert links == []
+    assert links == ([], [])
 
 
 def test_threshold_gates_acceptance():
@@ -145,19 +144,24 @@ def test_detdet_bound_and_dag_on_noisy_scenario():
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     cfg = BuilderConfig(top_k=2)
     _, links = associate_frames(dets, aff, cfg)
-    assert len(links) <= len(dets) * (cfg.top_k + 1)
+    assert len(links[0]) == len(links[1]) <= len(dets) * (cfg.top_k + 1)
     graph = build_part_graph(links, dets)
-    for e in graph.edges:  # forward in time, already enforced on build
-        assert graph.nodes[e.u].span[1] < graph.nodes[e.v].span[0]
+    for u, v in zip(graph.u, graph.v):  # forward in time, already enforced on build
+        assert graph.nodes[u].span[1] < graph.nodes[v].span[0]
+
+
+def records(graph, kind):
+    """The Edge records the graph's endpoint arrays stand for."""
+    return tuple(Edge(u, v, kind) for u, v in zip(graph.u.tolist(), graph.v.tolist()))
 
 
 def assert_forward_dag(graph):
-    """Endpoints in range, (u, v, kind) unique, every frame gap >= 1."""
+    """Endpoints in range, (u, v) unique, every frame gap >= 1."""
     g = graph_tensors(graph)
     n = len(graph.nodes)
     assert np.all((0 <= g.u) & (g.u < n) & (0 <= g.v) & (g.v < n))
-    keys = {(e.u, e.v, e.kind) for e in graph.edges}
-    assert len(keys) == len(graph.edges)
+    keys = set(zip(graph.u.tolist(), graph.v.tolist()))
+    assert len(keys) == graph.n_edges
     assert np.all(g.feats[:, 4] >= 1.0)
     assert np.array_equal(g.feats[:, 4], g.spans[g.v, 0] - g.spans[g.u, 1])
 
@@ -184,7 +188,7 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
     assert len(part.nodes) == len(dets)
     for node, d in zip(part.nodes, dets.detections):
         assert node is d
-    assert all(e.kind is EdgeKind.DET_DET for e in part.edges)
+    assert part.edges == records(part, EdgeKind.DET_DET)
     # each detection sits in one tracklet, members in frame order
     assert sorted(i for t in tracks for i in t) == list(range(len(dets)))
     for t in tracks:
@@ -200,7 +204,9 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
             assert group == {t[0]}
     # the builder's tracklets, and every detection on its own
     for ids in (ids, np.arange(len(dets))):
-        assert_forward_dag(build_traj_graph(dets.detections, ids))
+        traj = build_traj_graph(dets.detections, ids)
+        assert_forward_dag(traj)
+        assert traj.edges == records(traj, EdgeKind.TRAJ_TRAJ)
 
 
 def reference_associate_frames(dets, aff, cfg):
@@ -210,7 +216,7 @@ def reference_associate_frames(dets, aff, cfg):
     all its members, its appearance mean comes from its own lookup, and
     every last-box overlap from a scalar iou call.
     """
-    tracks, links = [], []
+    tracks, link_u, link_v = [], [], []
     frames = sorted(dets.by_frame)
     first = frames[0]
     for t in frames:
@@ -238,13 +244,14 @@ def reference_associate_frames(dets, aff, cfg):
                 track = tracks[active[r]]
                 order = np.argsort(-m_bar[r], kind="stable")[: cfg.top_k]
                 targets = {int(idxs[c])} | {int(idxs[c2]) for c2 in order}
-                links.extend(Edge(track[-1][0], v, EdgeKind.DET_DET)
-                             for v in sorted(targets))
+                for v in sorted(targets):
+                    link_u.append(track[-1][0])
+                    link_v.append(v)
                 track.append((int(idxs[c]), dets.detections[int(idxs[c])]))
                 taken.add(int(c))
         tracks.extend([(int(j), dets.detections[int(j)])]
                       for c, j in enumerate(idxs) if c not in taken)
-    return [[i for i, _ in mem] for mem in tracks], links
+    return [[i for i, _ in mem] for mem in tracks], (link_u, link_v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,9 +287,9 @@ def test_empty_set_round_trips():
     dets = DetectionSet.build([])
     aff = oracle_affinity(dets, clip_len=1)
     tracks, links = associate_frames(dets, aff, BuilderConfig())
-    assert tracks == [] and links == []
+    assert tracks == [] and links == ([], [])
     graph = build_part_graph(links, dets)
-    assert graph.nodes == () and graph.edges == ()
+    assert graph.nodes == () and graph.n_edges == 0
     assert dump_graph(graph) == ""
 
 
@@ -307,8 +314,8 @@ def test_coverage_full_on_clean_tracks():
 
 def test_coverage_zero_without_edges():
     dets = make_set([det(0, 0.0, 1), det(1, 0.0, 1)])
-    graph = build_part_graph([], dets)
-    assert graph.edges == ()
+    graph = build_part_graph(([], []), dets)
+    assert graph.n_edges == 0
     assert edge_coverage(graph, dets) == 0.0
 
 
@@ -316,7 +323,7 @@ def test_coverage_requires_ground_truth():
     d = Detection(frame=0, box=BoundingBox(0, 0, 2, 2), confidence=1.0,
                   embedding=np.asarray([1.0, 0.0]), gt_id=None)
     dets = DetectionSet.build([d])
-    graph = build_part_graph([], dets)
+    graph = build_part_graph(([], []), dets)
     with pytest.raises(ValidationError):
         edge_coverage(graph, dets)
 
@@ -346,7 +353,7 @@ def test_part_graph_stays_below_fully_connected():
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     _, links = associate_frames(dets, aff, BuilderConfig())
     graph = build_part_graph(links, dets)
-    assert len(graph.edges) < fully_connected_edge_count(dets)
+    assert graph.n_edges < fully_connected_edge_count(dets)
 
 
 # -------------------------------------------------------------- text dump
@@ -355,7 +362,7 @@ def test_part_graph_stays_below_fully_connected():
 def test_dump_graph_lists_nodes_then_edges():
     dets, graph = disjoint_pair_fixture()
     lines = dump_graph(graph).strip().split("\n")
-    assert len(lines) == len(graph.nodes) + len(graph.edges) == 6 + 4
+    assert len(lines) == len(graph.nodes) + graph.n_edges == 6 + 4
     assert lines[0].startswith("node 0 det frame=0")
     assert all(line.startswith(f"node {i} det ") for i, line in enumerate(lines[:6]))
     assert lines[6].startswith("edge 0 1 det-det f=")

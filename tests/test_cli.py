@@ -136,6 +136,11 @@ def test_track_malformed_input_exits_two(tmp_path, capsys):
     bad.write_text("\n".join(rows[:2] + ["inf" + rows[2][1:]] + rows[3:]) + "\n")
     assert main(["track", "--det", str(bad), "--out", str(tmp_path / "r.txt")]) == 2
     assert "line 3" in capsys.readouterr().err
+    # frames 1 and 10**20: the second is past the int64 range
+    far = tmp_path / "far.txt"
+    far.write_text(rows[0] + "\n" + str(10**20) + rows[1][1:] + "\n")
+    assert main(["track", "--det", str(far), "--out", str(tmp_path / "r.txt")]) == 2
+    assert "line 2" in capsys.readouterr().err
     # the sidecar payload ends inside a float32 value
     emb = tmp_path / "cut.emb"
     emb.write_bytes((data / "det.emb").read_bytes()[:-1])

@@ -16,6 +16,7 @@ from trackgraph.core import (
     iou,
     iou_matrix,
 )
+from trackgraph.mpn import graph_tensors
 
 
 def make_det(frame, x=0.0, y=0.0, w=10.0, h=10.0, emb=(1.0, 0.0), gt_id=None):
@@ -192,42 +193,109 @@ def span_tracklet(tid, start, end):
 def test_graph_construction():
     d0, d1 = make_det(0), make_det(1)
     nodes = (d0, d1, span_tracklet(0, 3, 5))
-    edges = (
-        Edge(0, 1, EdgeKind.DET_DET),
-        Edge(1, 2, EdgeKind.DET_TRAJ),
-    )
-    g = TrackGraph(nodes, edges)
+    g = TrackGraph(nodes, [0, 1], [1, 2])
     assert len(g.nodes) == 3
     assert g.n_traj_nodes == 1
     assert g.nodes[0] is d0
     assert g.nodes[2].span == (3, 5)
-    assert g.edges[1] == (1, 2, EdgeKind.DET_TRAJ)
+    assert g.n_edges == 2
+    assert g.u.dtype == g.v.dtype == np.int64
+    # the record view derives each kind from the endpoints' node kinds
+    assert g.edges == (
+        Edge(0, 1, EdgeKind.DET_DET),
+        Edge(1, 2, EdgeKind.DET_TRAJ),
+    )
 
 
 def test_graph_rejects_backward_edge():
     nodes = (make_det(5), make_det(2))
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
+        TrackGraph(nodes, [0], [1])
 
 
 def test_graph_rejects_same_frame_edge():
     nodes = (make_det(2), make_det(2))
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 1, EdgeKind.DET_DET),))
+        TrackGraph(nodes, [0], [1])
 
 
 def test_graph_rejects_duplicate_edge():
     nodes = (make_det(0), make_det(1))
-    e = Edge(0, 1, EdgeKind.DET_DET)
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_DET)))
-    # the same endpoints under another kind are a different edge
-    TrackGraph(nodes, (e, Edge(0, 1, EdgeKind.DET_TRAJ)))
+        TrackGraph(nodes, [0, 0], [1, 1])
 
 
 def test_graph_rejects_dangling_endpoint():
     nodes = (make_det(0),)
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(0, 3, EdgeKind.DET_DET),))
+        TrackGraph(nodes, [0], [3])
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, (Edge(-1, 0, EdgeKind.DET_DET),))
+        TrackGraph(nodes, [-1], [0])
+
+
+def test_graph_rejects_malformed_endpoint_arrays():
+    nodes = (make_det(0), make_det(1))
+    for u, v in (([0], []), ([0.0], [1.0]), ([[0]], [[1]]), ([True], [True])):
+        with pytest.raises(ValidationError):
+            TrackGraph(nodes, u, v)
+
+
+def test_graph_endpoints_are_read_only_copies():
+    u, v = np.asarray([0, 0]), np.asarray([1, 2])
+    g = TrackGraph((make_det(0), make_det(1), make_det(2)), u, v)
+    u[0] = 1  # the caller's array stays the caller's
+    assert g.u.tolist() == [0, 0]
+    tensors = graph_tensors(g)
+    for arr in (g.u, g.v, tensors.u, tensors.v):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def brute_force_accepts(nodes, u, v):
+    """The graph invariants, checked edge by edge."""
+    seen = set()
+    for a, b in zip(u, v):
+        if not (0 <= a < len(nodes) and 0 <= b < len(nodes)):
+            return False
+        if (a, b) in seen or nodes[a].span[1] >= nodes[b].span[0]:
+            return False
+        seen.add((a, b))
+    return True
+
+
+@st.composite
+def graph_parts(draw):
+    """Nodes and (u, v) lists: mostly forward pairs, some repeated, some stray."""
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 3)), min_size=1, max_size=6
+    ))
+    nodes = tuple(
+        make_det(start) if length == 0 else span_tracklet(k, start, start + length)
+        for k, (start, length) in enumerate(spans)
+    )
+    n = len(nodes)
+    forward = [
+        (a, b) for a in range(n) for b in range(n)
+        if nodes[a].span[1] < nodes[b].span[0]
+    ]
+    picked = draw(st.lists(
+        st.sampled_from(forward), max_size=8, unique=draw(st.booleans())
+    )) if forward else []
+    if draw(st.integers(0, 3)) == 0:
+        picked.append(draw(st.tuples(st.integers(-1, n), st.integers(-1, n))))
+    pairs = draw(st.permutations(picked))
+    return nodes, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_parts())
+def test_graph_accepts_exactly_what_a_per_edge_check_accepts(parts):
+    nodes, u, v = parts
+    try:
+        g = TrackGraph(nodes, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
+    except ValidationError:
+        assert not brute_force_accepts(nodes, u, v)
+    else:
+        assert brute_force_accepts(nodes, u, v)
+        assert g.u.tolist() == u and g.v.tolist() == v

@@ -56,6 +56,16 @@ def test_parse_reports_line_number_for_malformed_row(tmp_path):
             parse_mot(p)
 
 
+def test_parse_bounds_frames_by_exact_float_integers(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{2**53},1,0,0,5,5,1.0,-1,-1,-1\n")
+    assert parse_mot(p).detections[-1].frame == 2**53 - 1
+    for frame in (2**53 + 2, 10**20):
+        p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{frame},1,0,0,5,5,1.0,-1,-1,-1\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_mot(p)
+
+
 def test_parse_rejects_nonpositive_box(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,1,0,0,0,5,1.0,-1,-1,-1\n")

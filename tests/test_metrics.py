@@ -10,8 +10,6 @@ import pytest
 from trackgraph.core import (
     BoundingBox,
     Detection,
-    Edge,
-    EdgeKind,
     TrackGraph,
     ValidationError,
 )
@@ -175,17 +173,13 @@ def test_relabeling_changes_nothing():
 
 
 def test_graph_stats_empty():
-    s = graph_stats(TrackGraph((), ()))
+    s = graph_stats(TrackGraph((), (), ()))
     assert s.node_count == 0 and s.edge_count == 0
 
 
 def test_graph_stats_counts_by_kind():
     a, b, c = mk(0, None), mk(1, None), mk(2, None)
-    edges = (
-        Edge(0, 1, EdgeKind.DET_DET),
-        Edge(1, 2, EdgeKind.DET_DET),
-    )
-    s = graph_stats(TrackGraph((a, b, c), edges))
+    s = graph_stats(TrackGraph((a, b, c), [0, 1], [1, 2]))
     assert (s.node_count, s.edge_count) == (3, 2)
 
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from trackgraph.core import (
     BoundingBox,
     Detection,
-    Edge,
-    EdgeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -71,9 +69,9 @@ def reference_features(u, v):
     )
 
 
-def edge_features(u, v, kind=EdgeKind.DET_DET):
+def edge_features(u, v):
     """Descriptor of the edge u -> v of a two-node graph (u is node 0)."""
-    return graph_tensors(TrackGraph((u, v), (Edge(0, 1, kind),))).feats[0]
+    return graph_tensors(TrackGraph((u, v), [0], [1])).feats[0]
 
 
 def test_edge_features_derived_case():
@@ -105,7 +103,7 @@ def test_edge_features_tracklet_uses_boundary_boxes():
     d1 = det(1, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
     tr = Tracklet.from_members(0, [(0, d0), (1, d1)])
     v = det_node(3, BoundingBox(4, 0, 2, 2), (1.0, 0.0))
-    f = edge_features(tr, v, EdgeKind.DET_TRAJ)
+    f = edge_features(tr, v)
     assert f[0] == pytest.approx(0.0)  # last box of the tracklet already at x=4
     assert f[4] == pytest.approx(2.0)  # frames 1 -> 3
 
@@ -115,9 +113,9 @@ def test_edge_features_reject_non_forward_pair():
     # time: the graph holding it is refused before any is computed
     u = det_node(5)
     v = det_node(5)
-    for edge in (Edge(0, 1, EdgeKind.DET_DET), Edge(0, 0, EdgeKind.DET_DET)):
+    for a, b in ((0, 1), (0, 0)):
         with pytest.raises(ValidationError):
-            TrackGraph((u, v), (edge,))
+            TrackGraph((u, v), [a], [b])
 
 
 @st.composite
@@ -143,22 +141,22 @@ def forward_graphs(draw):
             members = [(k, detection(f)) for k, f in enumerate(frames)]
             tracklet = Tracklet.from_members(index, members)
             nodes.append(tracklet)
-    edges = [
-        Edge(a, b, EdgeKind.DET_DET)
+    pairs = [
+        (a, b)
         for a, na in enumerate(nodes)
         for b, nb in enumerate(nodes)
         if na.span[1] < nb.span[0]
     ]
-    return TrackGraph(tuple(nodes), tuple(edges))
+    return TrackGraph(tuple(nodes), [a for a, _ in pairs], [b for _, b in pairs])
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph=forward_graphs())
 def test_graph_tensors_match_scalar_reference(graph):
     g = graph_tensors(graph)
-    assert g.feats.shape == (len(graph.edges), 6)
-    for k, e in enumerate(graph.edges):
-        want = reference_features(graph.nodes[e.u], graph.nodes[e.v])
+    assert g.feats.shape == (graph.n_edges, 6)
+    for k, (a, b) in enumerate(zip(graph.u, graph.v)):
+        want = reference_features(graph.nodes[a], graph.nodes[b])
         np.testing.assert_allclose(g.feats[k], want, rtol=1e-12, atol=0)
 
 
@@ -414,17 +412,17 @@ def build_label_graph():
     pure = Tracklet.from_members(0, [(0, d_a0), (1, d_a1)])
     mixed = Tracklet.from_members(1, [(3, d_b0), (1, d_a1)])
     nodes = (d_a0, d_a1, d_a3, d_b0, d_b1, d_n0, pure, mixed)
-    edges = (
-        Edge(0, 1, EdgeKind.DET_DET),  # consecutive id 7 -> 1
-        Edge(1, 2, EdgeKind.DET_DET),  # gap, nothing between -> 1
-        Edge(0, 2, EdgeKind.DET_DET),  # skips frame 1 member -> 0
-        Edge(3, 2, EdgeKind.DET_DET),  # cross identity -> 0
-        Edge(3, 4, EdgeKind.DET_DET),  # consecutive id 8 -> 1
-        Edge(5, 2, EdgeKind.DET_DET),  # unlabelled endpoint -> 0
-        Edge(6, 2, EdgeKind.DET_TRAJ),  # pure tracklet to next det -> 1
-        Edge(7, 2, EdgeKind.DET_TRAJ),  # mixed tracklet -> 0
+    pairs = (
+        (0, 1),  # consecutive id 7 -> 1
+        (1, 2),  # gap, nothing between -> 1
+        (0, 2),  # skips frame 1 member -> 0
+        (3, 2),  # cross identity -> 0
+        (3, 4),  # consecutive id 8 -> 1
+        (5, 2),  # unlabelled endpoint -> 0
+        (6, 2),  # pure tracklet to next det -> 1
+        (7, 2),  # mixed tracklet -> 0
     )
-    return TrackGraph(nodes, edges)
+    return TrackGraph(nodes, [a for a, _ in pairs], [b for _, b in pairs])
 
 
 def test_edge_labels_consecutive_same_identity():

@@ -8,8 +8,6 @@ from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
 from trackgraph.core import (
     BoundingBox,
     Detection,
-    Edge,
-    EdgeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -26,6 +24,7 @@ from trackgraph.solver import (
     greedy_round,
     is_feasible,
     rounding_objective,
+    span_disjoint_edges,
 )
 
 
@@ -254,19 +253,37 @@ def test_build_traj_graph_groups_and_gates():
     # node p is the tracklet of the p-th smallest id, its members in order
     assert [n.detections for n in tg.nodes] == [
         dets.detections[::2], dets.detections[1::2]]
-    assert tg.edges == ()  # spans overlap, gate closed
+    assert tg.n_edges == 0  # spans overlap, gate closed
     with pytest.raises(ValidationError, match="align"):
         build_traj_graph(dets.detections, ids[:3])
     rows2 = [det(0, 0.0, 1), det(1, 0.0, 1), det(3, 50.0, 2), det(4, 50.0, 2)]
     dets2 = DetectionSet.build(rows2)
     tg2 = build_traj_graph(dets2.detections, np.asarray([0, 0, 1, 1]))
-    assert len(tg2.edges) == 1
-    assert (tg2.edges[0].u, tg2.edges[0].v) == (0, 1)
+    assert (tg2.u.tolist(), tg2.v.tolist()) == ([0], [1])
     # three mutually disjoint spans connect completely, earlier span first
     rows3 = rows2 + [det(6, 90.0, 3), det(7, 90.0, 3)]
     dets3 = DetectionSet.build(rows3)
     tg3 = build_traj_graph(dets3.detections, np.asarray([0, 0, 1, 1, 2, 2]))
-    assert [(e.u, e.v) for e in tg3.edges] == [(0, 1), (0, 2), (1, 2)]
+    assert list(zip(tg3.u.tolist(), tg3.v.tolist())) == [(0, 1), (0, 2), (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=8))
+def test_span_disjoint_edges_match_a_double_loop(spans):
+    nodes = [
+        Tracklet.from_members(k, [(f, det(f, 0.0, 1)) for f in range(a, a + n + 1)])
+        for k, (a, n) in enumerate(spans)
+    ]
+    expected = []
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            (si, ei), (sj, ej) = nodes[i].span, nodes[j].span
+            if ei < sj:
+                expected.append((i, j))
+            elif ej < si:
+                expected.append((j, i))
+    u, v = span_disjoint_edges(nodes)
+    assert list(zip(u.tolist(), v.tolist())) == expected
 
 
 # --------------------------------------------------------------- aggregate
@@ -309,11 +326,11 @@ def test_aggregate_more_traj_passes_idempotent():
 def test_aggregate_refuses_a_trajectory_node():
     rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(2, 0.0, 1)]
     traj = Tracklet.from_members(0, [(0, rows[0]), (1, rows[1])])
-    graph = TrackGraph((*rows, traj), (Edge(0, 1, EdgeKind.DET_DET),))
+    graph = TrackGraph((*rows, traj), [0], [1])
     with pytest.raises(ValidationError, match="detection nodes only"):
         aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     # the same graph without the trajectory node is accepted
-    part = TrackGraph(graph.nodes[:3], graph.edges)
+    part = TrackGraph(graph.nodes[:3], graph.u, graph.v)
     assert aggregate(part, None, eps=0.5, score_fn=oracle_scores).tolist() == [0, 0, 0]
 
 
@@ -371,7 +388,7 @@ def test_aggregate_partition_invariants_on_noisy_scenario(
     score_fn = {
         "handcrafted": handcrafted_scores,
         "oracle": oracle_scores,
-        "random": lambda g: rng.uniform(size=len(g.edges)),
+        "random": lambda g: rng.uniform(size=g.n_edges),
     }[scorer]
     ids = aggregate(graph, None, eps=0.5, traj_passes=traj_passes,
                     score_fn=score_fn).tolist()
