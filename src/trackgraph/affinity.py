@@ -5,8 +5,9 @@ different frames are compared only when some window holds both; every
 other pair, same-frame pairs included, reads 0. With frames f_i < f_j
 the pair shares a window iff f_j < s(f_i) + window, where s(f) is the
 latest window start at or before f. The test is closed-form, so no
-score is stored: a scorer is bound to the clip once and evaluated only
-on the pairs association looks up.
+score is stored: a scorer is bound to the clip once and evaluated on
+the block of (track members x frame detections) that each association
+step reads.
 
 The per-step association cost combines the mean appearance against
 each tracklet member with the IoU of the tracklet's last box:
@@ -62,11 +63,12 @@ class WindowPlan:
         return origin + self.step * k + self.window
 
 
-PairScore = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Scorer = Callable[[DetectionSet], PairScore]
+# score(rows, cols) -> (len(rows), len(cols)) similarities in [0, 1]
+BlockScore = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Scorer = Callable[[DetectionSet], BlockScore]
 
 
-def cosine_scorer(dets: DetectionSet) -> PairScore:
+def cosine_scorer(dets: DetectionSet) -> BlockScore:
     """(1 + cosine) / 2 between embeddings, mapped onto [0, 1]."""
     emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
@@ -74,22 +76,22 @@ def cosine_scorer(dets: DetectionSet) -> PairScore:
         raise ValidationError("cosine similarity undefined for zero embeddings")
     unit = emb / norms[:, None]
 
-    def score(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        dots = np.einsum("ij,ij->i", unit.take(i, axis=0), unit.take(j, axis=0))
+    def score(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        dots = np.einsum("ik,jk->ij", unit[rows], unit[cols])
         return np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
 
     return score
 
 
-def oracle_scorer(dets: DetectionSet) -> PairScore:
+def oracle_scorer(dets: DetectionSet) -> BlockScore:
     """1 for same annotated identity, 0 otherwise."""
     ids = [d.gt_id for d in dets.detections]
     if any(g is None for g in ids):
         raise ValidationError("oracle scorer needs identities on every detection")
     arr = np.asarray(ids)
 
-    def score(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (arr[i] == arr[j]).astype(np.float64)
+    def score(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (arr[rows][:, None] == arr[cols]).astype(np.float64)
 
     return score
 
@@ -98,10 +100,10 @@ class AffinityMatrix:
     """Cross-frame similarity of the pairs that share a window.
 
     Holds each detection's frame and window end (WindowPlan.window_end)
-    plus the clip-bound scorer; pairs are scored when looked up.
+    plus the clip-bound scorer; blocks are scored when read.
     """
 
-    def __init__(self, frames: np.ndarray, window_end: np.ndarray, score: PairScore):
+    def __init__(self, frames: np.ndarray, window_end: np.ndarray, score: BlockScore):
         self._frames = frames
         self._window_end = window_end
         self._score = score
@@ -113,22 +115,18 @@ class AffinityMatrix:
         hi, lo = np.searchsorted(f, np.stack([self._window_end, f + 1]))
         return int((hi - lo).sum())
 
-    def lookup(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Similarities for index pairs; second array flags window-sharing pairs."""
-        i = np.atleast_1d(np.asarray(i, dtype=np.int64))
-        j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-        vals = np.zeros(i.shape)
-        if self._frames.size == 0:
-            return vals, np.zeros(i.shape, dtype=bool)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        f_lo, f_hi = self._frames[lo], self._frames[hi]
-        found = (f_lo < f_hi) & (f_hi < self._window_end[lo])
-        if found.any():
-            hit = self._score(lo[found], hi[found])
-            if hit.min() < 0.0 or hit.max() > 1.0:
-                raise ValidationError("scorer similarities must lie in [0, 1]")
-            vals[found] = hit
-        return vals, found
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), len(cols)) similarities; pairs sharing no window read 0."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        f_r, f_c = self._frames[rows][:, None], self._frames[cols]
+        shared = ((f_r < f_c) & (f_c < self._window_end[rows][:, None])) | (
+            (f_c < f_r) & (f_r < self._window_end[cols]))
+        vals = self._score(rows, cols)
+        hit = vals[shared]
+        if hit.size and (hit.min() < 0.0 or hit.max() > 1.0):
+            raise ValidationError("scorer similarities must lie in [0, 1]")
+        return np.where(shared, vals, 0.0)
 
 
 def accumulate_affinity(
@@ -155,19 +153,15 @@ def appearance_matrix(
 ) -> np.ndarray:
     """Mean similarity of each track's members to each detection.
 
-    All tracks' member pairs are looked up at once; each track's mean
-    sums its own contiguous block of rows. Pairs that share no window
-    contribute 0 to the mean, keeping rows in [0, 1].
+    All tracks' members are scored against the frame's detections in one
+    block; each track's mean sums its own contiguous rows. Pairs that
+    share no window contribute 0 to the mean, keeping rows in [0, 1].
     """
     sizes = [len(members) for members in members_in_window]
     if 0 in sizes:
         raise ValidationError("active track has no members in the window")
-    n_d = len(frame_dets)
-    m = np.asarray([i for mem in members_in_window for i in mem], dtype=np.int64)
-    fd = np.asarray(frame_dets, dtype=np.int64)
-    vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(fd, m.size))
-    vals = vals.reshape(m.size, n_d)
-    sums = np.empty((len(sizes), n_d))
+    vals = aff.block([i for mem in members_in_window for i in mem], frame_dets)
+    sums = np.empty((len(sizes), vals.shape[1]))
     start = 0
     for r, size in enumerate(sizes):
         sums[r] = vals[start:start + size].sum(axis=0)

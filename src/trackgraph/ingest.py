@@ -2,9 +2,13 @@
 
 Text rows follow the usual challenge layout
 ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z`` with 1-based
-frames on disk and 0-based frames in memory. Fields are read as floats,
-so a frame on disk may be at most 2**53: past it, floats skip integers.
-An id of -1 means "unlabelled". The embedding sidecar is little-endian
+frames on disk and 0-based frames in memory. Frame and id are read as
+exact integers: an integer literal, or a float spelling (3.0, 1e3) only
+when its value is integral; any other value is refused. An id must fit
+in 64 bits, the width of the identity arrays. A frame on disk may be at
+most 2**53, because the frame gap between two nodes is an edge feature
+in float64, which holds every integer only up to 2**53. A negative id
+(the usual -1) means "unlabelled". The embedding sidecar is little-endian
 binary: two uint64 (row count, dimension) followed by float32 rows in
 detection order.
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -35,6 +40,7 @@ from trackgraph.core import (
 )
 
 _MAX_FRAME = 2**53
+_INT64 = 2**63
 _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
 
@@ -133,6 +139,24 @@ def write_embeddings(path: Union[str, Path], embeddings: np.ndarray) -> None:
         fh.write(emb.astype(_SIDECAR_VALUE).tobytes())
 
 
+def _integer(text: str, name: str, line_no: int) -> int:
+    """An exact integer field: an integer literal or an integral float spelling."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            exact = Decimal(text)
+        except ArithmeticError:  # decimal's InvalidOperation on a non-number
+            exact = Decimal("NaN")
+        if not exact.is_finite() or exact != exact.to_integral_value():
+            raise ParseError(f"{name} must be an integer, got {text.strip()!r}",
+                             line_no) from None
+        value = exact  # bounded below before int() expands an exponent
+    if not -_INT64 <= value < _INT64:
+        raise ParseError(f"{name} {text.strip()} is outside the 64-bit range", line_no)
+    return int(value)
+
+
 def parse_mot(
     det_path: Union[str, Path],
     embed_path: Optional[Union[str, Path]] = None,
@@ -155,11 +179,11 @@ def parse_mot(
                     f"expected at least 7 comma-separated fields, got {len(parts)}",
                     line_no,
                 )
+            frame = _integer(parts[0], "frame", line_no)
+            track_id = _integer(parts[1], "id", line_no)
             try:
-                frame = int(float(parts[0]))
-                track_id = int(float(parts[1]))
                 x, y, w, h, conf = (float(p) for p in parts[2:7])
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad numeric field ({exc})", line_no) from None
             if frame < 1:
                 raise ParseError(f"frame must be >= 1 on disk, got {frame}", line_no)

@@ -36,8 +36,15 @@ class Correspondence:
 
 
 def _require_ids(dets: DetectionSet, side: str) -> None:
-    if any(d.gt_id is None for d in dets.detections):
-        raise ValidationError(f"{side} detections carry no identities")
+    """Every detection has an id, and no id occurs twice in one frame."""
+    seen = set()
+    for d in dets.detections:
+        if d.gt_id is None:
+            raise ValidationError(f"{side} detections carry no identities")
+        if (d.frame, d.gt_id) in seen:
+            raise ValidationError(
+                f"{side} id {d.gt_id} occurs twice in frame {d.frame + 1}")
+        seen.add((d.frame, d.gt_id))
 
 
 def _rows_by_frame(dets: DetectionSet) -> dict[int, list[tuple[int, BoundingBox]]]:

@@ -5,6 +5,19 @@ import numpy as np
 from trackgraph.mpn import GraphTensors, backward, focal_loss, forward, init_params
 
 
+def shares_a_window(plan, origin, fa, fb):
+    """Brute force: some window of the plan holds both frames."""
+    return any(s <= min(fa, fb) and max(fa, fb) < s + plan.window
+               for s in plan.starts(origin))
+
+
+def gated_pair_score(score, frames, plan, origin, i, j):
+    """One pair scored on one-element index arrays, gated by brute force."""
+    if frames[i] == frames[j] or not shares_a_window(plan, origin, frames[i], frames[j]):
+        return 0.0
+    return score(np.asarray([i]), np.asarray([j]))[0, 0]
+
+
 def random_graph_tensors(rng, n_nodes=5, n_edges=6, dim=3):
     """Random DAG tensors with synthetic (non-geometric) edge descriptors."""
     frames = np.sort(rng.integers(0, 50, size=n_nodes))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gated_pair_score, shares_a_window
 from trackgraph.affinity import (
     WindowPlan,
     accumulate_affinity,
@@ -32,7 +33,7 @@ def simple_set(frames, gt=None):
 
 
 def constant_scorer(value):
-    return lambda ds: lambda i, j: np.full(i.shape, value)
+    return lambda ds: lambda rows, cols: np.full((len(rows), len(cols)), value)
 
 
 # ------------------------------------------------------------ window plan
@@ -84,11 +85,6 @@ def plans_and_frames(draw):
     return WindowPlan(clip_len, window, step), origin, sorted(frames)
 
 
-def shares_a_window(plan, origin, fa, fb):
-    return any(s <= min(fa, fb) and max(fa, fb) < s + plan.window
-               for s in plan.starts(origin))
-
-
 @settings(max_examples=300, deadline=None)
 @given(case=plans_and_frames())
 def test_window_gate_and_pair_count_match_brute_force(case):
@@ -96,18 +92,18 @@ def test_window_gate_and_pair_count_match_brute_force(case):
     ds = simple_set(frames)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.5), origin=origin)
     n = len(frames)
-    ii, jj = np.triu_indices(n, k=1)
     expect = np.asarray(
-        [fa != fb and shares_a_window(plan, origin, fa, fb)
-         for fa, fb in zip(np.asarray(frames)[ii], np.asarray(frames)[jj])],
+        [[fa != fb and shares_a_window(plan, origin, fa, fb) for fb in frames]
+         for fa in frames],
         dtype=bool,
-    )
-    vals, found = aff.lookup(ii, jj)
-    assert np.array_equal(found, expect)
-    assert np.array_equal(vals, np.where(expect, 0.5, 0.0))
-    _, found_rev = aff.lookup(jj, ii)
-    assert np.array_equal(found_rev, expect)
-    assert len(aff) == int(expect.sum())
+    ).reshape(n, n)
+    # rows in detection order, columns reversed, then the arguments swapped
+    rows, cols = np.arange(n), np.arange(n)[::-1]
+    vals = aff.block(rows, cols)
+    assert vals.shape == (n, n)
+    assert np.array_equal(vals, np.where(expect[:, ::-1], 0.5, 0.0))
+    assert np.array_equal(aff.block(cols, rows), vals.T)
+    assert len(aff) == int(np.triu(expect, k=1).sum())
 
 
 # --------------------------------------------------------------- scorers
@@ -117,9 +113,8 @@ def scored(scorer, embs, gt=None):
     """Dense matrix of a clip-bound scorer; detection k sits in frame k."""
     gt = gt if gt is not None else [None] * len(embs)
     ds = DetectionSet.build([det(f, e, g) for f, (e, g) in enumerate(zip(embs, gt))])
-    score = scorer(ds)
-    ii, jj = np.meshgrid(np.arange(len(ds)), np.arange(len(ds)), indexing="ij")
-    return score(ii.ravel(), jj.ravel()).reshape(len(ds), len(ds))
+    idx = np.arange(len(ds))
+    return scorer(ds)(idx, idx)
 
 
 def test_cosine_scorer_reference_points():
@@ -151,7 +146,7 @@ def test_oracle_scorer_needs_identities():
         scored(oracle_scorer, np.eye(2), gt=[1, None])
 
 
-# ---------------------------------------------------------- pair lookup
+# ---------------------------------------------------------- block scoring
 
 
 def test_single_window_scores_stored_verbatim():
@@ -159,9 +154,8 @@ def test_single_window_scores_stored_verbatim():
     plan = WindowPlan(clip_len=8, window=8, step=4)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.7))
     assert len(aff) == 3  # pairs (0,1), (0,2), (1,2)
-    vals, found = aff.lookup(np.asarray([0, 0, 1]), np.asarray([1, 2, 2]))
-    assert found.all()
-    assert vals == pytest.approx([0.7, 0.7, 0.7])
+    assert aff.block(np.asarray([0, 1]), np.asarray([1, 2])).tolist() == [
+        [0.7, 0.7], [0.0, 0.7]]  # (1, 1) is a same-frame pair
 
 
 def test_same_frame_pairs_never_stored():
@@ -169,16 +163,21 @@ def test_same_frame_pairs_never_stored():
     plan = WindowPlan(clip_len=4, window=4, step=2)
     aff = accumulate_affinity(ds, plan, constant_scorer(1.0))
     assert len(aff) == 2
-    vals, found = aff.lookup(np.asarray([0, 0, 1, 2]), np.asarray([1, 2, 2, 2]))
-    assert found.tolist() == [False, True, True, False]
-    assert vals.tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert aff.block(np.arange(3), np.arange(3)).tolist() == [
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [1.0, 1.0, 0.0],
+    ]
 
 
 def test_scores_outside_unit_interval_rejected():
-    aff = accumulate_affinity(simple_set([0, 1]), WindowPlan(4, 4, 2),
+    aff = accumulate_affinity(simple_set([0, 1, 1, 9]), WindowPlan(10, 4, 2),
                               constant_scorer(1.5))
     with pytest.raises(ValidationError):
-        aff.lookup(np.asarray([0]), np.asarray([1]))
+        aff.block(np.asarray([0]), np.asarray([1]))
+    # only entries that share a window are checked
+    assert aff.block(np.asarray([1, 2]), np.asarray([2, 3])).tolist() == [
+        [0.0, 0.0], [0.0, 0.0]]
 
 
 def window_averaged(ds, plan, origin):
@@ -214,14 +213,14 @@ def test_lookup_matches_window_averaging_reference(step, start):
     plan = WindowPlan(clip_len=80, window=32, step=step)
     aff = accumulate_affinity(ds, plan, cosine_scorer, origin=start)
     ref = window_averaged(ds, plan, start)
-    ii, jj = np.triu_indices(len(ds), k=1)
-    vals, found = aff.lookup(ii, jj)
-    hits = set(zip(ii[found].tolist(), jj[found].tolist()))
-    assert hits == set(ref)
+    idx = np.arange(len(ds))
+    vals = aff.block(idx, idx)
+    expect = np.zeros_like(vals)
+    for (a, b), v in ref.items():
+        expect[a, b] = expect[b, a] = v
     assert len(aff) == len(ref)
-    expect = np.asarray([ref[k] for k in zip(ii[found].tolist(), jj[found].tolist())])
-    assert np.max(np.abs(vals[found] - expect)) <= 1e-15
-    assert np.all(vals[~found] == 0.0)
+    assert np.max(np.abs(vals - expect)) <= 1e-15
+    assert np.array_equal(vals == 0.0, expect == 0.0)
 
 
 def test_oracle_affinity_nonzero_iff_same_identity():
@@ -229,19 +228,24 @@ def test_oracle_affinity_nonzero_iff_same_identity():
     ds = synthesize(spec)
     plan = WindowPlan(clip_len=40, window=16, step=8)
     aff = accumulate_affinity(ds, plan, oracle_scorer)
-    ii, jj = np.triu_indices(len(ds), k=1)
-    vals, found = aff.lookup(ii, jj)
-    assert found.any()
+    idx = np.arange(len(ds))
+    vals = aff.block(idx, idx)
     gt = np.asarray([d.gt_id for d in ds.detections])
-    assert np.array_equal(vals[found], (gt[ii] == gt[jj])[found].astype(float))
+    frames = np.asarray([d.frame for d in ds.detections])
+    shared = np.asarray(
+        [[fa != fb and shares_a_window(plan, 0, fa, fb) for fb in frames]
+         for fa in frames]
+    )
+    assert shared.any()
+    assert np.array_equal(vals, (shared & (gt[:, None] == gt)).astype(float))
 
 
 def test_empty_set_gives_empty_matrix():
     ds = DetectionSet.build([])
     aff = accumulate_affinity(ds, WindowPlan(8, 8, 4), cosine_scorer)
     assert len(aff) == 0
-    v, found = aff.lookup(np.asarray([0]), np.asarray([1]))
-    assert not found[0] and v[0] == 0.0
+    none = np.asarray([], dtype=np.int64)
+    assert aff.block(none, none).shape == (0, 0)
 
 
 def test_detections_outside_clip_rejected():
@@ -254,23 +258,17 @@ def test_detections_outside_clip_rejected():
 
 
 class FakeAff:
-    """Dict-backed stand-in honouring the AffinityMatrix lookup contract."""
+    """Dict-backed stand-in honouring the AffinityMatrix block contract."""
 
-    def __init__(self, table, n=100):
+    def __init__(self, table):
         self.table = {(min(i, j), max(i, j)): v for (i, j), v in table.items()}
-        self.n = n
 
-    def lookup(self, i, j):
-        i = np.atleast_1d(i)
-        j = np.atleast_1d(j)
-        vals = np.zeros(i.shape)
-        found = np.zeros(i.shape, dtype=bool)
-        for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-            key = (min(a, b), max(a, b))
-            if key in self.table:
-                vals[k] = self.table[key]
-                found[k] = True
-        return vals, found
+    def block(self, rows, cols):
+        vals = np.zeros((len(rows), len(cols)))
+        for r, a in enumerate(np.asarray(rows).tolist()):
+            for c, b in enumerate(np.asarray(cols).tolist()):
+                vals[r, c] = self.table.get((min(a, b), max(a, b)), 0.0)
+        return vals
 
 
 def test_appearance_matrix_means_member_similarities():
@@ -324,16 +322,18 @@ def test_step_cost_rejects_empty_member_window():
         appearance_matrix([[]], np.asarray([1]), FakeAff({}))
 
 
-def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes, aff):
-    """Reference step cost: one lookup per track, one iou call per pair."""
-    fd = np.asarray(frame_dets, dtype=np.int64)
-    n_d = fd.size
+def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes,
+                     dets, plan):
+    """Reference step cost: one scored pair and one iou call per pair."""
+    score = cosine_scorer(dets)
+    frames = [d.frame for d in dets.detections]
+    n_d = len(frame_dets)
     m_bar = np.zeros((len(members_in_window), n_d))
     m_hat = np.zeros_like(m_bar)
     for r, members in enumerate(members_in_window):
-        m = np.asarray(members, dtype=np.int64)
-        vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(fd, m.size))
-        m_bar[r] = vals.reshape(m.size, n_d).sum(axis=0) / m.size
+        vals = np.asarray([[gated_pair_score(score, frames, plan, 0, i, j)
+                            for j in frame_dets] for i in members])
+        m_bar[r] = vals.sum(axis=0) / len(members)
         for c, fb in enumerate(frame_boxes):
             m_hat[r, c] = iou(last_boxes[r], fb)
     return -np.maximum(m_bar, m_hat), m_bar
@@ -357,13 +357,13 @@ def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step):
                   1.0, rng.normal(size=4))
         for f in frames
     ])
-    aff = accumulate_affinity(dets, WindowPlan(clip_len=15, window=8, step=step),
-                              cosine_scorer)
+    plan = WindowPlan(clip_len=15, window=8, step=step)
+    aff = accumulate_affinity(dets, plan, cosine_scorer)
     members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
     last = [dets.detections[m[-1]].box for m in members]
     fd = np.arange(28, 28 + n_d)
     fboxes = [dets.detections[j].box for j in fd]
     C, m_bar = step_cost_matrix(members, box_rows(last), fd, box_rows(fboxes), aff)
-    ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, aff)
+    ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, dets, plan)
     assert np.array_equal(m_bar, ref_m_bar)
     assert np.array_equal(C, ref_C)

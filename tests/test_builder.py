@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from conftest import gated_pair_score
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -209,13 +210,16 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
         assert traj.edges == records(traj, EdgeKind.TRAJ_TRAJ)
 
 
-def reference_associate_frames(dets, aff, cfg):
+def reference_associate_frames(dets, plan, cfg):
     """Frame-by-frame association that rescans every track's members.
 
     Per frame: each active track's in-window members are filtered from
-    all its members, its appearance mean comes from its own lookup, and
-    every last-box overlap from a scalar iou call.
+    all its members, every member-detection similarity is scored as its
+    own pair and gated by brute force, and every last-box overlap comes
+    from a scalar iou call.
     """
+    score = cosine_scorer(dets)
+    det_frames = [d.frame for d in dets.detections]
     tracks, link_u, link_v = [], [], []
     frames = sorted(dets.by_frame)
     first = frames[0]
@@ -232,9 +236,10 @@ def reference_associate_frames(dets, aff, cfg):
             m_bar = np.zeros((len(active), n_d))
             m_hat = np.zeros_like(m_bar)
             for r, k in enumerate(active):
-                m = np.asarray([i for i, d in tracks[k] if lo <= d.frame < t])
-                vals, _ = aff.lookup(np.repeat(m, n_d), np.tile(idxs, m.size))
-                m_bar[r] = vals.reshape(m.size, n_d).sum(axis=0) / m.size
+                m = [i for i, d in tracks[k] if lo <= d.frame < t]
+                vals = np.asarray([[gated_pair_score(score, det_frames, plan, 0, i, j)
+                                    for j in idxs] for i in m])
+                m_bar[r] = vals.sum(axis=0) / len(m)
                 for c, j in enumerate(idxs):
                     m_hat[r, c] = iou(tracks[k][-1][1].box, dets.detections[j].box)
             cost = -np.maximum(m_bar, m_hat)
@@ -278,7 +283,7 @@ def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     cfg = BuilderConfig(top_k=top_k, lookback=lookback)
     tracks, links = associate_frames(dets, aff, cfg)
-    ref_tracks, ref_links = reference_associate_frames(dets, aff, cfg)
+    ref_tracks, ref_links = reference_associate_frames(dets, plan, cfg)
     assert tracks == ref_tracks
     assert links == ref_links
 

@@ -243,6 +243,16 @@ def test_eval_relabelled_prediction_scores_identically(tmp_path, capsys):
     assert float(report["mota"]) == 1.0 and float(report["idf1"]) == 1.0
 
 
+def test_eval_refuses_one_id_twice_in_a_frame(tmp_path, capsys):
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    write_rows(gt, [(1, 1, 10.0), (1, 2, 30.0), (2, 1, 10.0)])
+    write_rows(pred, [(1, 1, 10.0), (1, 1, 30.0), (2, 1, 10.0)])
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    captured = capsys.readouterr()
+    assert "predicted id 1 occurs twice in frame 1" in captured.err
+    assert "idf1" not in captured.out
+
+
 def test_eval_warns_on_frame_range_mismatch(tmp_path, capsys):
     gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
     write_rows(gt, [(f, 1, 0.0) for f in range(1, 6)])

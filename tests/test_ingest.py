@@ -49,8 +49,9 @@ def test_parse_unlabelled_rows_have_no_gt(tmp_path):
 
 def test_parse_reports_line_number_for_malformed_row(tmp_path):
     p = tmp_path / "det.txt"
-    # an infinite frame or id overflows the integer conversion
-    for bad in ("2,oops,0,0,5,5,1.0", "inf,1,0,0,5,5,1.0", "2,-inf,0,0,5,5,1.0"):
+    # an infinite or fractional frame or id is no integer
+    for bad in ("2,oops,0,0,5,5,1.0", "inf,1,0,0,5,5,1.0", "2,-inf,0,0,5,5,1.0",
+                "1.5,1,0,0,5,5,1.0", "2,-1.5,0,0,5,5,1.0"):
         p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{bad},-1,-1,-1\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_mot(p)
@@ -60,10 +61,23 @@ def test_parse_bounds_frames_by_exact_float_integers(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{2**53},1,0,0,5,5,1.0,-1,-1,-1\n")
     assert parse_mot(p).detections[-1].frame == 2**53 - 1
-    for frame in (2**53 + 2, 10**20):
+    for frame in (2**53 + 1, 2**53 + 2, 10**20):
         p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{frame},1,0,0,5,5,1.0,-1,-1,-1\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_mot(p)
+
+
+def test_parse_reads_integer_fields_exactly(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text(f"1,{2**53},0,0,5,5,1.0,-1,-1,-1\n"
+                 f"2,{2**53 + 1},0,0,5,5,1.0,-1,-1,-1\n"
+                 "3.0,1e3,0,0,5,5,1.0,-1,-1,-1\n")
+    dets = parse_mot(p).detections
+    assert [d.gt_id for d in dets] == [2**53, 2**53 + 1, 1000]
+    assert dets[-1].frame == 2
+    p.write_text(f"1,{2**63},0,0,5,5,1.0,-1,-1,-1\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_mot(p)
 
 
 def test_parse_rejects_nonpositive_box(tmp_path):

@@ -129,6 +129,19 @@ def test_identities_required_on_both_sides():
         match_frames(anon, dset([mk(0, 1)]))
 
 
+def test_one_id_twice_in_a_frame_is_refused():
+    # keyed by frame, the second row of id 1 in frame 0 would replace the first
+    pred = dset([mk(0, 1), mk(0, 1, x=30.0), mk(1, 1)])
+    gt = dset([mk(0, 1), mk(0, 2, x=30.0), mk(1, 1)])
+    for f in (match_frames, idf1, evaluate):
+        with pytest.raises(ValidationError, match="predicted id 1 .* frame 1$"):
+            f(pred, gt)
+        with pytest.raises(ValidationError, match="ground-truth id 1 .* frame 1$"):
+            f(gt, pred)
+    # the same id in two frames, or two ids in one frame, is fine
+    assert evaluate(gt, gt).idf1 == 1.0
+
+
 # ------------------------------------------------------------------- idf1
 
 
