@@ -69,6 +69,10 @@ TRACK_RUNS = [
     ("gate700", "mpn", CKPT),
     ("gate700", "oracle", ["--oracle"]),
     ("gate700", "step8", ["--step", "8"]),
+    # the densest, noisiest scene: the likeliest to meet a near-tie in
+    # association
+    ("dense20", "handcrafted", []),
+    ("dense20", "oracle", ["--oracle"]),
     # pass 1 leaves hundreds of fragments in each 64-frame clip, so the
     # trajectory pass, stitching and interpolation see fragmented tracks
     ("train120", "clips64", ["--clip-len", "64", "--overlap", "32"]),

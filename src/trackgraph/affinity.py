@@ -2,12 +2,15 @@
 
 Sliding windows (WindowPlan) cover the clip. Two detections in
 different frames are compared only when some window holds both; every
-other pair, same-frame pairs included, reads 0. With frames f_i < f_j
-the pair shares a window iff f_j < s(f_i) + window, where s(f) is the
-latest window start at or before f. The test is closed-form, so no
-score is stored: a scorer is bound to the clip once and evaluated on
-the block of (track members x frame detections) that each association
-step reads.
+other pair reads 0. With frames f_i < f_j the pair shares a window iff
+f_j < window_end(f_i), the end of the latest window starting at or
+before f_i. The test is closed-form, so no score is stored.
+
+Association scores tracks, not members: a scorer bound to the clip
+returns, against one frame's detections, each track's similarity sum
+over its members that share a window with that frame. Cosine is linear
+in the unit vectors, so a track sums those first; the oracle counts
+identity matches.
 
 The per-step association cost combines the mean appearance against
 each tracklet member with the IoU of the tracklet's last box:
@@ -58,75 +61,70 @@ class WindowPlan:
         A later frame shares a window with frame f iff it lies below
         window_end(f): that window reaches furthest among those holding f.
         """
-        last = len(self.starts()) - 1
+        # the number of windows after the first, in closed form
+        last = -(-(self.clip_len - self.window) // self.step)
         k = np.minimum((np.asarray(frames, dtype=np.int64) - origin) // self.step, last)
         return origin + self.step * k + self.window
 
 
-# score(rows, cols) -> (len(rows), len(cols)) similarities in [0, 1]
-BlockScore = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Scorer = Callable[[DetectionSet], BlockScore]
+# sums(owner, members, cols, n_tracks) -> (n_tracks, len(cols)): row r
+# sums the similarities in [0, 1] of the members that track r owns
+TrackSums = Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
+Scorer = Callable[[DetectionSet], TrackSums]
 
 
-def cosine_scorer(dets: DetectionSet) -> BlockScore:
-    """(1 + cosine) / 2 between embeddings, mapped onto [0, 1]."""
+def cosine_scorer(dets: DetectionSet) -> TrackSums:
+    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first."""
     emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise ValidationError("cosine similarity undefined for zero embeddings")
     unit = emb / norms[:, None]
 
-    def score(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        dots = np.einsum("ik,jk->ij", unit[rows], unit[cols])
-        return np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
+    def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
+        summed = np.zeros((n_tracks, unit.shape[1]))
+        np.add.at(summed, owner, unit[members])
+        count = np.bincount(owner, minlength=n_tracks)
+        # einsum rounds a track's row alike whatever the number of tracks;
+        # a BLAS product does not, so exact ties would hang on other tracks
+        return (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
 
-    return score
+    return sums
 
 
-def oracle_scorer(dets: DetectionSet) -> BlockScore:
-    """1 for same annotated identity, 0 otherwise."""
+def oracle_scorer(dets: DetectionSet) -> TrackSums:
+    """1 for same annotated identity, 0 otherwise; a track's sum counts matches."""
     ids = [d.gt_id for d in dets.detections]
     if any(g is None for g in ids):
         raise ValidationError("oracle scorer needs identities on every detection")
     arr = np.asarray(ids)
 
-    def score(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (arr[rows][:, None] == arr[cols]).astype(np.float64)
+    def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
+        out = np.zeros((n_tracks, len(cols)))
+        np.add.at(out, owner, arr[members][:, None] == arr[cols])
+        return out
 
-    return score
+    return sums
 
 
+@dataclass(frozen=True, eq=False)
 class AffinityMatrix:
     """Cross-frame similarity of the pairs that share a window.
 
     Holds each detection's frame and window end (WindowPlan.window_end)
-    plus the clip-bound scorer; blocks are scored when read.
+    plus the clip-bound scorer; similarities are summed when read.
     """
 
-    def __init__(self, frames: np.ndarray, window_end: np.ndarray, score: BlockScore):
-        self._frames = frames
-        self._window_end = window_end
-        self._score = score
+    frames: np.ndarray
+    window_end: np.ndarray
+    sums: TrackSums
 
     def __len__(self) -> int:
         """Number of cross-frame pairs that share a window."""
-        f = self._frames
+        f = self.frames
         # frames are integers, so f + 1 on the left side skips f's own frame
-        hi, lo = np.searchsorted(f, np.stack([self._window_end, f + 1]))
+        hi, lo = np.searchsorted(f, np.stack([self.window_end, f + 1]))
         return int((hi - lo).sum())
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), len(cols)) similarities; pairs sharing no window read 0."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        f_r, f_c = self._frames[rows][:, None], self._frames[cols]
-        shared = ((f_r < f_c) & (f_c < self._window_end[rows][:, None])) | (
-            (f_c < f_r) & (f_r < self._window_end[cols]))
-        vals = self._score(rows, cols)
-        hit = vals[shared]
-        if hit.size and (hit.min() < 0.0 or hit.max() > 1.0):
-            raise ValidationError("scorer similarities must lie in [0, 1]")
-        return np.where(shared, vals, 0.0)
 
 
 def accumulate_affinity(
@@ -151,22 +149,22 @@ def appearance_matrix(
     frame_dets: np.ndarray,
     aff: AffinityMatrix,
 ) -> np.ndarray:
-    """Mean similarity of each track's members to each detection.
+    """Mean similarity of each track's members to each detection of a frame.
 
-    All tracks' members are scored against the frame's detections in one
-    block; each track's mean sums its own contiguous rows. Pairs that
-    share no window contribute 0 to the mean, keeping rows in [0, 1].
+    frame_dets share one frame t, later than every member (associate_frames
+    calls it no other way), so member m shares a window with them iff
+    window_end[m] > t. The scorer sums each track's gated members; the sum
+    is divided by all its members, so ungated ones count as 0, and clipped
+    to [0, 1], since a sum can overshoot by one ulp.
     """
     sizes = [len(members) for members in members_in_window]
     if 0 in sizes:
         raise ValidationError("active track has no members in the window")
-    vals = aff.block([i for mem in members_in_window for i in mem], frame_dets)
-    sums = np.empty((len(sizes), vals.shape[1]))
-    start = 0
-    for r, size in enumerate(sizes):
-        sums[r] = vals[start:start + size].sum(axis=0)
-        start += size
-    return sums / np.asarray(sizes, dtype=np.float64)[:, None]
+    members = np.asarray([i for mem in members_in_window for i in mem], dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    gated = aff.window_end[members] > aff.frames[frame_dets[0]]
+    sums = aff.sums(owner[gated], members[gated], frame_dets, len(sizes))
+    return np.clip(sums / np.asarray(sizes, dtype=np.float64)[:, None], 0.0, 1.0)
 
 
 def step_cost_matrix(

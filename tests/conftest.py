@@ -11,11 +11,19 @@ def shares_a_window(plan, origin, fa, fb):
                for s in plan.starts(origin))
 
 
-def gated_pair_score(score, frames, plan, origin, i, j):
-    """One pair scored on one-element index arrays, gated by brute force."""
-    if frames[i] == frames[j] or not shares_a_window(plan, origin, frames[i], frames[j]):
+def gated_pair_score(dets, plan, origin, i, j, oracle=False):
+    """One pair's similarity, gated by brute force and computed here.
+
+    (1 + cosine) / 2 clipped to [0, 1], or identity equality for the
+    oracle; pairs in one frame or in no common window score 0.
+    """
+    a, b = dets.detections[i], dets.detections[j]
+    if a.frame == b.frame or not shares_a_window(plan, origin, a.frame, b.frame):
         return 0.0
-    return score(np.asarray([i]), np.asarray([j]))[0, 0]
+    if oracle:
+        return float(a.gt_id == b.gt_id)
+    cos = a.embedding @ b.embedding / (np.linalg.norm(a.embedding) * np.linalg.norm(b.embedding))
+    return float(np.clip((1.0 + cos) / 2.0, 0.0, 1.0))
 
 
 def random_graph_tensors(rng, n_nodes=5, n_edges=6, dim=3):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gated_pair_score, shares_a_window
@@ -33,7 +33,27 @@ def simple_set(frames, gt=None):
 
 
 def constant_scorer(value):
-    return lambda ds: lambda rows, cols: np.full((len(rows), len(cols)), value)
+    """Every pair scores value, so a track sums value per gated member."""
+    def sums(owner, members, cols, n_tracks):
+        return np.outer(value * np.bincount(owner, minlength=n_tracks), np.ones(len(cols)))
+    return lambda ds: sums
+
+
+def pair_matrix(aff, frames):
+    """(n, n) affinity of every pair, read one frame at a time.
+
+    Each frame's detections are the columns of appearance_matrix, and
+    every earlier detection is a track of its own; same-frame pairs
+    read 0.
+    """
+    frames = np.asarray(frames)
+    out = np.zeros((frames.size, frames.size))
+    for t in np.unique(frames):
+        cols = np.flatnonzero(frames == t)
+        rows = np.flatnonzero(frames < t)
+        if rows.size:
+            out[np.ix_(rows, cols)] = appearance_matrix(rows[:, None].tolist(), cols, aff)
+    return out + out.T
 
 
 # ------------------------------------------------------------ window plan
@@ -89,6 +109,10 @@ def plans_and_frames(draw):
 @given(case=plans_and_frames())
 def test_window_gate_and_pair_count_match_brute_force(case):
     plan, origin, frames = case
+    clip = np.arange(origin, origin + plan.clip_len)
+    # the closed-form window count against the listed starts
+    assert plan.window_end(clip, origin).tolist() == [
+        max(s for s in plan.starts(origin) if s <= f) + plan.window for f in clip]
     ds = simple_set(frames)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.5), origin=origin)
     n = len(frames)
@@ -97,12 +121,7 @@ def test_window_gate_and_pair_count_match_brute_force(case):
          for fa in frames],
         dtype=bool,
     ).reshape(n, n)
-    # rows in detection order, columns reversed, then the arguments swapped
-    rows, cols = np.arange(n), np.arange(n)[::-1]
-    vals = aff.block(rows, cols)
-    assert vals.shape == (n, n)
-    assert np.array_equal(vals, np.where(expect[:, ::-1], 0.5, 0.0))
-    assert np.array_equal(aff.block(cols, rows), vals.T)
+    assert np.array_equal(pair_matrix(aff, frames), np.where(expect, 0.5, 0.0))
     assert len(aff) == int(np.triu(expect, k=1).sum())
 
 
@@ -110,11 +129,11 @@ def test_window_gate_and_pair_count_match_brute_force(case):
 
 
 def scored(scorer, embs, gt=None):
-    """Dense matrix of a clip-bound scorer; detection k sits in frame k."""
+    """Dense matrix of a clip-bound scorer: detection k is track k's only member."""
     gt = gt if gt is not None else [None] * len(embs)
     ds = DetectionSet.build([det(f, e, g) for f, (e, g) in enumerate(zip(embs, gt))])
     idx = np.arange(len(ds))
-    return scorer(ds)(idx, idx)
+    return scorer(ds)(idx, idx, idx, len(idx))
 
 
 def test_cosine_scorer_reference_points():
@@ -146,7 +165,7 @@ def test_oracle_scorer_needs_identities():
         scored(oracle_scorer, np.eye(2), gt=[1, None])
 
 
-# ---------------------------------------------------------- block scoring
+# ------------------------------------------------------------ track rows
 
 
 def test_single_window_scores_stored_verbatim():
@@ -154,8 +173,8 @@ def test_single_window_scores_stored_verbatim():
     plan = WindowPlan(clip_len=8, window=8, step=4)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.7))
     assert len(aff) == 3  # pairs (0,1), (0,2), (1,2)
-    assert aff.block(np.asarray([0, 1]), np.asarray([1, 2])).tolist() == [
-        [0.7, 0.7], [0.0, 0.7]]  # (1, 1) is a same-frame pair
+    assert appearance_matrix([[0], [1]], np.asarray([2]), aff).tolist() == [[0.7], [0.7]]
+    assert appearance_matrix([[0]], np.asarray([1]), aff).tolist() == [[0.7]]
 
 
 def test_same_frame_pairs_never_stored():
@@ -163,21 +182,11 @@ def test_same_frame_pairs_never_stored():
     plan = WindowPlan(clip_len=4, window=4, step=2)
     aff = accumulate_affinity(ds, plan, constant_scorer(1.0))
     assert len(aff) == 2
-    assert aff.block(np.arange(3), np.arange(3)).tolist() == [
+    assert pair_matrix(aff, [0, 0, 1]).tolist() == [
         [0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0],
         [1.0, 1.0, 0.0],
     ]
-
-
-def test_scores_outside_unit_interval_rejected():
-    aff = accumulate_affinity(simple_set([0, 1, 1, 9]), WindowPlan(10, 4, 2),
-                              constant_scorer(1.5))
-    with pytest.raises(ValidationError):
-        aff.block(np.asarray([0]), np.asarray([1]))
-    # only entries that share a window are checked
-    assert aff.block(np.asarray([1, 2]), np.asarray([2, 3])).tolist() == [
-        [0.0, 0.0], [0.0, 0.0]]
 
 
 def window_averaged(ds, plan, origin):
@@ -213,8 +222,7 @@ def test_lookup_matches_window_averaging_reference(step, start):
     plan = WindowPlan(clip_len=80, window=32, step=step)
     aff = accumulate_affinity(ds, plan, cosine_scorer, origin=start)
     ref = window_averaged(ds, plan, start)
-    idx = np.arange(len(ds))
-    vals = aff.block(idx, idx)
+    vals = pair_matrix(aff, [d.frame for d in ds.detections])
     expect = np.zeros_like(vals)
     for (a, b), v in ref.items():
         expect[a, b] = expect[b, a] = v
@@ -228,10 +236,9 @@ def test_oracle_affinity_nonzero_iff_same_identity():
     ds = synthesize(spec)
     plan = WindowPlan(clip_len=40, window=16, step=8)
     aff = accumulate_affinity(ds, plan, oracle_scorer)
-    idx = np.arange(len(ds))
-    vals = aff.block(idx, idx)
     gt = np.asarray([d.gt_id for d in ds.detections])
     frames = np.asarray([d.frame for d in ds.detections])
+    vals = pair_matrix(aff, frames)
     shared = np.asarray(
         [[fa != fb and shares_a_window(plan, 0, fa, fb) for fb in frames]
          for fa in frames]
@@ -245,7 +252,7 @@ def test_empty_set_gives_empty_matrix():
     aff = accumulate_affinity(ds, WindowPlan(8, 8, 4), cosine_scorer)
     assert len(aff) == 0
     none = np.asarray([], dtype=np.int64)
-    assert aff.block(none, none).shape == (0, 0)
+    assert aff.sums(none, none, none, 0).shape == (0, 0)
 
 
 def test_detections_outside_clip_rejected():
@@ -257,40 +264,37 @@ def test_detections_outside_clip_rejected():
 # ----------------------------------------------------------- cost matrix
 
 
-class FakeAff:
-    """Dict-backed stand-in honouring the AffinityMatrix block contract."""
+def clip_affinity(frames, embs, plan):
+    """Cosine affinity of detections with the given frames and embeddings."""
+    ds = DetectionSet.build([det(f, e) for f, e in zip(frames, embs)])
+    return accumulate_affinity(ds, plan, cosine_scorer)
 
-    def __init__(self, table):
-        self.table = {(min(i, j), max(i, j)): v for (i, j), v in table.items()}
 
-    def block(self, rows, cols):
-        vals = np.zeros((len(rows), len(cols)))
-        for r, a in enumerate(np.asarray(rows).tolist()):
-            for c, b in enumerate(np.asarray(cols).tolist()):
-                vals[r, c] = self.table.get((min(a, b), max(a, b)), 0.0)
-        return vals
+# cosines 0.2 and 1 to the last detection score 0.6 and 1.0
+MEAN_08 = ([0, 1, 2], [[0.2, np.sqrt(0.96)], [1.0, 0.0], [1.0, 0.0]])
 
 
 def test_appearance_matrix_means_member_similarities():
     # members 0 and 1 score 0.6 and 1.0 against detection 2 -> mean 0.8
-    aff = FakeAff({(0, 2): 0.6, (1, 2): 1.0})
+    aff = clip_affinity(*MEAN_08, WindowPlan(8, 8, 4))
     m = appearance_matrix([[0, 1]], np.asarray([2]), aff)
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(0.8)
 
 
 def test_appearance_matrix_missing_pairs_count_as_zero():
-    aff = FakeAff({(0, 2): 0.9})
-    m = appearance_matrix([[0, 1]], np.asarray([2]), aff)
+    # windows start at 0, 2 and 4: member 0 (frame 3, cosine 0.8) shares
+    # one with frame 5, member 1 (frame 1, cosine 1) does not
+    aff = clip_affinity([1, 3, 5], [[1.0, 0.0], [0.8, 0.6], [1.0, 0.0]],
+                        WindowPlan(8, 4, 2))
+    m = appearance_matrix([[1, 0]], np.asarray([2]), aff)
     assert m[0, 0] == pytest.approx(0.45)
 
 
 def test_step_cost_takes_max_of_appearance_and_iou():
-    # appearance mean 0.8 vs iou 0.7 -> cost -0.8
-    aff = FakeAff({(0, 2): 0.6, (1, 2): 1.0})
+    # appearance mean 0.8 vs iou 0 -> cost -0.8
+    aff = clip_affinity(*MEAN_08, WindowPlan(8, 8, 4))
     big = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    # 10x10 vs 10x10 shifted so inter=70, union=130... use overlap 0.7:
-    # iou(a,b) with b=(0,1.76,10,10): inter=10*8.24=82.4 union=117.6 -> 0.7007
     near = BoundingBox(0.0, 30.0, 10.0, 10.0)  # iou 0 with big
     C, m_bar = step_cost_matrix(
         [[0, 1]], box_rows([big]), np.asarray([2]), box_rows([near]), aff)
@@ -299,7 +303,8 @@ def test_step_cost_takes_max_of_appearance_and_iou():
 
 
 def test_step_cost_prefers_iou_when_appearance_weak():
-    aff = FakeAff({})
+    # opposite embeddings score 0
+    aff = clip_affinity([0, 1], [[1.0, 0.0], [-1.0, 0.0]], WindowPlan(2, 2, 1))
     b = BoundingBox(0.0, 0.0, 10.0, 10.0)
     C, _ = step_cost_matrix([[0]], box_rows([b]), np.asarray([1]), box_rows([b]), aff)
     # stationary identical box, no appearance signal: cost -1 via iou
@@ -308,8 +313,7 @@ def test_step_cost_prefers_iou_when_appearance_weak():
 
 def test_step_cost_entries_bounded():
     rng = np.random.default_rng(5)
-    table = {(i, j): rng.uniform() for i in range(4) for j in range(4, 9)}
-    aff = FakeAff(table)
+    aff = clip_affinity([0, 1, 2, 3] + [4] * 5, rng.normal(size=(9, 4)), WindowPlan(5, 5, 5))
     members = [[0], [1, 2], [3]]
     boxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(3)]
     fboxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(5)]
@@ -318,24 +322,54 @@ def test_step_cost_entries_bounded():
 
 
 def test_step_cost_rejects_empty_member_window():
+    aff = clip_affinity([0, 1], [[1.0, 0.0], [1.0, 0.0]], WindowPlan(2, 2, 1))
     with pytest.raises(ValidationError):
-        appearance_matrix([[]], np.asarray([1]), FakeAff({}))
+        appearance_matrix([[]], np.asarray([1]), aff)
+
+
+def brute_force_rows(members_in_window, frame_dets, dets, plan, origin, oracle):
+    """Each track's mean of its members' gated pair scores, pair by pair."""
+    return np.asarray([
+        [sum(gated_pair_score(dets, plan, origin, i, j, oracle) for i in members)
+         / len(members) for j in frame_dets]
+        for members in members_in_window
+    ]).reshape(len(members_in_window), len(frame_dets))
+
+
+def assert_rows_match(rows, ref, oracle):
+    """Oracle rows count exactly; cosine rows sum in another order."""
+    assert np.array_equal(rows == 0.0, ref == 0.0)
+    if oracle:
+        assert np.array_equal(rows, ref)
+    else:
+        assert np.max(np.abs(rows - ref), initial=0.0) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=plans_and_frames(), seed=st.integers(0, 10_000), oracle=st.booleans(),
+       n_tracks=st.integers(1, 4))
+def test_track_rows_equal_mean_of_gated_pair_scores(case, seed, oracle, n_tracks):
+    plan, origin, frames = case
+    assume(frames and frames[0] < frames[-1])
+    rng = np.random.default_rng(seed)
+    dets = DetectionSet.build([det(f, rng.normal(size=8), int(rng.integers(3)))
+                               for f in frames])
+    scorer = oracle_scorer if oracle else cosine_scorer
+    aff = accumulate_affinity(dets, plan, scorer, origin=origin)
+    # the last frame's detections against tracks of earlier members
+    fd = np.flatnonzero(np.asarray(frames) == frames[-1])
+    owner = rng.integers(n_tracks, size=fd[0])
+    members = [np.flatnonzero(owner == r).tolist() for r in range(n_tracks)]
+    members = [m for m in members if m]
+    rows = appearance_matrix(members, fd, aff)
+    assert_rows_match(rows, brute_force_rows(members, fd, dets, plan, origin, oracle), oracle)
 
 
 def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes,
-                     dets, plan):
+                     dets, plan, oracle):
     """Reference step cost: one scored pair and one iou call per pair."""
-    score = cosine_scorer(dets)
-    frames = [d.frame for d in dets.detections]
-    n_d = len(frame_dets)
-    m_bar = np.zeros((len(members_in_window), n_d))
-    m_hat = np.zeros_like(m_bar)
-    for r, members in enumerate(members_in_window):
-        vals = np.asarray([[gated_pair_score(score, frames, plan, 0, i, j)
-                            for j in frame_dets] for i in members])
-        m_bar[r] = vals.sum(axis=0) / len(members)
-        for c, fb in enumerate(frame_boxes):
-            m_hat[r, c] = iou(last_boxes[r], fb)
+    m_bar = brute_force_rows(members_in_window, frame_dets, dets, plan, 0, oracle)
+    m_hat = np.asarray([[iou(lb, fb) for fb in frame_boxes] for lb in last_boxes])
     return -np.maximum(m_bar, m_hat), m_bar
 
 
@@ -345,8 +379,9 @@ def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes,
     sizes=st.lists(st.sampled_from([1, 2, 3, 9, 10, 13]), min_size=1, max_size=4),
     n_d=st.integers(1, 4),
     step=st.sampled_from([2, 4, 8]),
+    oracle=st.booleans(),
 )
-def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step):
+def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step, oracle):
     # 14 earlier frames of 2 detections each, then one frame of n_d; an
     # 8-frame window leaves some member pairs outside every window
     rng = np.random.default_rng(seed)
@@ -354,16 +389,16 @@ def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step):
     dets = DetectionSet.build([
         Detection(f, BoundingBox(*np.round(rng.uniform(0, 6, 2), 1),
                                  *np.round(rng.uniform(1, 4, 2), 1)),
-                  1.0, rng.normal(size=4))
+                  1.0, rng.normal(size=4), int(rng.integers(3)))
         for f in frames
     ])
     plan = WindowPlan(clip_len=15, window=8, step=step)
-    aff = accumulate_affinity(dets, plan, cosine_scorer)
+    aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
     members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
     last = [dets.detections[m[-1]].box for m in members]
     fd = np.arange(28, 28 + n_d)
     fboxes = [dets.detections[j].box for j in fd]
     C, m_bar = step_cost_matrix(members, box_rows(last), fd, box_rows(fboxes), aff)
-    ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, dets, plan)
-    assert np.array_equal(m_bar, ref_m_bar)
-    assert np.array_equal(C, ref_C)
+    ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, dets, plan, oracle)
+    assert_rows_match(m_bar, ref_m_bar, oracle)
+    assert_rows_match(C, ref_C, oracle)

@@ -1,8 +1,15 @@
 """Command-line behaviour: files in, files out, exit codes."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trackgraph
 from trackgraph.cli import main
 from trackgraph.ingest import parse_mot
 from trackgraph.mpn import init_params, load_params, save_params
@@ -286,6 +293,25 @@ def test_graph_stats_on_an_empty_file_prints_zero_counts(tmp_path, capsys):
     assert main(["graph-stats", "--det", str(det), "--dump"]) == 0
     report = kv(capsys.readouterr().out)
     assert report == {"node_count": "0", "edge_count": "0", "fully_connected": "0"}
+
+
+def test_graph_stats_far_apart_frames_fit_in_two_gigabytes(tmp_path):
+    # one graph spans frames 1 to 10**12; the window layout must not
+    # list every window start, so the address space is capped at 2 GB
+    det = tmp_path / "far.txt"
+    det.write_text("1,-1,0,0,10,10,1,-1,-1,-1\n"
+                   "1000000000000,-1,0,0,10,10,1,-1,-1,-1\n")
+    cap = 2 * 1024**3
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(trackgraph.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from trackgraph.cli import main; sys.exit(main())",
+         "graph-stats", "--det", str(det)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert kv(done.stdout)["node_count"] == "2"
 
 
 def test_graph_stats_dump_lists_nodes(tmp_path, capsys):
