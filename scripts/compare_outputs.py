@@ -98,15 +98,20 @@ GRAPH_RUNS = [
 ]
 
 
-# (scene, run name, extra train flags): small dims and few iterations
-# keep a run short, and the trajectory-level graphs join the loss at
-# iteration 10
+# (scene, run name, extra train flags): few iterations keep a run short,
+# and the trajectory-level graphs join the loss halfway
 TRAIN_RUNS = [
+    # small dims
     ("train120", "small", ["--clip-len", "64", "--overlap", "32",
                            "--node-dim", "8", "--edge-dim", "4",
                            "--hidden-dim", "16", "--steps", "3",
                            "--iterations", "20", "--unfreeze-at", "10",
                            "--learning-rate", "0.01", "--seed", "3"]),
+    # the default dims that long_mpn.ckpt has: node 32, edge 16,
+    # hidden 64, 12 steps
+    ("train120", "default", ["--clip-len", "64", "--overlap", "32",
+                             "--iterations", "6", "--unfreeze-at", "3",
+                             "--learning-rate", "0.01", "--seed", "3"]),
 ]
 
 

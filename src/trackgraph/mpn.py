@@ -15,6 +15,18 @@ the final edge state yields link scores in (0, 1).
 
 All forward passes are mirrored by hand-written reverse-mode backward
 passes; gradients are exact, not approximated.
+
+Message passing works at node width. A pair MLP's first layer reads
+[h[a], e, e0, h[c]] (two endpoint states, the current and the initial
+edge encoding) through one weight matrix; it is computed as
+(h @ W_a)[a] + e @ W_e + e0 @ W_0 + (h @ W_c)[c], accumulated in place
+into one array, and e0 @ W_0 is made once per pass. Backward sums the
+first layer's gradient to the nodes before it meets W_a and W_c, so the
+(edges x 2 node_dim + 2 edge_dim) input is never built. Sums over a
+node's edges are products with two sparse incidence matrices, built once
+per pass; they add in edge order, bit-identical to np.add.at. A
+rectifier's backward mask is read from its activation, so per step the
+cache keeps the new edge state and each pair MLP's hidden activations.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from trackgraph.core import (
     Detection,
@@ -90,42 +103,53 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray):
-    """Returns (output, cache) with per-layer inputs and pre-activations."""
-    acts = [x]
-    pres = []
-    last = len(p.weights) - 1
-    for l, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = acts[-1] @ w + b
-        pres.append(z)
-        if l < last:
-            acts.append(np.maximum(z, 0.0))
-        elif p.output == "logistic":
-            acts.append(_sigmoid(z))
-        else:
-            acts.append(z)
-    return acts[-1], (acts, pres)
+    """Returns (output, cache); the cache is (x, hidden) as _mlp_rest keeps it."""
+    z = x @ p.weights[0]
+    z += p.biases[0]
+    hidden: list[np.ndarray] = []
+    return _mlp_rest(p, z, hidden), (x, hidden)
 
 
-def mlp_backward(p: MlpParams, cache, dout: np.ndarray):
-    """Returns (d_input, (dweights, dbiases)) for a cached forward pass."""
-    acts, pres = cache
-    last = len(p.weights) - 1
-    dws = [None] * len(p.weights)
-    dbs = [None] * len(p.biases)
+def _mlp_rest(p: MlpParams, z: np.ndarray, hidden: list) -> np.ndarray:
+    """Finish a pass from the first layer's pre-activation z (overwritten).
+
+    Appends each hidden activation to hidden, and the output when it is
+    logistic. A rectifier's mask is read back from its activation:
+    relu(z) > 0 exactly when z > 0, NaN included, so no pre-activation
+    is kept.
+    """
+    for w, b in zip(p.weights[1:], p.biases[1:]):
+        hidden.append(np.maximum(z, 0.0, out=z))
+        z = hidden[-1] @ w
+        z += b
+    if p.output == "logistic":
+        z = _sigmoid(z)
+        hidden.append(z)
+    return z
+
+
+def _mlp_rest_backward(p: MlpParams, hidden: list, dout: np.ndarray, grads: MlpParams):
+    """d(first pre-activation) from d(output); adds layers 1.. into grads."""
     d = dout
-    for l in range(last, -1, -1):
-        if l == last:
-            if p.output == "logistic":
-                s = acts[-1]
-                dz = d * s * (1.0 - s)
-            else:
-                dz = d
-        else:
-            dz = d * (pres[l] > 0)
-        dws[l] = acts[l].T @ dz
-        dbs[l] = dz.sum(axis=0)
-        d = dz @ p.weights[l].T
-    return d, (dws, dbs)
+    if p.output == "logistic":
+        s = hidden[-1]
+        d = d * s * (1.0 - s)
+    for l in range(len(p.weights) - 1, 0, -1):
+        a = hidden[l - 1]
+        grads.weights[l] += a.T @ d
+        grads.biases[l] += d.sum(axis=0)
+        d = d @ p.weights[l].T
+        d *= a > 0
+    return d
+
+
+def mlp_backward(p: MlpParams, cache, dout: np.ndarray, grads: MlpParams) -> np.ndarray:
+    """Adds the parameter gradients of a cached pass into grads; returns d(input)."""
+    x, hidden = cache
+    dz = _mlp_rest_backward(p, hidden, dout, grads)
+    grads.weights[0] += x.T @ dz
+    grads.biases[0] += dz.sum(axis=0)
+    return dz @ p.weights[0].T
 
 
 # ------------------------------------------------------------- parameters
@@ -302,35 +326,81 @@ class EmbeddingState:
     step: int
 
 
+def _incidence(ends: np.ndarray, n: int) -> sparse.csr_array:
+    """(n x m) matrix with a one at (ends[k], k).
+
+    A @ x sums the rows of x into their end nodes. Each CSR row holds
+    its edges in edge order and adds them one by one from zero, as
+    np.add.at does, so the sums are bit-identical to it.
+    """
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return sparse.csr_array((np.ones(ends.size), order, indptr), shape=(n, ends.size))
+
+
+def _pair_blocks(w: np.ndarray, d_v: int, d_e: int):
+    """Row blocks of a pair MLP's first weights: first endpoint, updated
+    edge state, initial encoding, second endpoint."""
+    return w[:d_v], w[d_v : d_v + d_e], w[d_v + d_e : d_v + 2 * d_e], w[d_v + 2 * d_e :]
+
+
 def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     d_v, d_e = params.node_dim, params.edge_dim
     u, v = g.u, g.v
+    to_u, to_v = _incidence(u, g.n_nodes), _incidence(v, g.n_nodes)
     h, proj_cache = mlp_forward(params.node_proj, g.node_feat)
     e0, enc_cache = mlp_forward(params.edge_encoder, g.feats)
-    ebar = np.hstack([e0, e0])
+    # (mlp, first endpoint, second endpoint): the future MLP reads the
+    # later node first
+    pairs = (
+        (params.edge_mlp, u, v),
+        (params.past_mlp, u, v),
+        (params.future_mlp, v, u),
+    )
+    # the initial encoding's share of each first layer is the same at
+    # every step; one scratch array per width takes the other shares
+    fixed = []
+    scratch = {}
+    for mlp, _, _ in pairs:
+        w_init = _pair_blocks(mlp.weights[0], d_v, d_e)[2]
+        fixed.append(e0 @ w_init + mlp.biases[0])
+        scratch.setdefault(w_init.shape[1], np.empty((g.n_edges, w_init.shape[1])))
+
+    def pair_forward(k: int, core: np.ndarray, hidden: list) -> np.ndarray:
+        """One pair MLP on [h[a], core, e0, h[c]], built at node width."""
+        mlp, a, c = pairs[k]
+        w_a, w_core, _, w_c = _pair_blocks(mlp.weights[0], d_v, d_e)
+        buf = scratch[w_a.shape[1]]
+        z = (h @ w_a)[a]
+        # "clip" lets take write into buf directly; _incidence has
+        # already refused an endpoint outside [0, n)
+        z += np.take(h @ w_c, c, axis=0, out=buf, mode="clip")
+        z += np.matmul(core, w_core, out=buf)
+        z += fixed[k]
+        return _mlp_rest(mlp, z, hidden)
+
+    core = e0
     steps_cache = []
     for _ in range(params.steps):
-        edge_in = np.hstack([h[u], ebar, h[v]])
-        core, edge_cache = mlp_forward(params.edge_mlp, edge_in)
-        ebar_new = np.hstack([core, e0])
-        past_in = np.hstack([h[u], ebar_new, h[v]])
-        m_past, past_cache = mlp_forward(params.past_mlp, past_in)
-        fut_in = np.hstack([h[v], ebar_new, h[u]])
-        m_fut, fut_cache = mlp_forward(params.future_mlp, fut_in)
-        past_sum = np.zeros((g.n_nodes, d_v))
-        fut_sum = np.zeros((g.n_nodes, d_v))
-        np.add.at(past_sum, v, m_past)
-        np.add.at(fut_sum, u, m_fut)
+        edge_hidden, past_hidden, fut_hidden = [], [], []
+        core_new = pair_forward(0, core, edge_hidden)
+        past_sum = to_v @ pair_forward(1, core_new, past_hidden)
+        fut_sum = to_u @ pair_forward(2, core_new, fut_hidden)
         h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
         if keep_cache:
-            steps_cache.append((edge_cache, past_cache, fut_cache, node_cache))
-        h, ebar = h_new, ebar_new
+            steps_cache.append((h, core, core_new, edge_hidden, past_hidden, fut_hidden,
+                                node_cache))
+        h, core = h_new, core_new
+    ebar = np.hstack([core, e0])
     scores, clf_cache = mlp_forward(params.classifier_mlp, ebar)
     scores = scores.ravel()
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(scores))):
         raise NumericError("message passing produced non-finite values")
     state = EmbeddingState(node=h, edge=ebar, step=params.steps)
-    cache = (proj_cache, enc_cache, steps_cache, clf_cache) if keep_cache else None
+    cache = None
+    if keep_cache:
+        cache = (to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache)
     return state, scores, cache
 
 
@@ -392,63 +462,59 @@ def backward(
     if labels.shape != (g.n_edges,):
         raise ValidationError("labels must align with graph edges")
     state, scores, cache = _forward(g, params, keep_cache=True)
-    proj_cache, enc_cache, steps_cache, clf_cache = cache
+    to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache = cache
     loss = focal_loss(scores, labels, gamma)
 
     grads = zero_params_like(params)
     d_v, d_e = params.node_dim, params.edge_dim
     u, v = g.u, g.v
-    n, m = g.n_nodes, g.n_edges
-
-    def add_mlp_grads(target: MlpParams, delta):
-        dws, dbs = delta
-        for w, dw in zip(target.weights, dws):
-            w += dw
-        for b, db in zip(target.biases, dbs):
-            b += db
 
     dscores = focal_grad(scores, labels, gamma)
-    debar_carry, clf_delta = mlp_backward(
-        params.classifier_mlp, clf_cache, dscores[:, None]
-    )
-    add_mlp_grads(grads.classifier_mlp, clf_delta)
+    debar = mlp_backward(params.classifier_mlp, clf_cache, dscores[:, None],
+                         grads.classifier_mlp)
+    dcore = debar[:, :d_e]
+    de0 = debar[:, d_e:].copy()
 
-    dh = np.zeros((n, d_v))
-    de0 = np.zeros((m, d_e))
-    lo, hi = d_v, d_v + 2 * d_e
+    def pair_backward(p, dp, hidden, dout, h, core, to_a, to_c, dh, de0):
+        """Backward through a pair MLP; adds to dh and de0, returns d(core).
+
+        d(first pre-activation) is summed to nodes before it meets the
+        node blocks of the weights, so no pair-wide input is rebuilt.
+        """
+        dz = _mlp_rest_backward(p, hidden, dout, dp)
+        w_a, w_core, w_init, w_c = _pair_blocks(p.weights[0], d_v, d_e)
+        dw_a, dw_core, dw_init, dw_c = _pair_blocks(dp.weights[0], d_v, d_e)
+        dz_a, dz_c = to_a @ dz, to_c @ dz
+        dw_a += h.T @ dz_a
+        dw_core += core.T @ dz
+        dw_init += e0.T @ dz
+        dw_c += h.T @ dz_c
+        dp.biases[0] += dz.sum(axis=0)
+        dh += dz_a @ w_a.T
+        dh += dz_c @ w_c.T
+        de0 += dz @ w_init.T
+        return dz @ w_core.T
+
+    dh = np.zeros((g.n_nodes, d_v))
     for s in range(params.steps - 1, -1, -1):
-        edge_cache, past_cache, fut_cache, node_cache = steps_cache[s]
-        dnode_in, node_delta = mlp_backward(params.node_mlp, node_cache, dh)
-        add_mlp_grads(grads.node_mlp, node_delta)
-        dm_past = dnode_in[:, :d_v][v]
-        dm_fut = dnode_in[:, d_v:][u]
-        dpast_in, past_delta = mlp_backward(params.past_mlp, past_cache, dm_past)
-        add_mlp_grads(grads.past_mlp, past_delta)
-        dfut_in, fut_delta = mlp_backward(params.future_mlp, fut_cache, dm_fut)
-        add_mlp_grads(grads.future_mlp, fut_delta)
+        h, core, core_new, edge_hidden, past_hidden, fut_hidden, node_cache = steps_cache[s]
+        dnode_in = mlp_backward(params.node_mlp, node_cache, dh, grads.node_mlp)
+        dh = np.zeros((g.n_nodes, d_v))
+        # a past message of edge k went to v[k], a future one to u[k]
+        dcore = dcore + pair_backward(
+            params.past_mlp, grads.past_mlp, past_hidden, dnode_in[:, :d_v][v],
+            h, core_new, to_u, to_v, dh, de0)
+        dcore += pair_backward(
+            params.future_mlp, grads.future_mlp, fut_hidden, dnode_in[:, d_v:][u],
+            h, core_new, to_v, to_u, dh, de0)
+        dcore = pair_backward(
+            params.edge_mlp, grads.edge_mlp, edge_hidden, dcore,
+            h, core, to_u, to_v, dh, de0)
 
-        dh_prev = np.zeros((n, d_v))
-        np.add.at(dh_prev, u, dpast_in[:, :d_v])
-        np.add.at(dh_prev, v, dpast_in[:, hi:])
-        np.add.at(dh_prev, v, dfut_in[:, :d_v])
-        np.add.at(dh_prev, u, dfut_in[:, hi:])
-
-        debar = debar_carry + dpast_in[:, lo:hi] + dfut_in[:, lo:hi]
-        dcore = debar[:, :d_e]
-        de0 += debar[:, d_e:]
-
-        dedge_in, edge_delta = mlp_backward(params.edge_mlp, edge_cache, dcore)
-        add_mlp_grads(grads.edge_mlp, edge_delta)
-        np.add.at(dh_prev, u, dedge_in[:, :d_v])
-        np.add.at(dh_prev, v, dedge_in[:, hi:])
-        debar_carry = dedge_in[:, lo:hi]
-        dh = dh_prev
-
-    de0 += debar_carry[:, :d_e] + debar_carry[:, d_e:]
-    _, enc_delta = mlp_backward(params.edge_encoder, enc_cache, de0)
-    add_mlp_grads(grads.edge_encoder, enc_delta)
-    _, proj_delta = mlp_backward(params.node_proj, proj_cache, dh)
-    add_mlp_grads(grads.node_proj, proj_delta)
+    # step 0's edge state is the initial encoding itself
+    de0 += dcore
+    mlp_backward(params.edge_encoder, enc_cache, de0, grads.edge_encoder)
+    mlp_backward(params.node_proj, proj_cache, dh, grads.node_proj)
     return loss, scores, grads
 
 
@@ -459,39 +525,35 @@ def _members(node: Union[Detection, Tracklet]) -> Sequence[Detection]:
     return (node,) if node.kind is NodeKind.DET else node.detections
 
 
-def _node_purity(node: Union[Detection, Tracklet]):
-    """(gt id, first frame, last frame) when all members share an id."""
-    ids = {d.gt_id for d in _members(node)}
-    if len(ids) != 1 or None in ids:
-        return None
-    return (ids.pop(), *node.span)
-
-
 def edge_labels(graph: TrackGraph) -> np.ndarray:
     """1 for edges linking consecutive same-identity fragments, else 0.
 
     An edge is positive when both endpoints are identity-pure, share
     the identity, and no observed detection of that identity falls
-    strictly between u's last frame and v's first frame.
+    strictly between u's last frame and v's first frame. Every
+    (identity, frame) a member shows is one sorted key; a pure node's
+    first and last frame are keys of its identity, so the keys strictly
+    between u's last and v's first are the frames in between.
     """
-    id_frames: dict[int, set[int]] = {}
-    for node in graph.nodes:
+    number: dict[int, int] = {}  # gt id -> dense number
+    member_id, member_frame = [], []
+    pure = np.full(len(graph.nodes), -1, dtype=np.int64)  # number, or -1
+    for k, node in enumerate(graph.nodes):
+        ids = set()
         for d in _members(node):
+            ids.add(d.gt_id)
             if d.gt_id is not None:
-                id_frames.setdefault(d.gt_id, set()).add(d.frame)
-    sorted_frames = {g: np.asarray(sorted(fs)) for g, fs in id_frames.items()}
-
-    purity = [_node_purity(node) for node in graph.nodes]
-    labels = np.zeros(graph.n_edges, dtype=np.int64)
-    for k, (a, b) in enumerate(zip(graph.u.tolist(), graph.v.tolist())):
-        pu, pv = purity[a], purity[b]
-        if pu is None or pv is None or pu[0] != pv[0]:
-            continue
-        frames = sorted_frames[pu[0]]
-        between = np.count_nonzero((frames > pu[2]) & (frames < pv[1]))
-        if between == 0:
-            labels[k] = 1
-    return labels
+                member_id.append(number.setdefault(d.gt_id, len(number)))
+                member_frame.append(d.frame)
+        if len(ids) == 1 and None not in ids:
+            pure[k] = number[ids.pop()]
+    frames, rank = np.unique(np.asarray(member_frame, dtype=np.int64), return_inverse=True)
+    keys = np.unique(np.asarray(member_id, dtype=np.int64) * frames.size + rank)
+    spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64).reshape(-1, 2)
+    pos = np.searchsorted(keys, pure[:, None] * frames.size + np.searchsorted(frames, spans))
+    u, v = graph.u, graph.v
+    positive = (pure[u] >= 0) & (pure[u] == pure[v]) & (pos[v, 0] <= pos[u, 1] + 1)
+    return positive.astype(np.int64)
 
 
 def oracle_scores(graph: TrackGraph) -> np.ndarray:

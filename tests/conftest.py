@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from trackgraph.mpn import GraphTensors, backward, focal_loss, forward, init_params
+from trackgraph.mpn import (
+    EmbeddingState,
+    GraphTensors,
+    _as_tensors,
+    _sigmoid,
+    backward,
+    focal_grad,
+    focal_loss,
+    forward,
+    init_params,
+    zero_params_like,
+)
 
 
 def shares_a_window(plan, origin, fa, fb):
@@ -35,19 +46,159 @@ def random_graph_tensors(rng, n_nodes=5, n_edges=6, dim=3):
         a, b = sorted(rng.choice(n_nodes, size=2, replace=False).tolist())
         pairs.add((a, b))
     pairs = sorted(pairs)
-    u = np.asarray([p[0] for p in pairs])
-    v = np.asarray([p[1] for p in pairs])
+    u = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    v = np.asarray([p[1] for p in pairs], dtype=np.int64)
     feats = rng.normal(size=(len(pairs), 6))
     node_feat = rng.normal(size=(n_nodes, dim))
     spans = np.stack([frames, frames], axis=1)
     return GraphTensors(u, v, feats, node_feat, spans)
 
 
+# ------------------------------------------------ message-passing reference
+#
+# The network written the direct way: every pair MLP reads its
+# concatenated (m x 2 d_v + 2 d_e) input, each MLP keeps its
+# pre-activations, and messages are summed with np.add.at. mpn.forward
+# and mpn.backward must agree with it to rounding.
+
+
+def reference_mlp_forward(p, x):
+    """Returns (output, (per-layer inputs, per-layer pre-activations))."""
+    acts = [x]
+    pres = []
+    last = len(p.weights) - 1
+    for l, (w, b) in enumerate(zip(p.weights, p.biases)):
+        z = acts[-1] @ w + b
+        pres.append(z)
+        if l < last:
+            acts.append(np.maximum(z, 0.0))
+        elif p.output == "logistic":
+            acts.append(_sigmoid(z))
+        else:
+            acts.append(z)
+    return acts[-1], (acts, pres)
+
+
+def reference_mlp_backward(p, cache, dout):
+    """Returns (d_input, (dweights, dbiases)) for a cached forward pass."""
+    acts, pres = cache
+    last = len(p.weights) - 1
+    dws = [None] * len(p.weights)
+    dbs = [None] * len(p.biases)
+    d = dout
+    for l in range(last, -1, -1):
+        if l == last:
+            if p.output == "logistic":
+                s = acts[-1]
+                dz = d * s * (1.0 - s)
+            else:
+                dz = d
+        else:
+            dz = d * (pres[l] > 0)
+        dws[l] = acts[l].T @ dz
+        dbs[l] = dz.sum(axis=0)
+        d = dz @ p.weights[l].T
+    return d, (dws, dbs)
+
+
+def reference_forward(g, params, keep_cache=False):
+    """(state, scores, cache) of the concatenating network."""
+    d_v = params.node_dim
+    u, v = g.u, g.v
+    h, proj_cache = reference_mlp_forward(params.node_proj, g.node_feat)
+    e0, enc_cache = reference_mlp_forward(params.edge_encoder, g.feats)
+    ebar = np.hstack([e0, e0])
+    steps_cache = []
+    for _ in range(params.steps):
+        edge_in = np.hstack([h[u], ebar, h[v]])
+        core, edge_cache = reference_mlp_forward(params.edge_mlp, edge_in)
+        ebar_new = np.hstack([core, e0])
+        past_in = np.hstack([h[u], ebar_new, h[v]])
+        m_past, past_cache = reference_mlp_forward(params.past_mlp, past_in)
+        fut_in = np.hstack([h[v], ebar_new, h[u]])
+        m_fut, fut_cache = reference_mlp_forward(params.future_mlp, fut_in)
+        past_sum = np.zeros((g.n_nodes, d_v))
+        fut_sum = np.zeros((g.n_nodes, d_v))
+        np.add.at(past_sum, v, m_past)
+        np.add.at(fut_sum, u, m_fut)
+        h_new, node_cache = reference_mlp_forward(
+            params.node_mlp, np.hstack([past_sum, fut_sum]))
+        if keep_cache:
+            steps_cache.append((edge_cache, past_cache, fut_cache, node_cache))
+        h, ebar = h_new, ebar_new
+    scores, clf_cache = reference_mlp_forward(params.classifier_mlp, ebar)
+    state = EmbeddingState(node=h, edge=ebar, step=params.steps)
+    cache = (proj_cache, enc_cache, steps_cache, clf_cache) if keep_cache else None
+    return state, scores.ravel(), cache
+
+
+def reference_backward(graph, params, labels, gamma=1.0):
+    """(loss, scores, gradients) of the concatenating network."""
+    g = _as_tensors(graph)
+    labels = np.asarray(labels)
+    _, scores, cache = reference_forward(g, params, keep_cache=True)
+    proj_cache, enc_cache, steps_cache, clf_cache = cache
+    loss = focal_loss(scores, labels, gamma)
+
+    grads = zero_params_like(params)
+    d_v, d_e = params.node_dim, params.edge_dim
+    u, v = g.u, g.v
+    n, m = g.n_nodes, g.n_edges
+
+    def add_mlp_grads(target, delta):
+        dws, dbs = delta
+        for w, dw in zip(target.weights, dws):
+            w += dw
+        for b, db in zip(target.biases, dbs):
+            b += db
+
+    dscores = focal_grad(scores, labels, gamma)
+    debar_carry, clf_delta = reference_mlp_backward(
+        params.classifier_mlp, clf_cache, dscores[:, None])
+    add_mlp_grads(grads.classifier_mlp, clf_delta)
+
+    dh = np.zeros((n, d_v))
+    de0 = np.zeros((m, d_e))
+    lo, hi = d_v, d_v + 2 * d_e
+    for s in range(params.steps - 1, -1, -1):
+        edge_cache, past_cache, fut_cache, node_cache = steps_cache[s]
+        dnode_in, node_delta = reference_mlp_backward(params.node_mlp, node_cache, dh)
+        add_mlp_grads(grads.node_mlp, node_delta)
+        dm_past = dnode_in[:, :d_v][v]
+        dm_fut = dnode_in[:, d_v:][u]
+        dpast_in, past_delta = reference_mlp_backward(params.past_mlp, past_cache, dm_past)
+        add_mlp_grads(grads.past_mlp, past_delta)
+        dfut_in, fut_delta = reference_mlp_backward(params.future_mlp, fut_cache, dm_fut)
+        add_mlp_grads(grads.future_mlp, fut_delta)
+
+        dh_prev = np.zeros((n, d_v))
+        np.add.at(dh_prev, u, dpast_in[:, :d_v])
+        np.add.at(dh_prev, v, dpast_in[:, hi:])
+        np.add.at(dh_prev, v, dfut_in[:, :d_v])
+        np.add.at(dh_prev, u, dfut_in[:, hi:])
+
+        debar = debar_carry + dpast_in[:, lo:hi] + dfut_in[:, lo:hi]
+        dcore = debar[:, :d_e]
+        de0 += debar[:, d_e:]
+
+        dedge_in, edge_delta = reference_mlp_backward(params.edge_mlp, edge_cache, dcore)
+        add_mlp_grads(grads.edge_mlp, edge_delta)
+        np.add.at(dh_prev, u, dedge_in[:, :d_v])
+        np.add.at(dh_prev, v, dedge_in[:, hi:])
+        debar_carry = dedge_in[:, lo:hi]
+        dh = dh_prev
+
+    de0 += debar_carry[:, :d_e] + debar_carry[:, d_e:]
+    _, enc_delta = reference_mlp_backward(params.edge_encoder, enc_cache, de0)
+    add_mlp_grads(grads.edge_encoder, enc_delta)
+    _, proj_delta = reference_mlp_backward(params.node_proj, proj_cache, dh)
+    add_mlp_grads(grads.node_proj, proj_delta)
+    return loss, scores, grads
+
+
 def _kink_margin(g, params):
     """Smallest |pre-activation| over every hidden rectifier in the pass."""
-    from trackgraph.mpn import _forward
-
-    _, scores, cache = _forward(g, params, keep_cache=True)
+    _, scores, cache = reference_forward(g, params, keep_cache=True)
     proj_cache, enc_cache, steps_cache, clf_cache = cache
     margin = np.inf
     stacks = [enc_cache, clf_cache]

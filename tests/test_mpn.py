@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trackgraph.core import (
     BoundingBox,
@@ -12,11 +13,17 @@ from trackgraph.core import (
     Tracklet,
     ValidationError,
 )
+from trackgraph import mpn
+from trackgraph.cli import _labelled_graphs
+from trackgraph.config import RunConfig
+from trackgraph.ingest import ScenarioSpec, synthesize
 from trackgraph.mpn import (
     GraphTensors,
     MlpParams,
     MpnParams,
     TrainSchedule,
+    _forward,
+    _incidence,
     backward,
     edge_labels,
     focal_grad,
@@ -27,6 +34,7 @@ from trackgraph.mpn import (
     init_params,
     load_params,
     mlp_forward,
+    mlp_init,
     oracle_scores,
     save_params,
     train,
@@ -163,7 +171,13 @@ def test_graph_tensors_match_scalar_reference(graph):
 # ----------------------------------------------------------- node features
 
 
-from conftest import draw_audit_case, gradient_audit_errors, random_graph_tensors
+from conftest import (
+    draw_audit_case,
+    gradient_audit_errors,
+    random_graph_tensors,
+    reference_backward,
+    reference_forward,
+)
 
 
 def small_params(seed=0, **kw):
@@ -398,6 +412,203 @@ def test_backward_empty_edges_zero_loss():
     assert all(np.all(a == 0.0) for a in grads.arrays())
 
 
+# ------------------------------------------------- against the reference
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """|got - want| <= rel * the larger magnitude of the two arrays."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= rel * scale
+
+
+def assert_matches_reference(g, params, labels, gamma=1.0):
+    loss, scores, grads = backward(g, params, labels, gamma)
+    ref_loss, ref_scores, ref_grads = reference_backward(g, params, labels, gamma)
+    assert_rel_close(scores, ref_scores)
+    assert_rel_close(loss, ref_loss)
+    for got, want in zip(grads.arrays(), ref_grads.arrays()):
+        assert_rel_close(got, want)
+    state, _ = forward(g, params)
+    ref_state, _, _ = reference_forward(g, params)
+    assert_rel_close(state.node, ref_state.node)
+    assert_rel_close(state.edge, ref_state.edge)
+
+
+def layered_params(seed, depth, embed_dim, node_dim, edge_dim, hidden, steps):
+    """init_params with `depth` layers in every MLP (checkpoints allow any)."""
+    rng = np.random.default_rng(seed)
+    pair_in = 2 * node_dim + 2 * edge_dim
+
+    def stack(d_in, d_out, output="linear"):
+        return mlp_init(rng, [d_in] + [hidden] * (depth - 1) + [d_out], output)
+
+    return MpnParams(
+        node_proj=stack(embed_dim, node_dim),
+        edge_encoder=stack(6, edge_dim),
+        edge_mlp=stack(pair_in, edge_dim),
+        past_mlp=stack(pair_in, node_dim),
+        future_mlp=stack(pair_in, node_dim),
+        node_mlp=stack(2 * node_dim, node_dim),
+        classifier_mlp=stack(2 * edge_dim, 1, output="logistic"),
+        embed_dim=embed_dim,
+        node_dim=node_dim,
+        edge_dim=edge_dim,
+        steps=steps,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 9),
+    edge_share=st.floats(0.0, 1.0),
+    depth=st.integers(1, 3),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4),
+                   st.integers(1, 6), st.integers(1, 3)),
+    gamma=st.sampled_from([0.0, 1.0, 2.0]),
+)
+def test_backward_matches_concatenating_reference(seed, n_nodes, edge_share, depth,
+                                                  dims, gamma):
+    rng = np.random.default_rng(seed)
+    embed_dim, node_dim, edge_dim, hidden, steps = dims
+    n_edges = round(edge_share * n_nodes * (n_nodes - 1) / 2)
+    g = random_graph_tensors(rng, n_nodes=n_nodes, n_edges=n_edges, dim=embed_dim)
+    params = layered_params(seed, depth, embed_dim, node_dim, edge_dim, hidden, steps)
+    labels = rng.integers(0, 2, size=n_edges)
+    assert_matches_reference(g, params, labels, gamma)
+
+
+# the two noisy calibration clips and model of acceptance criterion 6
+CALIBRATION_SPECS = (
+    ScenarioSpec(n_objects=10, n_frames=120, seed=70, embedding_noise_sigma=0.1,
+                 miss_rate=0.05, occlusions=((1, 30, 6), (3, 70, 8))),
+    ScenarioSpec(n_objects=10, n_frames=120, seed=71, embedding_noise_sigma=0.1,
+                 miss_rate=0.05, occlusions=((2, 50, 10),)),
+)
+CALIBRATION_CONFIG = RunConfig(node_dim=16, edge_dim=8, hidden_dim=32, steps=4)
+
+
+@pytest.fixture(scope="module")
+def calibration():
+    """(primary graphs, secondary graphs, initial params) of criterion 6."""
+    primary, secondary = [], []
+    for spec in CALIBRATION_SPECS:
+        p, s = _labelled_graphs(synthesize(spec), CALIBRATION_CONFIG)
+        primary += p
+        secondary += s
+    cfg = CALIBRATION_CONFIG
+    params = init_params(0, 16, cfg.node_dim, cfg.edge_dim, cfg.hidden_dim, cfg.steps)
+    return primary, secondary, params
+
+
+def test_calibration_graphs_match_reference(calibration):
+    primary, _, params = calibration
+    assert len(primary) == 2
+    for g, labels in primary:
+        assert_matches_reference(g, params, labels, gamma=0.0)
+
+
+def test_calibration_training_matches_reference(calibration, monkeypatch):
+    primary, secondary, params = calibration
+    schedule = TrainSchedule(20, 0.01, 1e-4, gamma=0.0, unfreeze_second_at=10)
+    got = train(primary, secondary, params, schedule)
+    monkeypatch.setattr(mpn, "backward", reference_backward)
+    want = train(primary, secondary, params, schedule)
+    assert [it for it, _ in got.history] == list(range(20))
+    assert_rel_close([loss for _, loss in got.history],
+                     [loss for _, loss in want.history])
+    for a, b in zip(got.params.arrays(), want.params.arrays()):
+        assert_rel_close(a, b)
+
+
+# ------------------------------------------------------ incidence products
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), ends=st.lists(st.integers(0, 7), max_size=40),
+       cols=st.integers(1, 3), data=st.data())
+@example(n=4, ends=[], cols=2, data=None)  # no edge
+@example(n=6, ends=[2, 2, 2, 5], cols=1, data=None)  # repeats, bare nodes
+def test_incidence_product_equals_add_at_bit_for_bit(n, ends, cols, data):
+    ends = np.asarray([e % n for e in ends], dtype=np.int64)
+    shape = (ends.size, cols)
+    if data is None:
+        x = np.random.default_rng(ends.size).normal(size=shape) * 1e3
+    else:
+        x = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    want = np.zeros((n, cols))
+    np.add.at(want, ends, x)
+    got = _incidence(ends, n) @ x
+    assert isinstance(got, np.ndarray)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------ backward cache
+
+
+def cached_arrays(cache):
+    """Every distinct ndarray a cache holds, walked through tuples and lists."""
+    found, stack = {}, [cache]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return list(found.values())
+
+
+def edge_floats(forward_fn, g, params):
+    """Floats held in the edge-sized arrays of a kept forward pass."""
+    _, _, cache = forward_fn(g, params, keep_cache=True)
+    return sum(a.size for a in cached_arrays(cache) if a.ndim == 2 and a.shape[0] == g.n_edges)
+
+
+@pytest.mark.parametrize("dims, ours, concatenating", [
+    (dict(embed_dim=3, node_dim=4, edge_dim=3, hidden=5), 18, 83),
+    # the checkpoint defaults: node 32, edge 16, hidden 64
+    (dict(embed_dim=16, node_dim=32, edge_dim=16, hidden=64), 208, 752),
+])
+def test_cache_floats_per_edge_per_step(dims, ours, concatenating):
+    # one more step keeps the new edge state and three hidden
+    # activations: edge_dim + 3 * hidden floats per edge
+    g = random_graph_tensors(np.random.default_rng(4), n_nodes=7, n_edges=15,
+                             dim=dims["embed_dim"])
+
+    def per_step(forward_fn):
+        two = edge_floats(forward_fn, g, init_params(0, steps=2, **dims))
+        three = edge_floats(forward_fn, g, init_params(0, steps=3, **dims))
+        return (three - two) / g.n_edges
+
+    assert per_step(_forward) == ours
+    assert per_step(reference_forward) == concatenating
+
+
+def test_cache_keeps_no_pair_input_or_pre_activation():
+    # widths: pair input 14, hidden 5, node 4, edge 3, node-MLP input 8
+    dims = dict(embed_dim=3, node_dim=4, edge_dim=3, hidden=5, steps=3)
+    pair_in = 2 * dims["node_dim"] + 2 * dims["edge_dim"]
+    g = random_graph_tensors(np.random.default_rng(5), n_nodes=7, n_edges=15, dim=3)
+    params = init_params(1, **dims)
+
+    def offending(forward_fn):
+        _, _, cache = forward_fn(g, params, keep_cache=True)
+        wide = [a for a in cached_arrays(cache) if a.shape[-1] == pair_in]
+        # a rectifier's input has negative entries, its output none
+        pre = [a for a in cached_arrays(cache)
+               if a.shape[-1] == dims["hidden"] and np.any(a < 0)]
+        return wide, pre
+
+    wide, pre = offending(_forward)
+    assert wide == [] and pre == []
+    # the check can fail: the concatenating pass keeps both
+    wide, pre = offending(reference_forward)
+    assert wide and pre
+
+
 # ------------------------------------------------------------------ labels
 
 
@@ -433,6 +644,69 @@ def test_edge_labels_consecutive_same_identity():
 def test_oracle_scores_are_labels():
     g = build_label_graph()
     assert np.array_equal(oracle_scores(g), edge_labels(g).astype(float))
+
+
+def reference_edge_labels(graph):
+    """One edge at a time: count the identity's frames strictly between."""
+
+    def members(node):
+        return (node,) if isinstance(node, Detection) else node.detections
+
+    id_frames = {}
+    for node in graph.nodes:
+        for d in members(node):
+            if d.gt_id is not None:
+                id_frames.setdefault(d.gt_id, set()).add(d.frame)
+    sorted_frames = {g: np.asarray(sorted(fs)) for g, fs in id_frames.items()}
+
+    def purity(node):
+        ids = {d.gt_id for d in members(node)}
+        if len(ids) != 1 or None in ids:
+            return None
+        return (ids.pop(), *node.span)
+
+    pure = [purity(node) for node in graph.nodes]
+    labels = np.zeros(graph.n_edges, dtype=np.int64)
+    for k, (a, b) in enumerate(zip(graph.u.tolist(), graph.v.tolist())):
+        pu, pv = pure[a], pure[b]
+        if pu is None or pv is None or pu[0] != pv[0]:
+            continue
+        frames = sorted_frames[pu[0]]
+        if np.count_nonzero((frames > pu[2]) & (frames < pv[1])) == 0:
+            labels[k] = 1
+    return labels
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Detections and tracklets with pure, mixed and missing identities."""
+    ids = st.sampled_from([None, 1, 2, -3, 10**12])
+    base = draw(st.sampled_from([0, 10**15]))
+    nodes = []
+    for index in range(draw(st.integers(0, 8))):
+        start = base + draw(st.integers(0, 12))
+        if draw(st.booleans()):
+            nodes.append(det_node(start, gt_id=draw(ids)))
+            continue
+        steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        frames = np.cumsum([start] + steps).tolist()
+        own = draw(ids)
+        mixed = draw(st.booleans())
+        members = [(k, det_node(f, gt_id=draw(ids) if mixed else own))
+                   for k, f in enumerate(frames)]
+        nodes.append(Tracklet.from_members(index, members))
+    pairs = [(a, b) for a, na in enumerate(nodes) for b, nb in enumerate(nodes)
+             if na.span[1] < nb.span[0]]
+    kept = [p for p in pairs if draw(st.booleans())]
+    return TrackGraph(tuple(nodes), [a for a, _ in kept], [b for _, b in kept])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=labelled_graphs())
+def test_edge_labels_match_per_edge_reference(graph):
+    got = edge_labels(graph)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_edge_labels(graph))
 
 
 # ------------------------------------------------------- handcrafted scores
