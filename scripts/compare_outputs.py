@@ -53,6 +53,9 @@ SCENES = {
     # fragments, so training also gets trajectory-level graphs
     "train120": ["--objects", "10", "--frames", "120", "--seed", "70",
                  "--sigma", "0.5", "--miss-rate", "0.2", "--turn-prob", "0.1"],
+    # a long video: 23 clips of 512/256 frames, 22 seams to stitch
+    "long6144": ["--objects", "10", "--frames", "6144", "--seed", "60",
+                 "--sigma", "0.1", "--miss-rate", "0.05"],
 }
 
 CKPT = ["--params", str(CHECKPOINT)]
@@ -76,6 +79,7 @@ TRACK_RUNS = [
     # pass 1 leaves hundreds of fragments in each 64-frame clip, so the
     # trajectory pass, stitching and interpolation see fragmented tracks
     ("train120", "clips64", ["--clip-len", "64", "--overlap", "32"]),
+    ("long6144", "handcrafted", []),
 ]
 
 # the sparse run: the long scene's rows after frame 192 (1-based, as on

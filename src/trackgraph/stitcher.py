@@ -8,11 +8,17 @@ claim. A detection two output tracks would hold stays with the first.
 Only clips that hold a detection are tracked, so a long run of empty
 frames costs nothing. Remaining gaps are closed by linear interpolation
 at the end.
+
+Stitching relies on what run_clipped guarantees: an index names one
+detection, indices rise with frame, tracks hold only real members and
+the tracks merged so far are disjoint. A seam then reads each track only
+from the later clip's lowest index on, in time that follows the overlap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
@@ -75,28 +81,14 @@ class ClipPlan:
             k = max(k + 1, (seq[lo].frame - self.clip_len) // self.stride + 1)
 
 
-def _assignments(track: Tracklet) -> dict[int, int]:
-    """frame -> chosen input detection index, interpolated members skipped."""
-    return {d.frame: i for i, d in zip(track.det_indices, track.detections) if i >= 0}
-
-
-def track_iou(a: Tracklet, b: Tracklet) -> float:
-    """Overlap ratio of two tracks' detection choices.
-
-    Intersection counts frames where both picked the same detection;
-    union counts every (frame, detection) assignment once.
-    """
-    aa, bb = _assignments(a), _assignments(b)
-    inter = sum(1 for f, i in aa.items() if bb.get(f) == i)
-    union = len(aa) + len(bb) - inter
-    return inter / union if union else 0.0
-
-
 def _merge(a: Tracklet, b: Tracklet) -> Tracklet:
     """Union of members under a's id; b's choice wins a contested frame."""
-    by_frame = {d.frame: (i, d) for i, d in zip(a.det_indices, a.detections)}
+    k = bisect_left(a.detections, b.detections[0].frame, key=attrgetter("frame"))
+    by_frame = {d.frame: (i, d) for i, d in zip(a.det_indices[k:], a.detections[k:])}
     by_frame.update({d.frame: (i, d) for i, d in zip(b.det_indices, b.detections)})
-    return Tracklet.from_members(a.id, list(by_frame.values()))
+    tail = [by_frame[f] for f in sorted(by_frame)]
+    return Tracklet(a.id, a.detections[:k] + tuple(d for _, d in tail),
+                    a.det_indices[:k] + tuple(i for i, _ in tail))
 
 
 def stitch(
@@ -104,8 +96,13 @@ def stitch(
 ) -> list[Tracklet]:
     """Merge two clips' track sets over their shared frame range.
 
+    Input contract: an index names one detection, indices rise with
+    frame, tracks hold only real members and the left tracks are
+    disjoint. Each track is read from the right tracks' lowest index on;
+    a left track that ends below it comes back as it is.
     Pairs that never chose a common detection cannot match. The
-    assignment minimises total (1 - overlap ratio) over the rest;
+    assignment minimises total (1 - overlap ratio) over the rest, the
+    ratio being shared detections over the union of both tracks;
     unmatched tracks pass through, right-side ones under fresh ids.
     Each input detection is placed once: the first track in output
     order (merged left tracks, then unmatched right ones) keeps it,
@@ -113,22 +110,24 @@ def stitch(
     """
     if not tracks_a or not tracks_b:
         return list(tracks_a) + list(tracks_b)
-    # right-side tracks by (frame, detection) choice: a left track can
-    # only overlap the ones holding one of its own choices
-    holders: dict[tuple[int, int], list[int]] = {}
+    lo = min(tb.det_indices[0] for tb in tracks_b)
+    # right-side tracks by detection: a left track can only overlap the
+    # ones holding one of its own detections
+    holders: dict[int, list[int]] = {}
     for j, tb in enumerate(tracks_b):
-        for choice in _assignments(tb).items():
-            holders.setdefault(choice, []).append(j)
+        for i in tb.det_indices:
+            holders.setdefault(i, []).append(j)
+    # every left track keeps its row: linear_sum_assignment breaks ties
+    # by position, so dropping all-forbidden rows can change its pick
     cost = np.full((len(tracks_a), len(tracks_b)), _FORBIDDEN)
     for r, ta in enumerate(tracks_a):
-        shared = {j for choice in _assignments(ta).items()
-                  for j in holders.get(choice, ())}
-        for j in shared:
-            cost[r, j] = 1.0 - track_iou(ta, tracks_b[j])
+        shared = Counter(j for i in ta.det_indices[bisect_left(ta.det_indices, lo):]
+                         for j in holders.get(i, ()))
+        for j, n in shared.items():
+            cost[r, j] = 1.0 - n / (len(ta) + len(tracks_b[j]) - n)
     rows, cols = linear_sum_assignment(cost)
-    matched = [(r, c) for r, c in zip(rows, cols) if cost[r, c] < 1.5]
+    pair = {r: c for r, c in zip(rows, cols) if cost[r, c] < 1.5}
 
-    pair = dict(matched)
     left = [_merge(ta, tracks_b[pair[i]]) if i in pair else ta
             for i, ta in enumerate(tracks_a)]
     used_b = set(pair.values())
@@ -137,17 +136,17 @@ def stitch(
     # the first track in output order keeps a detection; later ones drop it
     out, placed = [], set()
     for k, t in enumerate(left + right):
-        members = [(i, d) for i, d in zip(t.det_indices, t.detections)
-                   if i < 0 or i not in placed]
-        placed.update(i for i, _ in members)
-        if not members:
-            continue
-        if k < len(left):
-            out.append(t if len(members) == len(t) else
-                       Tracklet.from_members(t.id, members))
-        else:
-            out.append(Tracklet.from_members(next_id, members))
-            next_id += 1
+        s = bisect_left(t.det_indices, lo)
+        kept = [(i, d) for i, d in zip(t.det_indices[s:], t.detections[s:])
+                if i not in placed]
+        placed.update(i for i, _ in kept)
+        if k < len(left) and s + len(kept) == len(t):
+            out.append(t)
+        elif s or kept:
+            out.append(Tracklet(t.id if k < len(left) else next_id,
+                                t.detections[:s] + tuple(d for _, d in kept),
+                                t.det_indices[:s] + tuple(i for i, _ in kept)))
+            next_id += k >= len(left)  # right tracks take fresh ids
     return out
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
+from trackgraph.core import Tracklet
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
@@ -250,3 +252,67 @@ def gradient_audit_errors(g, params, labels, gamma=1.0, eps=1e-3):
             denom = max(abs(fd), abs(flat_g[k]), 1e-6)
             errs.append(abs(fd - flat_g[k]) / denom)
     return np.asarray(errs)
+
+
+# ------------------------------------------------------- stitching reference
+#
+# stitch written the frame-keyed way: every track's whole history becomes
+# a frame -> detection dict, each scored pair builds both dicts again, a
+# merge rebuilds and re-sorts the whole track, and every member of every
+# track is checked against the detections already placed.
+# stitcher.stitch must return the same tracks on its input contract.
+
+
+def reference_assignments(track):
+    """frame -> chosen input detection index, interpolated members skipped."""
+    return {d.frame: i for i, d in zip(track.det_indices, track.detections) if i >= 0}
+
+
+def reference_track_iou(a, b):
+    """Same-detection frames over the union of (frame, detection) choices."""
+    aa, bb = reference_assignments(a), reference_assignments(b)
+    inter = sum(1 for f, i in aa.items() if bb.get(f) == i)
+    union = len(aa) + len(bb) - inter
+    return inter / union if union else 0.0
+
+
+def reference_merge(a, b):
+    by_frame = {d.frame: (i, d) for i, d in zip(a.det_indices, a.detections)}
+    by_frame.update({d.frame: (i, d) for i, d in zip(b.det_indices, b.detections)})
+    return Tracklet.from_members(a.id, list(by_frame.values()))
+
+
+def reference_stitch(tracks_a, tracks_b):
+    if not tracks_a or not tracks_b:
+        return list(tracks_a) + list(tracks_b)
+    holders = {}
+    for j, tb in enumerate(tracks_b):
+        for choice in reference_assignments(tb).items():
+            holders.setdefault(choice, []).append(j)
+    cost = np.full((len(tracks_a), len(tracks_b)), 1e6)
+    for r, ta in enumerate(tracks_a):
+        shared = {j for choice in reference_assignments(ta).items()
+                  for j in holders.get(choice, ())}
+        for j in shared:
+            cost[r, j] = 1.0 - reference_track_iou(ta, tracks_b[j])
+    rows, cols = linear_sum_assignment(cost)
+    pair = {r: c for r, c in zip(rows, cols) if cost[r, c] < 1.5}
+    left = [reference_merge(ta, tracks_b[pair[i]]) if i in pair else ta
+            for i, ta in enumerate(tracks_a)]
+    used_b = set(pair.values())
+    right = [tb for j, tb in enumerate(tracks_b) if j not in used_b]
+    next_id = max(t.id for t in left) + 1
+    out, placed = [], set()
+    for k, t in enumerate(left + right):
+        members = [(i, d) for i, d in zip(t.det_indices, t.detections)
+                   if i < 0 or i not in placed]
+        placed.update(i for i, _ in members)
+        if not members:
+            continue
+        if k < len(left):
+            out.append(t if len(members) == len(t) else
+                       Tracklet.from_members(t.id, members))
+        else:
+            out.append(Tracklet.from_members(next_id, members))
+            next_id += 1
+    return out

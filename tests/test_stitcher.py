@@ -17,8 +17,9 @@ from trackgraph.stitcher import (
     interpolate_gaps,
     run_clipped,
     stitch,
-    track_iou,
 )
+
+from conftest import reference_stitch, reference_track_iou
 
 
 def det(frame, idx, conf=1.0, emb=(1.0, 0.0)):
@@ -93,27 +94,29 @@ def test_clip_plan_defaults_and_validation():
         ClipPlan(1, 1)
 
 
-# -------------------------------------------------------------- track iou
+# ------------------------------------------------ reference track overlap
+#
+# The frame-keyed reference stitch scores a pair by its track overlap
+# ratio; stitch must agree with the reference on each of these pairs.
 
 
 def test_track_iou_identical_is_one():
     a = trk(0, (0, 0), (1, 1), (2, 2))
-    assert track_iou(a, trk(9, (0, 0), (1, 1), (2, 2))) == 1.0
+    b = trk(9, (0, 0), (1, 1), (2, 2))
+    assert reference_track_iou(a, b) == 1.0
+    assert same_tracks(stitch([a], [b]), reference_stitch([a], [b]))
 
 
 def test_track_iou_no_shared_frames_is_zero():
-    assert track_iou(trk(0, (0, 0), (1, 1)), trk(1, (5, 2), (6, 3))) == 0.0
+    a, b = trk(0, (0, 0), (1, 1)), trk(1, (5, 2), (6, 3))
+    assert reference_track_iou(a, b) == 0.0
+    assert same_tracks(stitch([a], [b]), reference_stitch([a], [b]))
 
 
 def test_track_iou_shared_frames_different_detections_is_zero():
-    assert track_iou(trk(0, (2, 0), (3, 1)), trk(1, (2, 4), (3, 5))) == 0.0
-
-
-def test_track_iou_half_shared():
-    # intersection 2, union 4 + 2 - 2 = 4
-    a = trk(0, (0, 0), (1, 1), (2, 2), (3, 3))
-    b = trk(1, (2, 2), (3, 3))
-    assert track_iou(a, b) == 0.5
+    a, b = trk(0, (2, 0), (3, 2)), trk(1, (2, 1), (3, 3))
+    assert reference_track_iou(a, b) == 0.0
+    assert same_tracks(stitch([a], [b]), reference_stitch([a], [b]))
 
 
 # ----------------------------------------------------------------- stitch
@@ -135,7 +138,7 @@ def test_stitch_never_merges_frame_disjoint_tracks():
 
 
 def test_stitch_requires_an_agreement_not_just_shared_frames():
-    out = stitch([trk(0, (2, 0), (3, 1))], [trk(0, (2, 4), (3, 5))])
+    out = stitch([trk(0, (2, 0), (3, 2))], [trk(0, (2, 1), (3, 3))])
     assert len(out) == 2
     ids = {t.id for t in out}
     assert len(ids) == 2
@@ -144,31 +147,53 @@ def test_stitch_requires_an_agreement_not_just_shared_frames():
 def test_stitch_later_clip_wins_overlap_frames():
     # agreement only at frame 1; iou 1/(3 + 3 - 1) = 0.2, still unique
     a = [trk(3, (0, 0), (1, 1), (2, 2))]
-    b = [trk(0, (1, 1), (2, 9), (3, 4))]
+    b = [trk(0, (1, 1), (2, 3), (3, 4))]
     out = stitch(a, b)
     assert len(out) == 1
     assert out[0].id == 3
-    assert members(out[0]) == [(0, 0), (1, 1), (2, 9), (3, 4)]
+    assert members(out[0]) == [(0, 0), (1, 1), (2, 3), (3, 4)]
 
 
 def test_stitch_assignment_is_globally_optimal():
     # costs: a1-b1 0.6, a1-b2 0.75, a2-b1 0.8, a2-b2 forbidden. Taking
     # the cheapest pair first would leave a2 unmatched; the optimal
     # assignment matches both rows. The b tracks reuse detections 2, 3
-    # to compete for a1; the distinctive members 20 and 21 show which
+    # to compete for a1; the distinctive members 6 and 7 show which
     # b track each a track merged with.
     a1 = trk(0, (10, 1), (11, 2), (12, 3))
-    a2 = trk(1, (13, 5), (14, 6))
-    b1 = trk(0, (11, 2), (12, 3), (13, 20), (14, 6))
-    b2 = trk(1, (12, 3), (13, 21))
+    a2 = trk(1, (13, 5), (14, 8))
+    b1 = trk(0, (11, 2), (12, 3), (13, 6), (14, 8))
+    b2 = trk(1, (12, 3), (13, 7))
     out = stitch([a1, a2], [b1, b2])
     assert len(out) == 2
     by_id = {t.id: t for t in out}
-    assert (13, 21) in members(by_id[0])  # a1 merged with b2
-    assert (13, 20) in members(by_id[1])  # a2 merged with b1
+    assert (13, 7) in members(by_id[0])  # a1 merged with b2
+    assert (13, 6) in members(by_id[1])  # a2 merged with b1
     # the shared detections 2 and 3 stay with the first track only
-    assert members(by_id[0]) == [(10, 1), (11, 2), (12, 3), (13, 21)]
-    assert members(by_id[1]) == [(13, 20), (14, 6)]
+    assert members(by_id[0]) == [(10, 1), (11, 2), (12, 3), (13, 7)]
+    assert members(by_id[1]) == [(13, 6), (14, 8)]
+
+
+def test_stitch_overlap_ratio_counts_the_left_history():
+    # a1 shares 2 of b's 3 detections but has 4 older members: ratio
+    # 2 / (6 + 3 - 2) = 2/7. a2 shares 1: ratio 1 / (1 + 3 - 1) = 1/3.
+    # Counting a1 from the right clip on only would give it 2/3 instead.
+    a1 = trk(0, (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
+    a2 = trk(1, (6, 6))
+    b = trk(0, (4, 4), (5, 5), (6, 6))
+    out = stitch([a1, a2], [b])
+    assert out[0] is a1
+    # a2 merged with b; b's detections 4 and 5 stay with a1
+    assert [(t.id, members(t)) for t in out[1:]] == [(1, [(6, 6)])]
+
+
+def test_stitch_returns_a_track_ending_before_the_right_clip_as_is():
+    early = trk(0, (0, 0), (1, 2))
+    late = trk(1, (0, 1), (1, 3), (2, 4))
+    out = stitch([early, late], [trk(0, (2, 4), (3, 5))])
+    assert out[0] is early
+    assert members(out[1]) == [(0, 1), (1, 3), (2, 4), (3, 5)]
+    assert len(out) == 2
 
 
 def test_stitch_places_a_shared_detection_once():
@@ -230,6 +255,51 @@ def test_stitch_never_doubles_a_frame():
     assert len(out) == 1
     frames = [d.frame for d in out[0].detections]
     assert len(frames) == len(set(frames))
+
+
+@st.composite
+def clip_folds(draw):
+    """Three to five overlapping clips over one frame-sorted set.
+
+    Each clip's tracks are a random partition of the detections in its
+    frames, with detection indices into the whole set, in random order;
+    some detections are left out of every track.
+    """
+    stride = draw(st.integers(1, 3))
+    clip_len = stride + draw(st.integers(1, 3))
+    n_clips = draw(st.integers(3, 5))
+    frame_of = []
+    for f in range((n_clips - 1) * stride + clip_len):
+        frame_of += [f] * draw(st.integers(0, 3))
+    clips = []
+    for k in range(n_clips):
+        groups = {}
+        for f in range(k * stride, k * stride + clip_len):
+            idxs = [i for i, g in enumerate(frame_of) if g == f]
+            labels = draw(st.permutations(range(5)))
+            for i, label in zip(idxs, labels):
+                groups.setdefault(label, []).append((f, i))
+        groups.pop(4, None)  # label 4 marks a detection no track took
+        order = draw(st.permutations(sorted(groups)))
+        clips.append([trk(label, *groups[label]) for label in order])
+    return clips
+
+
+def same_tracks(a, b):
+    return len(a) == len(b) and all(
+        x.id == y.id and x.det_indices == y.det_indices
+        and all(p is q for p, q in zip(x.detections, y.detections))
+        for x, y in zip(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(clips=clip_folds())
+def test_stitch_folds_clips_as_the_frame_keyed_reference_does(clips):
+    merged = clips[0]
+    for tracks in clips[1:]:
+        got = stitch(merged, tracks)
+        assert same_tracks(got, reference_stitch(merged, tracks))
+        merged = got
 
 
 # ------------------------------------------------------------ interpolate
