@@ -80,6 +80,11 @@ TRACK_RUNS = [
     # trajectory pass, stitching and interpolation see fragmented tracks
     ("train120", "clips64", ["--clip-len", "64", "--overlap", "32"]),
     ("long6144", "handcrafted", []),
+    # a second trajectory pass, with its early stops, and no trajectory
+    # pass at all
+    ("weak", "passes2", ["--traj-passes", "2"]),
+    ("gate700", "mpn-passes2", CKPT + ["--traj-passes", "2"]),
+    ("weak", "passes0", ["--traj-passes", "0"]),
 ]
 
 # the sparse run: the long scene's rows after frame 192 (1-based, as on

@@ -44,17 +44,6 @@ class WindowPlan:
         if self.window > self.clip_len:
             raise ValidationError("window must not exceed the clip")
 
-    def starts(self, origin: int = 0) -> list[int]:
-        """Window start frames; the last window reaches the clip end."""
-        out = []
-        s = 0
-        while True:
-            out.append(origin + s)
-            if s + self.window >= self.clip_len:
-                break
-            s += self.step
-        return out
-
     def window_end(self, frames: np.ndarray, origin: int = 0) -> np.ndarray:
         """End (exclusive) of the latest window starting at or before each frame.
 

@@ -15,7 +15,7 @@ mpn.graph_tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Sequence, Union
@@ -257,17 +257,23 @@ class TrackGraph:
     node v[k]; u and v are read-only int64 arrays of equal length. Every
     edge points forward in time (u's span ends strictly before v's span
     starts), so the graph is a DAG by construction; this also rules out
-    self-loops. No (u, v) pair repeats.
+    self-loops. No (u, v) pair repeats. spans is made on construction:
+    the read-only (n, 2) int64 array of the nodes' inclusive frame
+    spans, row i for node i.
     """
 
     nodes: tuple[Union[Detection, Tracklet], ...]
     u: np.ndarray
     v: np.ndarray
+    spans: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u, v = _endpoints("u", self.u), _endpoints("v", self.v)
+        spans = np.asarray([node.span for node in self.nodes], dtype=np.int64).reshape(-1, 2)
+        spans.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "spans", spans)
         if u.size != v.size:
             raise ValidationError(
                 f"edge endpoints must align, got {u.size} u and {v.size} v"
@@ -282,7 +288,6 @@ class TrackGraph:
         keys = np.sort(u * n + v)
         if (keys[1:] == keys[:-1]).any():
             raise ValidationError("graph repeats a (u, v) edge")
-        spans = np.asarray([node.span for node in self.nodes], dtype=np.int64)
         back = spans[u, 1] >= spans[v, 0]
         if back.any():
             k = int(np.argmax(back))

@@ -284,8 +284,7 @@ def graph_tensors(graph: TrackGraph) -> GraphTensors:
     if n == 0:
         raise ValidationError("graph has no nodes")
     node_feat = np.stack([node.feature for node in graph.nodes])
-    spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64)
-    u, v = graph.u, graph.v
+    u, v, spans = graph.u, graph.v, graph.spans
     bu = box_rows(node.last_box for node in graph.nodes)[u]
     bv = box_rows(node.first_box for node in graph.nodes)[v]
     denom = bu[:, 3] + bv[:, 3]
@@ -549,8 +548,8 @@ def edge_labels(graph: TrackGraph) -> np.ndarray:
             pure[k] = number[ids.pop()]
     frames, rank = np.unique(np.asarray(member_frame, dtype=np.int64), return_inverse=True)
     keys = np.unique(np.asarray(member_id, dtype=np.int64) * frames.size + rank)
-    spans = np.asarray([node.span for node in graph.nodes], dtype=np.int64).reshape(-1, 2)
-    pos = np.searchsorted(keys, pure[:, None] * frames.size + np.searchsorted(frames, spans))
+    pos = np.searchsorted(keys, pure[:, None] * frames.size
+                          + np.searchsorted(frames, graph.spans))
     u, v = graph.u, graph.v
     positive = (pure[u] >= 0) & (pure[u] == pure[v]) & (pos[v, 0] <= pos[u, 1] + 1)
     return positive.astype(np.int64)

@@ -3,13 +3,14 @@
 Rounding projects fractional edge scores onto flow-feasible binary
 labelings: at most one positive outgoing and one positive incoming
 edge per node, the discrete analogue of unit-capacity flow. A greedy
-projection handles real instances; an exhaustive oracle checks it on
-small ones. Connected components over the positive edges then assign
+projection does the rounding; the tests hold an exhaustive oracle for
+small instances. Connected components over the positive edges then assign
 identities, refusing any merge that would put two time-overlapping
 nodes in one group. Aggregation applies the machinery twice: once over
 the part graph's detection links, then over trajectory graphs whose
 nodes are the tracklets of the first pass, re-scored with the same
-parameters. Tracklets are nodes only in those trajectory graphs.
+parameters. Tracklets are nodes only in those trajectory graphs. Both
+passes read the graph's endpoint arrays and node spans as they are.
 """
 
 from __future__ import annotations
@@ -25,147 +26,91 @@ from trackgraph.core import (
     TrackGraph,
     Tracklet,
     ValidationError,
+    _endpoints,
 )
 from trackgraph.mpn import GraphTensors, MpnParams, forward
 
-_EXACT_EDGE_CAP = 20
 
-ScoredEdge = tuple[int, int, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundingProblem:
-    """Scored forward edges over n_nodes; scores live in [0, 1]."""
+    """Scored forward edges over n_nodes as three aligned read-only arrays.
+
+    Edge k runs from node u[k] to node v[k] with score scores[k] in
+    [0, 1].
+    """
 
     n_nodes: int
-    edges: tuple[ScoredEdge, ...] = ()
+    u: np.ndarray
+    v: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        for u, v, s in self.edges:
-            if u == v:
-                raise ValidationError("rounding edge endpoints must differ")
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ValidationError(f"edge ({u}, {v}) endpoint out of range")
-            if not (0.0 <= s <= 1.0):
-                raise ValidationError(f"edge score must lie in [0, 1], got {s}")
+        u, v = _endpoints("u", self.u), _endpoints("v", self.v)
+        scores = np.array(self.scores, dtype=np.float64)
+        scores.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "scores", scores)
+        if not (u.size == v.size == scores.size and scores.ndim == 1):
+            raise ValidationError("rounding edges, endpoints and scores must align")
+        if (u == v).any():
+            raise ValidationError("rounding edge endpoints must differ")
+        n = self.n_nodes
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"edge ({u[k]}, {v[k]}) endpoint out of range")
+        # the negation also refuses NaN
+        off = ~((scores >= 0.0) & (scores <= 1.0))
+        if off.any():
+            raise ValidationError(
+                f"edge score must lie in [0, 1], got {scores[np.argmax(off)]}")
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    def scores(self) -> np.ndarray:
-        return np.asarray([s for _, _, s in self.edges], dtype=np.float64)
+        return self.u.size
 
 
-def _candidate_order(problem: RoundingProblem, eps: float) -> list[int]:
-    """Edges above the threshold, strongest first, endpoint tie-break."""
-    idx = [k for k, (_, _, s) in enumerate(problem.edges) if s > eps]
-    idx.sort(key=lambda k: (-problem.edges[k][2], problem.edges[k][0], problem.edges[k][1]))
-    return idx
+def _strongest_first(u: np.ndarray, v: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Edge positions by descending score, ties by (u, v), then storage order."""
+    return np.lexsort((v, u, -scores))
 
 
 def greedy_round(problem: RoundingProblem, eps: float = 0.5) -> np.ndarray:
-    """Accept edges strongest-first while both degree budgets are free.
+    """Accept edges above eps strongest-first while both degree budgets are free.
 
     Returns one 0/1 label per edge, in the problem's edge order.
     """
+    u, v, scores = problem.u, problem.v, problem.scores
+    cand = np.flatnonzero(scores > eps)
+    cand = cand[_strongest_first(u[cand], v[cand], scores[cand])]
     labels = np.zeros(problem.n_edges, dtype=np.int64)
-    out_used = np.zeros(problem.n_nodes, dtype=bool)
-    in_used = np.zeros(problem.n_nodes, dtype=bool)
-    for k in _candidate_order(problem, eps):
-        u, v, _ = problem.edges[k]
-        if not out_used[u] and not in_used[v]:
+    out_used = [False] * problem.n_nodes
+    in_used = [False] * problem.n_nodes
+    for k, a, b in zip(cand.tolist(), u[cand].tolist(), v[cand].tolist()):
+        if not out_used[a] and not in_used[b]:
             labels[k] = 1
-            out_used[u] = True
-            in_used[v] = True
+            out_used[a] = True
+            in_used[b] = True
     return labels
 
 
-def exact_round(problem: RoundingProblem, eps: float = 0.5) -> np.ndarray:
-    """Exhaustive optimum of the rounding objective; ties pick fewer ones.
-
-    Only edges above the threshold may be labeled 1, mirroring the
-    greedy candidate rule so the two are comparable. Minimizes
-    sum of (1 - 2 * score) over the chosen edges, which is the variable
-    part of ||labels - scores||^2. Capped at 20 edges.
-    """
-    if problem.n_edges > _EXACT_EDGE_CAP:
-        raise ValidationError(
-            f"exhaustive rounding handles at most {_EXACT_EDGE_CAP} edges, "
-            f"got {problem.n_edges}"
-        )
-    cand = sorted(_candidate_order(problem, eps))  # storage order for lex ties
-    costs = [1.0 - 2.0 * problem.edges[k][2] for k in cand]
-    # best possible remaining improvement from position i onward
-    neg_suffix = [0.0] * (len(cand) + 1)
-    for i in range(len(cand) - 1, -1, -1):
-        neg_suffix[i] = neg_suffix[i + 1] + min(costs[i], 0.0)
-
-    best_cost = np.inf
-    best: Optional[np.ndarray] = None
-    labels = np.zeros(problem.n_edges, dtype=np.int64)
-    out_used = np.zeros(problem.n_nodes, dtype=bool)
-    in_used = np.zeros(problem.n_nodes, dtype=bool)
-
-    def walk(i: int, cost: float):
-        nonlocal best_cost, best
-        if cost + neg_suffix[i] >= best_cost:
-            return
-        if i == len(cand):
-            best_cost = cost
-            best = labels.copy()
-            return
-        k = cand[i]
-        u, v, _ = problem.edges[k]
-        walk(i + 1, cost)  # zero branch first keeps ties lexicographic
-        if not out_used[u] and not in_used[v]:
-            labels[k] = 1
-            out_used[u] = True
-            in_used[v] = True
-            walk(i + 1, cost + costs[i])
-            labels[k] = 0
-            out_used[u] = False
-            in_used[v] = False
-
-    walk(0, 0.0)
-    assert best is not None  # the all-zero leaf always completes
-    return best
-
-
-def rounding_objective(problem: RoundingProblem, labels: np.ndarray) -> float:
-    """Squared distance between the binary labels and the scores."""
-    if labels.shape != (problem.n_edges,):
-        raise ValidationError("labels do not align with the problem")
-    diff = labels.astype(np.float64) - problem.scores()
-    return float(np.dot(diff, diff))
-
-
-def is_feasible(problem: RoundingProblem, labels: np.ndarray) -> bool:
-    """Degree check: at most one positive edge out of and into any node."""
-    if labels.shape != (problem.n_edges,):
-        return False
-    out_deg = np.zeros(problem.n_nodes, dtype=np.int64)
-    in_deg = np.zeros(problem.n_nodes, dtype=np.int64)
-    for (u, v, _), y in zip(problem.edges, labels):
-        if y:
-            out_deg[u] += 1
-            in_deg[v] += 1
-    return bool(out_deg.max(initial=0) <= 1 and in_deg.max(initial=0) <= 1)
-
-
 def connected_components_ids(
-    spans: np.ndarray, edges: Sequence[ScoredEdge]
+    spans: np.ndarray, u: np.ndarray, v: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
     """Group nodes along positive edges without overlapping any spans.
 
-    Edges merge strongest-first; a merge is refused when the two groups
-    occupy a common frame. Returns one id per node, numbered by first
+    Edge k links u[k] and v[k] with score scores[k]. Edges merge
+    strongest-first; a merge is refused when the two groups occupy a
+    common frame. Returns one id per node, numbered by first
     appearance.
     """
-    spans = np.asarray(spans, dtype=np.int64)
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    order = _strongest_first(u, v, np.asarray(scores, dtype=np.float64))
     n = spans.shape[0]
     parent = list(range(n))
-    frames = [set(range(int(s), int(e) + 1)) for s, e in spans]
+    frames = [set(range(s, e + 1)) for s, e in spans.tolist()]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -173,27 +118,22 @@ def connected_components_ids(
             a = parent[a]
         return a
 
-    order = sorted(range(len(edges)), key=lambda k: (-edges[k][2], edges[k][0], edges[k][1]))
-    for k in order:
-        u, v, _ = edges[k]
-        ra, rb = find(int(u)), find(int(v))
+    for a, b in zip(u[order].tolist(), v[order].tolist()):
+        ra, rb = find(a), find(b)
         if ra == rb or not frames[ra].isdisjoint(frames[rb]):
             continue
         parent[rb] = ra
         frames[ra] |= frames[rb]
         frames[rb] = set()
-    roots = np.asarray([find(i) for i in range(n)], dtype=np.int64)
-    return _relabel(roots)
+    return _relabel(np.asarray([find(i) for i in range(n)], dtype=np.int64))
 
 
 def _relabel(ids: np.ndarray) -> np.ndarray:
     """Consecutive ids in order of first appearance."""
-    mapping: dict[int, int] = {}
-    out = np.empty(ids.shape[0], dtype=np.int64)
-    for i, g in enumerate(ids.tolist()):
-        mapping.setdefault(g, len(mapping))
-        out[i] = mapping[g]
-    return out
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def span_disjoint_edges(
@@ -294,13 +234,11 @@ def aggregate(
             raise ValidationError("aggregate needs params or a score_fn")
         return forward(g, params)[1]
 
-    scores = np.clip(run_scores(graph), 0.0, 1.0).tolist()
-    det_edges = tuple(zip(graph.u.tolist(), graph.v.tolist(), scores))
-    problem = RoundingProblem(n_det, det_edges)
-    labels = greedy_round(problem, eps)
-    positive = [det_edges[k] for k in np.flatnonzero(labels)]
-    det_spans = np.asarray([node.span for node in graph.nodes])
-    ids = connected_components_ids(det_spans, positive)
+    problem = RoundingProblem(n_det, graph.u, graph.v,
+                              np.clip(run_scores(graph), 0.0, 1.0))
+    pos = greedy_round(problem, eps).astype(bool)
+    ids = connected_components_ids(
+        graph.spans, problem.u[pos], problem.v[pos], problem.scores[pos])
 
     for _ in range(traj_passes):
         tg = build_traj_graph(graph.nodes, ids)
@@ -308,13 +246,8 @@ def aggregate(
             break
         t_scores = run_scores(tg)
         keep = t_scores > eps
-        positive = list(zip(
-            tg.u[keep].tolist(),
-            tg.v[keep].tolist(),
-            np.clip(t_scores[keep], 0.0, 1.0).tolist(),
-        ))
-        t_spans = np.asarray([node.span for node in tg.nodes])
-        gids = connected_components_ids(t_spans, positive)
+        gids = connected_components_ids(
+            tg.spans, tg.u[keep], tg.v[keep], np.clip(t_scores[keep], 0.0, 1.0))
         if len(set(gids.tolist())) == len(tg.nodes):
             break
         # node p of the trajectory graph holds the p-th smallest id

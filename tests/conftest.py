@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import Tracklet
+from trackgraph.core import Tracklet, ValidationError
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
@@ -18,10 +18,26 @@ from trackgraph.mpn import (
 )
 
 
+def window_starts(plan, origin=0):
+    """A plan's window start frames, listed one by one.
+
+    Windows start every step frames from origin; the last one reaches
+    the clip end. The brute-force reference for WindowPlan.window_end.
+    """
+    out = []
+    s = 0
+    while True:
+        out.append(origin + s)
+        if s + plan.window >= plan.clip_len:
+            break
+        s += plan.step
+    return out
+
+
 def shares_a_window(plan, origin, fa, fb):
     """Brute force: some window of the plan holds both frames."""
     return any(s <= min(fa, fb) and max(fa, fb) < s + plan.window
-               for s in plan.starts(origin))
+               for s in window_starts(plan, origin))
 
 
 def gated_pair_score(dets, plan, origin, i, j, oracle=False):
@@ -316,3 +332,148 @@ def reference_stitch(tracks_a, tracks_b):
             out.append(Tracklet.from_members(next_id, members))
             next_id += 1
     return out
+
+
+# -------------------------------------------------------- rounding reference
+#
+# Identity assignment written the per-edge way: every edge is a
+# (u, v, score) tuple, candidates sort by a key on the tuple, and ids
+# are renumbered through a dict. solver.greedy_round and
+# solver.connected_components_ids must return the same labels and ids.
+# exact_round is the exhaustive optimum that greedy rounding is measured
+# against on small problems; is_feasible and rounding_objective score a
+# labelling of a solver.RoundingProblem.
+
+EXACT_EDGE_CAP = 20
+
+
+def edge_tuples(problem):
+    """A RoundingProblem's edges as (u, v, score) tuples."""
+    return list(zip(problem.u.tolist(), problem.v.tolist(), problem.scores.tolist()))
+
+
+def reference_candidate_order(edges, eps):
+    """Edges above the threshold, strongest first, endpoint tie-break."""
+    idx = [k for k, (_, _, s) in enumerate(edges) if s > eps]
+    idx.sort(key=lambda k: (-edges[k][2], edges[k][0], edges[k][1]))
+    return idx
+
+
+def reference_greedy_round(n_nodes, edges, eps=0.5):
+    """Accept edges strongest-first while both degree budgets are free."""
+    labels = np.zeros(len(edges), dtype=np.int64)
+    out_used = np.zeros(n_nodes, dtype=bool)
+    in_used = np.zeros(n_nodes, dtype=bool)
+    for k in reference_candidate_order(edges, eps):
+        u, v, _ = edges[k]
+        if not out_used[u] and not in_used[v]:
+            labels[k] = 1
+            out_used[u] = True
+            in_used[v] = True
+    return labels
+
+
+def reference_relabel(ids):
+    """Consecutive ids in order of first appearance."""
+    mapping = {}
+    return np.asarray([mapping.setdefault(g, len(mapping)) for g in ids],
+                      dtype=np.int64)
+
+
+def reference_components_ids(spans, edges):
+    """Merge along (u, v, score) edges strongest-first, refusing overlaps."""
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    n = spans.shape[0]
+    parent = list(range(n))
+    frames = [set(range(int(s), int(e) + 1)) for s, e in spans]
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    order = sorted(range(len(edges)),
+                   key=lambda k: (-edges[k][2], edges[k][0], edges[k][1]))
+    for k in order:
+        u, v, _ = edges[k]
+        ra, rb = find(int(u)), find(int(v))
+        if ra == rb or not frames[ra].isdisjoint(frames[rb]):
+            continue
+        parent[rb] = ra
+        frames[ra] |= frames[rb]
+        frames[rb] = set()
+    return reference_relabel([find(i) for i in range(n)])
+
+
+def exact_round(problem, eps=0.5):
+    """Exhaustive optimum of the rounding objective; ties pick fewer ones.
+
+    Only edges above the threshold may be labeled 1, mirroring the
+    greedy candidate rule so the two are comparable. Minimizes
+    sum of (1 - 2 * score) over the chosen edges, which is the variable
+    part of ||labels - scores||^2. Capped at EXACT_EDGE_CAP edges.
+    """
+    if problem.n_edges > EXACT_EDGE_CAP:
+        raise ValidationError(
+            f"exhaustive rounding handles at most {EXACT_EDGE_CAP} edges, "
+            f"got {problem.n_edges}"
+        )
+    edges = edge_tuples(problem)
+    cand = [k for k, (_, _, s) in enumerate(edges) if s > eps]  # storage order
+    costs = [1.0 - 2.0 * edges[k][2] for k in cand]
+    # best possible remaining improvement from position i onward
+    neg_suffix = [0.0] * (len(cand) + 1)
+    for i in range(len(cand) - 1, -1, -1):
+        neg_suffix[i] = neg_suffix[i + 1] + min(costs[i], 0.0)
+
+    best_cost = np.inf
+    best = None
+    labels = np.zeros(problem.n_edges, dtype=np.int64)
+    out_used = np.zeros(problem.n_nodes, dtype=bool)
+    in_used = np.zeros(problem.n_nodes, dtype=bool)
+
+    def walk(i, cost):
+        nonlocal best_cost, best
+        if cost + neg_suffix[i] >= best_cost:
+            return
+        if i == len(cand):
+            best_cost = cost
+            best = labels.copy()
+            return
+        k = cand[i]
+        u, v, _ = edges[k]
+        walk(i + 1, cost)  # zero branch first keeps ties lexicographic
+        if not out_used[u] and not in_used[v]:
+            labels[k] = 1
+            out_used[u] = True
+            in_used[v] = True
+            walk(i + 1, cost + costs[i])
+            labels[k] = 0
+            out_used[u] = False
+            in_used[v] = False
+
+    walk(0, 0.0)
+    assert best is not None  # the all-zero leaf always completes
+    return best
+
+
+def rounding_objective(problem, labels):
+    """Squared distance between the binary labels and the scores."""
+    if labels.shape != (problem.n_edges,):
+        raise ValidationError("labels do not align with the problem")
+    diff = labels.astype(np.float64) - problem.scores
+    return float(np.dot(diff, diff))
+
+
+def is_feasible(problem, labels):
+    """Degree check: at most one positive edge out of and into any node."""
+    if labels.shape != (problem.n_edges,):
+        return False
+    out_deg = np.zeros(problem.n_nodes, dtype=np.int64)
+    in_deg = np.zeros(problem.n_nodes, dtype=np.int64)
+    for u, v, y in zip(problem.u.tolist(), problem.v.tolist(), labels.tolist()):
+        if y:
+            out_deg[u] += 1
+            in_deg[v] += 1
+    return bool(out_deg.max(initial=0) <= 1 and in_deg.max(initial=0) <= 1)

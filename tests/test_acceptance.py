@@ -11,7 +11,13 @@ import time
 
 import numpy as np
 
-from conftest import draw_audit_case, gradient_audit_errors
+from conftest import (
+    draw_audit_case,
+    exact_round,
+    gradient_audit_errors,
+    is_feasible,
+    rounding_objective,
+)
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -27,13 +33,7 @@ from trackgraph.ingest import DetectionSet, ScenarioSpec, ground_truth, synthesi
 from trackgraph.metrics import evaluate, idf1, match_frames
 from trackgraph.mpn import TrainSchedule, focal_loss, init_params, train
 from trackgraph.pipeline import ClipTracker
-from trackgraph.solver import (
-    RoundingProblem,
-    exact_round,
-    greedy_round,
-    is_feasible,
-    rounding_objective,
-)
+from trackgraph.solver import RoundingProblem, greedy_round
 from trackgraph.stitcher import ClipPlan, run_clipped, stitch
 
 
@@ -51,8 +51,8 @@ def _random_problem(rng, max_nodes=50, max_edges=120):
     while len(pairs) < m:
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
         pairs.add((a, b))
-    edges = tuple((u, v, float(rng.uniform())) for u, v in sorted(pairs))
-    return RoundingProblem(n, edges)
+    u, v = np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    return RoundingProblem(n, u, v, rng.uniform(size=len(pairs)))
 
 
 def test_criterion_1_greedy_rounding_always_feasible():
@@ -67,7 +67,8 @@ def test_criterion_1_greedy_rounding_always_feasible():
 
 
 def _margins_exceed(problem: RoundingProblem, eps: float, gap: float) -> bool:
-    cand = [(u, v, s) for u, v, s in problem.edges if s > eps]
+    cand = [(u, v, s) for u, v, s in zip(problem.u, problem.v, problem.scores)
+            if s > eps]
     for i, (u1, v1, s1) in enumerate(cand):
         for u2, v2, s2 in cand[i + 1:]:
             if {u1, v1} & {u2, v2} and abs(s1 - s2) <= gap:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gated_pair_score, shares_a_window
+from conftest import gated_pair_score, shares_a_window, window_starts
 from trackgraph.affinity import (
     WindowPlan,
     accumulate_affinity,
@@ -61,21 +61,21 @@ def pair_matrix(aff, frames):
 
 def test_window_starts_cover_clip():
     # 64 frames with window 32 and step 16 -> starts 0, 16, 32
-    assert WindowPlan(64, 32, 16).starts() == [0, 16, 32]
+    assert window_starts(WindowPlan(64, 32, 16)) == [0, 16, 32]
 
 
 def test_window_starts_single_window_when_clip_fits():
-    assert WindowPlan(32, 32, 16).starts() == [0]
-    assert WindowPlan(10, 10, 5).starts() == [0]
+    assert window_starts(WindowPlan(32, 32, 16)) == [0]
+    assert window_starts(WindowPlan(10, 10, 5)) == [0]
 
 
 def test_window_starts_cover_ragged_tail():
     # smallest start multiple of step with start + window >= clip
-    assert WindowPlan(70, 32, 16).starts() == [0, 16, 32, 48]
+    assert window_starts(WindowPlan(70, 32, 16)) == [0, 16, 32, 48]
 
 
 def test_window_starts_with_origin():
-    assert WindowPlan(64, 32, 16).starts(origin=100) == [100, 116, 132]
+    assert window_starts(WindowPlan(64, 32, 16), origin=100) == [100, 116, 132]
 
 
 def test_window_plan_validation():
@@ -112,7 +112,7 @@ def test_window_gate_and_pair_count_match_brute_force(case):
     clip = np.arange(origin, origin + plan.clip_len)
     # the closed-form window count against the listed starts
     assert plan.window_end(clip, origin).tolist() == [
-        max(s for s in plan.starts(origin) if s <= f) + plan.window for f in clip]
+        max(s for s in window_starts(plan, origin) if s <= f) + plan.window for f in clip]
     ds = simple_set(frames)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.5), origin=origin)
     n = len(frames)
@@ -200,7 +200,7 @@ def window_averaged(ds, plan, origin):
     emb = ds.embeddings()
     unit = emb / np.linalg.norm(emb, axis=1)[:, None]
     sums, counts = {}, {}
-    for start in plan.starts(origin):
+    for start in window_starts(plan, origin):
         idx = np.flatnonzero((frames >= start) & (frames < start + plan.window))
         block = np.clip((1.0 + unit[idx] @ unit[idx].T) / 2.0, 0.0, 1.0)
         for a in range(idx.size):

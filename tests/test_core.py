@@ -246,7 +246,11 @@ def test_graph_endpoints_are_read_only_copies():
     u[0] = 1  # the caller's array stays the caller's
     assert g.u.tolist() == [0, 0]
     tensors = graph_tensors(g)
-    for arr in (g.u, g.v, tensors.u, tensors.v):
+    # the graph lists its node spans once; the tensors share them
+    assert g.spans.tolist() == [[0, 0], [1, 1], [2, 2]]
+    assert tensors.spans is g.spans
+    assert TrackGraph((), [], []).spans.shape == (0, 2)
+    for arr in (g.u, g.v, g.spans, tensors.u, tensors.v):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from conftest import (
+    edge_tuples,
+    exact_round,
+    is_feasible,
+    reference_components_ids,
+    reference_greedy_round,
+    reference_relabel,
+    rounding_objective,
+)
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
 from trackgraph.core import (
@@ -20,16 +31,18 @@ from trackgraph.solver import (
     aggregate,
     build_traj_graph,
     connected_components_ids,
-    exact_round,
     greedy_round,
-    is_feasible,
-    rounding_objective,
     span_disjoint_edges,
 )
 
 
+def columns(edges):
+    """(u, v, scores) lists from (u, v, score) tuples."""
+    return tuple(map(list, zip(*edges))) if edges else ([], [], [])
+
+
 def prob(n, *edges):
-    return RoundingProblem(n_nodes=n, edges=tuple(edges))
+    return RoundingProblem(n, *columns(edges))
 
 
 def det(frame, x, gt):
@@ -63,6 +76,10 @@ def test_problem_validation():
         prob(2, (0, 0, 0.5))
     with pytest.raises(ValidationError):
         prob(2, (0, 2, 0.5))
+    with pytest.raises(ValidationError):
+        prob(2, (0, 1, float("nan")))
+    with pytest.raises(ValidationError, match="align"):
+        RoundingProblem(2, [0], [1], [0.5, 0.5])
 
 
 # ------------------------------------------------------------------ greedy
@@ -115,9 +132,9 @@ def rounding_problems(draw):
 def test_greedy_feasibility_on_random_problems(p, eps):
     lab = greedy_round(p, eps)
     assert is_feasible(p, lab)
-    out_used = {u for (u, _, _), y in zip(p.edges, lab) if y}
-    in_used = {v for (_, v, _), y in zip(p.edges, lab) if y}
-    for (u, v, s), y in zip(p.edges, lab):
+    out_used = {u for u, y in zip(p.u, lab) if y}
+    in_used = {v for v, y in zip(p.v, lab) if y}
+    for u, v, s, y in zip(p.u, p.v, p.scores, lab):
         if y:
             assert s > eps
         elif s > eps:
@@ -175,7 +192,7 @@ def random_problem(rng, n_nodes=6, n_edges=10):
 
 
 def margins_exceed(p, eps, gap):
-    cands = [(u, v, s) for u, v, s in p.edges if s > eps]
+    cands = [(u, v, s) for u, v, s in zip(p.u, p.v, p.scores) if s > eps]
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
             ui, vi, si = cands[i]
@@ -211,13 +228,13 @@ def spans(*pairs):
 def test_components_chain_merges_to_one_id():
     ids = connected_components_ids(
         spans((0, 1), (2, 3), (4, 5)),
-        [(0, 1, 0.9), (1, 2, 0.8)],
+        *columns([(0, 1, 0.9), (1, 2, 0.8)]),
     )
     assert ids.tolist() == [0, 0, 0]
 
 
 def test_components_refuse_overlap():
-    ids = connected_components_ids(spans((0, 3), (2, 5)), [(0, 1, 0.9)])
+    ids = connected_components_ids(spans((0, 3), (2, 5)), [0], [1], [0.9])
     assert ids.tolist() == [0, 1]
 
 
@@ -225,20 +242,77 @@ def test_components_ordered_merge_trace():
     # strongest merge wins, the conflicting 0.85 is refused, 0.8 still lands
     sp = spans((0, 1), (2, 3), (4, 5), (3, 4))
     edges = [(0, 1, 0.9), (1, 3, 0.85), (1, 2, 0.8)]
-    ids = connected_components_ids(sp, edges)
+    ids = connected_components_ids(sp, *columns(edges))
     assert ids.tolist() == [0, 0, 0, 1]
 
 
 def test_components_no_edges_all_singletons():
-    ids = connected_components_ids(spans((0, 0), (1, 1)), [])
+    ids = connected_components_ids(spans((0, 0), (1, 1)), [], [], [])
     assert ids.tolist() == [0, 1]
 
 
 def test_components_equal_scores_merge_in_endpoint_order():
     # both merges are compatible, order only affects determinism
     sp = spans((0, 0), (1, 1), (2, 2))
-    ids = connected_components_ids(sp, [(1, 2, 0.8), (0, 1, 0.8)])
+    ids = connected_components_ids(sp, [1, 0], [2, 1], [0.8, 0.8])
     assert ids.tolist() == [0, 0, 0]
+
+
+@st.composite
+def component_cases(draw):
+    """Spans that often overlap, and coarse-scored edges in any direction."""
+    n = draw(st.integers(1, 8))
+    starts = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    edges = draw(st.lists(st.tuples(pairs, score), max_size=16))
+    sp = spans(*((a, a + d) for a, d in zip(starts, lengths)))
+    return sp, [(u, v, s) for (u, v), s in edges]
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=rounding_problems(), eps=st.sampled_from([0.0, 0.3, 0.5, 0.9]),
+       case=component_cases())
+def test_array_assignment_matches_the_tuple_reference(p, eps, case):
+    # duplicate and backward edges and equal scores are all drawn
+    assert (greedy_round(p, eps).tolist()
+            == reference_greedy_round(p.n_nodes, edge_tuples(p), eps).tolist())
+    sp, edges = case
+    assert (connected_components_ids(sp, *columns(edges)).tolist()
+            == reference_components_ids(sp, edges).tolist())
+
+
+@st.composite
+def forward_detection_graphs(draw):
+    """Detection frames and distinct forward edges with coarse scores."""
+    frames = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    n = len(frames)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=30))
+    forward = sorted((a, b) for a, b in pairs if frames[a] < frames[b])
+    scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                           min_size=len(forward), max_size=len(forward)))
+    return frames, [(a, b, s) for (a, b), s in zip(forward, scores)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=forward_detection_graphs(), eps=st.sampled_from([0.0, 0.3, 0.5]))
+def test_pass_one_components_never_refuse_a_merge(graph, eps):
+    # greedy positives have in- and out-degree <= 1 on forward edges, so
+    # they form vertex-disjoint time-ordered paths: grouping along them
+    # is plain weak connectivity, with no merge refused
+    frames, edges = graph
+    n = len(frames)
+    p = prob(n, *edges)
+    pos = greedy_round(p, eps).astype(bool)
+    assert is_feasible(p, pos.astype(np.int64))
+    sp = spans(*((f, f) for f in frames))
+    ids = connected_components_ids(sp, p.u[pos], p.v[pos], p.scores[pos])
+    adjacency = coo_matrix((np.ones(int(pos.sum())), (p.u[pos], p.v[pos])),
+                           shape=(n, n))
+    _, weak = connected_components(adjacency, directed=True, connection="weak")
+    assert ids.tolist() == reference_relabel(weak.tolist()).tolist()
 
 
 # -------------------------------------------------------------- traj graph
