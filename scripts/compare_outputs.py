@@ -6,7 +6,9 @@ Unpacks REV with `git archive` into a temporary directory, then runs
 `trackgraph synth`, `track`, `eval`, `graph-stats --dump` and `train`
 on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). One more `track` run reads a sparse copy
-of a scene whose later half sits far ahead in time. Prints one SHA-256
+of a scene whose later half sits far ahead in time, and one more
+`track` and `eval` read a copy of a scene respelled so that `parse_mot`
+reads it line by line. Prints one SHA-256
 per scene and output of the working tree, marks each one `same` or
 `DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
 output file and summary, `eval` on its report; the timing line of
@@ -175,6 +177,17 @@ def shift_frames(src: Path, dest: Path, after: int, by: int) -> None:
     dest.write_text("\n".join(rows) + "\n")
 
 
+def respell(src: Path, dest: Path) -> None:
+    """Copy a MOT file with every frame spelled as a float (12 -> 12.0)
+    and every seventh row cut to its first 7 columns."""
+    rows = []
+    for k, line in enumerate(src.read_text().splitlines()):
+        fields = line.split(",")
+        fields[0] += ".0"
+        rows.append(",".join(fields[:7] if k % 7 == 0 else fields))
+    dest.write_text("\n".join(rows) + "\n")
+
+
 def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
     """Every ladder output under one tree."""
     out: dict[str, Output] = {}
@@ -213,6 +226,15 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
                  SPARSE_AFTER, SPARSE_SHIFT)
     shutil.copyfile(work / "long" / "det.emb", work / "sparse" / "det.emb")
     track("sparse", "handcrafted", LONG_CLIPS)
+    # the respelled run: weak's rows with float-spelled frames and some
+    # 7-column rows, which parse_mot reads line by line
+    (work / "respelled").mkdir()
+    respell(work / "weak" / "det.txt", work / "respelled" / "det.txt")
+    shutil.copyfile(work / "weak" / "det.emb", work / "respelled" / "det.emb")
+    result = track("respelled", "handcrafted", [])
+    report = trackgraph(tree, ["eval", "--pred", str(result),
+                               "--gt", str(work / "weak" / "gt.txt")])
+    text("respelled/eval-handcrafted", report)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         text(f"{scene}/graph-stats-{run}", dump)

@@ -9,8 +9,8 @@ before f_i. The test is closed-form, so no score is stored.
 Association scores tracks, not members: a scorer bound to the clip
 returns, against one frame's detections, each track's similarity sum
 over its members that share a window with that frame. Cosine is linear
-in the unit vectors, so a track sums those first; the oracle counts
-identity matches.
+in the unit vectors, so a track sums those first, in frame order; the
+oracle counts identity matches.
 
 The per-step association cost combines the mean appearance against
 each tracklet member with the IoU of the tracklet's last box:
@@ -20,7 +20,7 @@ C = -max(appearance, iou), entries in [-1, 0].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -62,17 +62,44 @@ TrackSums = Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
 Scorer = Callable[[DetectionSet], TrackSums]
 
 
+def _frame_slots(owner: np.ndarray, members: np.ndarray, frames: np.ndarray,
+                 n_tracks: int) -> np.ndarray:
+    """Each track's members laid out by frame: (frames spanned, n_tracks + 1).
+
+    Entry (i, r) is track r's member in the i-th frame from the earliest
+    member's, or -1; the last column is all -1. Rows gathered through it
+    and summed over axis 0 add each track's members one by one in frame
+    order, as np.add.at does: numpy reduces an outer axis in sequence,
+    and the zero of an empty slot changes no sum but for the sign of a
+    zero. The spare column keeps the axis outer even for one track of
+    one-dimensional rows, which numpy would otherwise sum pairwise.
+    """
+    if not members.size:
+        return np.full((0, n_tracks + 1), -1)
+    row = frames[members]
+    row -= row.min()
+    slots = np.full((row.max() + 1, n_tracks + 1), -1)
+    slots[row, owner] = members
+    if np.count_nonzero(slots >= 0) != members.size:
+        raise ValidationError("a track holds two members in one frame")
+    return slots
+
+
 def cosine_scorer(dets: DetectionSet) -> TrackSums:
-    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first."""
+    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first.
+
+    A track holds at most one member per frame.
+    """
     emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise ValidationError("cosine similarity undefined for zero embeddings")
-    unit = emb / norms[:, None]
+    # the unit vectors, then a zero row that slot -1 reads
+    unit = np.vstack([emb / norms[:, None], np.zeros((1, emb.shape[1]))])
 
     def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
-        summed = np.zeros((n_tracks, unit.shape[1]))
-        np.add.at(summed, owner, unit[members])
+        slots = _frame_slots(owner, members, dets.frames, n_tracks)
+        summed = unit[slots].sum(axis=0)[:n_tracks]
         count = np.bincount(owner, minlength=n_tracks)
         # einsum rounds a track's row alike whatever the number of tracks;
         # a BLAS product does not, so exact ties would hang on other tracks
@@ -89,9 +116,10 @@ def oracle_scorer(dets: DetectionSet) -> TrackSums:
     arr = np.asarray(ids)
 
     def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
-        out = np.zeros((n_tracks, len(cols)))
-        np.add.at(out, owner, arr[members][:, None] == arr[cols])
-        return out
+        # counts are exact in any order of addition
+        hit, col = np.nonzero(arr[members][:, None] == arr[cols])
+        counts = np.bincount(owner[hit] * len(cols) + col, minlength=n_tracks * len(cols))
+        return counts.reshape(n_tracks, len(cols)).astype(np.float64)
 
     return sums
 
@@ -127,37 +155,44 @@ def accumulate_affinity(
     origin anchors the first window; detections are expected to lie in
     [origin, origin + clip_len).
     """
-    frames = np.asarray([d.frame for d in dets.detections], dtype=np.int64)
+    frames = dets.frames
     if frames.size and (frames.min() < origin or frames.max() >= origin + plan.clip_len):
         raise ValidationError("detections fall outside the planned clip")
     return AffinityMatrix(frames, plan.window_end(frames, origin), scorer(dets))
 
 
 def appearance_matrix(
-    members_in_window: Sequence[Sequence[int]],
+    owner: np.ndarray,
+    members: np.ndarray,
+    n_tracks: int,
     frame_dets: np.ndarray,
     aff: AffinityMatrix,
 ) -> np.ndarray:
     """Mean similarity of each track's members to each detection of a frame.
 
-    frame_dets share one frame t, later than every member (associate_frames
-    calls it no other way), so member m shares a window with them iff
-    window_end[m] > t. The scorer sums each track's gated members; the sum
-    is divided by all its members, so ungated ones count as 0, and clipped
-    to [0, 1], since a sum can overshoot by one ulp.
+    Member members[i] belongs to track owner[i], a row in [0, n_tracks);
+    a track holds at most one member per frame. frame_dets share one
+    frame t, later than every member (associate_frames calls it no other
+    way), so member m shares a window with them iff window_end[m] > t.
+    The scorer sums each track's gated members; the sum is divided by all
+    its members, so ungated ones count as 0, and clipped to [0, 1], since
+    a sum can overshoot by one ulp.
     """
-    sizes = [len(members) for members in members_in_window]
-    if 0 in sizes:
+    owner = np.asarray(owner, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
+    sizes = np.bincount(owner, minlength=n_tracks)
+    if sizes.size != n_tracks:
+        raise ValidationError("member owners must name one of the tracks")
+    if (sizes == 0).any():
         raise ValidationError("active track has no members in the window")
-    members = np.asarray([i for mem in members_in_window for i in mem], dtype=np.int64)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     gated = aff.window_end[members] > aff.frames[frame_dets[0]]
-    sums = aff.sums(owner[gated], members[gated], frame_dets, len(sizes))
-    return np.clip(sums / np.asarray(sizes, dtype=np.float64)[:, None], 0.0, 1.0)
+    sums = aff.sums(owner[gated], members[gated], frame_dets, n_tracks)
+    return np.minimum(np.maximum(sums / sizes[:, None], 0.0), 1.0)
 
 
 def step_cost_matrix(
-    members_in_window: Sequence[Sequence[int]],
+    owner: np.ndarray,
+    members: np.ndarray,
     last_boxes: np.ndarray,
     frame_dets: np.ndarray,
     frame_boxes: np.ndarray,
@@ -165,12 +200,11 @@ def step_cost_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Association costs C = -max(appearance mean, last-box IoU).
 
-    Boxes are (x, y, w, h) rows (core.box_rows). Returns (C, appearance
-    matrix); the appearance rows also drive candidate-link selection
-    downstream.
+    Member members[i] belongs to the track of row owner[i], whose last
+    box is last_boxes[owner[i]]. Boxes are (x, y, w, h) rows
+    (core.box_rows). Returns (C, appearance matrix); the appearance rows
+    also drive candidate-link selection downstream.
     """
-    if len(members_in_window) != len(last_boxes):
-        raise ValidationError("member lists and last boxes must align")
-    m_bar = appearance_matrix(members_in_window, frame_dets, aff)
+    m_bar = appearance_matrix(owner, members, len(last_boxes), frame_dets, aff)
     m_hat = iou_matrix(last_boxes, frame_boxes)
     return -np.maximum(m_bar, m_hat), m_bar

@@ -14,7 +14,6 @@ once, by mpn.graph_tensors.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackgraph.affinity import AffinityMatrix, step_cost_matrix
-from trackgraph.core import EdgeKind, TrackGraph, ValidationError, box_rows
+from trackgraph.core import EdgeKind, TrackGraph, ValidationError
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
 
@@ -66,43 +65,57 @@ def associate_frames(
     """
     if len(dets) == 0:
         return [], ([], [])
-    boxes = box_rows(d.box for d in dets.detections)
-    frame_of = [d.frame for d in dets.detections]
-    # each track's members (detection indices) are appended in frame order
-    tracks: list[list[int]] = []
-    last_frame = np.empty(len(dets), dtype=np.int64)
-    link_u: list[int] = []
-    link_v: list[int] = []
-    frames = sorted(dets.by_frame)
-    first = frames[0]
-    for t in frames:
-        idxs = dets.by_frame[t]
-        lo = max(first, t - cfg.lookback)
-        # every track so far ends before t
-        active = np.flatnonzero(last_frame[: len(tracks)] >= lo).tolist()
-        taken: set[int] = set()
-        if active:
-            members = [
-                tracks[k][bisect_left(tracks[k], lo, key=frame_of.__getitem__):]
-                for k in active
-            ]
-            last = [tracks[k][-1] for k in active]
-            cost, m_bar = step_cost_matrix(members, boxes[last], idxs, boxes[idxs], aff)
-            top = np.argsort(-m_bar, axis=1, kind="stable")[:, : cfg.top_k]
-            for r, c in zip(*linear_sum_assignment(cost)):
-                if -cost[r, c] < cfg.new_track_threshold:
-                    continue
-                v = int(idxs[c])
-                targets = sorted({v} | set(idxs[top[r]].tolist()))
-                link_u.extend([last[r]] * len(targets))
-                link_v.extend(targets)
-                tracks[active[r]].append(v)
-                last_frame[active[r]] = t
-                taken.add(int(c))
-        new = [[int(j)] for c, j in enumerate(idxs) if c not in taken]
-        last_frame[len(tracks): len(tracks) + len(new)] = t
-        tracks.extend(new)
-    return tracks, (link_u, link_v)
+    boxes, frames = dets.boxes, dets.frames
+    # frames are sorted, so each frame is one index run [s, e), and a
+    # track's members inside the lookback all lie in [a, s) with a the
+    # first index at or past the lookback's start
+    starts = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
+    ends = np.append(starts[1:], frames.size)
+    lows = np.searchsorted(frames, np.maximum(frames[0], frames[starts] - cfg.lookback))
+    owner = np.empty(frames.size, dtype=np.int64)  # each detection's track
+    last = np.empty(frames.size, dtype=np.int64)  # each track's last member
+    n_tracks = 0
+    link_u: list[np.ndarray] = []
+    link_v: list[np.ndarray] = []
+    for s, e, a in zip(starts.tolist(), ends.tolist(), lows.tolist()):
+        # every track so far ends before s; the active ones, ascending,
+        # are those with a member in [a, s)
+        is_active = last[:n_tracks] >= a
+        active = np.flatnonzero(is_active)
+        taken = np.zeros(e - s, dtype=bool)
+        if active.size:
+            rows = (np.cumsum(is_active) - 1)[owner[a:s]]
+            idxs = np.arange(s, e)
+            tails = last[active]
+            cost, m_bar = step_cost_matrix(
+                rows, np.arange(a, s), boxes[tails], idxs, boxes[s:e], aff)
+            r, c = linear_sum_assignment(cost)
+            ok = -cost[r, c] >= cfg.new_track_threshold
+            r, c = r[ok], c[ok]
+            # each accepted row links its tail to the matched detection
+            # and to its top-k appearance candidates, in column order
+            targets = np.zeros((r.size, e - s), dtype=bool)
+            top = np.argsort(-m_bar[r], axis=1, kind="stable")[:, : cfg.top_k]
+            accepted = np.arange(r.size)
+            targets[accepted[:, None], top] = True
+            targets[accepted, c] = True
+            lr, lc = np.nonzero(targets)
+            link_u.append(tails[r[lr]])
+            link_v.append(s + lc)
+            owner[s + c] = active[r]
+            last[active[r]] = s + c
+            taken[c] = True
+        new = s + np.flatnonzero(~taken)
+        owner[new] = np.arange(n_tracks, n_tracks + new.size)
+        last[n_tracks: n_tracks + new.size] = new
+        n_tracks += new.size
+    # members come out of one stable sort by track, so in frame order
+    order = np.argsort(owner, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(owner, minlength=n_tracks)).tolist()
+    tracks = [order[i:j] for i, j in zip([0] + bounds[:-1], bounds)]
+    empty = np.empty(0, dtype=np.int64)
+    return tracks, (np.concatenate([empty, *link_u]).tolist(),
+                    np.concatenate([empty, *link_v]).tolist())
 
 
 def build_part_graph(

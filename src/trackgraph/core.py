@@ -43,6 +43,17 @@ class NumericError(RuntimeError):
     """A numeric computation produced non-finite values."""
 
 
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already checked.
+
+    __post_init__ does not run, so the caller vouches for every invariant
+    it would enforce, and passes every field, defaults included.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box with positive extent."""

@@ -23,8 +23,10 @@ the dropout settings.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -37,6 +39,8 @@ from trackgraph.core import (
     ParseError,
     Tracklet,
     ValidationError,
+    box_rows,
+    unchecked,
 )
 
 _MAX_FRAME = 2**53
@@ -45,17 +49,29 @@ _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
 
 
+def _frame_index(frames: np.ndarray) -> dict[int, np.ndarray]:
+    """Each frame's detection indices, for frames sorted ascending."""
+    if not frames.size:
+        return {}
+    cuts = np.flatnonzero(frames[1:] != frames[:-1]) + 1
+    firsts = frames[np.concatenate([[0], cuts])].tolist()
+    return dict(zip(firsts, np.split(np.arange(frames.size), cuts)))
+
+
 @dataclass(frozen=True)
 class DetectionSet:
     """Detections of one sequence, sorted by frame.
 
     n_frames is one past the last frame; has_gt is true when every
-    detection carries an identity.
+    detection carries an identity. frames is the detections' frames as a
+    read-only int64 column, and by_frame maps each frame to its
+    detections' indices.
     """
 
     detections: tuple[Detection, ...]
     n_frames: int
     has_gt: bool
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
     by_frame: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,11 +86,12 @@ class DetectionSet:
                     raise ValidationError("embedding dimensions disagree")
             if self.detections[-1].frame >= self.n_frames:
                 raise ValidationError("n_frames does not cover all detections")
-        index: dict[int, list[int]] = {}
-        for i, d in enumerate(self.detections):
-            index.setdefault(d.frame, []).append(i)
-        frozen = {f: np.asarray(ix, dtype=np.int64) for f, ix in index.items()}
-        object.__setattr__(self, "by_frame", frozen)
+            if self.detections[-1].frame >= _INT64:
+                raise ValidationError("frames must fit in 64 bits")
+        column = np.asarray(frames, dtype=np.int64)
+        column.setflags(write=False)
+        object.__setattr__(self, "frames", column)
+        object.__setattr__(self, "by_frame", _frame_index(column))
 
     @classmethod
     def build(cls, detections: Sequence[Detection], n_frames: Optional[int] = None):
@@ -84,8 +101,37 @@ class DetectionSet:
         has_gt = bool(dets) and all(d.gt_id is not None for d in dets)
         return cls(dets, n_frames, has_gt)
 
+    @classmethod
+    def _checked(cls, detections: tuple[Detection, ...], frames: np.ndarray,
+                 boxes: np.ndarray, n_frames: int) -> "DetectionSet":
+        """A set of detections that are already checked and sorted by frame.
+
+        frames and boxes are their read-only columns (boxes as
+        DetectionSet.boxes gives them); nothing is checked again.
+        """
+        has_gt = bool(detections) and all(d.gt_id is not None for d in detections)
+        return unchecked(cls, detections=detections, n_frames=n_frames, has_gt=has_gt,
+                         frames=frames, boxes=boxes, by_frame=_frame_index(frames))
+
+    def slice(self, lo: int, hi: int, n_frames: int) -> "DetectionSet":
+        """Detections lo to hi - 1 as a set of their own, not checked again.
+
+        n_frames must cover them; detection i of the slice is detection
+        lo + i of this set.
+        """
+        return DetectionSet._checked(self.detections[lo:hi], self.frames[lo:hi],
+                                     self.boxes[lo:hi], n_frames)
+
     def __len__(self) -> int:
         return len(self.detections)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """The boxes as the read-only (n, 4) rows of core.box_rows, made on
+        first read."""
+        boxes = box_rows(d.box for d in self.detections)
+        boxes.setflags(write=False)
+        return boxes
 
     @property
     def embedding_dim(self) -> int:
@@ -157,17 +203,40 @@ def _integer(text: str, name: str, line_no: int) -> int:
     return int(value)
 
 
-def parse_mot(
-    det_path: Union[str, Path],
-    embed_path: Optional[Union[str, Path]] = None,
-    embed_dim: int = DEFAULT_EMBED_DIM,
-) -> DetectionSet:
-    """Read a MOT text file, attaching sidecar embeddings by row order.
+def _read_columns(det_path: Union[str, Path]):
+    """Every row of a MOT file converted at once, or None.
 
-    Without a sidecar every detection gets a pseudo-embedding hashed
-    from its frame and box.
+    Returns the 1-based frames, the ids and the (n, 5) float rows (x, y,
+    w, h, conf). None means some row must go through _parse_lines to be
+    accepted or refused: the loader refuses it (a float-spelled frame,
+    fewer than 7 fields, a field Python reads and numpy does not, a blank
+    line of spaces), or a value fails a check. numpy reads an integer or
+    float field only if Python's int() or float() reads it to the same
+    value, so an accepted file parses as _parse_lines would parse it.
     """
-    rows = []
+    with open(det_path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError:
+            return None
+    read = dict(delimiter=",", comments=None, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns; _parse_lines reads it
+            warnings.simplefilter("error")
+            ints = np.loadtxt(lines, dtype=np.int64, usecols=(0, 1), **read)
+            values = np.loadtxt(lines, dtype=np.float64, usecols=range(2, 7), **read)
+    except (ValueError, UserWarning):
+        return None
+    frames, w, h, conf = ints[:, 0], values[:, 2], values[:, 3], values[:, 4]
+    ok = ((frames >= 1) & (frames <= _MAX_FRAME) & np.isfinite(values[:, :4]).all(axis=1)
+          & (w > 0) & (h > 0) & (conf >= 0.0) & (conf <= 1.0))
+    return (frames, ints[:, 1], values) if ok.all() else None
+
+
+def _parse_lines(det_path: Union[str, Path]):
+    """_read_columns line by line, refusing the first bad row by number."""
+    frames, ids, rows = [], [], []
     with open(det_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,38 +261,66 @@ def parse_mot(
                     f"frame must be <= {_MAX_FRAME} on disk, got {frame}", line_no
                 )
             try:
-                box = BoundingBox(x, y, w, h)
+                BoundingBox(x, y, w, h)
             except ValidationError as exc:
                 raise ParseError(str(exc), line_no) from None
             if not (0.0 <= conf <= 1.0):
                 raise ParseError(f"confidence {conf} outside [0, 1]", line_no)
-            rows.append((frame - 1, track_id, box, conf))
+            frames.append(frame)
+            ids.append(track_id)
+            rows.append((x, y, w, h, conf))
+    return (np.asarray(frames, dtype=np.int64), np.asarray(ids, dtype=np.int64),
+            np.asarray(rows, dtype=np.float64).reshape(-1, 5))
 
-    embeddings = None
+
+def parse_mot(
+    det_path: Union[str, Path],
+    embed_path: Optional[Union[str, Path]] = None,
+    embed_dim: int = DEFAULT_EMBED_DIM,
+) -> DetectionSet:
+    """Read a MOT text file, attaching sidecar embeddings by row order.
+
+    Without a sidecar every detection gets a pseudo-embedding hashed
+    from its frame and box. The whole file is converted at once; a file
+    that conversion or its checks refuse is read again line by line,
+    which names the first bad line.
+    """
+    columns = _read_columns(det_path)
+    on_disk, ids, values = columns if columns is not None else _parse_lines(det_path)
+    frames = on_disk - 1
+    # every record below is built from checked values
+    boxes = [unchecked(BoundingBox, x=x, y=y, w=w, h=h)
+             for x, y, w, h in values[:, :4].tolist()]
+
     if embed_path is not None:
         embeddings = read_embeddings(embed_path)
-        if embeddings.shape[0] != len(rows):
+        if embeddings.shape[0] != len(boxes):
             raise ParseError(
-                f"sidecar has {embeddings.shape[0]} rows for {len(rows)} detections"
+                f"sidecar has {embeddings.shape[0]} rows for {len(boxes)} detections"
             )
+    elif boxes:
+        embeddings = np.stack([pseudo_embedding(f, b, embed_dim)
+                               for f, b in zip(frames.tolist(), boxes)])
+    else:
+        embeddings = np.empty((0, 0))
+    if boxes and embeddings.shape[1] == 0:
+        raise ValidationError("embedding must be a non-empty 1-d vector")
+    if not np.isfinite(embeddings).all():
+        raise ValidationError("embedding must be finite")
+    embeddings.setflags(write=False)
 
-    dets = []
-    for i, (frame, track_id, box, conf) in enumerate(rows):
-        emb = (
-            embeddings[i]
-            if embeddings is not None
-            else pseudo_embedding(frame, box, embed_dim)
-        )
-        dets.append(
-            Detection(
-                frame=frame,
-                box=box,
-                confidence=conf,
-                embedding=emb,
-                gt_id=track_id if track_id >= 0 else None,
-            )
-        )
-    return DetectionSet.build(dets)
+    order = np.argsort(frames, kind="stable")
+    frame, conf = frames.tolist(), values[:, 4].tolist()
+    gt = [g if g >= 0 else None for g in ids.tolist()]
+    dets = tuple(
+        unchecked(Detection, frame=frame[i], box=boxes[i], confidence=conf[i],
+                  embedding=embeddings[i], gt_id=gt[i])
+        for i in order.tolist()
+    )
+    column, rows = frames[order], values[order, :4]
+    column.setflags(write=False)
+    rows.setflags(write=False)
+    return DetectionSet._checked(dets, column, rows, dets[-1].frame + 1 if dets else 0)
 
 
 def _fmt(value: float) -> str:

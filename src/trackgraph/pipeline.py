@@ -73,12 +73,12 @@ class ClipTracker:
         """
         if len(dets) == 0:
             return TrackGraph((), (), ()), []
-        frames = sorted(dets.by_frame)
-        span = frames[-1] - frames[0] + 1
+        first, last = dets.frames[[0, -1]].tolist()
+        span = last - first + 1
         window = min(self.window, span)
         plan = WindowPlan(span, window, min(self.step, window))
         scorer = oracle_scorer if self.mode == "oracle" else cosine_scorer
-        aff = accumulate_affinity(dets, plan, scorer, origin=frames[0])
+        aff = accumulate_affinity(dets, plan, scorer, origin=first)
         cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
         tracks, links = associate_frames(dets, aff, cfg)
         return build_part_graph(links, dets), tracks

@@ -31,6 +31,7 @@ from trackgraph.core import (
     Detection,
     Tracklet,
     ValidationError,
+    unchecked,
 )
 from trackgraph.ingest import DetectionSet
 
@@ -64,21 +65,19 @@ class ClipPlan:
         dets. Runs of empty clips are skipped in one step, so the work
         is bounded by the detections, not by the largest frame.
         """
-        seq, frame = dets.detections, attrgetter("frame")
+        frames = dets.frames
         k = 0
         while True:
             s = k * self.stride
-            lo = bisect_left(seq, s, key=frame)
-            if lo == len(seq):
+            lo, hi = np.searchsorted(frames, [s, s + self.clip_len]).tolist()
+            if lo == frames.size:
                 return
-            hi = bisect_left(seq, s + self.clip_len, lo, key=frame)
             if hi > lo:
-                stop = min(s + self.clip_len, dets.n_frames)
-                yield DetectionSet.build(seq[lo:hi], n_frames=stop), lo
+                yield dets.slice(lo, hi, min(s + self.clip_len, dets.n_frames)), lo
             if s + self.clip_len >= dets.n_frames:
                 return
             # the first later clip that holds detection lo
-            k = max(k + 1, (seq[lo].frame - self.clip_len) // self.stride + 1)
+            k = max(k + 1, (int(frames[lo]) - self.clip_len) // self.stride + 1)
 
 
 def _merge(a: Tracklet, b: Tracklet) -> Tracklet:
@@ -191,8 +190,10 @@ def run_clipped(
     """
     merged: list[Tracklet] = []
     for sub, offset in plan.clips(dets):
+        # only the indices move, so the members need no new check
         clip_tracks = [
-            Tracklet(t.id, t.detections, tuple(offset + i for i in t.det_indices))
+            unchecked(Tracklet, id=t.id, detections=t.detections,
+                      det_indices=tuple(offset + i for i in t.det_indices))
             for t in pipeline(sub)
         ]
         merged = stitch(merged, clip_tracks) if merged else clip_tracks

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gated_pair_score, shares_a_window, window_starts
@@ -52,7 +52,8 @@ def pair_matrix(aff, frames):
         cols = np.flatnonzero(frames == t)
         rows = np.flatnonzero(frames < t)
         if rows.size:
-            out[np.ix_(rows, cols)] = appearance_matrix(rows[:, None].tolist(), cols, aff)
+            out[np.ix_(rows, cols)] = appearance_matrix(
+                np.arange(rows.size), rows, rows.size, cols, aff)
     return out + out.T
 
 
@@ -165,6 +166,39 @@ def test_oracle_scorer_needs_identities():
         scored(oracle_scorer, np.eye(2), gt=[1, None])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([1, 2, 3, 16]),
+       n_tracks=st.integers(1, 4), n_members=st.integers(0, 40),
+       scale=st.sampled_from([1.0, 1e-160]))
+# 1-d embeddings this small normalise to values near but not at +-1, so
+# one track's sum depends on the order of addition
+@example(seed=0, dim=1, n_tracks=1, n_members=30, scale=1e-160)
+def test_cosine_track_sums_add_members_in_frame_order(seed, dim, n_tracks, n_members,
+                                                      scale):
+    # detection i sits in frame i, so members in ascending order are in
+    # frame order; a track's unit vectors are summed one by one in that
+    # order, as np.add.at sums them, whatever the dimension and track count
+    rng = np.random.default_rng(seed)
+    shape = (n_members + 3, dim)
+    emb = scale * rng.uniform(1.0, 9.0, shape) * rng.choice([-1, 1], shape)
+    ds = DetectionSet.build([det(f, e) for f, e in enumerate(emb)])
+    owner = rng.integers(n_tracks, size=n_members)
+    members = np.sort(rng.permutation(n_members + 3)[:n_members])
+    cols = np.arange(3)
+    unit = ds.embeddings() / np.linalg.norm(ds.embeddings(), axis=1)[:, None]
+    summed = np.zeros((n_tracks, dim))
+    np.add.at(summed, owner, unit[members])
+    count = np.bincount(owner, minlength=n_tracks)
+    expect = (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
+    assert np.array_equal(cosine_scorer(ds)(owner, members, cols, n_tracks), expect)
+
+
+def test_cosine_scorer_refuses_two_members_in_one_frame():
+    ds = simple_set([0, 0, 1])
+    with pytest.raises(ValidationError, match="two members in one frame"):
+        cosine_scorer(ds)(np.asarray([0, 0]), np.asarray([0, 1]), np.asarray([2]), 1)
+
+
 # ------------------------------------------------------------ track rows
 
 
@@ -173,8 +207,8 @@ def test_single_window_scores_stored_verbatim():
     plan = WindowPlan(clip_len=8, window=8, step=4)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.7))
     assert len(aff) == 3  # pairs (0,1), (0,2), (1,2)
-    assert appearance_matrix([[0], [1]], np.asarray([2]), aff).tolist() == [[0.7], [0.7]]
-    assert appearance_matrix([[0]], np.asarray([1]), aff).tolist() == [[0.7]]
+    assert appearance_matrix([0, 1], [0, 1], 2, np.asarray([2]), aff).tolist() == [[0.7], [0.7]]
+    assert appearance_matrix([0], [0], 1, np.asarray([1]), aff).tolist() == [[0.7]]
 
 
 def test_same_frame_pairs_never_stored():
@@ -270,6 +304,13 @@ def clip_affinity(frames, embs, plan):
     return accumulate_affinity(ds, plan, cosine_scorer)
 
 
+def flat(members_in_window):
+    """Member lists as aligned (owner, members) arrays: track r owns list r."""
+    owner = [r for r, mem in enumerate(members_in_window) for _ in mem]
+    members = [i for mem in members_in_window for i in mem]
+    return np.asarray(owner, dtype=np.int64), np.asarray(members, dtype=np.int64)
+
+
 # cosines 0.2 and 1 to the last detection score 0.6 and 1.0
 MEAN_08 = ([0, 1, 2], [[0.2, np.sqrt(0.96)], [1.0, 0.0], [1.0, 0.0]])
 
@@ -277,7 +318,7 @@ MEAN_08 = ([0, 1, 2], [[0.2, np.sqrt(0.96)], [1.0, 0.0], [1.0, 0.0]])
 def test_appearance_matrix_means_member_similarities():
     # members 0 and 1 score 0.6 and 1.0 against detection 2 -> mean 0.8
     aff = clip_affinity(*MEAN_08, WindowPlan(8, 8, 4))
-    m = appearance_matrix([[0, 1]], np.asarray([2]), aff)
+    m = appearance_matrix([0, 0], [0, 1], 1, np.asarray([2]), aff)
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(0.8)
 
@@ -287,7 +328,7 @@ def test_appearance_matrix_missing_pairs_count_as_zero():
     # one with frame 5, member 1 (frame 1, cosine 1) does not
     aff = clip_affinity([1, 3, 5], [[1.0, 0.0], [0.8, 0.6], [1.0, 0.0]],
                         WindowPlan(8, 4, 2))
-    m = appearance_matrix([[1, 0]], np.asarray([2]), aff)
+    m = appearance_matrix([0, 0], [1, 0], 1, np.asarray([2]), aff)
     assert m[0, 0] == pytest.approx(0.45)
 
 
@@ -297,7 +338,7 @@ def test_step_cost_takes_max_of_appearance_and_iou():
     big = BoundingBox(0.0, 0.0, 10.0, 10.0)
     near = BoundingBox(0.0, 30.0, 10.0, 10.0)  # iou 0 with big
     C, m_bar = step_cost_matrix(
-        [[0, 1]], box_rows([big]), np.asarray([2]), box_rows([near]), aff)
+        [0, 0], [0, 1], box_rows([big]), np.asarray([2]), box_rows([near]), aff)
     assert m_bar[0, 0] == pytest.approx(0.8)
     assert C[0, 0] == pytest.approx(-0.8)
 
@@ -306,7 +347,7 @@ def test_step_cost_prefers_iou_when_appearance_weak():
     # opposite embeddings score 0
     aff = clip_affinity([0, 1], [[1.0, 0.0], [-1.0, 0.0]], WindowPlan(2, 2, 1))
     b = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    C, _ = step_cost_matrix([[0]], box_rows([b]), np.asarray([1]), box_rows([b]), aff)
+    C, _ = step_cost_matrix([0], [0], box_rows([b]), np.asarray([1]), box_rows([b]), aff)
     # stationary identical box, no appearance signal: cost -1 via iou
     assert C[0, 0] == pytest.approx(-1.0)
 
@@ -314,17 +355,18 @@ def test_step_cost_prefers_iou_when_appearance_weak():
 def test_step_cost_entries_bounded():
     rng = np.random.default_rng(5)
     aff = clip_affinity([0, 1, 2, 3] + [4] * 5, rng.normal(size=(9, 4)), WindowPlan(5, 5, 5))
-    members = [[0], [1, 2], [3]]
+    owner, members = flat([[0], [1, 2], [3]])
     boxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(3)]
     fboxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(5)]
-    C, _ = step_cost_matrix(members, box_rows(boxes), np.arange(4, 9), box_rows(fboxes), aff)
+    C, _ = step_cost_matrix(owner, members, box_rows(boxes), np.arange(4, 9),
+                            box_rows(fboxes), aff)
     assert np.all(C <= 0.0) and np.all(C >= -1.0)
 
 
 def test_step_cost_rejects_empty_member_window():
     aff = clip_affinity([0, 1], [[1.0, 0.0], [1.0, 0.0]], WindowPlan(2, 2, 1))
     with pytest.raises(ValidationError):
-        appearance_matrix([[]], np.asarray([1]), aff)
+        appearance_matrix([], [], 1, np.asarray([1]), aff)
 
 
 def brute_force_rows(members_in_window, frame_dets, dets, plan, origin, oracle):
@@ -358,10 +400,16 @@ def test_track_rows_equal_mean_of_gated_pair_scores(case, seed, oracle, n_tracks
     aff = accumulate_affinity(dets, plan, scorer, origin=origin)
     # the last frame's detections against tracks of earlier members
     fd = np.flatnonzero(np.asarray(frames) == frames[-1])
-    owner = rng.integers(n_tracks, size=fd[0])
+    # each track takes at most one earlier detection per frame
+    earlier = np.asarray(frames[: fd[0]])
+    owner = np.full(fd[0], -1)
+    for f in np.unique(earlier):
+        idx = np.flatnonzero(earlier == f)
+        pick = rng.permutation(n_tracks)[: idx.size]
+        owner[idx[: pick.size]] = pick
     members = [np.flatnonzero(owner == r).tolist() for r in range(n_tracks)]
     members = [m for m in members if m]
-    rows = appearance_matrix(members, fd, aff)
+    rows = appearance_matrix(*flat(members), len(members), fd, aff)
     assert_rows_match(rows, brute_force_rows(members, fd, dets, plan, origin, oracle), oracle)
 
 
@@ -394,11 +442,13 @@ def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step, oracl
     ])
     plan = WindowPlan(clip_len=15, window=8, step=step)
     aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
-    members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
+    # k distinct frames, one of their two detections each
+    members = [np.sort(2 * rng.choice(14, size=k, replace=False)
+                       + rng.integers(2, size=k)).tolist() for k in sizes]
     last = [dets.detections[m[-1]].box for m in members]
     fd = np.arange(28, 28 + n_d)
     fboxes = [dets.detections[j].box for j in fd]
-    C, m_bar = step_cost_matrix(members, box_rows(last), fd, box_rows(fboxes), aff)
+    C, m_bar = step_cost_matrix(*flat(members), box_rows(last), fd, box_rows(fboxes), aff)
     ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, dets, plan, oracle)
     assert_rows_match(m_bar, ref_m_bar, oracle)
     assert_rows_match(C, ref_C, oracle)

@@ -1,6 +1,13 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trackgraph import ingest
 from trackgraph.core import BoundingBox, Detection, ParseError, ValidationError
 from trackgraph.ingest import (
     DetectionSet,
@@ -92,6 +99,84 @@ def test_parse_rejects_short_row(tmp_path):
     p.write_text("1,1,0,0\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_mot(p)
+
+
+def parse_outcome(path, whole_file=True):
+    """parse_mot's detections as plain values, or its ParseError.
+
+    whole_file=False forces the line-by-line reading for every file.
+    """
+    read = ingest._read_columns if whole_file else (lambda _: None)
+    try:
+        with mock.patch.object(ingest, "_read_columns", read):
+            dets = parse_mot(path)
+    except ParseError as exc:
+        return "refused", str(exc), exc.line_no
+    rows = [(d.frame, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence, d.gt_id,
+             d.embedding.tolist()) for d in dets.detections]
+    index = {f: ix.tolist() for f, ix in dets.by_frame.items()}
+    return (rows, dets.frames.tolist(), dets.boxes.tolist(), index, dets.n_frames,
+            dets.has_gt)
+
+
+# per field: spellings that either path may refuse or read differently
+_ODD_FIELDS = (
+    ["3.0", "1e1", " 3 ", "+5", "0", "-2", "x", "2#", "", "0003"],
+    ["1.0", "#", "9223372036854775808", "-9223372036854775808", " -1", "-1"],
+    *[["inf", "nan", "-inf", "0", "-1", "1_0", "1#", " 2.5 ", "1e1", ".5"]] * 4,
+    ["1", "0", "1.5", "-0.1", "nan", "inf", "1e-1"],
+)
+
+
+@st.composite
+def mot_files(draw):
+    """MOT lines: mostly plain 7- or 10-column rows, a few odd fields,
+    blank and short lines."""
+    n = draw(st.integers(0, 8))
+    rows = [[str(draw(st.integers(1, 30))), str(draw(st.integers(-1, 4))),
+             repr(draw(st.floats(-5.0, 50.0))), repr(draw(st.floats(-5.0, 50.0))),
+             repr(draw(st.floats(0.5, 50.0))), repr(draw(st.floats(0.5, 50.0))),
+             repr(draw(st.floats(0.0, 1.0)))]
+            + draw(st.sampled_from([[], ["-1", "-1", "-1"]])) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        r, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 6))
+        rows[r][k] = draw(st.sampled_from(_ODD_FIELDS[k]))
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "   ", "1,1,0,0,5,5"])))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=mot_files(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_whole_file_parse_equals_the_line_path(rows, newline):
+    # 7- and 10-column rows, -1 ids, float-spelled frames, blank lines,
+    # '#' inside a field, inf/nan and out-of-range confidences
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "det.txt"
+        path.write_bytes(newline.join(rows).encode())
+        assert parse_outcome(path) == parse_outcome(path, whole_file=False)
+
+
+def test_whole_file_reading_takes_plain_files_and_leaves_the_rest(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text("1,1,0,0,5,5,1.0,-1,-1,-1\n\n2,-1,0.5,0,5,5,0.25\n")
+    frames, ids, values = ingest._read_columns(p)
+    assert frames.tolist() == [1, 2] and ids.tolist() == [1, -1]
+    assert values.tolist() == [[0, 0, 5, 5, 1.0], [0.5, 0, 5, 5, 0.25]]
+    for text in ("1.0,1,0,0,5,5,1.0\n", "1,1,0,0,5,5\n", "1,1,0,0,5,5,2\n", ""):
+        p.write_text(text)
+        assert ingest._read_columns(p) is None
+
+
+def test_parse_keeps_file_order_within_a_frame(tmp_path):
+    # more rows than a small sort handles by insertion, frames out of order
+    frames = np.random.default_rng(3).integers(1, 4, size=60)
+    p = tmp_path / "det.txt"
+    p.write_text("".join(f"{f},{k},0,0,5,5,1.0\n" for k, f in enumerate(frames)))
+    dets = parse_mot(p).detections
+    assert [d.gt_id for d in dets] == sorted(range(60), key=lambda k: frames[k])
 
 
 def test_pseudo_embeddings_deterministic_and_unit():
@@ -187,6 +272,18 @@ def test_detection_set_rejects_mixed_embedding_dims():
     d2 = Detection(1, BoundingBox(0, 0, 1, 1), 1.0, np.zeros(5) + 1)
     with pytest.raises(ValidationError):
         DetectionSet.build([d1, d2])
+
+
+def test_detection_set_columns_follow_the_records():
+    ds = synthesize(ScenarioSpec(n_objects=3, n_frames=20, seed=5, miss_rate=0.3))
+    assert ds.frames.tolist() == [d.frame for d in ds.detections]
+    assert ds.boxes.tolist() == [[d.box.x, d.box.y, d.box.w, d.box.h] for d in ds.detections]
+    assert {f: ix.tolist() for f, ix in ds.by_frame.items()} == {
+        f: [i for i, d in enumerate(ds.detections) if d.frame == f]
+        for f in sorted({d.frame for d in ds.detections})}
+    assert not ds.frames.flags.writeable and not ds.boxes.flags.writeable
+    empty = DetectionSet.build([])
+    assert empty.frames.shape == (0,) and empty.boxes.shape == (0, 4)
 
 
 # --------------------------------------------------------------- synthesis

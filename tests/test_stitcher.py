@@ -81,6 +81,13 @@ def test_clip_plan_clips_match_every_start(plan, frames, tail):
         assert sub.detections == tuple(dets.detections[i] for i in idx)
         assert all(s <= d.frame < s + plan.clip_len for d in sub.detections)
         assert sub.n_frames == n_frames
+        # the slice is not checked again, yet equals a set built anew
+        built = DetectionSet.build(sub.detections, n_frames)
+        assert sub.has_gt == built.has_gt
+        assert sub.frames.tolist() == built.frames.tolist()
+        assert sub.boxes.tolist() == built.boxes.tolist()
+        assert ({f: ix.tolist() for f, ix in sub.by_frame.items()}
+                == {f: ix.tolist() for f, ix in built.by_frame.items()})
 
 
 def test_clip_plan_defaults_and_validation():
