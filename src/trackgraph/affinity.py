@@ -62,34 +62,28 @@ TrackSums = Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
 Scorer = Callable[[DetectionSet], TrackSums]
 
 
-def _frame_slots(owner: np.ndarray, members: np.ndarray, frames: np.ndarray,
-                 n_tracks: int) -> np.ndarray:
-    """Each track's members laid out by frame: (frames spanned, n_tracks + 1).
+def _track_slots(owner: np.ndarray, members: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each track's members laid out by rank: (longest track, tracks + 1).
 
-    Entry (i, r) is track r's member in the i-th frame from the earliest
-    member's, or -1; the last column is all -1. Rows gathered through it
-    and summed over axis 0 add each track's members one by one in frame
-    order, as np.add.at does: numpy reduces an outer axis in sequence,
-    and the zero of an empty slot changes no sum but for the sign of a
-    zero. The spare column keeps the axis outer even for one track of
-    one-dimensional rows, which numpy would otherwise sum pairwise.
+    count[r] is the number of members owned by track r. Entry (i, r) is
+    track r's i-th member in the order given, or -1; the last column is
+    all -1. Rows gathered through it and summed over axis 0 add each
+    track's members one by one in that order, as np.add.at does: numpy
+    reduces an outer axis in sequence, and the zero of an empty slot
+    changes no sum but for the sign of a zero. The spare column keeps the
+    axis outer even for one track of one-dimensional rows, which numpy
+    would otherwise sum pairwise.
     """
-    if not members.size:
-        return np.full((0, n_tracks + 1), -1)
-    row = frames[members]
-    row -= row.min()
-    slots = np.full((row.max() + 1, n_tracks + 1), -1)
-    slots[row, owner] = members
-    if np.count_nonzero(slots >= 0) != members.size:
-        raise ValidationError("a track holds two members in one frame")
+    order = np.argsort(owner, kind="stable")
+    track = owner[order]
+    rank = np.arange(track.size) - (np.cumsum(count) - count)[track]
+    slots = np.full((count.max(initial=0), count.size + 1), -1)
+    slots[rank, track] = members[order]
     return slots
 
 
 def cosine_scorer(dets: DetectionSet) -> TrackSums:
-    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first.
-
-    A track holds at most one member per frame.
-    """
+    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first."""
     emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
@@ -98,9 +92,8 @@ def cosine_scorer(dets: DetectionSet) -> TrackSums:
     unit = np.vstack([emb / norms[:, None], np.zeros((1, emb.shape[1]))])
 
     def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
-        slots = _frame_slots(owner, members, dets.frames, n_tracks)
-        summed = unit[slots].sum(axis=0)[:n_tracks]
         count = np.bincount(owner, minlength=n_tracks)
+        summed = unit[_track_slots(owner, members, count)].sum(axis=0)[:n_tracks]
         # einsum rounds a track's row alike whatever the number of tracks;
         # a BLAS product does not, so exact ties would hang on other tracks
         return (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
@@ -171,7 +164,7 @@ def appearance_matrix(
     """Mean similarity of each track's members to each detection of a frame.
 
     Member members[i] belongs to track owner[i], a row in [0, n_tracks);
-    a track holds at most one member per frame. frame_dets share one
+    a track's members add up in the order given. frame_dets share one
     frame t, later than every member (associate_frames calls it no other
     way), so member m shares a window with them iff window_end[m] > t.
     The scorer sums each track's gated members; the sum is divided by all

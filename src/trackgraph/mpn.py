@@ -271,28 +271,6 @@ class GraphTensors:
         return self.u.size
 
 
-def _node_features(nodes: Sequence[Union[Detection, Tracklet]]) -> np.ndarray:
-    """Each node's appearance vector, as Detection/Tracklet.feature gives it.
-
-    A tracklet's mean comes from one segment sum over all members: each
-    CSR row adds its members one by one in frame order, as np.mean adds
-    them along axis 0 for embeddings of two or more dimensions, and is
-    then divided by the member count.
-    """
-    if all(node.kind is NodeKind.DET for node in nodes):
-        return np.asarray([node.embedding for node in nodes])
-    groups = [node.detections if node.kind is NodeKind.TRAJ else (node,) for node in nodes]
-    emb = np.asarray([d.embedding for group in groups for d in group])
-    if emb.shape[1] == 1:
-        # np.mean sums a single column pairwise, not one by one
-        return np.stack([node.feature for node in nodes])
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    members = sparse.csr_array((np.ones(emb.shape[0]), np.arange(emb.shape[0]), indptr),
-                               shape=(sizes.size, emb.shape[0]))
-    return (members @ emb) / sizes[:, None]
-
-
 def graph_tensors(graph: TrackGraph) -> GraphTensors:
     """Pack a graph for the network; the one place edge descriptors are made.
 
@@ -305,7 +283,7 @@ def graph_tensors(graph: TrackGraph) -> GraphTensors:
     n = len(graph.nodes)
     if n == 0:
         raise ValidationError("graph has no nodes")
-    node_feat = _node_features(graph.nodes)
+    node_feat = np.stack([node.feature for node in graph.nodes])
     u, v, spans = graph.u, graph.v, graph.spans
     bu = box_rows(node.last_box for node in graph.nodes)[u]
     bv = box_rows(node.first_box for node in graph.nodes)[v]

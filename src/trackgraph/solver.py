@@ -15,7 +15,6 @@ passes read the graph's endpoint arrays and node spans as they are.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -111,9 +110,7 @@ def connected_components_ids(
     order = _strongest_first(u, v, np.asarray(scores, dtype=np.float64))
     n = spans.shape[0]
     parent = list(range(n))
-    # each root's occupied frames as sorted, disjoint runs of frames,
-    # touching runs joined, flattened to [first, last, first, last, ...]
-    runs = spans.tolist()
+    frames = [set(range(s, e + 1)) for s, e in spans.tolist()]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -123,35 +120,11 @@ def connected_components_ids(
 
     for a, b in zip(u[order].tolist(), v[order].tolist()):
         ra, rb = find(a), find(b)
-        if ra == rb:
+        if ra == rb or not frames[ra].isdisjoint(frames[rb]):
             continue
-        into, add = runs[ra], runs[rb]
-        if len(into) < len(add):
-            into, add = add, into
-        places = []
-        pairs = iter(add)
-        for s, e in zip(pairs, pairs):
-            # an odd count of bounds up to e puts e inside a run; otherwise
-            # the run before ends latest among those that start by e
-            k = bisect_right(into, e)
-            if k & 1 or (k and into[k - 1] >= s):
-                break
-            places.append((k, s, e))
-        else:
-            # from the back, so earlier places stay valid
-            for k, s, e in reversed(places):
-                joins_next = k < len(into) and into[k] == e + 1
-                if k and into[k - 1] == s - 1:
-                    if joins_next:
-                        del into[k - 1: k + 1]
-                    else:
-                        into[k - 1] = e
-                elif joins_next:
-                    into[k] = s
-                else:
-                    into[k:k] = (s, e)
-            parent[rb] = ra
-            runs[ra], runs[rb] = into, []
+        parent[rb] = ra
+        frames[ra] |= frames[rb]
+        frames[rb] = set()
     return _relabel(np.asarray([find(i) for i in range(n)], dtype=np.int64))
 
 

@@ -173,17 +173,16 @@ def test_oracle_scorer_needs_identities():
 # 1-d embeddings this small normalise to values near but not at +-1, so
 # one track's sum depends on the order of addition
 @example(seed=0, dim=1, n_tracks=1, n_members=30, scale=1e-160)
-def test_cosine_track_sums_add_members_in_frame_order(seed, dim, n_tracks, n_members,
-                                                      scale):
-    # detection i sits in frame i, so members in ascending order are in
-    # frame order; a track's unit vectors are summed one by one in that
-    # order, as np.add.at sums them, whatever the dimension and track count
+def test_cosine_track_sums_add_members_in_the_given_order(seed, dim, n_tracks, n_members,
+                                                          scale):
+    # a track's unit vectors are summed one by one in the order given, as
+    # np.add.at sums them, whatever the dimension, track count or frames
     rng = np.random.default_rng(seed)
     shape = (n_members + 3, dim)
     emb = scale * rng.uniform(1.0, 9.0, shape) * rng.choice([-1, 1], shape)
-    ds = DetectionSet.build([det(f, e) for f, e in enumerate(emb)])
+    ds = DetectionSet.build([det(f // 3, e) for f, e in enumerate(emb)])
     owner = rng.integers(n_tracks, size=n_members)
-    members = np.sort(rng.permutation(n_members + 3)[:n_members])
+    members = rng.permutation(n_members + 3)[:n_members]
     cols = np.arange(3)
     unit = ds.embeddings() / np.linalg.norm(ds.embeddings(), axis=1)[:, None]
     summed = np.zeros((n_tracks, dim))
@@ -191,12 +190,6 @@ def test_cosine_track_sums_add_members_in_frame_order(seed, dim, n_tracks, n_mem
     count = np.bincount(owner, minlength=n_tracks)
     expect = (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
     assert np.array_equal(cosine_scorer(ds)(owner, members, cols, n_tracks), expect)
-
-
-def test_cosine_scorer_refuses_two_members_in_one_frame():
-    ds = simple_set([0, 0, 1])
-    with pytest.raises(ValidationError, match="two members in one frame"):
-        cosine_scorer(ds)(np.asarray([0, 0]), np.asarray([0, 1]), np.asarray([2]), 1)
 
 
 # ------------------------------------------------------------ track rows
@@ -400,13 +393,7 @@ def test_track_rows_equal_mean_of_gated_pair_scores(case, seed, oracle, n_tracks
     aff = accumulate_affinity(dets, plan, scorer, origin=origin)
     # the last frame's detections against tracks of earlier members
     fd = np.flatnonzero(np.asarray(frames) == frames[-1])
-    # each track takes at most one earlier detection per frame
-    earlier = np.asarray(frames[: fd[0]])
-    owner = np.full(fd[0], -1)
-    for f in np.unique(earlier):
-        idx = np.flatnonzero(earlier == f)
-        pick = rng.permutation(n_tracks)[: idx.size]
-        owner[idx[: pick.size]] = pick
+    owner = rng.integers(n_tracks, size=fd[0])
     members = [np.flatnonzero(owner == r).tolist() for r in range(n_tracks)]
     members = [m for m in members if m]
     rows = appearance_matrix(*flat(members), len(members), fd, aff)
@@ -442,9 +429,7 @@ def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step, oracl
     ])
     plan = WindowPlan(clip_len=15, window=8, step=step)
     aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
-    # k distinct frames, one of their two detections each
-    members = [np.sort(2 * rng.choice(14, size=k, replace=False)
-                       + rng.integers(2, size=k)).tolist() for k in sizes]
+    members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
     last = [dets.detections[m[-1]].box for m in members]
     fd = np.arange(28, 28 + n_d)
     fboxes = [dets.detections[j].box for j in fd]

@@ -168,22 +168,6 @@ def test_graph_tensors_match_scalar_reference(graph):
         np.testing.assert_allclose(g.feats[k], want, rtol=1e-12, atol=0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 10_000), dim=st.sampled_from([1, 2, 3, 16]),
-       sizes=st.lists(st.integers(1, 20), min_size=1, max_size=8))
-def test_node_features_equal_each_node_feature(seed, dim, sizes):
-    # tracklet means come from one segment sum; a size-1 entry is a bare
-    # detection
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for k, size in enumerate(sizes):
-        members = [(i, det(i, BoundingBox(0, 0, 1, 1), rng.normal(size=dim)))
-                   for i in range(size)]
-        nodes.append(members[0][1] if size == 1 else Tracklet.from_members(k, members))
-    feats = graph_tensors(TrackGraph(tuple(nodes), [], [])).node_feat
-    assert np.array_equal(feats, np.stack([node.feature for node in nodes]))
-
-
 # ----------------------------------------------------------- node features
 
 

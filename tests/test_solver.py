@@ -284,29 +284,6 @@ def test_array_assignment_matches_the_tuple_reference(p, eps, case):
 
 
 @st.composite
-def long_span_cases(draw):
-    """Spans that touch, nest, overlap or leave one-frame gaps, many edges."""
-    n = draw(st.integers(1, 14))
-    starts = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
-    lengths = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    score = st.sampled_from([0.25, 0.5, 0.75, 1.0])
-    edges = draw(st.lists(st.tuples(pairs, score), max_size=40))
-    sp = spans(*((a, a + d) for a, d in zip(starts, lengths)))
-    return sp, [(u, v, s) for (u, v), s in edges]
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=long_span_cases())
-def test_span_intervals_match_the_frame_set_reference(case):
-    # groups keep their frames as joined intervals; the reference keeps
-    # one set of frames per group
-    sp, edges = case
-    assert (connected_components_ids(sp, *columns(edges)).tolist()
-            == reference_components_ids(sp, edges).tolist())
-
-
-@st.composite
 def forward_detection_graphs(draw):
     """Detection frames and distinct forward edges with coarse scores."""
     frames = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
