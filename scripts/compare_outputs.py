@@ -8,7 +8,12 @@ on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). One more `track` run reads a sparse copy
 of a scene whose later half sits far ahead in time, and one more
 `track` and `eval` read a copy of a scene respelled so that `parse_mot`
-reads it line by line. Prints one SHA-256
+reads it line by line. For the weak and gate700 scenes, each tracked
+as one clip, one more entry hashes the raw bytes of the part and
+trajectory graphs' edge descriptors, node features and handcrafted
+scores, since `graph-stats --dump` prints descriptors rounded and a
+last-bit change would show only through the `train` checkpoints.
+Prints one SHA-256
 per scene and output of the working tree, marks each one `same` or
 `DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
 output file and summary, `eval` on its report; the timing line of
@@ -126,6 +131,30 @@ TRAIN_RUNS = [
 ]
 
 
+# scenes whose graph arrays are hashed raw
+EDGE_ARRAY_SCENES = ("weak", "gate700")
+
+# prints one SHA-256 over a scene's part and first trajectory graph:
+# each graph's descriptors, node features and handcrafted scores; calls
+# only functions that every compared tree has
+EDGE_ARRAY_CODE = """
+import hashlib, sys
+from trackgraph.ingest import parse_mot
+from trackgraph.mpn import graph_tensors, handcrafted_scores
+from trackgraph.pipeline import ClipTracker
+from trackgraph.solver import aggregate, build_traj_graph
+
+graph, _ = ClipTracker().build_graph(parse_mot(sys.argv[1], sys.argv[2]))
+ids = aggregate(graph, None, traj_passes=0, score_fn=handcrafted_scores)
+digest = hashlib.sha256()
+for g in (graph, build_traj_graph(graph.nodes, ids)):
+    tensors = graph_tensors(g)
+    for arr in (tensors.feats, tensors.node_feat, handcrafted_scores(tensors)):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -135,16 +164,22 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def trackgraph(tree: Path, args: list[str]) -> str:
-    """Run the tree's CLI; returns stdout, raises on a non-zero exit."""
+def run_python(tree: Path, name: str, code: str, args: list[str]) -> str:
+    """Run code against the tree's package; returns stdout, raises on a
+    non-zero exit, naming the run by name and args."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    code = "import sys; from trackgraph.cli import main; sys.exit(main())"
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{tree}: trackgraph {' '.join(args)} exited "
+        raise RuntimeError(f"{tree}: {name} {' '.join(args)} exited "
                            f"{done.returncode}:\n{done.stderr}")
     return done.stdout
+
+
+def trackgraph(tree: Path, args: list[str]) -> str:
+    """Run the tree's CLI; returns stdout, raises on a non-zero exit."""
+    code = "import sys; from trackgraph.cli import main; sys.exit(main())"
+    return run_python(tree, "trackgraph", code, args)
 
 
 def sha(data: bytes) -> str:
@@ -235,6 +270,10 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
     report = trackgraph(tree, ["eval", "--pred", str(result),
                                "--gt", str(work / "weak" / "gt.txt")])
     text("respelled/eval-handcrafted", report)
+    for scene in EDGE_ARRAY_SCENES:
+        files = [str(work / scene / "det.txt"), str(work / scene / "det.emb")]
+        digest = run_python(tree, "edge arrays", EDGE_ARRAY_CODE, files).strip()
+        out[f"{scene}/edge-arrays"] = (digest, None)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         text(f"{scene}/graph-stats-{run}", dump)

@@ -2,16 +2,18 @@
 
 Edges carry a 6-feature descriptor (height-normalised offsets, log size
 ratios, frame gap, appearance distance). graph_tensors computes it for
-every edge of a graph in one array pass while it packs the graph for
-the network from the graph's u/v endpoint arrays. Node states start as
-an affine projection of the appearance embedding; edge states start as
-an encoded feature vector. Each step updates every edge from its
-endpoints, then every node from directional message sums: messages
-arriving from earlier neighbours pass through the past MLP, those from
-later neighbours through the future MLP, and the node MLP fuses the two
-sums. Edge states keep their initial encoding concatenated alongside,
-so step 0 information survives every update. A logistic classifier on
-the final edge state yields link scores in (0, 1).
+every edge of a graph, one fixed-size block of edges at a time, while
+it packs the graph for the network from the graph's u/v endpoint
+arrays; handcrafted_scores reads the descriptors in the same blocks.
+Node states start as an affine projection of the appearance embedding;
+edge states start as an encoded feature vector. Each step updates every
+edge from its endpoints, then every node from directional message sums:
+messages arriving from earlier neighbours pass through the past MLP,
+those from later neighbours through the future MLP, and the node MLP
+fuses the two sums. Edge states keep their initial encoding
+concatenated alongside, so step 0 information survives every update. A
+logistic classifier on the final edge state yields link scores in
+(0, 1).
 
 All forward passes are mirrored by hand-written reverse-mode backward
 passes; gradients are exact, not approximated.
@@ -52,6 +54,10 @@ from trackgraph.core import (
 
 _CKPT_MAGIC = b"TGCKPT01"
 _SCORE_CLAMP = 1e-7
+# edges per block of graph_tensors and handcrafted_scores: small enough
+# that a block's temporaries stay in cache (4,096 measured fastest of
+# 1,024 to 16,384 on a weak-appearance trajectory graph)
+EDGE_BLOCK = 4096
 
 
 # ------------------------------------------------------------------- MLPs
@@ -271,6 +277,25 @@ class GraphTensors:
         return self.u.size
 
 
+def _node_features(nodes: Sequence[Union[Detection, Tracklet]]) -> np.ndarray:
+    """The nodes' appearance vectors as rows: a detection's embedding, a
+    tracklet's mean member embedding.
+
+    When every node is a tracklet (a trajectory graph), the means are
+    one sum over all members in node order, divided by the member
+    counts. np.mean over axis 0 of a (k, D) array also adds the rows one
+    by one from zero, so the bits agree. Any other node list, and 1-d
+    embeddings, for which np.mean sums pairwise, read each node's own
+    feature.
+    """
+    if any(node.kind is NodeKind.DET for node in nodes) or nodes[0].feature.size == 1:
+        return np.stack([node.feature for node in nodes])
+    counts = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+    emb = np.stack([d.embedding for node in nodes for d in node.detections])
+    owner = np.repeat(np.arange(len(nodes)), counts)
+    return (_incidence(owner, len(nodes)) @ emb) / counts[:, None]
+
+
 def graph_tensors(graph: TrackGraph) -> GraphTensors:
     """Pack a graph for the network; the one place edge descriptors are made.
 
@@ -278,30 +303,36 @@ def graph_tensors(graph: TrackGraph) -> GraphTensors:
     v's first box: offsets normalised by the summed heights, log
     width/height ratios, then the frame gap and the euclidean distance
     of the (mean) appearance vectors. Detections act as length-1
-    tracklets. All edges are computed in one array pass.
+    tracklets. Edges are computed EDGE_BLOCK at a time into one
+    preallocated array, so no temporary grows with the edge count: a
+    trajectory graph can hold every span-disjoint pair of hundreds of
+    fragments, and full-length (edges x embedding) gathers would make
+    its packing the largest allocation of a run. Each descriptor is the
+    same whatever block holds it.
     """
     n = len(graph.nodes)
     if n == 0:
         raise ValidationError("graph has no nodes")
-    node_feat = np.stack([node.feature for node in graph.nodes])
+    node_feat = _node_features(graph.nodes)
     u, v, spans = graph.u, graph.v, graph.spans
-    bu = box_rows(node.last_box for node in graph.nodes)[u]
-    bv = box_rows(node.first_box for node in graph.nodes)[v]
-    denom = bu[:, 3] + bv[:, 3]
-    diff = node_feat[u] - node_feat[v]
-    # a stacked row-by-row product sums in the order np.linalg.norm uses
-    # for one vector, so a descriptor does not depend on its batch
-    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
-    feats = np.column_stack(
-        [
-            2.0 * (bv[:, 0] - bu[:, 0]) / denom,
-            2.0 * (bv[:, 1] - bu[:, 1]) / denom,
-            np.log(bv[:, 2] / bu[:, 2]),
-            np.log(bv[:, 3] / bu[:, 3]),
-            (spans[v, 0] - spans[u, 1]).astype(np.float64),
-            dist,
-        ]
-    )
+    last = box_rows(node.last_box for node in graph.nodes)
+    first = box_rows(node.first_box for node in graph.nodes)
+    feats = np.empty((u.size, 6))
+    for start in range(0, u.size, EDGE_BLOCK):
+        a, b = u[start : start + EDGE_BLOCK], v[start : start + EDGE_BLOCK]
+        out = feats[start : start + EDGE_BLOCK]
+        bu, bv = np.take(last, a, axis=0), np.take(first, b, axis=0)
+        denom = bu[:, 3] + bv[:, 3]
+        out[:, 0] = 2.0 * (bv[:, 0] - bu[:, 0]) / denom
+        out[:, 1] = 2.0 * (bv[:, 1] - bu[:, 1]) / denom
+        out[:, 2] = np.log(bv[:, 2] / bu[:, 2])
+        out[:, 3] = np.log(bv[:, 3] / bu[:, 3])
+        out[:, 4] = np.take(spans[:, 0], b) - np.take(spans[:, 1], a)
+        diff = np.take(node_feat, a, axis=0)
+        diff -= np.take(node_feat, b, axis=0)
+        # a stacked row-by-row product sums in the order np.linalg.norm
+        # uses for one vector, so a descriptor does not depend on its batch
+        out[:, 5] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
     if not np.all(np.isfinite(feats)):
         raise ValidationError("edge descriptors must be finite")
     return GraphTensors(u, v, feats, node_feat, spans)
@@ -568,18 +599,19 @@ def handcrafted_scores(graph: Union[TrackGraph, GraphTensors]) -> np.ndarray:
     synthetic generator; useful when no trained checkpoint exists.
     """
     g = _as_tensors(graph)
-    if g.n_edges == 0:
-        return np.zeros(0)
-    dx, dy, lw, lh, dt, de = (g.feats[:, i] for i in range(6))
-    drift = np.hypot(dx, dy) / np.maximum(dt, 1.0)
-    logit = (
-        5.0
-        - 8.0 * drift
-        - 4.0 * (np.abs(lw) + np.abs(lh))
-        - 4.5 * de
-        - 0.15 * (dt - 1.0)
-    )
-    return _sigmoid(logit)
+    scores = np.empty(g.n_edges)
+    for start in range(0, g.n_edges, EDGE_BLOCK):
+        dx, dy, lw, lh, dt, de = g.feats[start : start + EDGE_BLOCK].T
+        drift = np.hypot(dx, dy) / np.maximum(dt, 1.0)
+        logit = (
+            5.0
+            - 8.0 * drift
+            - 4.0 * (np.abs(lw) + np.abs(lh))
+            - 4.5 * de
+            - 0.15 * (dt - 1.0)
+        )
+        scores[start : start + EDGE_BLOCK] = _sigmoid(logit)
+    return scores
 
 
 # ------------------------------------------------------------- checkpoints

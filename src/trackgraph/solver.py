@@ -157,15 +157,21 @@ def group_tracklets(
 ) -> list[Tracklet]:
     """One tracklet per id, in ascending id order.
 
-    Detection i joins the tracklet of det_ids[i] with index i.
+    Detection i joins the tracklet of det_ids[i] with index i. The
+    detections come in frame order, so each id's members do too, in
+    index order; Tracklet refuses a run whose frames do not increase.
     """
     det_ids = np.asarray(det_ids, dtype=np.int64)
     if det_ids.shape != (len(detections),):
         raise ValidationError("det_ids must align with detections")
-    members: dict[int, list[tuple[int, Detection]]] = {}
-    for i, g in enumerate(det_ids.tolist()):
-        members.setdefault(g, []).append((i, detections[i]))
-    return [Tracklet.from_members(g, members[g]) for g in sorted(members)]
+    order = np.argsort(det_ids, kind="stable")
+    ids, starts = np.unique(det_ids[order], return_index=True)
+    tracklets = []
+    for g, run in zip(ids.tolist(), np.split(order, starts[1:])):
+        run = tuple(run.tolist())
+        tracklets.append(Tracklet(id=g, detections=tuple(detections[i] for i in run),
+                                  det_indices=run))
+    return tracklets
 
 
 def build_traj_graph(

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import Tracklet, ValidationError
+from trackgraph.core import Tracklet, ValidationError, box_rows
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
@@ -78,6 +78,46 @@ def random_graph_tensors(rng, n_nodes=5, n_edges=6, dim=3):
 # concatenated (m x 2 d_v + 2 d_e) input, each MLP keeps its
 # pre-activations, and messages are summed with np.add.at. mpn.forward
 # and mpn.backward must agree with it to rounding.
+
+
+def reference_graph_tensors(graph):
+    """mpn.graph_tensors computed in one pass over all edges.
+
+    Node features are each node's np.mean; every descriptor column is one
+    full-length array. The blocked graph_tensors must match it bit for bit.
+    """
+    node_feat = np.stack([node.feature for node in graph.nodes])
+    u, v, spans = graph.u, graph.v, graph.spans
+    bu = box_rows(node.last_box for node in graph.nodes)[u]
+    bv = box_rows(node.first_box for node in graph.nodes)[v]
+    denom = bu[:, 3] + bv[:, 3]
+    diff = node_feat[u] - node_feat[v]
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
+    feats = np.column_stack(
+        [
+            2.0 * (bv[:, 0] - bu[:, 0]) / denom,
+            2.0 * (bv[:, 1] - bu[:, 1]) / denom,
+            np.log(bv[:, 2] / bu[:, 2]),
+            np.log(bv[:, 3] / bu[:, 3]),
+            (spans[v, 0] - spans[u, 1]).astype(np.float64),
+            dist,
+        ]
+    )
+    return GraphTensors(u, v, feats, node_feat, spans)
+
+
+def reference_handcrafted_scores(g):
+    """mpn.handcrafted_scores of GraphTensors g in one pass over all edges."""
+    dx, dy, lw, lh, dt, de = (g.feats[:, i] for i in range(6))
+    drift = np.hypot(dx, dy) / np.maximum(dt, 1.0)
+    logit = (
+        5.0
+        - 8.0 * drift
+        - 4.0 * (np.abs(lw) + np.abs(lh))
+        - 4.5 * de
+        - 0.15 * (dt - 1.0)
+    )
+    return _sigmoid(logit)
 
 
 def reference_mlp_forward(p, x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from trackgraph import mpn
 from trackgraph.cli import _labelled_graphs
 from trackgraph.config import RunConfig
 from trackgraph.ingest import ScenarioSpec, synthesize
+from trackgraph.pipeline import ClipTracker
+from trackgraph.solver import aggregate, build_traj_graph
 from trackgraph.mpn import (
+    EDGE_BLOCK,
     GraphTensors,
     MlpParams,
     MpnParams,
@@ -168,6 +172,88 @@ def test_graph_tensors_match_scalar_reference(graph):
         np.testing.assert_allclose(g.feats[k], want, rtol=1e-12, atol=0)
 
 
+def bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_blocked_edges_equal_one_pass_reference():
+    # 131 tracklets of 1-3 members with increasing disjoint spans, every
+    # pair linked: 8,515 edges, two full blocks and more, the last block
+    # partial
+    rng = np.random.default_rng(5)
+    nodes = []
+    for k in range(131):
+        members = []
+        for f in range(4 * k, 4 * k + rng.integers(1, 4)):
+            box = BoundingBox(*rng.uniform(-50, 50, 2), *rng.uniform(1, 80, 2))
+            members.append((f, det(f, box, rng.normal(size=16))))
+        nodes.append(Tracklet.from_members(k, members))
+    graph = TrackGraph(tuple(nodes), *np.triu_indices(len(nodes), 1))
+    assert graph.n_edges >= 2 * EDGE_BLOCK + 1 and graph.n_edges % EDGE_BLOCK
+    got, want = graph_tensors(graph), reference_graph_tensors(graph)
+    assert bit_equal(got.feats, want.feats)
+    assert bit_equal(got.node_feat, want.node_feat)
+    assert bit_equal(handcrafted_scores(got), reference_handcrafted_scores(want))
+    assert bit_equal(handcrafted_scores(graph), reference_handcrafted_scores(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 16]),
+    sizes=st.lists(st.integers(1, 130), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    signed_zero=st.booleans(),
+)
+@example(width=1, sizes=[130], seed=0, signed_zero=False)
+@example(width=2, sizes=[3, 1], seed=0, signed_zero=True)
+def test_node_features_are_member_means_bit_for_bit(width, sizes, seed, signed_zero):
+    # np.mean sums the rows of a (k, D) array one by one, but a 1-d
+    # embedding's k values pairwise once k passes 8
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for k, size in enumerate(sizes):
+        emb = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(size, width))
+        if signed_zero:
+            emb[:, 0] = -0.0
+        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        members = [(f, det(f, box, emb[f])) for f in range(size)]
+        nodes.append(Tracklet.from_members(k, members))
+    node_feat = graph_tensors(TrackGraph(tuple(nodes), [], [])).node_feat
+    want = np.stack([np.mean([d.embedding for d in n.detections], axis=0) for n in nodes])
+    assert bit_equal(node_feat, want)
+
+
+@pytest.fixture(scope="module")
+def weak_traj_graph():
+    """The first trajectory graph of the weak-appearance scene: every
+    span-disjoint pair of about 400 pass-1 fragments."""
+    dets = synthesize(ScenarioSpec(10, 160, seed=60, embedding_noise_sigma=0.2,
+                                   miss_rate=0.1))
+    graph, _ = ClipTracker().build_graph(dets)
+    ids = aggregate(graph, None, traj_passes=0, score_fn=handcrafted_scores)
+    return build_traj_graph(graph.nodes, ids)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edge_arrays_stay_within_their_storage_bound(weak_traj_graph):
+    # only the outputs grow with the edge count; every temporary is one
+    # block's worth
+    mb = 2**20
+    g, peak = traced_peak(graph_tensors, weak_traj_graph)
+    assert peak <= g.feats.nbytes + 4 * mb
+    scores, peak = traced_peak(handcrafted_scores, g)
+    assert peak <= scores.nbytes + 2 * mb
+
+
 # ----------------------------------------------------------- node features
 
 
@@ -177,6 +263,8 @@ from conftest import (
     random_graph_tensors,
     reference_backward,
     reference_forward,
+    reference_graph_tensors,
+    reference_handcrafted_scores,
 )
 
 

@@ -330,6 +330,9 @@ def test_build_traj_graph_groups_and_gates():
     assert tg.n_edges == 0  # spans overlap, gate closed
     with pytest.raises(ValidationError, match="align"):
         build_traj_graph(dets.detections, ids[:3])
+    # an id's members are taken in index order, which must be frame order
+    with pytest.raises(ValidationError, match="1 then 0"):
+        build_traj_graph(dets.detections[::-1], ids)
     rows2 = [det(0, 0.0, 1), det(1, 0.0, 1), det(3, 50.0, 2), det(4, 50.0, 2)]
     dets2 = DetectionSet.build(rows2)
     tg2 = build_traj_graph(dets2.detections, np.asarray([0, 0, 1, 1]))
