@@ -13,6 +13,11 @@ as one clip, one more entry hashes the raw bytes of the part and
 trajectory graphs' edge descriptors, node features and handcrafted
 scores, since `graph-stats --dump` prints descriptors rounded and a
 last-bit change would show only through the `train` checkpoints.
+Another hashes the raw bytes of message passing with
+`benchmarks/long_mpn.ckpt` on those scenes' part graphs and the
+trajectory graphs of their pass-1 identities: scores and final node
+and edge states, since a last-bit change in scores shows in `track`
+only where it flips a rounding decision.
 Prints one SHA-256
 per scene and output of the working tree, marks each one `same` or
 `DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
@@ -154,6 +159,27 @@ for g in (graph, build_traj_graph(graph.nodes, ids)):
 print(digest.hexdigest())
 """
 
+# prints one SHA-256 over the message-passing outputs with a checkpoint
+# on a scene's part graph and on the trajectory graph of its pass-1
+# identities: each graph's scores and final node and edge states
+MPN_ARRAY_CODE = """
+import hashlib, sys
+from trackgraph.ingest import parse_mot
+from trackgraph.mpn import forward, load_params
+from trackgraph.pipeline import ClipTracker
+from trackgraph.solver import aggregate, build_traj_graph
+
+params = load_params(sys.argv[3])
+graph, _ = ClipTracker().build_graph(parse_mot(sys.argv[1], sys.argv[2]))
+ids = aggregate(graph, params, traj_passes=0)
+digest = hashlib.sha256()
+for g in (graph, build_traj_graph(graph.nodes, ids)):
+    state, scores = forward(g, params)
+    for arr in (scores, state.node, state.edge):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
 
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(
@@ -274,6 +300,9 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
         files = [str(work / scene / "det.txt"), str(work / scene / "det.emb")]
         digest = run_python(tree, "edge arrays", EDGE_ARRAY_CODE, files).strip()
         out[f"{scene}/edge-arrays"] = (digest, None)
+        digest = run_python(tree, "mpn arrays", MPN_ARRAY_CODE,
+                            files + [str(CHECKPOINT)]).strip()
+        out[f"{scene}/mpn-arrays"] = (digest, None)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         text(f"{scene}/graph-stats-{run}", dump)

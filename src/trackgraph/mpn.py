@@ -18,12 +18,20 @@ logistic classifier on the final edge state yields link scores in
 All forward passes are mirrored by hand-written reverse-mode backward
 passes; gradients are exact, not approximated.
 
-Message passing works at node width. A pair MLP's first layer reads
-[h[a], e, e0, h[c]] (two endpoint states, the current and the initial
-edge encoding) through one weight matrix; it is computed as
-(h @ W_a)[a] + e @ W_e + e0 @ W_0 + (h @ W_c)[c], accumulated in place
-into one array, and e0 @ W_0 is made once per pass. Backward sums the
-first layer's gradient to the nodes before it meets W_a and W_c, so the
+Message passing works at node width, in blocks of edges. A pair MLP's
+first layer reads [h[a], e, e0, h[c]] (two endpoint states, the current
+and the initial edge encoding) through one weight matrix; it is computed
+as (h @ W_a)[a] + (h @ W_c)[c] + e @ W_e + (e0 @ W_0 + b), and the last
+term is made once per pass. The edge encoder and the pair MLPs run
+MLP_BLOCK edges at a time: a block gathers its rows of h @ W_a and
+h @ W_c, runs every layer in block-sized buffers reused from block to
+block, and writes its rows of the output, with the same arithmetic per
+row as one pass over all edges, so the bits do not depend on the block.
+What grows with the edge count is the initial encoding, the edge
+states, one message array, the three e0 terms and the scores, plus the
+classifier's hidden layer once the e0 terms are freed; training also
+keeps each layer's hidden activations. Backward sums the first layer's
+gradient to the nodes before it meets W_a and W_c, so the
 (edges x 2 node_dim + 2 edge_dim) input is never built. Sums over a
 node's edges are products with two sparse incidence matrices, built once
 per pass; they add in edge order, bit-identical to np.add.at. A
@@ -58,6 +66,10 @@ _SCORE_CLAMP = 1e-7
 # that a block's temporaries stay in cache (4,096 measured fastest of
 # 1,024 to 16,384 on a weak-appearance trajectory graph)
 EDGE_BLOCK = 4096
+# edges per block of the edge MLPs in message passing, whose blocks carry
+# several (rows x hidden) buffers: on the long-mpn graphs 1,024 measured
+# fastest of 512 to 8,192, and 4,096 cost 18 % more per forward
+MLP_BLOCK = 1024
 
 
 # ------------------------------------------------------------------- MLPs
@@ -375,12 +387,84 @@ def _pair_blocks(w: np.ndarray, d_v: int, d_e: int):
     return w[:d_v], w[d_v : d_v + d_e], w[d_v + d_e : d_v + 2 * d_e], w[d_v + 2 * d_e :]
 
 
+def _edge_blocks(m: int) -> list[slice]:
+    """Consecutive slices of MLP_BLOCK edges covering range(m).
+
+    A last block of one edge takes one more from the block before it:
+    numpy sends a one-row product to BLAS's matrix-vector kernel, which
+    sums in another order than the matrix-matrix kernel that every
+    longer block (and a one-pass product) uses.
+    """
+    starts = list(range(0, m, MLP_BLOCK))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts[-1] -= 1
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def _scratch(bufs: dict, width: int, slot: int, rows: int) -> np.ndarray:
+    """The first rows of block-sized scratch buffer (width, slot), made on first use."""
+    buf = bufs.get((width, slot))
+    if buf is None:
+        buf = bufs[width, slot] = np.empty((MLP_BLOCK, width))
+    return buf[:rows]
+
+
+def _edge_mlp(p: MlpParams, first, out: np.ndarray, hidden: Optional[list],
+              bufs: dict) -> np.ndarray:
+    """MLP p over every edge, one _edge_blocks block at a time, into out.
+
+    first(rows, z) writes the first layer's pre-activation of the edges
+    in slice rows into z. The layers after it run as in _mlp_rest, with
+    the same arithmetic on each row whatever block holds it, and the
+    last writes into out[rows]. hidden is None, or a list that receives
+    the hidden activations as full-length arrays, filled block by block
+    (and out when the output is logistic): the layout _mlp_rest keeps.
+    Without it, layer l's pre-activation lives in the block-sized
+    scratch buffer of slot l % 2 from bufs; slot 1 is free for first.
+    """
+    m, last = out.shape[0], len(p.weights) - 1
+    if hidden is not None:
+        hidden.extend(np.empty((m, w.shape[0])) for w in p.weights[1:])
+    for rows in _edge_blocks(m):
+        n = rows.stop - rows.start
+        # where each layer's pre-activation for these rows goes
+        zs = [hidden[l][rows] if hidden is not None
+              else _scratch(bufs, w.shape[1], l % 2, n)
+              for l, w in enumerate(p.weights[:last])]
+        zs.append(out[rows])
+        first(rows, zs[0])
+        for l in range(1, last + 1):
+            act = np.maximum(zs[l - 1], 0.0, out=zs[l - 1])
+            np.matmul(act, p.weights[l], out=zs[l])
+            zs[l] += p.biases[l]
+        if p.output == "logistic":
+            zs[last][...] = _sigmoid(zs[last])
+    if hidden is not None and p.output == "logistic":
+        hidden.append(out)
+    return out
+
+
 def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     d_v, d_e = params.node_dim, params.edge_dim
-    u, v = g.u, g.v
+    u, v, m = g.u, g.v, g.n_edges
     to_u, to_v = _incidence(u, g.n_nodes), _incidence(v, g.n_nodes)
+    bufs: dict = {}
+
+    def edge_mlp(p: MlpParams, first, out: Optional[np.ndarray] = None):
+        """(output, hidden activations kept for backward or None)."""
+        hidden = [] if keep_cache else None
+        if out is None:
+            out = np.empty((m, p.out_dim))
+        return _edge_mlp(p, first, out, hidden, bufs), hidden
+
     h, proj_cache = mlp_forward(params.node_proj, g.node_feat)
-    e0, enc_cache = mlp_forward(params.edge_encoder, g.feats)
+    enc = params.edge_encoder
+
+    def encode(rows: slice, z: np.ndarray) -> None:
+        np.matmul(g.feats[rows], enc.weights[0], out=z)
+        z += enc.biases[0]
+
+    e0, enc_hidden = edge_mlp(enc, encode)
     # (mlp, first endpoint, second endpoint): the future MLP reads the
     # later node first
     pairs = (
@@ -389,39 +473,53 @@ def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
         (params.future_mlp, v, u),
     )
     # the initial encoding's share of each first layer is the same at
-    # every step; one scratch array per width takes the other shares
+    # every step
     fixed = []
-    scratch = {}
     for mlp, _, _ in pairs:
-        w_init = _pair_blocks(mlp.weights[0], d_v, d_e)[2]
-        fixed.append(e0 @ w_init + mlp.biases[0])
-        scratch.setdefault(w_init.shape[1], np.empty((g.n_edges, w_init.shape[1])))
+        share = e0 @ _pair_blocks(mlp.weights[0], d_v, d_e)[2]
+        share += mlp.biases[0]
+        fixed.append(share)
 
-    def pair_forward(k: int, core: np.ndarray, hidden: list) -> np.ndarray:
-        """One pair MLP on [h[a], core, e0, h[c]], built at node width."""
+    def pair_input(k: int, core: np.ndarray):
+        """(mlp, first-layer writer) of pair MLP k on [h[a], core, e0, h[c]],
+        built at node width."""
         mlp, a, c = pairs[k]
         w_a, w_core, _, w_c = _pair_blocks(mlp.weights[0], d_v, d_e)
-        buf = scratch[w_a.shape[1]]
-        z = (h @ w_a)[a]
-        # "clip" lets take write into buf directly; _incidence has
-        # already refused an endpoint outside [0, n)
-        z += np.take(h @ w_c, c, axis=0, out=buf, mode="clip")
-        z += np.matmul(core, w_core, out=buf)
-        z += fixed[k]
-        return _mlp_rest(mlp, z, hidden)
+        at_a, at_c, share = h @ w_a, h @ w_c, fixed[k]
 
+        def first(rows: slice, z: np.ndarray) -> None:
+            buf = _scratch(bufs, z.shape[1], 1, z.shape[0])
+            # "clip" lets take write into its output directly; _incidence
+            # has already refused an endpoint outside [0, n)
+            np.take(at_a, a[rows], axis=0, out=z, mode="clip")
+            z += np.take(at_c, c[rows], axis=0, out=buf, mode="clip")
+            z += np.matmul(core[rows], w_core, out=buf)
+            z += share[rows]
+
+        return mlp, first
+
+    # past and future messages share one array: each is summed to the
+    # nodes before the next is written
+    messages = np.empty((m, d_v))
     core = e0
     steps_cache = []
     for _ in range(params.steps):
-        edge_hidden, past_hidden, fut_hidden = [], [], []
-        core_new = pair_forward(0, core, edge_hidden)
-        past_sum = to_v @ pair_forward(1, core_new, past_hidden)
-        fut_sum = to_u @ pair_forward(2, core_new, fut_hidden)
+        core_new, edge_hidden = edge_mlp(*pair_input(0, core))
+        past_hidden = edge_mlp(*pair_input(1, core_new), out=messages)[1]
+        past_sum = to_v @ messages
+        fut_hidden = edge_mlp(*pair_input(2, core_new), out=messages)[1]
+        fut_sum = to_u @ messages
         h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
         if keep_cache:
             steps_cache.append((h, core, core_new, edge_hidden, past_hidden, fut_hidden,
                                 node_cache))
         h, core = h_new, core_new
+    # the shares are dead now; freeing them makes room for the
+    # classifier's full-length hidden layer. The classifier runs over all
+    # edges at once: its one-column output is a matrix-vector product,
+    # which BLAS may split between threads by the total row count, so a
+    # block's sums could differ from a one-pass product's
+    fixed.clear()
     ebar = np.hstack([core, e0])
     scores, clf_cache = mlp_forward(params.classifier_mlp, ebar)
     scores = scores.ravel()
@@ -430,7 +528,7 @@ def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     state = EmbeddingState(node=h, edge=ebar, step=params.steps)
     cache = None
     if keep_cache:
-        cache = (to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache)
+        cache = (to_u, to_v, e0, proj_cache, (g.feats, enc_hidden), steps_cache, clf_cache)
     return state, scores, cache
 
 

@@ -3,17 +3,21 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import Tracklet, ValidationError, box_rows
+from trackgraph.core import NumericError, Tracklet, ValidationError, box_rows
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
     _as_tensors,
+    _incidence,
+    _mlp_rest,
+    _pair_blocks,
     _sigmoid,
     backward,
     focal_grad,
     focal_loss,
     forward,
     init_params,
+    mlp_forward,
     zero_params_like,
 )
 
@@ -118,6 +122,65 @@ def reference_handcrafted_scores(g):
         - 0.15 * (dt - 1.0)
     )
     return _sigmoid(logit)
+
+
+def reference_one_pass_forward(g, params, keep_cache):
+    """mpn._forward with the edge encoder and every pair MLP run over all
+    edges at once.
+
+    Each pair MLP gathers (h @ W_a)[a] as a fresh full-length array and
+    makes a new full-length output per layer. The blocked _forward must
+    match it bit for bit: scores, final states and the whole cache.
+    """
+    d_v, d_e = params.node_dim, params.edge_dim
+    u, v = g.u, g.v
+    to_u, to_v = _incidence(u, g.n_nodes), _incidence(v, g.n_nodes)
+    h, proj_cache = mlp_forward(params.node_proj, g.node_feat)
+    e0, enc_cache = mlp_forward(params.edge_encoder, g.feats)
+    pairs = (
+        (params.edge_mlp, u, v),
+        (params.past_mlp, u, v),
+        (params.future_mlp, v, u),
+    )
+    fixed = []
+    scratch = {}
+    for mlp, _, _ in pairs:
+        w_init = _pair_blocks(mlp.weights[0], d_v, d_e)[2]
+        fixed.append(e0 @ w_init + mlp.biases[0])
+        scratch.setdefault(w_init.shape[1], np.empty((g.n_edges, w_init.shape[1])))
+
+    def pair_forward(k, core, hidden):
+        mlp, a, c = pairs[k]
+        w_a, w_core, _, w_c = _pair_blocks(mlp.weights[0], d_v, d_e)
+        buf = scratch[w_a.shape[1]]
+        z = (h @ w_a)[a]
+        z += np.take(h @ w_c, c, axis=0, out=buf, mode="clip")
+        z += np.matmul(core, w_core, out=buf)
+        z += fixed[k]
+        return _mlp_rest(mlp, z, hidden)
+
+    core = e0
+    steps_cache = []
+    for _ in range(params.steps):
+        edge_hidden, past_hidden, fut_hidden = [], [], []
+        core_new = pair_forward(0, core, edge_hidden)
+        past_sum = to_v @ pair_forward(1, core_new, past_hidden)
+        fut_sum = to_u @ pair_forward(2, core_new, fut_hidden)
+        h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
+        if keep_cache:
+            steps_cache.append((h, core, core_new, edge_hidden, past_hidden, fut_hidden,
+                                node_cache))
+        h, core = h_new, core_new
+    ebar = np.hstack([core, e0])
+    scores, clf_cache = mlp_forward(params.classifier_mlp, ebar)
+    scores = scores.ravel()
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(scores))):
+        raise NumericError("message passing produced non-finite values")
+    state = EmbeddingState(node=h, edge=ebar, step=params.steps)
+    cache = None
+    if keep_cache:
+        cache = (to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache)
+    return state, scores, cache
 
 
 def reference_mlp_forward(p, x):

@@ -22,6 +22,7 @@ from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import aggregate, build_traj_graph
 from trackgraph.mpn import (
     EDGE_BLOCK,
+    MLP_BLOCK,
     GraphTensors,
     MlpParams,
     MpnParams,
@@ -254,6 +255,21 @@ def test_edge_arrays_stay_within_their_storage_bound(weak_traj_graph):
     assert peak <= scores.nbytes + 2 * mb
 
 
+def test_forward_stays_within_its_storage_bound(weak_traj_graph):
+    # at the checkpoint's dims, inference keeps per edge: the initial
+    # encoding, the old and new edge state, the three pair MLPs'
+    # first-layer shares of the initial encoding, one message array and
+    # the scores; every other temporary is one block's worth or node-sized
+    d_v, d_e, hidden = 16, 8, 32
+    params = init_params(0, embed_dim=16, node_dim=d_v, edge_dim=d_e, hidden=hidden,
+                         steps=4)
+    g = graph_tensors(weak_traj_graph)
+    floats_per_edge = d_e + 2 * d_e + 3 * hidden + d_v + 1
+    (_, scores), peak = traced_peak(forward, g, params)
+    assert scores.shape == (g.n_edges,) == (75_644,)
+    assert peak <= g.n_edges * floats_per_edge * 8 + 4 * 2**20
+
+
 # ----------------------------------------------------------- node features
 
 
@@ -265,6 +281,7 @@ from conftest import (
     reference_forward,
     reference_graph_tensors,
     reference_handcrafted_scores,
+    reference_one_pass_forward,
 )
 
 
@@ -566,6 +583,50 @@ def test_backward_matches_concatenating_reference(seed, n_nodes, edge_share, dep
     params = layered_params(seed, depth, embed_dim, node_dim, edge_dim, hidden, steps)
     labels = rng.integers(0, 2, size=n_edges)
     assert_matches_reference(g, params, labels, gamma)
+
+
+def cache_arrays_in_order(cache):
+    """The ndarrays of a forward cache, depth first in tuple and list order."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    if isinstance(cache, (tuple, list)):
+        return [a for item in cache for a in cache_arrays_in_order(item)]
+    return []
+
+
+def blocked_test_graph(n_edges, seed=0, embed_dim=16):
+    """GraphTensors with n_edges forward pairs of 90 nodes, random descriptors."""
+    rng = np.random.default_rng(seed)
+    u, v = (ends[:n_edges] for ends in np.triu_indices(90, 1))
+    assert u.size == n_edges
+    frames = np.arange(90)
+    return GraphTensors(u, v, rng.normal(size=(n_edges, 6)),
+                        rng.normal(size=(90, embed_dim)), np.stack([frames, frames], 1))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+# two full blocks and a partial one; and a one-edge remainder, which
+# takes one edge from the block before it
+@pytest.mark.parametrize("n_edges", [2 * MLP_BLOCK + 700, 2 * MLP_BLOCK + 1])
+def test_blocked_forward_equals_one_pass_reference(depth, n_edges, monkeypatch):
+    g = blocked_test_graph(n_edges)
+    params = layered_params(depth, depth, embed_dim=16, node_dim=8, edge_dim=4,
+                            hidden=16, steps=2)
+    for keep_cache in (False, True):
+        state, scores, cache = _forward(g, params, keep_cache)
+        ref_state, ref_scores, ref_cache = reference_one_pass_forward(g, params, keep_cache)
+        assert bit_equal(scores, ref_scores)
+        assert bit_equal(state.node, ref_state.node)
+        assert bit_equal(state.edge, ref_state.edge)
+    got, want = cache_arrays_in_order(cache), cache_arrays_in_order(ref_cache)
+    assert len(got) == len(want) > 0
+    assert all(bit_equal(a, b) for a, b in zip(got, want))
+    labels = np.random.default_rng(depth).integers(0, 2, size=n_edges)
+    loss, _, grads = backward(g, params, labels)
+    monkeypatch.setattr(mpn, "_forward", reference_one_pass_forward)
+    ref_loss, _, ref_grads = backward(g, params, labels)
+    assert loss == ref_loss
+    assert all(bit_equal(a, b) for a, b in zip(grads.arrays(), ref_grads.arrays()))
 
 
 # the two noisy calibration clips and model of acceptance criterion 6
