@@ -8,7 +8,10 @@ on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). One more `track` run reads a sparse copy
 of a scene whose later half sits far ahead in time, and one more
 `track` and `eval` read a copy of a scene respelled so that `parse_mot`
-reads it line by line. For the weak and gate700 scenes, each tracked
+reads it line by line. One more `eval` scores gate700's ground truth,
+its ids cut into 8-frame runs (about 880 ids), against itself, so the
+report shows any change in IDF1's frame join and in its assignment over
+a wide id matrix. For the weak and gate700 scenes, each tracked
 as one clip, one more entry hashes the raw bytes of the part and
 trajectory graphs' edge descriptors, node features and handcrafted
 scores, since `graph-stats --dump` prints descriptors rounded and a
@@ -238,6 +241,17 @@ def shift_frames(src: Path, dest: Path, after: int, by: int) -> None:
     dest.write_text("\n".join(rows) + "\n")
 
 
+def fragment_ids(src: Path, dest: Path, run: int) -> None:
+    """Copy a MOT file, giving each id a new id every `run` frames."""
+    ids: dict[tuple[str, int], int] = {}
+    rows = []
+    for line in src.read_text().splitlines():
+        frame, tid, rest = line.split(",", 2)
+        new = ids.setdefault((tid, (int(frame) - 1) // run), len(ids) + 1)
+        rows.append(f"{frame},{new},{rest}")
+    dest.write_text("\n".join(rows) + "\n")
+
+
 def respell(src: Path, dest: Path) -> None:
     """Copy a MOT file with every frame spelled as a float (12 -> 12.0)
     and every seventh row cut to its first 7 columns."""
@@ -296,6 +310,12 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
     report = trackgraph(tree, ["eval", "--pred", str(result),
                                "--gt", str(work / "weak" / "gt.txt")])
     text("respelled/eval-handcrafted", report)
+    # the fragmented run: gate700's ground truth with ids cut into runs
+    (work / "fragmented").mkdir()
+    fragment_ids(work / "gate700" / "gt.txt", work / "fragmented" / "pred.txt", 8)
+    report = trackgraph(tree, ["eval", "--pred", str(work / "fragmented" / "pred.txt"),
+                               "--gt", str(work / "gate700" / "gt.txt")])
+    text("fragmented/eval-gate700", report)
     for scene in EDGE_ARRAY_SCENES:
         files = [str(work / scene / "det.txt"), str(work / scene / "det.emb")]
         digest = run_python(tree, "edge arrays", EDGE_ARRAY_CODE, files).strip()

@@ -103,10 +103,9 @@ def cosine_scorer(dets: DetectionSet) -> TrackSums:
 
 def oracle_scorer(dets: DetectionSet) -> TrackSums:
     """1 for same annotated identity, 0 otherwise; a track's sum counts matches."""
-    ids = [d.gt_id for d in dets.detections]
-    if any(g is None for g in ids):
+    if len(dets) and not dets.has_gt:
         raise ValidationError("oracle scorer needs identities on every detection")
-    arr = np.asarray(ids)
+    arr = dets.gt_ids
 
     def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
         # counts are exact in any order of addition

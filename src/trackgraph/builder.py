@@ -133,23 +133,22 @@ def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
     """
     if not dets.has_gt:
         raise ValidationError("coverage needs ground-truth identities")
-    by_id: dict[int, list[int]] = {}
-    for i, d in enumerate(dets.detections):
-        by_id.setdefault(d.gt_id, []).append(i)
-    pairs = [
-        p for idxs in by_id.values() for p in zip(idxs, idxs[1:])
-    ]
-    if not pairs:
+    # one stable sort by id puts each identity's detections in set order
+    order = np.argsort(dets.gt_ids, kind="stable")
+    same = dets.gt_ids[order[1:]] == dets.gt_ids[order[:-1]]
+    first, second = order[:-1][same], order[1:][same]
+    if not first.size:
         return 1.0
-    edge_set = set(zip(graph.u.tolist(), graph.v.tolist()))
-    return sum(p in edge_set for p in pairs) / len(pairs)
+    n = len(dets)
+    joined = np.isin(first * n + second, graph.u * n + graph.v)
+    return int(joined.sum()) / first.size
 
 
 def fully_connected_edge_count(dets: DetectionSet) -> int:
     """Closed-form edge count of the fully connected cross-frame graph."""
     n = len(dets)
-    ssq = sum(int(ix.size) ** 2 for ix in dets.by_frame.values())
-    return (n * n - ssq) // 2
+    _, sizes = np.unique(dets.frames, return_counts=True)
+    return (n * n - sum(k * k for k in sizes.tolist())) // 2
 
 
 def dump_graph(graph: TrackGraph) -> str:

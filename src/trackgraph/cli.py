@@ -65,10 +65,9 @@ def _tracker(cfg: RunConfig, **kw) -> ClipTracker:
 
 
 def _check_embed_dim(dets, expect: int, origin: str) -> None:
-    if len(dets) and dets.embedding_dim != expect:
-        raise ValidationError(
-            f"embeddings are {dets.embedding_dim}-d but {origin} expects {expect}-d"
-        )
+    dim = dets.embeddings().shape[1]
+    if len(dets) and dim != expect:
+        raise ValidationError(f"embeddings are {dim}-d but {origin} expects {expect}-d")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -171,12 +170,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred = parse_mot(args.pred)
     gt = parse_mot(args.gt)
     if len(pred) and len(gt):
-        pf = [d.frame for d in pred.detections]
-        gf = [d.frame for d in gt.detections]
-        if (min(pf), max(pf)) != (min(gf), max(gf)):
+        # frames are sorted; printed 1-based, as on disk
+        pf, gf = pred.frames[[0, -1]] + 1, gt.frames[[0, -1]] + 1
+        if (pf != gf).any():
             print(
                 f"warning: frame ranges differ "
-                f"(pred {min(pf)}..{max(pf)}, gt {min(gf)}..{max(gf)})",
+                f"(pred {pf[0]}..{pf[1]}, gt {gf[0]}..{gf[1]})",
                 file=sys.stderr,
             )
     report = evaluate(pred, gt, cfg.iou_gate)

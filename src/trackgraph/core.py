@@ -109,8 +109,14 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Rows are (x, y, w, h). Each entry is computed in the operation order
     of iou, so it equals the scalar result exactly.
     """
-    ax, ay, aw, ah = a.T[:, :, None]
-    bx, by, bw, bh = b.T[:, None, :]
+    return iou_rows(a[:, None, :], b[None, :, :])
+
+
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of aligned (x, y, w, h) rows on the last axis of a and b, the
+    other axes broadcast; in iou's operation order, so equal to it exactly."""
+    ax, ay, aw, ah = (a[..., k] for k in range(4))
+    bx, by, bw, bh = (b[..., k] for k in range(4))
     ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = ix * iy

@@ -49,30 +49,22 @@ _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
 
 
-def _frame_index(frames: np.ndarray) -> dict[int, np.ndarray]:
-    """Each frame's detection indices, for frames sorted ascending."""
-    if not frames.size:
-        return {}
-    cuts = np.flatnonzero(frames[1:] != frames[:-1]) + 1
-    firsts = frames[np.concatenate([[0], cuts])].tolist()
-    return dict(zip(firsts, np.split(np.arange(frames.size), cuts)))
-
-
 @dataclass(frozen=True)
 class DetectionSet:
     """Detections of one sequence, sorted by frame.
 
     n_frames is one past the last frame; has_gt is true when every
-    detection carries an identity. frames is the detections' frames as a
-    read-only int64 column, and by_frame maps each frame to its
-    detections' indices.
+    detection carries an identity. Each attribute the pipeline reads is a
+    read-only column, row i for detection i: frames, boxes, gt_ids and
+    the embeddings that embeddings() returns. frames is made on
+    construction, the others from the records on first read, unless
+    parse_mot or slice hands them over.
     """
 
     detections: tuple[Detection, ...]
     n_frames: int
     has_gt: bool
     frames: np.ndarray = field(init=False, repr=False, compare=False)
-    by_frame: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         frames = [d.frame for d in self.detections]
@@ -88,10 +80,7 @@ class DetectionSet:
                 raise ValidationError("n_frames does not cover all detections")
             if self.detections[-1].frame >= _INT64:
                 raise ValidationError("frames must fit in 64 bits")
-        column = np.asarray(frames, dtype=np.int64)
-        column.setflags(write=False)
-        object.__setattr__(self, "frames", column)
-        object.__setattr__(self, "by_frame", _frame_index(column))
+        object.__setattr__(self, "frames", _column(frames, np.int64))
 
     @classmethod
     def build(cls, detections: Sequence[Detection], n_frames: Optional[int] = None):
@@ -101,26 +90,18 @@ class DetectionSet:
         has_gt = bool(dets) and all(d.gt_id is not None for d in dets)
         return cls(dets, n_frames, has_gt)
 
-    @classmethod
-    def _checked(cls, detections: tuple[Detection, ...], frames: np.ndarray,
-                 boxes: np.ndarray, n_frames: int) -> "DetectionSet":
-        """A set of detections that are already checked and sorted by frame.
-
-        frames and boxes are their read-only columns (boxes as
-        DetectionSet.boxes gives them); nothing is checked again.
-        """
-        has_gt = bool(detections) and all(d.gt_id is not None for d in detections)
-        return unchecked(cls, detections=detections, n_frames=n_frames, has_gt=has_gt,
-                         frames=frames, boxes=boxes, by_frame=_frame_index(frames))
-
     def slice(self, lo: int, hi: int, n_frames: int) -> "DetectionSet":
         """Detections lo to hi - 1 as a set of their own, not checked again.
 
         n_frames must cover them; detection i of the slice is detection
         lo + i of this set.
         """
-        return DetectionSet._checked(self.detections[lo:hi], self.frames[lo:hi],
-                                     self.boxes[lo:hi], n_frames)
+        gt_ids = self.gt_ids[lo:hi]
+        return unchecked(DetectionSet, detections=self.detections[lo:hi],
+                         n_frames=n_frames,
+                         has_gt=hi > lo and (self.has_gt or bool((gt_ids != -1).all())),
+                         frames=self.frames[lo:hi], boxes=self.boxes[lo:hi],
+                         gt_ids=gt_ids, _embeddings=self._embeddings[lo:hi])
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -129,20 +110,29 @@ class DetectionSet:
     def boxes(self) -> np.ndarray:
         """The boxes as the read-only (n, 4) rows of core.box_rows, made on
         first read."""
-        boxes = box_rows(d.box for d in self.detections)
-        boxes.setflags(write=False)
-        return boxes
+        return _column(box_rows(d.box for d in self.detections), np.float64)
 
-    @property
-    def embedding_dim(self) -> int:
-        if not self.detections:
-            return 0
-        return self.detections[0].embedding.size
+    @cached_property
+    def gt_ids(self) -> np.ndarray:
+        """The identities as a read-only int64 column, -1 where a detection
+        carries none, made on first read."""
+        return _column([-1 if d.gt_id is None else d.gt_id for d in self.detections],
+                       np.int64)
+
+    @cached_property
+    def _embeddings(self) -> np.ndarray:
+        rows = [d.embedding for d in self.detections]
+        return _column(np.stack(rows) if rows else np.empty((0, 0)), np.float64)
 
     def embeddings(self) -> np.ndarray:
-        if not self.detections:
-            return np.empty((0, 0))
-        return np.stack([d.embedding for d in self.detections])
+        """The embeddings as a read-only (n, D) column; (0, 0) when empty."""
+        return self._embeddings
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
 
 
 def pseudo_embedding(frame: int, box: BoundingBox, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
@@ -287,40 +277,40 @@ def parse_mot(
     """
     columns = _read_columns(det_path)
     on_disk, ids, values = columns if columns is not None else _parse_lines(det_path)
-    frames = on_disk - 1
+    order = np.argsort(on_disk, kind="stable")
+    frames, ids = on_disk[order] - 1, ids[order]
+    rows, n = values[order, :4], order.size
     # every record below is built from checked values
-    boxes = [unchecked(BoundingBox, x=x, y=y, w=w, h=h)
-             for x, y, w, h in values[:, :4].tolist()]
+    boxes = [unchecked(BoundingBox, x=x, y=y, w=w, h=h) for x, y, w, h in rows.tolist()]
 
     if embed_path is not None:
         embeddings = read_embeddings(embed_path)
-        if embeddings.shape[0] != len(boxes):
-            raise ParseError(
-                f"sidecar has {embeddings.shape[0]} rows for {len(boxes)} detections"
-            )
-    elif boxes:
+        if embeddings.shape[0] != n:
+            raise ParseError(f"sidecar has {embeddings.shape[0]} rows for {n} detections")
+        embeddings = embeddings[order] if n else np.empty((0, 0))
+    elif n:
         embeddings = np.stack([pseudo_embedding(f, b, embed_dim)
                                for f, b in zip(frames.tolist(), boxes)])
     else:
         embeddings = np.empty((0, 0))
-    if boxes and embeddings.shape[1] == 0:
+    if n and embeddings.shape[1] == 0:
         raise ValidationError("embedding must be a non-empty 1-d vector")
     if not np.isfinite(embeddings).all():
         raise ValidationError("embedding must be finite")
-    embeddings.setflags(write=False)
+    for column in (frames, rows, embeddings):
+        column.setflags(write=False)
 
-    order = np.argsort(frames, kind="stable")
-    frame, conf = frames.tolist(), values[:, 4].tolist()
+    frame, conf = frames.tolist(), values[order, 4].tolist()
     gt = [g if g >= 0 else None for g in ids.tolist()]
     dets = tuple(
         unchecked(Detection, frame=frame[i], box=boxes[i], confidence=conf[i],
                   embedding=embeddings[i], gt_id=gt[i])
-        for i in order.tolist()
+        for i in range(n)
     )
-    column, rows = frames[order], values[order, :4]
-    column.setflags(write=False)
-    rows.setflags(write=False)
-    return DetectionSet._checked(dets, column, rows, dets[-1].frame + 1 if dets else 0)
+    return unchecked(DetectionSet, detections=dets, n_frames=frame[-1] + 1 if n else 0,
+                     has_gt=bool(n) and bool((ids >= 0).all()), frames=frames,
+                     boxes=rows, gt_ids=_column(np.maximum(ids, -1), np.int64),
+                     _embeddings=embeddings)
 
 
 def _fmt(value: float) -> str:

@@ -5,6 +5,8 @@ clear the overlap gate, which is what makes identity switches a
 property of the tracker rather than of assignment jitter. Identity
 scores come from one global matching between predicted and annotated
 ids instead.
+Both read only the sets' frames, boxes and gt_ids columns, and score
+boxes with core.iou_matrix and core.iou_rows, which equal core.iou.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import (
-    BoundingBox,
-    TrackGraph,
-    ValidationError,
-    iou,
-)
+from trackgraph.core import TrackGraph, ValidationError, iou_matrix, iou_rows
 from trackgraph.ingest import DetectionSet
+
+
+# gt rows per block of idf1's join with the predictions of their frames,
+# so the pairs held at once grow with the block, not with the video
+JOIN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -36,22 +38,21 @@ class Correspondence:
 
 
 def _require_ids(dets: DetectionSet, side: str) -> None:
-    """Every detection has an id, and no id occurs twice in one frame."""
-    seen = set()
-    for d in dets.detections:
-        if d.gt_id is None:
-            raise ValidationError(f"{side} detections carry no identities")
-        if (d.frame, d.gt_id) in seen:
-            raise ValidationError(
-                f"{side} id {d.gt_id} occurs twice in frame {d.frame + 1}")
-        seen.add((d.frame, d.gt_id))
-
-
-def _rows_by_frame(dets: DetectionSet) -> dict[int, list[tuple[int, BoundingBox]]]:
-    rows: dict[int, list[tuple[int, BoundingBox]]] = {}
-    for d in dets.detections:
-        rows.setdefault(d.frame, []).append((d.gt_id, d.box))
-    return rows
+    """Every detection has an id, and no id occurs twice in one frame;
+    a refusal names the first offending detection in set order."""
+    frames, ids, n = dets.frames, dets.gt_ids, len(dets)
+    first_unlabelled = n if dets.has_gt else np.flatnonzero(ids == -1).min(initial=n)
+    # one stable sort by (frame, id): a row equal to the row before it
+    # repeats an earlier detection of its frame
+    order = np.lexsort((ids, frames))
+    repeats = order[1:][(frames[order[1:]] == frames[order[:-1]])
+                        & (ids[order[1:]] == ids[order[:-1]])]
+    first_repeat = repeats.min(initial=n)
+    if first_unlabelled < n and first_unlabelled <= first_repeat:
+        raise ValidationError(f"{side} detections carry no identities")
+    if first_repeat < n:
+        raise ValidationError(f"{side} id {ids[first_repeat]} occurs twice in frame "
+                              f"{frames[first_repeat] + 1}")
 
 
 def match_frames(
@@ -67,42 +68,42 @@ def match_frames(
     """
     _require_ids(pred, "predicted")
     _require_ids(gt, "ground-truth")
-    pred_rows = _rows_by_frame(pred)
-    gt_rows = _rows_by_frame(gt)
+    times = np.union1d(pred.frames, gt.frames)
+    # each frame's row range [lo, hi) on each side
+    bounds = [np.searchsorted(f, times, side).tolist()
+              for f in (gt.frames, pred.frames) for side in ("left", "right")]
+    gt_ids, pred_ids = gt.gt_ids.tolist(), pred.gt_ids.tolist()
     tp = fp = fn = switches = 0
     prev: dict[int, int] = {}
     last_pid: dict[int, int] = {}
-    for t in sorted(set(pred_rows) | set(gt_rows)):
-        gts = gt_rows.get(t, [])
-        prs = pred_rows.get(t, [])
-        free_g = set(range(len(gts)))
-        free_p = set(range(len(prs)))
+    for gs, ge, ps, pe in zip(*bounds):
+        gids, pids = gt_ids[gs:ge], pred_ids[ps:pe]
+        overlap = iou_matrix(gt.boxes[gs:ge], pred.boxes[ps:pe])
+        # ids are unique within a frame, so a persisting pair claims a
+        # prediction no other pair claims
+        pid_col = {pid: j for j, pid in enumerate(pids)}
         matches: dict[int, int] = {}
-        pid_col = {pid: j for j, (pid, _) in enumerate(prs)}
-        for gi, (gid, gbox) in enumerate(gts):
+        for gi, gid in enumerate(gids):
             j = pid_col.get(prev.get(gid))
-            if j is not None and j in free_p and iou(gbox, prs[j][1]) >= iou_gate:
+            if j is not None and overlap[gi, j] >= iou_gate:
                 matches[gi] = j
-                free_g.discard(gi)
-                free_p.discard(j)
+        free_g = [g for g in range(len(gids)) if g not in matches]
+        free_p = sorted(set(range(len(pids))) - set(matches.values()))
         if free_g and free_p:
-            g_idx, p_idx = sorted(free_g), sorted(free_p)
-            cost = np.asarray(
-                [[1.0 - iou(gts[g][1], prs[p][1]) for p in p_idx] for g in g_idx]
-            )
+            cost = 1.0 - overlap[np.ix_(free_g, free_p)]
             for r, c in zip(*linear_sum_assignment(cost)):
                 if 1.0 - cost[r, c] >= iou_gate:
-                    matches[g_idx[r]] = p_idx[c]
+                    matches[free_g[r]] = free_p[c]
         prev = {}
         for gi, j in matches.items():
-            gid, pid = gts[gi][0], prs[j][0]
+            gid, pid = gids[gi], pids[j]
             tp += 1
             if gid in last_pid and last_pid[gid] != pid:
                 switches += 1
             last_pid[gid] = pid
             prev[gid] = pid
-        fn += len(gts) - len(matches)
-        fp += len(prs) - len(matches)
+        fn += len(gids) - len(matches)
+        fp += len(pids) - len(matches)
     return Correspondence(tp, fp, fn, switches, gt_count=len(gt))
 
 
@@ -126,22 +127,21 @@ def idf1(pred: DetectionSet, gt: DetectionSet, iou_gate: float = 0.5) -> float:
         return 1.0
     if len(pred) == 0 or len(gt) == 0:
         return 0.0
-    gt_tracks: dict[int, dict[int, BoundingBox]] = {}
-    for d in gt.detections:
-        gt_tracks.setdefault(d.gt_id, {})[d.frame] = d.box
-    pred_tracks: dict[int, dict[int, BoundingBox]] = {}
-    for d in pred.detections:
-        pred_tracks.setdefault(d.gt_id, {})[d.frame] = d.box
-    gids, pids = sorted(gt_tracks), sorted(pred_tracks)
-    overlap = np.zeros((len(gids), len(pids)))
-    for a, g in enumerate(gids):
-        frames = gt_tracks[g]
-        for b, p in enumerate(pids):
-            other = pred_tracks[p]
-            overlap[a, b] = sum(
-                1 for f, box in frames.items()
-                if f in other and iou(box, other[f]) >= iou_gate
-            )
+    gids, g_col = np.unique(gt.gt_ids, return_inverse=True)
+    pids, p_col = np.unique(pred.gt_ids, return_inverse=True)
+    hits = []
+    for start in range(0, len(gt), JOIN_BLOCK):
+        # every pair of a gt row of the block and a pred row of its frame
+        frames = gt.frames[start : start + JOIN_BLOCK]
+        lo = np.searchsorted(pred.frames, frames, side="left")
+        count = np.searchsorted(pred.frames, frames, side="right") - lo
+        g = np.repeat(np.arange(start, start + frames.size), count)
+        p = np.arange(g.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+        hit = iou_rows(gt.boxes[g], pred.boxes[p]) >= iou_gate
+        hits.append(g_col[g[hit]] * pids.size + p_col[p[hit]])
+    # gated frames per (gt id, pred id): counts are exact in any order
+    overlap = np.bincount(np.concatenate(hits), minlength=gids.size * pids.size)
+    overlap = overlap.reshape(gids.size, pids.size).astype(np.float64)
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = float(overlap[rows, cols].sum())
     return 2.0 * idtp / (len(pred) + len(gt))

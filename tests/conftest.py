@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import NumericError, Tracklet, ValidationError, box_rows
+from trackgraph.core import NumericError, Tracklet, ValidationError, box_rows, iou
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
@@ -580,3 +580,84 @@ def is_feasible(problem, labels):
             out_deg[u] += 1
             in_deg[v] += 1
     return bool(out_deg.max(initial=0) <= 1 and in_deg.max(initial=0) <= 1)
+
+
+# ------------------------------------------------------ evaluation reference
+#
+# metrics.match_frames and metrics.idf1 as record loops with scalar iou
+# calls; both expect every detection labelled and no id twice in a frame.
+
+
+def _rows_by_frame(dets):
+    rows = {}
+    for d in dets.detections:
+        rows.setdefault(d.frame, []).append((d.gt_id, d.box))
+    return rows
+
+
+def reference_match_frames(pred, gt, iou_gate=0.5):
+    """(tp, fp, fn, ids, gt_count) of metrics.match_frames."""
+    pred_rows = _rows_by_frame(pred)
+    gt_rows = _rows_by_frame(gt)
+    tp = fp = fn = switches = 0
+    prev = {}
+    last_pid = {}
+    for t in sorted(set(pred_rows) | set(gt_rows)):
+        gts = gt_rows.get(t, [])
+        prs = pred_rows.get(t, [])
+        free_g = set(range(len(gts)))
+        free_p = set(range(len(prs)))
+        matches = {}
+        pid_col = {pid: j for j, (pid, _) in enumerate(prs)}
+        for gi, (gid, gbox) in enumerate(gts):
+            j = pid_col.get(prev.get(gid))
+            if j is not None and j in free_p and iou(gbox, prs[j][1]) >= iou_gate:
+                matches[gi] = j
+                free_g.discard(gi)
+                free_p.discard(j)
+        if free_g and free_p:
+            g_idx, p_idx = sorted(free_g), sorted(free_p)
+            cost = np.asarray(
+                [[1.0 - iou(gts[g][1], prs[p][1]) for p in p_idx] for g in g_idx]
+            )
+            for r, c in zip(*linear_sum_assignment(cost)):
+                if 1.0 - cost[r, c] >= iou_gate:
+                    matches[g_idx[r]] = p_idx[c]
+        prev = {}
+        for gi, j in matches.items():
+            gid, pid = gts[gi][0], prs[j][0]
+            tp += 1
+            if gid in last_pid and last_pid[gid] != pid:
+                switches += 1
+            last_pid[gid] = pid
+            prev[gid] = pid
+        fn += len(gts) - len(matches)
+        fp += len(prs) - len(matches)
+    return tp, fp, fn, switches, len(gt)
+
+
+def reference_idf1(pred, gt, iou_gate=0.5):
+    """metrics.idf1: gated frames counted per (gt id, pred id) pair."""
+    if len(pred) == 0 and len(gt) == 0:
+        return 1.0
+    if len(pred) == 0 or len(gt) == 0:
+        return 0.0
+    gt_tracks = {}
+    for d in gt.detections:
+        gt_tracks.setdefault(d.gt_id, {})[d.frame] = d.box
+    pred_tracks = {}
+    for d in pred.detections:
+        pred_tracks.setdefault(d.gt_id, {})[d.frame] = d.box
+    gids, pids = sorted(gt_tracks), sorted(pred_tracks)
+    overlap = np.zeros((len(gids), len(pids)))
+    for a, g in enumerate(gids):
+        frames = gt_tracks[g]
+        for b, p in enumerate(pids):
+            other = pred_tracks[p]
+            overlap[a, b] = sum(
+                1 for f, box in frames.items()
+                if f in other and iou(box, other[f]) >= iou_gate
+            )
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    idtp = float(overlap[rows, cols].sum())
+    return 2.0 * idtp / (len(pred) + len(gt))

@@ -220,13 +220,16 @@ def reference_associate_frames(dets, plan, cfg):
     formula: (gated count + gated unit-vector sum . detection) / 2 over
     its member count, the sum taken in member order.
     """
-    emb = dets.embeddings()
+    emb = np.stack([d.embedding for d in dets.detections])
     unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+    by_frame = {}
+    for i, d in enumerate(dets.detections):
+        by_frame.setdefault(d.frame, []).append(i)
     tracks, link_u, link_v = [], [], []
-    frames = sorted(dets.by_frame)
+    frames = sorted(by_frame)
     first = frames[0]
     for t in frames:
-        idxs = dets.by_frame[t]
+        idxs = np.asarray(by_frame[t])
         if t == first:
             tracks.extend([(int(j), dets.detections[int(j)])] for j in idxs)
             continue
@@ -357,6 +360,26 @@ def test_fully_connected_count_closed_form():
         if dets.detections[i].frame != dets.detections[j].frame
     )
     assert brute == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=12),
+       data=st.data())
+def test_graph_counts_equal_brute_force(rows, data):
+    dets = make_set([det(f, 10.0 * k, g) for k, (f, g) in enumerate(rows)])
+    n = len(dets)
+    cross = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if dets.detections[i].frame != dets.detections[j].frame]
+    assert fully_connected_edge_count(dets) == len(cross)
+    edges = data.draw(st.lists(st.sampled_from(cross), unique=True)) if cross else []
+    graph = build_part_graph(([u for u, _ in edges], [v for _, v in edges]), dets)
+    by_id = {}
+    for i, d in enumerate(dets.detections):
+        by_id.setdefault(d.gt_id, []).append(i)
+    pairs = [p for idxs in by_id.values() for p in zip(idxs, idxs[1:])]
+    if n:
+        expect = sum(p in edges for p in pairs) / len(pairs) if pairs else 1.0
+        assert edge_coverage(graph, dets) == expect
 
 
 def test_part_graph_stays_below_fully_connected():

@@ -266,7 +266,8 @@ def test_eval_warns_on_frame_range_mismatch(tmp_path, capsys):
     write_rows(pred, [(f, 1, 0.0) for f in range(1, 4)])
     assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
     captured = capsys.readouterr()
-    assert "frame range" in captured.err
+    # frames as on disk, 1-based
+    assert "frame ranges differ (pred 1..3, gt 1..5)" in captured.err
 
 
 # ------------------------------------------------------------ graph-stats

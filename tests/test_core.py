@@ -15,6 +15,7 @@ from trackgraph.core import (
     box_rows,
     iou,
     iou_matrix,
+    iou_rows,
 )
 from trackgraph.mpn import graph_tensors
 
@@ -75,6 +76,13 @@ def test_iou_matrix_equals_scalar_iou(a, b):
     for r, ba in enumerate(a):
         for c, bb in enumerate(b):
             assert m[r, c] == iou(ba, bb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_box, _box), max_size=6))
+def test_iou_rows_equals_scalar_iou(pairs):
+    a, b = box_rows(p for p, _ in pairs), box_rows(q for _, q in pairs)
+    assert iou_rows(a, b).tolist() == [iou(p, q) for p, q in pairs]
 
 
 @pytest.mark.parametrize("a, b", [

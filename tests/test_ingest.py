@@ -114,9 +114,14 @@ def parse_outcome(path, whole_file=True):
         return "refused", str(exc), exc.line_no
     rows = [(d.frame, d.box.x, d.box.y, d.box.w, d.box.h, d.confidence, d.gt_id,
              d.embedding.tolist()) for d in dets.detections]
-    index = {f: ix.tolist() for f, ix in dets.by_frame.items()}
-    return (rows, dets.frames.tolist(), dets.boxes.tolist(), index, dets.n_frames,
-            dets.has_gt)
+    # the columns parse_mot hands over are the ones the records give
+    derived = DetectionSet.build(dets.detections, dets.n_frames)
+    for column in ("frames", "boxes", "gt_ids"):
+        assert getattr(dets, column).tolist() == getattr(derived, column).tolist()
+    assert dets.embeddings().tolist() == derived.embeddings().tolist()
+    assert dets.has_gt == derived.has_gt
+    return (rows, dets.frames.tolist(), dets.boxes.tolist(), dets.gt_ids.tolist(),
+            dets.embeddings().tolist(), dets.n_frames, dets.has_gt)
 
 
 # per field: spellings that either path may refuse or read differently
@@ -276,14 +281,20 @@ def test_detection_set_rejects_mixed_embedding_dims():
 
 def test_detection_set_columns_follow_the_records():
     ds = synthesize(ScenarioSpec(n_objects=3, n_frames=20, seed=5, miss_rate=0.3))
-    assert ds.frames.tolist() == [d.frame for d in ds.detections]
-    assert ds.boxes.tolist() == [[d.box.x, d.box.y, d.box.w, d.box.h] for d in ds.detections]
-    assert {f: ix.tolist() for f, ix in ds.by_frame.items()} == {
-        f: [i for i, d in enumerate(ds.detections) if d.frame == f]
-        for f in sorted({d.frame for d in ds.detections})}
-    assert not ds.frames.flags.writeable and not ds.boxes.flags.writeable
+    unlabelled = Detection(20, BoundingBox(1, 2, 3, 4), 0.5, np.ones(16))
+    for dets in (ds, DetectionSet.build(ds.detections + (unlabelled,))):
+        assert dets.frames.tolist() == [d.frame for d in dets.detections]
+        assert dets.boxes.tolist() == [[d.box.x, d.box.y, d.box.w, d.box.h]
+                                       for d in dets.detections]
+        assert dets.gt_ids.tolist() == [-1 if d.gt_id is None else d.gt_id
+                                        for d in dets.detections]
+        assert np.array_equal(dets.embeddings(),
+                              np.stack([d.embedding for d in dets.detections]))
+        for column in (dets.frames, dets.boxes, dets.gt_ids, dets.embeddings()):
+            assert not column.flags.writeable
     empty = DetectionSet.build([])
     assert empty.frames.shape == (0,) and empty.boxes.shape == (0, 4)
+    assert empty.gt_ids.shape == (0,) and empty.embeddings().shape == (0, 0)
 
 
 # --------------------------------------------------------------- synthesis

@@ -4,9 +4,15 @@ Every MOTA/IDF1 value in here is derived by hand from the detection
 layout; boxes are chosen so the overlap ratios are exact decimals.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_idf1, reference_match_frames
+from trackgraph import metrics
 from trackgraph.core import (
     BoundingBox,
     Detection,
@@ -140,6 +146,71 @@ def test_one_id_twice_in_a_frame_is_refused():
             f(gt, pred)
     # the same id in two frames, or two ids in one frame, is fine
     assert evaluate(gt, gt).idf1 == 1.0
+
+
+def test_refusal_names_the_first_repeat_in_set_order():
+    # frame 0 repeats ids 5 and 3; id 5 repeats first, id 3 is smaller
+    pred = dset([mk(0, 5), mk(0, 3, x=30.0), mk(0, 5, x=60.0), mk(0, 3, x=90.0)])
+    for f in (match_frames, idf1, evaluate):
+        with pytest.raises(ValidationError, match="^predicted id 5 occurs twice in frame 1$"):
+            f(pred, dset([mk(0, 1)]))
+
+
+def test_refusal_names_whichever_comes_first_of_a_repeat_and_a_missing_id():
+    repeat_first = dset([mk(0, 1), mk(0, 1, x=30.0), mk(1, None)])
+    missing_first = dset([mk(0, None), mk(1, 1), mk(1, 1, x=30.0)])
+    for f in (match_frames, idf1, evaluate):
+        with pytest.raises(ValidationError,
+                           match="^ground-truth id 1 occurs twice in frame 1$"):
+            f(dset([mk(0, 1)]), repeat_first)
+        with pytest.raises(ValidationError,
+                           match="^ground-truth detections carry no identities$"):
+            f(dset([mk(0, 1)]), missing_first)
+
+
+@st.composite
+def eval_sides(draw):
+    """A (pred, gt) pair for the column/record comparison.
+
+    Boxes are 10 x 10, ids side by side at a drawn spacing (0 stacks them,
+    3 makes neighbours clear the gate). A pred box keeps its gt box's
+    corner and width with height 10, 6, 5 or 4, so its overlap is exactly
+    1, 0.6, 0.5 or 0.4. Pred ids are the gt ids cut into runs of a drawn
+    length, reversed in some frames; either side may miss any row, and a
+    frame may hold one extra pred row over some id's box.
+    """
+    n_ids, n_frames = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    spacing = draw(st.sampled_from([0.0, 3.0, 6.0, 20.0]))
+    run = draw(st.integers(1, 3))
+    height = st.sampled_from([10.0, 6.0, 5.0, 4.0])
+    gt, pred = [], []
+    for t in range(n_frames):
+        reverse = draw(st.booleans())
+        for k in range(1, n_ids + 1):
+            if draw(st.booleans()):
+                gt.append(mk(t, k, x=spacing * k))
+            if draw(st.booleans()):
+                pid = (n_ids + 1 - k if reverse else k) * 100 + t // run
+                pred.append(mk(t, pid, x=spacing * k, h=draw(height)))
+        if draw(st.booleans()):
+            k = draw(st.integers(1, n_ids))
+            pred.append(mk(t, 999, x=spacing * k, h=draw(height)))
+    return dset(pred), dset(gt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides=eval_sides(),
+       gate=st.sampled_from([float(np.nextafter(0.5, 0.0)), 0.5,
+                             float(np.nextafter(0.5, 1.0))]),
+       block=st.sampled_from([1, 3, metrics.JOIN_BLOCK]))
+def test_column_metrics_equal_the_record_loops(sides, gate, block):
+    # fragmented ids, overlaps at the gate and one ulp either side of it,
+    # frames only one side has and empty sides
+    pred, gt = sides
+    c = match_frames(pred, gt, gate)
+    assert (c.tp, c.fp, c.fn, c.ids, c.gt_count) == reference_match_frames(pred, gt, gate)
+    with mock.patch.object(metrics, "JOIN_BLOCK", block):
+        assert idf1(pred, gt, gate) == reference_idf1(pred, gt, gate)
 
 
 # ------------------------------------------------------------------- idf1

@@ -5,6 +5,8 @@ counts frames where both tracks picked the same input detection, union
 is members_a + members_b - intersection.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -71,8 +73,10 @@ def every_start_clips(dets: DetectionSet, plan: ClipPlan):
 @example(plan=ClipPlan(512, 256), frames=list(range(1025)), tail=0)
 @example(plan=ClipPlan(512, 256), frames=list(range(1024)), tail=0)
 def test_clip_plan_clips_match_every_start(plan, frames, tail):
-    dets = DetectionSet.build([det(f, i) for i, f in enumerate(frames)],
-                              n_frames=(frames[-1] + 1 if frames else 0) + tail)
+    # every third frame unlabelled, so a clip may be labelled throughout
+    # while the whole set is not
+    rows = [replace(det(f, i), gt_id=None if f % 3 == 0 else i) for i, f in enumerate(frames)]
+    dets = DetectionSet.build(rows, n_frames=(frames[-1] + 1 if frames else 0) + tail)
     expect = every_start_clips(dets, plan)
     got = list(plan.clips(dets))
     assert len(got) == len(expect)
@@ -86,8 +90,8 @@ def test_clip_plan_clips_match_every_start(plan, frames, tail):
         assert sub.has_gt == built.has_gt
         assert sub.frames.tolist() == built.frames.tolist()
         assert sub.boxes.tolist() == built.boxes.tolist()
-        assert ({f: ix.tolist() for f, ix in sub.by_frame.items()}
-                == {f: ix.tolist() for f, ix in built.by_frame.items()})
+        assert sub.gt_ids.tolist() == built.gt_ids.tolist()
+        assert np.array_equal(sub.embeddings(), built.embeddings())
 
 
 def test_clip_plan_defaults_and_validation():
