@@ -21,6 +21,9 @@ Another hashes the raw bytes of message passing with
 trajectory graphs of their pass-1 identities: scores and final node
 and edge states, since a last-bit change in scores shows in `track`
 only where it flips a rounding decision.
+For long6144 (cosine affinity) and gate700 (oracle affinity), cut into
+512/256 clips, one more entry hashes each clip's association raw: its
+tracklets' member indices and its part graph's endpoint arrays.
 Prints one SHA-256
 per scene and output of the working tree, marks each one `same` or
 `DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
@@ -183,6 +186,28 @@ for g in (graph, build_traj_graph(graph.nodes, ids)):
 print(digest.hexdigest())
 """
 
+# (scene, score mode) whose association is hashed clip by clip
+ASSOCIATION_RUNS = [("long6144", "handcrafted"), ("gate700", "oracle")]
+
+# prints one SHA-256 over a scene's association in 512/256 clips: each
+# clip's tracklet lengths and members, and its part graph's endpoints;
+# calls only ClipPlan.clips and ClipTracker.build_graph
+ASSOCIATION_CODE = """
+import hashlib, sys
+import numpy as np
+from trackgraph.ingest import parse_mot
+from trackgraph.pipeline import ClipTracker
+from trackgraph.stitcher import ClipPlan
+
+tracker = ClipTracker(score_mode=sys.argv[3])
+digest = hashlib.sha256()
+for clip, _ in ClipPlan(512, 256).clips(parse_mot(sys.argv[1], sys.argv[2])):
+    graph, tracks = tracker.build_graph(clip)
+    for arr in ([len(t) for t in tracks], [i for t in tracks for i in t], graph.u, graph.v):
+        digest.update(np.asarray(arr, dtype=np.int64).tobytes())
+print(digest.hexdigest())
+"""
+
 
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(
@@ -323,6 +348,10 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
         digest = run_python(tree, "mpn arrays", MPN_ARRAY_CODE,
                             files + [str(CHECKPOINT)]).strip()
         out[f"{scene}/mpn-arrays"] = (digest, None)
+    for scene, mode in ASSOCIATION_RUNS:
+        files = [str(work / scene / "det.txt"), str(work / scene / "det.emb"), mode]
+        digest = run_python(tree, "association", ASSOCIATION_CODE, files).strip()
+        out[f"{scene}/association-{mode}"] = (digest, None)
     for scene, run, flags in GRAPH_RUNS:
         dump = trackgraph(tree, ["graph-stats", *det(scene), *flags, "--dump"])
         text(f"{scene}/graph-stats-{run}", dump)

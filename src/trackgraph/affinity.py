@@ -6,15 +6,15 @@ other pair reads 0. With frames f_i < f_j the pair shares a window iff
 f_j < window_end(f_i), the end of the latest window starting at or
 before f_i. The test is closed-form, so no score is stored.
 
-Association scores tracks, not members: a scorer bound to the clip
-returns, against one frame's detections, each track's similarity sum
-over its members that share a window with that frame. Cosine is linear
-in the unit vectors, so a track sums those first, in frame order; the
-oracle counts identity matches.
-
-The per-step association cost combines the mean appearance against
-each tracklet member with the IoU of the tracklet's last box:
-C = -max(appearance, iou), entries in [-1, 0].
+A scorer bound to the clip gives each detection a vector, and the
+scores an offset and a divisor: two detections score (offset + the dot
+product of their vectors) / divisor. Cosine takes the unit embeddings
+(offset 1, divisor 2), the oracle one-hot identities (offset 0, divisor
+1), whose dot products count identity matches exactly. A score is
+linear in each vector, so association (builder.associate_frames) keeps
+one running vector sum per track over its window-gated members: a match
+adds its row, and a sum is redone from zero, in member order, only when
+the gate drops one of the track's members.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from trackgraph.core import ValidationError, iou_matrix
+from trackgraph.core import ValidationError, iou_corners
 from trackgraph.ingest import DetectionSet
 
 
@@ -56,64 +56,33 @@ class WindowPlan:
         return origin + self.step * k + self.window
 
 
-# sums(owner, members, cols, n_tracks) -> (n_tracks, len(cols)): row r
-# sums the similarities in [0, 1] of the members that track r owns
-TrackSums = Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
-Scorer = Callable[[DetectionSet], TrackSums]
+# scorer(dets) -> (vectors, offset, divisor): detections i and j score
+# (offset + vectors[i] . vectors[j]) / divisor, a similarity in [0, 1]
+Scorer = Callable[[DetectionSet], tuple[np.ndarray, float, float]]
 
 
-def _track_slots(owner: np.ndarray, members: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Each track's members laid out by rank: (longest track, tracks + 1).
-
-    count[r] is the number of members owned by track r. Entry (i, r) is
-    track r's i-th member in the order given, or -1; the last column is
-    all -1. Rows gathered through it and summed over axis 0 add each
-    track's members one by one in that order, as np.add.at does: numpy
-    reduces an outer axis in sequence, and the zero of an empty slot
-    changes no sum but for the sign of a zero. The spare column keeps the
-    axis outer even for one track of one-dimensional rows, which numpy
-    would otherwise sum pairwise.
-    """
-    order = np.argsort(owner, kind="stable")
-    track = owner[order]
-    rank = np.arange(track.size) - (np.cumsum(count) - count)[track]
-    slots = np.full((count.max(initial=0), count.size + 1), -1)
-    slots[rank, track] = members[order]
-    return slots
-
-
-def cosine_scorer(dets: DetectionSet) -> TrackSums:
-    """(1 + cosine) / 2 between embeddings; a track sums its unit vectors first."""
+def cosine_scorer(dets: DetectionSet) -> tuple[np.ndarray, float, float]:
+    """(1 + cosine) / 2 between embeddings, over the unit vectors."""
     emb = dets.embeddings()
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise ValidationError("cosine similarity undefined for zero embeddings")
-    # the unit vectors, then a zero row that slot -1 reads
-    unit = np.vstack([emb / norms[:, None], np.zeros((1, emb.shape[1]))])
-
-    def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
-        count = np.bincount(owner, minlength=n_tracks)
-        summed = unit[_track_slots(owner, members, count)].sum(axis=0)[:n_tracks]
-        # einsum rounds a track's row alike whatever the number of tracks;
-        # a BLAS product does not, so exact ties would hang on other tracks
-        return (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
-
-    return sums
+    return emb / norms[:, None], 1.0, 2.0
 
 
-def oracle_scorer(dets: DetectionSet) -> TrackSums:
-    """1 for same annotated identity, 0 otherwise; a track's sum counts matches."""
+def oracle_scorer(dets: DetectionSet) -> tuple[np.ndarray, float, float]:
+    """1 for same annotated identity, 0 otherwise.
+
+    The vectors are one-hot over the clip's identities, so the dot
+    products of their sums are exact counts; they take one float per
+    detection and identity.
+    """
     if len(dets) and not dets.has_gt:
         raise ValidationError("oracle scorer needs identities on every detection")
-    arr = dets.gt_ids
-
-    def sums(owner: np.ndarray, members: np.ndarray, cols: np.ndarray, n_tracks: int):
-        # counts are exact in any order of addition
-        hit, col = np.nonzero(arr[members][:, None] == arr[cols])
-        counts = np.bincount(owner[hit] * len(cols) + col, minlength=n_tracks * len(cols))
-        return counts.reshape(n_tracks, len(cols)).astype(np.float64)
-
-    return sums
+    ids, column = np.unique(dets.gt_ids, return_inverse=True)
+    onehot = np.zeros((len(dets), ids.size))
+    onehot[np.arange(len(dets)), column] = 1.0
+    return onehot, 0.0, 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +90,15 @@ class AffinityMatrix:
     """Cross-frame similarity of the pairs that share a window.
 
     Holds each detection's frame and window end (WindowPlan.window_end)
-    plus the clip-bound scorer; similarities are summed when read.
+    plus the scorer's vectors, offset and divisor; similarities are
+    computed when read.
     """
 
     frames: np.ndarray
     window_end: np.ndarray
-    sums: TrackSums
+    vectors: np.ndarray
+    offset: float
+    divisor: float
 
     def __len__(self) -> int:
         """Number of cross-frame pairs that share a window."""
@@ -150,53 +122,73 @@ def accumulate_affinity(
     frames = dets.frames
     if frames.size and (frames.min() < origin or frames.max() >= origin + plan.clip_len):
         raise ValidationError("detections fall outside the planned clip")
-    return AffinityMatrix(frames, plan.window_end(frames, origin), scorer(dets))
+    return AffinityMatrix(frames, plan.window_end(frames, origin), *scorer(dets))
 
 
-def appearance_matrix(
-    owner: np.ndarray,
-    members: np.ndarray,
-    n_tracks: int,
-    frame_dets: np.ndarray,
-    aff: AffinityMatrix,
-) -> np.ndarray:
-    """Mean similarity of each track's members to each detection of a frame.
+class TrackSums:
+    """Running similarity sums of tracks over their window-gated members.
 
-    Member members[i] belongs to track owner[i], a row in [0, n_tracks);
-    a track's members add up in the order given. frame_dets share one
-    frame t, later than every member (associate_frames calls it no other
-    way), so member m shares a window with them iff window_end[m] > t.
-    The scorer sums each track's gated members; the sum is divided by all
-    its members, so ungated ones count as 0, and clipped to [0, 1], since
-    a sum can overshoot by one ulp.
+    Track r keeps the sum of its members' vectors and their count, over
+    the members from the gate's lower index lo on; lo starts at 0 and
+    only rises (drop). Members are added in index order, and the sum of
+    a track the gate drops a member of is redone from zero, so every sum
+    adds its members one by one, in order, from zero.
     """
-    owner = np.asarray(owner, dtype=np.int64)
-    members = np.asarray(members, dtype=np.int64)
-    sizes = np.bincount(owner, minlength=n_tracks)
-    if sizes.size != n_tracks:
-        raise ValidationError("member owners must name one of the tracks")
-    if (sizes == 0).any():
-        raise ValidationError("active track has no members in the window")
-    gated = aff.window_end[members] > aff.frames[frame_dets[0]]
-    sums = aff.sums(owner[gated], members[gated], frame_dets, n_tracks)
-    return np.minimum(np.maximum(sums / sizes[:, None], 0.0), 1.0)
+
+    def __init__(self, aff: AffinityMatrix, n_tracks: int):
+        self.aff = aff
+        self.sums = np.zeros((n_tracks, aff.vectors.shape[1]))
+        self.members = np.zeros(n_tracks)
+        self.lo = 0
+
+    def add(self, tracks: np.ndarray, dets: np.ndarray) -> None:
+        """Append detection dets[i] to track tracks[i]; the tracks are
+        distinct, each detection later than its track's members."""
+        self.sums[tracks] += self.aff.vectors[dets]
+        self.members[tracks] += 1.0
+
+    def drop(self, owner: np.ndarray, lo: int, hi: int) -> None:
+        """Raise the gate's lower index to lo.
+
+        owner[i] is the track of detection i, and every member lies
+        below hi. The tracks that owned a member in [old lo, lo) are
+        summed again from zero over their members in [lo, hi).
+        """
+        dropped = owner[self.lo:lo]
+        self.sums[dropped] = 0.0
+        self.members[dropped] = 0.0
+        redo = np.zeros(self.members.size, dtype=bool)
+        redo[dropped] = True
+        kept = lo + redo[owner[lo:hi]].nonzero()[0]
+        # ufunc.at adds the rows one by one, in order
+        np.add.at(self.sums, owner[kept], self.aff.vectors[kept])
+        np.add.at(self.members, owner[kept], 1.0)
+        self.lo = lo
+
+    def means(self, tracks: np.ndarray, counts: np.ndarray, dets) -> np.ndarray:
+        """Mean similarity of each track to each of dets, (tracks, dets).
+
+        Row i is track tracks[i]'s similarity sum over its gated members,
+        divided by counts[i] (members outside the gate count as 0) and
+        clipped to [0, 1], since a sum can overshoot by one ulp. dets
+        indexes the detections: an index array or a slice.
+        """
+        aff = self.aff
+        # einsum rounds a track's row alike whatever the number of
+        # tracks; a BLAS product does not, so exact ties would hang on
+        # other tracks
+        rows = np.einsum("ik,jk->ij", self.sums[tracks], aff.vectors[dets])
+        rows += aff.offset * self.members[tracks, None]
+        rows /= aff.divisor
+        rows /= counts[:, None]
+        return np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
 
 
-def step_cost_matrix(
-    owner: np.ndarray,
-    members: np.ndarray,
-    last_boxes: np.ndarray,
-    frame_dets: np.ndarray,
-    frame_boxes: np.ndarray,
-    aff: AffinityMatrix,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Association costs C = -max(appearance mean, last-box IoU).
+def step_cost(means: np.ndarray, tails: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Association costs C = -max(mean similarity, IoU), entries in [-1, 0].
 
-    Member members[i] belongs to the track of row owner[i], whose last
-    box is last_boxes[owner[i]]. Boxes are (x, y, w, h) rows
-    (core.box_rows). Returns (C, appearance matrix); the appearance rows
-    also drive candidate-link selection downstream.
+    Row i pairs track i, whose mean similarities are means[i] and whose
+    last box has corners tails[i], with the detections whose corners are
+    the rows of boxes (core.box_corners).
     """
-    m_bar = appearance_matrix(owner, members, len(last_boxes), frame_dets, aff)
-    m_hat = iou_matrix(last_boxes, frame_boxes)
-    return -np.maximum(m_bar, m_hat), m_bar
+    return -np.maximum(means, iou_corners(tails[:, None], boxes))

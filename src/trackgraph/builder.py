@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.affinity import AffinityMatrix, step_cost_matrix
-from trackgraph.core import EdgeKind, TrackGraph, ValidationError
+from trackgraph.affinity import AffinityMatrix, TrackSums, step_cost
+from trackgraph.core import EdgeKind, TrackGraph, ValidationError, box_corners
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
 
@@ -56,66 +56,113 @@ def associate_frames(
 
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
-    still have a member inside the lookback window; a pairing whose best
-    score (mean window-gated appearance or last-box overlap) falls below the
-    threshold is dropped and the detection starts a new tracklet. Each
-    accepted match emits detection links from the tracklet's last member
-    to the assigned detection and to the top-k appearance candidates of
-    that frame, which caps the link count at len(dets) * (top_k + 1).
+    still have a member inside the lookback window, at cost
+    C = -max(appearance, iou), entries in [-1, 0]. A tracklet's
+    appearance is its similarity sum over the members that share a
+    window with the frame, divided by its members in the lookback and
+    clipped to [0, 1]; iou is its last box's overlap. A pairing whose
+    -C falls below the threshold is dropped and the detection starts a
+    new tracklet. Each accepted match emits detection links from the
+    tracklet's last member to the assigned detection and to the top-k
+    appearance candidates of that frame, which caps the link count at
+    len(dets) * (top_k + 1).
+
+    Only the work that hangs on the previous frame's matches runs frame
+    by frame: the gate's and the lookback's lower indices are found for
+    every frame up front, box corners and areas once per clip, and the
+    links in one pass after the last frame. Each tracklet keeps a
+    running sum of its gated members' vectors (affinity.TrackSums): a
+    match adds one row, and the sum is redone from zero, in member
+    order, only when the gate drops one of its members, so it adds up
+    exactly as a sum over the gated members would.
     """
     if len(dets) == 0:
         return [], ([], [])
-    boxes, frames = dets.boxes, dets.frames
+    frames, n = dets.frames, len(dets)
+    corners = box_corners(dets.boxes)
     # frames are sorted, so each frame is one index run [s, e), and a
     # track's members inside the lookback all lie in [a, s) with a the
-    # first index at or past the lookback's start
+    # first index at or past the lookback's start; window ends rise with
+    # the frames, so the ones that also share a window with it lie in
+    # [g, s), g the first index past both bounds
     starts = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
-    ends = np.append(starts[1:], frames.size)
-    lows = np.searchsorted(frames, np.maximum(frames[0], frames[starts] - cfg.lookback))
-    owner = np.empty(frames.size, dtype=np.int64)  # each detection's track
-    last = np.empty(frames.size, dtype=np.int64)  # each track's last member
+    ends = np.append(starts[1:], n)
+    lows = np.searchsorted(frames, frames[starts] - cfg.lookback)
+    gates = np.maximum(lows, np.searchsorted(aff.window_end, frames[starts], side="right"))
+    owner = np.empty(n, dtype=np.int64)  # each detection's track
+    last = np.empty(n, dtype=np.int64)  # each track's last member
+    sums = TrackSums(aff, n)
     n_tracks = 0
-    link_u: list[np.ndarray] = []
-    link_v: list[np.ndarray] = []
-    for s, e, a in zip(starts.tolist(), ends.tolist(), lows.tolist()):
+    # the accepted matches, frame by frame: tail, detection, appearance row
+    tails_kept: list[np.ndarray] = []
+    dets_kept: list[np.ndarray] = []
+    rows_kept: list[np.ndarray] = []
+    for s, e, a, g in zip(starts.tolist(), ends.tolist(), lows.tolist(), gates.tolist()):
+        if g > sums.lo:
+            sums.drop(owner, g, s)
         # every track so far ends before s; the active ones, ascending,
         # are those with a member in [a, s)
-        is_active = last[:n_tracks] >= a
-        active = np.flatnonzero(is_active)
-        taken = np.zeros(e - s, dtype=bool)
+        count = np.bincount(owner[a:s], minlength=n_tracks)
+        active = count.nonzero()[0]
+        owner[s:e] = -1
+        taken = 0
         if active.size:
-            rows = (np.cumsum(is_active) - 1)[owner[a:s]]
-            idxs = np.arange(s, e)
             tails = last[active]
-            cost, m_bar = step_cost_matrix(
-                rows, np.arange(a, s), boxes[tails], idxs, boxes[s:e], aff)
+            m_bar = sums.means(active, count[active], slice(s, e))
+            cost = step_cost(m_bar, corners[tails], corners[s:e])
             r, c = linear_sum_assignment(cost)
-            ok = -cost[r, c] >= cfg.new_track_threshold
+            ok = cost[r, c] <= -cfg.new_track_threshold
             r, c = r[ok], c[ok]
-            # each accepted row links its tail to the matched detection
-            # and to its top-k appearance candidates, in column order
-            targets = np.zeros((r.size, e - s), dtype=bool)
-            top = np.argsort(-m_bar[r], axis=1, kind="stable")[:, : cfg.top_k]
-            accepted = np.arange(r.size)
-            targets[accepted[:, None], top] = True
-            targets[accepted, c] = True
-            lr, lc = np.nonzero(targets)
-            link_u.append(tails[r[lr]])
-            link_v.append(s + lc)
-            owner[s + c] = active[r]
-            last[active[r]] = s + c
-            taken[c] = True
-        new = s + np.flatnonzero(~taken)
-        owner[new] = np.arange(n_tracks, n_tracks + new.size)
-        last[n_tracks: n_tracks + new.size] = new
-        n_tracks += new.size
+            extended, matched = active[r], s + c
+            tails_kept.append(tails[r])
+            dets_kept.append(matched)
+            rows_kept.append(m_bar[r])
+            owner[matched] = extended
+            last[extended] = matched
+            sums.add(extended, matched)
+            taken = r.size
+        if taken < e - s:
+            # the detections left over each start a track
+            new = s + (owner[s:e] < 0).nonzero()[0]
+            started = np.arange(n_tracks, n_tracks + new.size)
+            owner[new] = started
+            last[started] = new
+            sums.add(started, new)
+            n_tracks += new.size
     # members come out of one stable sort by track, so in frame order
     order = np.argsort(owner, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(owner, minlength=n_tracks)).tolist()
     tracks = [order[i:j] for i, j in zip([0] + bounds[:-1], bounds)]
-    empty = np.empty(0, dtype=np.int64)
-    return tracks, (np.concatenate([empty, *link_u]).tolist(),
-                    np.concatenate([empty, *link_v]).tolist())
+    return tracks, _links(tails_kept, dets_kept, rows_kept, starts, ends, cfg.top_k)
+
+
+def _links(tails, matched, rows, starts, ends, top_k):
+    """Each accepted match's links, as aligned (u, v) lists.
+
+    Match i of the concatenated per-frame lists links tails[i] to
+    matched[i] and to the top_k detections of its frame by rows[i], its
+    appearance row, in column order.
+    """
+    if not rows:
+        return [], []
+    tails, matched = np.concatenate(tails), np.concatenate(matched)
+    # each match's frame, and the frame's first detection and width
+    run = np.searchsorted(starts, matched, side="right") - 1
+    first, width = starts[run], (ends - starts)[run]
+    # one stable sort over the rows padded to the widest frame; the
+    # padding sorts last, and picks of it are dropped below
+    keys = np.full((matched.size, width.max(initial=0)), np.inf)
+    at = 0
+    for block in rows:
+        keys[at: at + block.shape[0], : block.shape[1]] = -block
+        at += block.shape[0]
+    top = np.argsort(keys, axis=1, kind="stable")[:, :top_k]
+    targets = np.zeros(keys.shape, dtype=bool)
+    targets[np.arange(matched.size)[:, None], top] = True
+    targets &= np.arange(keys.shape[1]) < width[:, None]
+    targets[np.arange(matched.size), matched - first] = True
+    i, col = np.nonzero(targets)
+    return tails[i].tolist(), (first[i] + col).tolist()
 
 
 def build_part_graph(

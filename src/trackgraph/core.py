@@ -56,7 +56,8 @@ def unchecked(cls, **fields):
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box with positive extent."""
+    """Axis-aligned box with positive extent, finite corners and a finite
+    positive area."""
 
     x: float
     y: float
@@ -64,13 +65,19 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        vals = (self.x, self.y, self.w, self.h)
+        x, y, w, h = self.x, self.y, self.w, self.h
+        # one test passes a valid box: finite x and x + w mean a finite w,
+        # and so on; the tests below name what is wrong with the others
+        if (w > 0 and h > 0 and 0 < w * h < math.inf and math.isfinite(x)
+                and math.isfinite(y) and math.isfinite(x + w) and math.isfinite(y + h)):
+            return
+        vals = (x, y, w, h)
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError(f"box values must be finite, got {vals}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(
-                f"box needs w > 0 and h > 0, got w={self.w} h={self.h}"
-            )
+        if w <= 0 or h <= 0:
+            raise ValidationError(f"box needs w > 0 and h > 0, got w={w} h={h}")
+        raise ValidationError(
+            f"box needs finite corners and a finite positive area, got {vals}")
 
     @property
     def x2(self) -> float:
@@ -109,20 +116,32 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Rows are (x, y, w, h). Each entry is computed in the operation order
     of iou, so it equals the scalar result exactly.
     """
-    return iou_rows(a[:, None, :], b[None, :, :])
+    return iou_corners(box_corners(a)[:, None, :], box_corners(b)[None, :, :])
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of aligned (x, y, w, h) rows on the last axis of a and b, the
     other axes broadcast; in iou's operation order, so equal to it exactly."""
-    ax, ay, aw, ah = (a[..., k] for k in range(4))
-    bx, by, bw, bh = (b[..., k] for k in range(4))
-    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    inter = ix * iy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.minimum(1.0, inter / (aw * ah + bw * bh - inter))
-    return np.where((ix > 0) & (iy > 0), ratio, 0.0)
+    return iou_corners(box_corners(a), box_corners(b))
+
+
+def box_corners(rows: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) rows on the last axis as (x, y, x2, y2, area) rows,
+    each derived as BoundingBox derives it."""
+    x, y, w, h = (rows[..., k] for k in range(4))
+    return np.stack([x, y, x + w, y + h, w * h], axis=-1)
+
+
+def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of aligned box_corners rows on the last axis of a and b, the
+    other axes broadcast; in iou's operation order, so equal to it exactly."""
+    # x and y overlaps side by side on the last axis; a pair with no
+    # overlap gets an intersection of 0, and so a ratio of 0
+    overlap = np.maximum(
+        np.minimum(a[..., 2:4], b[..., 2:4]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    # BoundingBox keeps areas positive, so no union is 0
+    return np.minimum(inter / (a[..., 4] + b[..., 4] - inter), 1.0)
 
 
 class NodeKind(Enum):

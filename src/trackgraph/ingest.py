@@ -39,6 +39,7 @@ from trackgraph.core import (
     ParseError,
     Tracklet,
     ValidationError,
+    box_corners,
     box_rows,
     unchecked,
 )
@@ -219,8 +220,12 @@ def _read_columns(det_path: Union[str, Path]):
     except (ValueError, UserWarning):
         return None
     frames, w, h, conf = ints[:, 0], values[:, 2], values[:, 3], values[:, 4]
-    ok = ((frames >= 1) & (frames <= _MAX_FRAME) & np.isfinite(values[:, :4]).all(axis=1)
-          & (w > 0) & (h > 0) & (conf >= 0.0) & (conf <= 1.0))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # finite corners and area also mean finite x, y, w and h
+        corners = box_corners(values[:, :4])
+    ok = ((frames >= 1) & (frames <= _MAX_FRAME) & np.isfinite(corners).all(axis=1)
+          & (w > 0) & (h > 0) & (corners[:, 4] > 0)
+          & (conf >= 0.0) & (conf <= 1.0))
     return (frames, ints[:, 1], values) if ok.all() else None
 
 

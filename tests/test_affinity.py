@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import gated_pair_score, shares_a_window, window_starts
 from trackgraph.affinity import (
+    TrackSums,
     WindowPlan,
     accumulate_affinity,
-    appearance_matrix,
     cosine_scorer,
     oracle_scorer,
-    step_cost_matrix,
+    step_cost,
 )
-from trackgraph.core import BoundingBox, Detection, ValidationError, box_rows, iou
+from trackgraph.builder import BuilderConfig, associate_frames
+from trackgraph.core import BoundingBox, Detection, ValidationError, box_corners, box_rows, iou
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 
 
@@ -33,27 +34,45 @@ def simple_set(frames, gt=None):
 
 
 def constant_scorer(value):
-    """Every pair scores value, so a track sums value per gated member."""
-    def sums(owner, members, cols, n_tracks):
-        return np.outer(value * np.bincount(owner, minlength=n_tracks), np.ones(len(cols)))
-    return lambda ds: sums
+    """Every pair scores value: zero vectors, offset value, divisor 1."""
+    return lambda ds: (np.zeros((len(ds), 1)), value, 1.0)
+
+
+def gated_sums(aff, owner, frame):
+    """TrackSums of detections 0 .. len(owner) - 1, detection i in track
+    owner[i], as association keeps them on reaching frame.
+
+    The detections join their tracks one by one, and the gate rises
+    before each frame, and before frame, as association raises it.
+    """
+    owner = np.asarray(owner, dtype=np.int64)
+    sums = TrackSums(aff, int(owner.max(initial=-1)) + 1)
+    frames = aff.frames[: owner.size]
+    for t in np.unique(frames).tolist() + [frame]:
+        s = int(np.searchsorted(frames, t))
+        g = int(np.searchsorted(aff.window_end, t, side="right"))
+        if g > sums.lo:
+            sums.drop(owner, g, s)
+        for i in range(s, int(np.searchsorted(frames, t, side="right"))):
+            sums.add(owner[i: i + 1], np.asarray([i]))
+    return sums
 
 
 def pair_matrix(aff, frames):
     """(n, n) affinity of every pair, read one frame at a time.
 
-    Each frame's detections are the columns of appearance_matrix, and
-    every earlier detection is a track of its own; same-frame pairs
-    read 0.
+    Every earlier detection is a track of its own, gated as association
+    gates it, and each frame's detections are the columns of the
+    tracks' means; same-frame pairs read 0.
     """
     frames = np.asarray(frames)
     out = np.zeros((frames.size, frames.size))
     for t in np.unique(frames):
         cols = np.flatnonzero(frames == t)
-        rows = np.flatnonzero(frames < t)
+        rows = np.arange(cols[0])
         if rows.size:
-            out[np.ix_(rows, cols)] = appearance_matrix(
-                np.arange(rows.size), rows, rows.size, cols, aff)
+            sums = gated_sums(aff, rows, t)
+            out[np.ix_(rows, cols)] = sums.means(rows, np.ones(rows.size), cols)
     return out + out.T
 
 
@@ -130,11 +149,11 @@ def test_window_gate_and_pair_count_match_brute_force(case):
 
 
 def scored(scorer, embs, gt=None):
-    """Dense matrix of a clip-bound scorer: detection k is track k's only member."""
+    """Dense matrix of a scorer: (offset + vector dot products) / divisor."""
     gt = gt if gt is not None else [None] * len(embs)
     ds = DetectionSet.build([det(f, e, g) for f, (e, g) in enumerate(zip(embs, gt))])
-    idx = np.arange(len(ds))
-    return scorer(ds)(idx, idx, idx, len(idx))
+    vectors, offset, divisor = scorer(ds)
+    return (offset + vectors @ vectors.T) / divisor
 
 
 def test_cosine_scorer_reference_points():
@@ -169,27 +188,40 @@ def test_oracle_scorer_needs_identities():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([1, 2, 3, 16]),
        n_tracks=st.integers(1, 4), n_members=st.integers(0, 40),
-       scale=st.sampled_from([1.0, 1e-160]))
+       scale=st.sampled_from([1.0, 1e-160]), window=st.integers(1, 14))
 # 1-d embeddings this small normalise to values near but not at +-1, so
 # one track's sum depends on the order of addition
-@example(seed=0, dim=1, n_tracks=1, n_members=30, scale=1e-160)
+@example(seed=0, dim=1, n_tracks=1, n_members=30, scale=1e-160, window=14)
+@example(seed=0, dim=1, n_tracks=1, n_members=30, scale=1e-160, window=6)
 def test_cosine_track_sums_add_members_in_the_given_order(seed, dim, n_tracks, n_members,
-                                                          scale):
-    # a track's unit vectors are summed one by one in the order given, as
-    # np.add.at sums them, whatever the dimension, track count or frames
+                                                          scale, window):
+    # a track's unit vectors are summed one by one in member order, as
+    # np.add.at sums the gated ones from zero, whether they joined match
+    # by match or were summed again after the gate dropped a member
     rng = np.random.default_rng(seed)
     shape = (n_members + 3, dim)
     emb = scale * rng.uniform(1.0, 9.0, shape) * rng.choice([-1, 1], shape)
-    ds = DetectionSet.build([det(f // 3, e) for f, e in enumerate(emb)])
+    frames = [f // 3 for f in range(n_members)] + [n_members // 3 + 1] * 3
+    ds = DetectionSet.build([det(f, e) for f, e in zip(frames, emb)])
+    window = min(window, frames[-1] + 1)
+    plan = WindowPlan(frames[-1] + 1, window, max(1, window // 2))
+    aff = accumulate_affinity(ds, plan, cosine_scorer)
     owner = rng.integers(n_tracks, size=n_members)
-    members = rng.permutation(n_members + 3)[:n_members]
-    cols = np.arange(3)
+    sums = gated_sums(aff, owner, frames[-1])
     unit = ds.embeddings() / np.linalg.norm(ds.embeddings(), axis=1)[:, None]
-    summed = np.zeros((n_tracks, dim))
-    np.add.at(summed, owner, unit[members])
-    count = np.bincount(owner, minlength=n_tracks)
-    expect = (count[:, None] + np.einsum("ik,jk->ij", summed, unit[cols])) / 2.0
-    assert np.array_equal(cosine_scorer(ds)(owner, members, cols, n_tracks), expect)
+    gated = np.flatnonzero(aff.window_end[:n_members] > frames[-1])
+    summed = np.zeros((int(owner.max(initial=-1)) + 1, dim))
+    np.add.at(summed, owner[gated], unit[gated])
+    assert np.array_equal(sums.sums, summed)
+    count = np.bincount(owner[gated], minlength=summed.shape[0])
+    assert np.array_equal(sums.members, count)
+    # a track's means: (gated count + sum . unit vector) / 2 over its members
+    tracks = np.flatnonzero(np.bincount(owner, minlength=summed.shape[0]))
+    cols = np.arange(n_members, n_members + 3)
+    sizes = np.bincount(owner)[tracks]
+    expect = (count[tracks, None] + np.einsum("ik,jk->ij", summed[tracks], unit[cols])) / 2.0
+    expect = np.clip(expect / sizes[:, None], 0.0, 1.0)
+    assert np.array_equal(sums.means(tracks, sizes, cols), expect)
 
 
 # ------------------------------------------------------------ track rows
@@ -200,8 +232,10 @@ def test_single_window_scores_stored_verbatim():
     plan = WindowPlan(clip_len=8, window=8, step=4)
     aff = accumulate_affinity(ds, plan, constant_scorer(0.7))
     assert len(aff) == 3  # pairs (0,1), (0,2), (1,2)
-    assert appearance_matrix([0, 1], [0, 1], 2, np.asarray([2]), aff).tolist() == [[0.7], [0.7]]
-    assert appearance_matrix([0], [0], 1, np.asarray([1]), aff).tolist() == [[0.7]]
+    sums = gated_sums(aff, [0, 1], 2)
+    assert sums.means(np.arange(2), np.ones(2), np.asarray([2])).tolist() == [[0.7], [0.7]]
+    sums = gated_sums(aff, [0], 1)
+    assert sums.means(np.arange(1), np.ones(1), np.asarray([1])).tolist() == [[0.7]]
 
 
 def test_same_frame_pairs_never_stored():
@@ -278,8 +312,9 @@ def test_empty_set_gives_empty_matrix():
     ds = DetectionSet.build([])
     aff = accumulate_affinity(ds, WindowPlan(8, 8, 4), cosine_scorer)
     assert len(aff) == 0
+    assert aff.vectors.shape == (0, 0)
     none = np.asarray([], dtype=np.int64)
-    assert aff.sums(none, none, none, 0).shape == (0, 0)
+    assert TrackSums(aff, 0).means(none, none, none).shape == (0, 0)
 
 
 def test_detections_outside_clip_rejected():
@@ -291,17 +326,41 @@ def test_detections_outside_clip_rejected():
 # ----------------------------------------------------------- cost matrix
 
 
+def clip_set(frames, embs, plan, boxes=None):
+    """Detections with the given frames, embeddings and boxes, and their
+    cosine affinity."""
+    boxes = boxes or [BoundingBox(30.0 * k, 0.0, 10.0, 10.0) for k in range(len(frames))]
+    ds = DetectionSet.build([
+        Detection(f, b, 1.0, np.asarray(e, dtype=np.float64), None)
+        for f, e, b in zip(frames, embs, boxes)
+    ])
+    return ds, accumulate_affinity(ds, plan, cosine_scorer)
+
+
 def clip_affinity(frames, embs, plan):
     """Cosine affinity of detections with the given frames and embeddings."""
-    ds = DetectionSet.build([det(f, e) for f, e in zip(frames, embs)])
-    return accumulate_affinity(ds, plan, cosine_scorer)
+    return clip_set(frames, embs, plan)[1]
 
 
-def flat(members_in_window):
-    """Member lists as aligned (owner, members) arrays: track r owns list r."""
-    owner = [r for r, mem in enumerate(members_in_window) for _ in mem]
-    members = [i for mem in members_in_window for i in mem]
-    return np.asarray(owner, dtype=np.int64), np.asarray(members, dtype=np.int64)
+def track_means(aff, members_in_window, frame_dets):
+    """TrackSums means of tracks owning the given members, on frame_dets.
+
+    Track r owns list r; every other earlier detection is a track of
+    its own, which is not scored.
+    """
+    n = int(frame_dets[0])
+    owner = np.full(n, -1)
+    for r, mem in enumerate(members_in_window):
+        owner[mem] = r
+    spare = owner < 0
+    owner[spare] = len(members_in_window) + np.arange(int(spare.sum()))
+    sums = gated_sums(aff, owner, int(aff.frames[frame_dets[0]]))
+    sizes = np.asarray([len(m) for m in members_in_window])
+    return sums.means(np.arange(len(members_in_window)), sizes, frame_dets)
+
+
+def corners(boxes):
+    return box_corners(box_rows(boxes))
 
 
 # cosines 0.2 and 1 to the last detection score 0.6 and 1.0
@@ -311,17 +370,17 @@ MEAN_08 = ([0, 1, 2], [[0.2, np.sqrt(0.96)], [1.0, 0.0], [1.0, 0.0]])
 def test_appearance_matrix_means_member_similarities():
     # members 0 and 1 score 0.6 and 1.0 against detection 2 -> mean 0.8
     aff = clip_affinity(*MEAN_08, WindowPlan(8, 8, 4))
-    m = appearance_matrix([0, 0], [0, 1], 1, np.asarray([2]), aff)
+    m = track_means(aff, [[0, 1]], np.asarray([2]))
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(0.8)
 
 
 def test_appearance_matrix_missing_pairs_count_as_zero():
-    # windows start at 0, 2 and 4: member 0 (frame 3, cosine 0.8) shares
-    # one with frame 5, member 1 (frame 1, cosine 1) does not
+    # windows start at 0, 2 and 4: member 1 (frame 3, cosine 0.8) shares
+    # one with frame 5, member 0 (frame 1, cosine 1) does not
     aff = clip_affinity([1, 3, 5], [[1.0, 0.0], [0.8, 0.6], [1.0, 0.0]],
                         WindowPlan(8, 4, 2))
-    m = appearance_matrix([0, 0], [1, 0], 1, np.asarray([2]), aff)
+    m = track_means(aff, [[0, 1]], np.asarray([2]))
     assert m[0, 0] == pytest.approx(0.45)
 
 
@@ -330,8 +389,8 @@ def test_step_cost_takes_max_of_appearance_and_iou():
     aff = clip_affinity(*MEAN_08, WindowPlan(8, 8, 4))
     big = BoundingBox(0.0, 0.0, 10.0, 10.0)
     near = BoundingBox(0.0, 30.0, 10.0, 10.0)  # iou 0 with big
-    C, m_bar = step_cost_matrix(
-        [0, 0], [0, 1], box_rows([big]), np.asarray([2]), box_rows([near]), aff)
+    m_bar = track_means(aff, [[0, 1]], np.asarray([2]))
+    C = step_cost(m_bar, corners([big]), corners([near]))
     assert m_bar[0, 0] == pytest.approx(0.8)
     assert C[0, 0] == pytest.approx(-0.8)
 
@@ -340,7 +399,7 @@ def test_step_cost_prefers_iou_when_appearance_weak():
     # opposite embeddings score 0
     aff = clip_affinity([0, 1], [[1.0, 0.0], [-1.0, 0.0]], WindowPlan(2, 2, 1))
     b = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    C, _ = step_cost_matrix([0], [0], box_rows([b]), np.asarray([1]), box_rows([b]), aff)
+    C = step_cost(track_means(aff, [[0]], np.asarray([1])), corners([b]), corners([b]))
     # stationary identical box, no appearance signal: cost -1 via iou
     assert C[0, 0] == pytest.approx(-1.0)
 
@@ -348,18 +407,22 @@ def test_step_cost_prefers_iou_when_appearance_weak():
 def test_step_cost_entries_bounded():
     rng = np.random.default_rng(5)
     aff = clip_affinity([0, 1, 2, 3] + [4] * 5, rng.normal(size=(9, 4)), WindowPlan(5, 5, 5))
-    owner, members = flat([[0], [1, 2], [3]])
     boxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(3)]
     fboxes = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 5, 5) for _ in range(5)]
-    C, _ = step_cost_matrix(owner, members, box_rows(boxes), np.arange(4, 9),
-                            box_rows(fboxes), aff)
+    m_bar = track_means(aff, [[0], [1, 2], [3]], np.arange(4, 9))
+    C = step_cost(m_bar, corners(boxes), corners(fboxes))
     assert np.all(C <= 0.0) and np.all(C >= -1.0)
 
 
 def test_step_cost_rejects_empty_member_window():
-    aff = clip_affinity([0, 1], [[1.0, 0.0], [1.0, 0.0]], WindowPlan(2, 2, 1))
-    with pytest.raises(ValidationError):
-        appearance_matrix([], [], 1, np.asarray([1]), aff)
+    # a track with no member left in the lookback gets no cost row, so a
+    # detection that it would match perfectly starts a track of its own
+    b = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    ds, aff = clip_set([0, 3], [[1.0, 0.0], [1.0, 0.0]], WindowPlan(4, 4, 2), [b, b])
+    tracks, links = associate_frames(ds, aff, BuilderConfig(lookback=3))
+    assert tracks == [[0, 1]] and links == ([0], [1])
+    tracks, links = associate_frames(ds, aff, BuilderConfig(lookback=2))
+    assert tracks == [[0], [1]] and links == ([], [])
 
 
 def brute_force_rows(members_in_window, frame_dets, dets, plan, origin, oracle):
@@ -396,7 +459,7 @@ def test_track_rows_equal_mean_of_gated_pair_scores(case, seed, oracle, n_tracks
     owner = rng.integers(n_tracks, size=fd[0])
     members = [np.flatnonzero(owner == r).tolist() for r in range(n_tracks)]
     members = [m for m in members if m]
-    rows = appearance_matrix(*flat(members), len(members), fd, aff)
+    rows = track_means(aff, members, fd)
     assert_rows_match(rows, brute_force_rows(members, fd, dets, plan, origin, oracle), oracle)
 
 
@@ -411,12 +474,12 @@ def scalar_step_cost(members_in_window, last_boxes, frame_dets, frame_boxes,
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    sizes=st.lists(st.sampled_from([1, 2, 3, 9, 10, 13]), min_size=1, max_size=4),
+    n_tracks=st.integers(1, 4),
     n_d=st.integers(1, 4),
     step=st.sampled_from([2, 4, 8]),
     oracle=st.booleans(),
 )
-def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step, oracle):
+def test_step_cost_matrix_matches_scalar_reference(seed, n_tracks, n_d, step, oracle):
     # 14 earlier frames of 2 detections each, then one frame of n_d; an
     # 8-frame window leaves some member pairs outside every window
     rng = np.random.default_rng(seed)
@@ -429,11 +492,15 @@ def test_step_cost_matrix_matches_scalar_reference(seed, sizes, n_d, step, oracl
     ])
     plan = WindowPlan(clip_len=15, window=8, step=step)
     aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
-    members = [np.sort(rng.choice(28, size=k, replace=False)).tolist() for k in sizes]
+    # some earlier detections join no scored track
+    owner = np.where(rng.random(28) < 0.7, rng.integers(n_tracks, size=28), -1)
+    members = [m for m in (np.flatnonzero(owner == r).tolist() for r in range(n_tracks)) if m]
+    assume(members)
     last = [dets.detections[m[-1]].box for m in members]
     fd = np.arange(28, 28 + n_d)
     fboxes = [dets.detections[j].box for j in fd]
-    C, m_bar = step_cost_matrix(*flat(members), box_rows(last), fd, box_rows(fboxes), aff)
+    m_bar = track_means(aff, members, fd)
+    C = step_cost(m_bar, corners(last), corners(fboxes))
     ref_C, ref_m_bar = scalar_step_cost(members, last, fd, fboxes, dets, plan, oracle)
     assert_rows_match(m_bar, ref_m_bar, oracle)
     assert_rows_match(C, ref_C, oracle)

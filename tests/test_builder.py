@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import shares_a_window
+from conftest import gated_pair_score, shares_a_window
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -210,15 +210,17 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
         assert traj.edges == records(traj, EdgeKind.TRAJ_TRAJ)
 
 
-def reference_associate_frames(dets, plan, cfg):
+def reference_associate_frames(dets, plan, cfg, oracle=False):
     """Frame-by-frame association that rescans every track's members.
 
     Per frame: each active track's in-window members are filtered from
     all its members and gated one by one by brute force, and every
     last-box overlap comes from a scalar iou call. Each track's
-    appearance row is computed on its own with the per-track-sum
-    formula: (gated count + gated unit-vector sum . detection) / 2 over
-    its member count, the sum taken in member order.
+    appearance row is computed on its own. With cosine scores it uses
+    the per-track-sum formula: (gated count + gated unit-vector sum .
+    detection) / 2 over its member count, the sum taken in member order.
+    With oracle scores it counts the gated members of the detection's
+    identity, pair by pair, over its member count.
     """
     emb = np.stack([d.embedding for d in dets.detections])
     unit = emb / np.linalg.norm(emb, axis=1)[:, None]
@@ -242,11 +244,16 @@ def reference_associate_frames(dets, plan, cfg):
             m_hat = np.zeros_like(m_bar)
             for r, k in enumerate(active):
                 m = [(i, d) for i, d in tracks[k] if lo <= d.frame < t]
-                gated = [i for i, d in m if shares_a_window(plan, 0, d.frame, t)]
-                summed = np.zeros((1, unit.shape[1]))
-                for i in gated:
-                    summed[0] += unit[i]
-                row = (len(gated) + np.einsum("ik,jk->ij", summed, unit[idxs])[0]) / 2.0
+                if oracle:
+                    row = np.asarray([sum(gated_pair_score(dets, plan, 0, i, int(j), True)
+                                          for i, _ in m) for j in idxs])
+                else:
+                    gated = [i for i, d in m if shares_a_window(plan, 0, d.frame, t)]
+                    summed = np.zeros((1, unit.shape[1]))
+                    for i in gated:
+                        summed[0] += unit[i]
+                    dots = np.einsum("ik,jk->ij", summed, unit[idxs])[0]
+                    row = (len(gated) + dots) / 2.0
                 m_bar[r] = np.clip(row / len(m), 0.0, 1.0)
                 for c, j in enumerate(idxs):
                     m_hat[r, c] = iou(tracks[k][-1][1].box, dets.detections[j].box)
@@ -267,35 +274,54 @@ def reference_associate_frames(dets, plan, cfg):
     return [[i for i, _ in mem] for mem in tracks], (link_u, link_v)
 
 
-@settings(max_examples=40, deadline=None)
+# the window plan against the lookback: "wide" windows of twice the
+# lookback keep every lookback member gated; "pipeline" windows no
+# longer than the lookback, at half-window steps, drop gated members
+# while they are still in the lookback, as ClipTracker's plans do;
+# "tiled" windows step by their own length
+PLAN_SHAPES = ("wide", "pipeline", "tiled")
+
+
+@settings(max_examples=80, deadline=None)
 # at sigma 0 a track's entries for frame 3's two detections tie in exact
 # arithmetic; its per-track sums round them 0.7085129070501915 and ...917,
 # so a pairwise-mean reference would pick the other detection
-@example(objects=2, frames=9, seed=1, miss_rate=0.3, sigma=0.0, lookback=2, top_k=1)
+@example(objects=2, frames=9, seed=1, miss_rate=0.3, sigma=0.0, lookback=2, top_k=1,
+         shape="wide", window=1, oracle=False)
 @given(
     objects=st.integers(1, 6),
     frames=st.integers(2, 40),
     seed=st.integers(0, 10_000),
     miss_rate=st.sampled_from([0.0, 0.1, 0.3]),
     sigma=st.sampled_from([0.0, 0.3, 0.8]),
-    lookback=st.integers(1, 6),
-    top_k=st.integers(1, 3),
+    lookback=st.integers(1, 12),
+    # up to more candidates than a frame has detections
+    top_k=st.integers(1, 8),
+    shape=st.sampled_from(PLAN_SHAPES),
+    window=st.integers(1, 12),
+    oracle=st.booleans(),
 )
 def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
                                                        miss_rate, sigma,
-                                                       lookback, top_k):
+                                                       lookback, top_k, shape,
+                                                       window, oracle):
     # a lookback below the track lengths cuts members out of the window
     spec = ScenarioSpec(n_objects=objects, n_frames=frames, seed=seed,
                         miss_rate=miss_rate, embedding_noise_sigma=sigma,
                         speed=12.0)
     dets = synthesize(spec)
     assume(len(dets) > 0)
-    window = min(2 * lookback, frames)
-    plan = WindowPlan(clip_len=frames, window=window, step=max(1, window // 2))
-    aff = accumulate_affinity(dets, plan, cosine_scorer)
+    if shape == "wide":
+        window = min(2 * lookback, frames)
+        step = max(1, window // 2)
+    else:
+        window = min(window, lookback, frames)
+        step = max(1, window // 2) if shape == "pipeline" else window
+    plan = WindowPlan(clip_len=frames, window=window, step=step)
+    aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
     cfg = BuilderConfig(top_k=top_k, lookback=lookback)
     tracks, links = associate_frames(dets, aff, cfg)
-    ref_tracks, ref_links = reference_associate_frames(dets, plan, cfg)
+    ref_tracks, ref_links = reference_associate_frames(dets, plan, cfg, oracle)
     assert tracks == ref_tracks
     assert links == ref_links
 

@@ -111,6 +111,17 @@ def test_box_rejects_nonfinite():
         BoundingBox(float("nan"), 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("box", [
+    (1e155, 1e155, 1e155, 1e155),  # w * h overflows
+    (1e308, 0.0, 1e308, 1.0),  # x + w overflows
+    (0.0, 1e308, 1.0, 1e308),  # y + h overflows
+    (0.0, 0.0, 1e-200, 1e-200),  # w * h underflows to 0
+])
+def test_box_rejects_overflowing_corners_and_area(box):
+    with pytest.raises(ValidationError, match="finite corners"):
+        BoundingBox(*box)
+
+
 finite_boxes = st.builds(
     BoundingBox,
     x=st.floats(-1e3, 1e3),

@@ -94,6 +94,19 @@ def test_parse_rejects_nonpositive_box(tmp_path):
         parse_mot(p)
 
 
+def test_parse_rejects_overflowing_box_on_both_paths(tmp_path):
+    # x + w, y + h or w * h past the float range, or an area of 0
+    p = tmp_path / "det.txt"
+    for box in ("1e155,1e155,1e155,1e155", "1e308,0,1e308,5", "0,1e308,5,1e308",
+                "0,0,1e-200,1e-200"):
+        for frame in ("2", "2.0"):  # "2.0" sends the file down the line path
+            p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{frame},1,{box},1.0,-1,-1,-1\n")
+            outcome = parse_outcome(p)
+            assert outcome == parse_outcome(p, whole_file=False)
+            assert outcome[0] == "refused" and outcome[2] == 2
+            assert "finite corners" in outcome[1]
+
+
 def test_parse_rejects_short_row(tmp_path):
     p = tmp_path / "det.txt"
     p.write_text("1,1,0,0\n")
@@ -128,7 +141,8 @@ def parse_outcome(path, whole_file=True):
 _ODD_FIELDS = (
     ["3.0", "1e1", " 3 ", "+5", "0", "-2", "x", "2#", "", "0003"],
     ["1.0", "#", "9223372036854775808", "-9223372036854775808", " -1", "-1"],
-    *[["inf", "nan", "-inf", "0", "-1", "1_0", "1#", " 2.5 ", "1e1", ".5"]] * 4,
+    *[["inf", "nan", "-inf", "0", "-1", "1_0", "1#", " 2.5 ", "1e1", ".5",
+       "1e308", "1e-200"]] * 4,
     ["1", "0", "1.5", "-0.1", "nan", "inf", "1e-1"],
 )
 
