@@ -8,10 +8,12 @@ on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). One more `track` run reads a sparse copy
 of a scene whose later half sits far ahead in time, and one more
 `track` and `eval` read a copy of a scene respelled so that `parse_mot`
-reads it line by line. One more `eval` scores gate700's ground truth,
-its ids cut into 8-frame runs (about 880 ids), against itself, so the
-report shows any change in IDF1's frame join and in its assignment over
-a wide id matrix. For the weak and gate700 scenes, each tracked
+reads it line by line. Two more runs read no embedding sidecar, so
+`parse_mot` hashes a pseudo-embedding for each detection: `track` and
+`eval` on weak, and `graph-stats --dump` on long. One more `eval` scores
+gate700's ground truth, its ids cut into 8-frame runs (about 880 ids),
+against itself, so the report shows any change in IDF1's frame join and
+in its assignment over a wide id matrix. For the weak and gate700 scenes, each tracked
 as one clip, one more entry hashes the raw bytes of the part and
 trajectory graphs' edge descriptors, node features and handcrafted
 scores, since `graph-stats --dump` prints descriptors rounded and a
@@ -304,13 +306,14 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
         for name in ("det.txt", "det.emb", "gt.txt"):
             file(f"{scene}/synth/{name}", data / name)
 
-    def det(scene: str) -> list[str]:
-        return ["--det", str(work / scene / "det.txt"),
-                "--emb", str(work / scene / "det.emb")]
+    def det(scene: str, sidecar: bool = True) -> list[str]:
+        emb = ["--emb", str(work / scene / "det.emb")] if sidecar else []
+        return ["--det", str(work / scene / "det.txt"), *emb]
 
-    def track(scene: str, run: str, flags: list[str]) -> Path:
+    def track(scene: str, run: str, flags: list[str], sidecar: bool = True) -> Path:
         result = work / f"{scene}-{run}.txt"
-        summary = trackgraph(tree, ["track", *det(scene), *flags, "--out", str(result)])
+        summary = trackgraph(tree, ["track", *det(scene, sidecar), *flags,
+                                    "--out", str(result)])
         file(f"{scene}/track-{run}", result)
         kept = [ln for ln in summary.splitlines() if not ln.startswith("seconds=")]
         text(f"{scene}/track-{run}-summary", "\n".join(kept))
@@ -321,6 +324,14 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
         report = trackgraph(tree, ["eval", "--pred", str(result),
                                    "--gt", str(work / scene / "gt.txt")])
         text(f"{scene}/eval-{run}", report)
+    # the runs without a sidecar, on pseudo-embeddings hashed from each
+    # detection's frame and box
+    result = track("weak", "no-sidecar", [], sidecar=False)
+    report = trackgraph(tree, ["eval", "--pred", str(result),
+                               "--gt", str(work / "weak" / "gt.txt")])
+    text("weak/eval-no-sidecar", report)
+    dump = trackgraph(tree, ["graph-stats", *det("long", sidecar=False), "--dump"])
+    text("long/graph-stats-no-sidecar", dump)
     (work / "sparse").mkdir()
     shift_frames(work / "long" / "det.txt", work / "sparse" / "det.txt",
                  SPARSE_AFTER, SPARSE_SHIFT)

@@ -23,6 +23,8 @@ from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 DEFAULT_EMBED_DIM = 16
+# the largest box area accepted: two such areas add up to a finite union
+MAX_BOX_AREA = float(np.finfo(np.float64).max) / 2
 
 
 class ValidationError(ValueError):
@@ -54,10 +56,26 @@ def unchecked(cls, **fields):
     return obj
 
 
+def box_fault(x: float, y: float, w: float, h: float) -> Optional[str]:
+    """Why BoundingBox refuses the box (x, y, w, h), or None if it accepts it."""
+    # one test passes a valid box: finite x and x + w mean a finite w,
+    # and so on; the tests below name what is wrong with the others
+    if (w > 0 and h > 0 and 0 < w * h <= MAX_BOX_AREA and math.isfinite(x)
+            and math.isfinite(y) and math.isfinite(x + w) and math.isfinite(y + h)):
+        return None
+    vals = (x, y, w, h)
+    if not all(math.isfinite(v) for v in vals):
+        return f"box values must be finite, got {vals}"
+    if w <= 0 or h <= 0:
+        return f"box needs w > 0 and h > 0, got w={w} h={h}"
+    return ("box needs finite corners and a positive area of at most half "
+            f"the largest float, got {vals}")
+
+
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box with positive extent, finite corners and a finite
-    positive area."""
+    """Axis-aligned box with positive extent, finite corners and a positive
+    area of at most MAX_BOX_AREA, so that IoU never overflows."""
 
     x: float
     y: float
@@ -65,19 +83,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        x, y, w, h = self.x, self.y, self.w, self.h
-        # one test passes a valid box: finite x and x + w mean a finite w,
-        # and so on; the tests below name what is wrong with the others
-        if (w > 0 and h > 0 and 0 < w * h < math.inf and math.isfinite(x)
-                and math.isfinite(y) and math.isfinite(x + w) and math.isfinite(y + h)):
-            return
-        vals = (x, y, w, h)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"box values must be finite, got {vals}")
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"box needs w > 0 and h > 0, got w={w} h={h}")
-        raise ValidationError(
-            f"box needs finite corners and a finite positive area, got {vals}")
+        if (fault := box_fault(self.x, self.y, self.w, self.h)) is not None:
+            raise ValidationError(fault)
 
     @property
     def x2(self) -> float:
@@ -140,7 +147,8 @@ def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     overlap = np.maximum(
         np.minimum(a[..., 2:4], b[..., 2:4]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
     inter = overlap[..., 0] * overlap[..., 1]
-    # BoundingBox keeps areas positive, so no union is 0
+    # BoundingBox keeps areas positive and at most MAX_BOX_AREA, so no
+    # union is 0 or overflows
     return np.minimum(inter / (a[..., 4] + b[..., 4] - inter), 1.0)
 
 
@@ -159,8 +167,8 @@ class EdgeKind(Enum):
 class Detection:
     """One detector output: frame, box, confidence, appearance embedding.
 
-    gt_id is the annotated identity when known, None otherwise. As a
-    graph node it spans its own frame.
+    gt_id is the annotated identity (>= 0) when known, None otherwise. As
+    a graph node it spans its own frame.
     """
 
     kind: ClassVar[NodeKind] = NodeKind.DET
@@ -177,6 +185,8 @@ class Detection:
             raise ValidationError(
                 f"confidence must lie in [0, 1], got {self.confidence}"
             )
+        if self.gt_id is not None and self.gt_id < 0:
+            raise ValidationError(f"gt_id must be >= 0 or None, got {self.gt_id}")
         emb = np.asarray(self.embedding, dtype=np.float64)
         if emb.ndim != 1 or emb.size == 0:
             raise ValidationError("embedding must be a non-empty 1-d vector")
@@ -348,7 +358,3 @@ class TrackGraph:
             Edge(a, b, kinds[traj[a] + traj[b]])
             for a, b in zip(self.u.tolist(), self.v.tolist())
         )
-
-    @property
-    def n_traj_nodes(self) -> int:
-        return sum(1 for n in self.nodes if n.kind is NodeKind.TRAJ)

@@ -10,7 +10,9 @@ most 2**53, because the frame gap between two nodes is an edge feature
 in float64, which holds every integer only up to 2**53. A negative id
 (the usual -1) means "unlabelled". The embedding sidecar is little-endian
 binary: two uint64 (row count, dimension) followed by float32 rows in
-detection order.
+detection order. A parsed or synthesized DetectionSet is its columns;
+its Detection records, and without a sidecar its pseudo-embeddings, are
+made only when read, so evaluation makes neither.
 
 Synthetic scenarios draw constant-velocity box tracks that bounce off
 the arena walls, attach identity-anchored unit embeddings with optional
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
@@ -36,10 +38,12 @@ from trackgraph.core import (
     DEFAULT_EMBED_DIM,
     BoundingBox,
     Detection,
+    MAX_BOX_AREA,
     ParseError,
     Tracklet,
     ValidationError,
     box_corners,
+    box_fault,
     box_rows,
     unchecked,
 )
@@ -50,80 +54,101 @@ _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
-    """Detections of one sequence, sorted by frame.
+    """Detections of one sequence, sorted by frame, as read-only columns.
 
-    n_frames is one past the last frame; has_gt is true when every
-    detection carries an identity. Each attribute the pipeline reads is a
-    read-only column, row i for detection i: frames, boxes, gt_ids and
-    the embeddings that embeddings() returns. frames is made on
-    construction, the others from the records on first read, unless
-    parse_mot or slice hands them over.
+    Row i of a column is detection i. gt_ids is -1 where a detection
+    carries no identity; boxes are the (n, 4) rows of core.box_rows. The
+    columns come checked, as parse_mot and synthesize check them: the
+    constructor checks only their order and that n_frames, one past the
+    last frame, covers them. embedding_source is the (n, D) embedding
+    column, or D alone: embeddings() then hashes pseudo-embeddings from
+    the frames and boxes on first read. detections is a view of Detection
+    records made on first read; build keeps the records it is given, and
+    a slice takes its parent's.
     """
 
-    detections: tuple[Detection, ...]
+    frames: np.ndarray
+    boxes: np.ndarray
+    confidence: np.ndarray
+    gt_ids: np.ndarray
     n_frames: int
-    has_gt: bool
-    frames: np.ndarray = field(init=False, repr=False, compare=False)
+    embedding_source: Union[np.ndarray, int] = DEFAULT_EMBED_DIM
 
     def __post_init__(self):
-        frames = [d.frame for d in self.detections]
-        for a, b in zip(frames, frames[1:]):
-            if b < a:
-                raise ValidationError("detections must be sorted by frame")
-        if self.detections:
-            dim = self.detections[0].embedding.size
-            for d in self.detections:
-                if d.embedding.size != dim:
-                    raise ValidationError("embedding dimensions disagree")
-            if self.detections[-1].frame >= self.n_frames:
-                raise ValidationError("n_frames does not cover all detections")
-            if self.detections[-1].frame >= _INT64:
-                raise ValidationError("frames must fit in 64 bits")
-        object.__setattr__(self, "frames", _column(frames, np.int64))
+        for name, dtype in (("frames", np.int64), ("boxes", np.float64),
+                            ("confidence", np.float64), ("gt_ids", np.int64)):
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        frames, source = self.frames, self.embedding_source
+        if (frames[1:] < frames[:-1]).any():
+            raise ValidationError("detections must be sorted by frame")
+        if frames.size and frames[-1] >= self.n_frames:
+            raise ValidationError("n_frames does not cover all detections")
+        if not isinstance(source, int):
+            source = _column(source, np.float64)
+            object.__setattr__(self, "embedding_source", source)
+            if frames.size and source.shape[1] == 0:
+                raise ValidationError("embedding must be a non-empty 1-d vector")
+            if not np.isfinite(source).all():
+                raise ValidationError("embedding must be finite")
 
     @classmethod
     def build(cls, detections: Sequence[Detection], n_frames: Optional[int] = None):
+        """A set of the given records, which it keeps as its detections."""
         dets = tuple(sorted(detections, key=lambda d: d.frame))
+        if dets and dets[-1].frame >= _INT64:
+            raise ValidationError("frames must fit in 64 bits")
+        if len({d.embedding.size for d in dets}) > 1:
+            raise ValidationError("embedding dimensions disagree")
         if n_frames is None:
             n_frames = dets[-1].frame + 1 if dets else 0
-        has_gt = bool(dets) and all(d.gt_id is not None for d in dets)
-        return cls(dets, n_frames, has_gt)
+        out = cls([d.frame for d in dets], box_rows(d.box for d in dets),
+                  [d.confidence for d in dets],
+                  [-1 if d.gt_id is None else d.gt_id for d in dets], n_frames,
+                  np.stack([d.embedding for d in dets]) if dets else np.empty((0, 0)))
+        object.__setattr__(out, "detections", dets)
+        return out
 
     def slice(self, lo: int, hi: int, n_frames: int) -> "DetectionSet":
-        """Detections lo to hi - 1 as a set of their own, not checked again.
-
-        n_frames must cover them; detection i of the slice is detection
-        lo + i of this set.
-        """
-        gt_ids = self.gt_ids[lo:hi]
-        return unchecked(DetectionSet, detections=self.detections[lo:hi],
-                         n_frames=n_frames,
-                         has_gt=hi > lo and (self.has_gt or bool((gt_ids != -1).all())),
-                         frames=self.frames[lo:hi], boxes=self.boxes[lo:hi],
-                         gt_ids=gt_ids, _embeddings=self._embeddings[lo:hi])
+        """Detections lo to hi - 1 as a set of their own; n_frames must
+        cover them. Its detection i is this set's lo + i, record and
+        embedding alike, so overlapping slices make neither twice."""
+        part = DetectionSet(self.frames[lo:hi], self.boxes[lo:hi], self.confidence[lo:hi],
+                            self.gt_ids[lo:hi], n_frames, self.embeddings()[lo:hi])
+        object.__setattr__(part, "detections", self.detections[lo:hi])
+        return part
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return self.frames.size
+
+    @property
+    def has_gt(self) -> bool:
+        """Whether every detection carries an identity."""
+        return bool(self.gt_ids.size) and bool((self.gt_ids >= 0).all())
 
     @cached_property
-    def boxes(self) -> np.ndarray:
-        """The boxes as the read-only (n, 4) rows of core.box_rows, made on
-        first read."""
-        return _column(box_rows(d.box for d in self.detections), np.float64)
-
-    @cached_property
-    def gt_ids(self) -> np.ndarray:
-        """The identities as a read-only int64 column, -1 where a detection
-        carries none, made on first read."""
-        return _column([-1 if d.gt_id is None else d.gt_id for d in self.detections],
-                       np.int64)
+    def detections(self) -> tuple[Detection, ...]:
+        """The detections as records, made from the columns on first read."""
+        # every record is made from checked columns
+        gt = [g if g >= 0 else None for g in self.gt_ids.tolist()]
+        return tuple(
+            unchecked(Detection, frame=f, box=unchecked(BoundingBox, x=x, y=y, w=w, h=h),
+                      confidence=c, embedding=e, gt_id=g)
+            for f, (x, y, w, h), c, e, g in zip(
+                self.frames.tolist(), self.boxes.tolist(), self.confidence.tolist(),
+                self.embeddings(), gt)
+        )
 
     @cached_property
     def _embeddings(self) -> np.ndarray:
-        rows = [d.embedding for d in self.detections]
-        return _column(np.stack(rows) if rows else np.empty((0, 0)), np.float64)
+        source = self.embedding_source
+        if not len(self):
+            return _column(np.empty((0, 0)), np.float64)
+        if not isinstance(source, int):
+            return source
+        return _column([pseudo_embedding(f, box, source) for f, box in
+                        zip(self.frames.tolist(), self.boxes.tolist())], np.float64)
 
     def embeddings(self) -> np.ndarray:
         """The embeddings as a read-only (n, D) column; (0, 0) when empty."""
@@ -136,12 +161,14 @@ def _column(values, dtype) -> np.ndarray:
     return column
 
 
-def pseudo_embedding(frame: int, box: BoundingBox, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
-    """Deterministic unit vector hashed from (frame, box).
+def pseudo_embedding(frame: int, box: Sequence[float],
+                     dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
+    """Deterministic unit vector hashed from a frame and an (x, y, w, h) box.
 
     Stands in when no sidecar is available; carries no identity signal.
     """
-    key = f"{frame}:{box.x:.4f}:{box.y:.4f}:{box.w:.4f}:{box.h:.4f}"
+    x, y, w, h = box
+    key = f"{frame}:{x:.4f}:{y:.4f}:{w:.4f}:{h:.4f}"
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     v = rng.standard_normal(dim)
@@ -221,10 +248,10 @@ def _read_columns(det_path: Union[str, Path]):
         return None
     frames, w, h, conf = ints[:, 0], values[:, 2], values[:, 3], values[:, 4]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # finite corners and area also mean finite x, y, w and h
+        # finite corners also mean finite x, y, w and h
         corners = box_corners(values[:, :4])
     ok = ((frames >= 1) & (frames <= _MAX_FRAME) & np.isfinite(corners).all(axis=1)
-          & (w > 0) & (h > 0) & (corners[:, 4] > 0)
+          & (w > 0) & (h > 0) & (corners[:, 4] > 0) & (corners[:, 4] <= MAX_BOX_AREA)
           & (conf >= 0.0) & (conf <= 1.0))
     return (frames, ints[:, 1], values) if ok.all() else None
 
@@ -255,10 +282,9 @@ def _parse_lines(det_path: Union[str, Path]):
                 raise ParseError(
                     f"frame must be <= {_MAX_FRAME} on disk, got {frame}", line_no
                 )
-            try:
-                BoundingBox(x, y, w, h)
-            except ValidationError as exc:
-                raise ParseError(str(exc), line_no) from None
+            fault = box_fault(x, y, w, h)
+            if fault is not None:
+                raise ParseError(fault, line_no)
             if not (0.0 <= conf <= 1.0):
                 raise ParseError(f"confidence {conf} outside [0, 1]", line_no)
             frames.append(frame)
@@ -283,39 +309,15 @@ def parse_mot(
     columns = _read_columns(det_path)
     on_disk, ids, values = columns if columns is not None else _parse_lines(det_path)
     order = np.argsort(on_disk, kind="stable")
-    frames, ids = on_disk[order] - 1, ids[order]
-    rows, n = values[order, :4], order.size
-    # every record below is built from checked values
-    boxes = [unchecked(BoundingBox, x=x, y=y, w=w, h=h) for x, y, w, h in rows.tolist()]
-
+    frames, n = on_disk[order] - 1, order.size
+    embeddings = embed_dim
     if embed_path is not None:
         embeddings = read_embeddings(embed_path)
         if embeddings.shape[0] != n:
             raise ParseError(f"sidecar has {embeddings.shape[0]} rows for {n} detections")
-        embeddings = embeddings[order] if n else np.empty((0, 0))
-    elif n:
-        embeddings = np.stack([pseudo_embedding(f, b, embed_dim)
-                               for f, b in zip(frames.tolist(), boxes)])
-    else:
-        embeddings = np.empty((0, 0))
-    if n and embeddings.shape[1] == 0:
-        raise ValidationError("embedding must be a non-empty 1-d vector")
-    if not np.isfinite(embeddings).all():
-        raise ValidationError("embedding must be finite")
-    for column in (frames, rows, embeddings):
-        column.setflags(write=False)
-
-    frame, conf = frames.tolist(), values[order, 4].tolist()
-    gt = [g if g >= 0 else None for g in ids.tolist()]
-    dets = tuple(
-        unchecked(Detection, frame=frame[i], box=boxes[i], confidence=conf[i],
-                  embedding=embeddings[i], gt_id=gt[i])
-        for i in range(n)
-    )
-    return unchecked(DetectionSet, detections=dets, n_frames=frame[-1] + 1 if n else 0,
-                     has_gt=bool(n) and bool((ids >= 0).all()), frames=frames,
-                     boxes=rows, gt_ids=_column(np.maximum(ids, -1), np.int64),
-                     _embeddings=embeddings)
+        embeddings = embeddings[order]
+    return DetectionSet(frames, values[order, :4], values[order, 4], np.maximum(ids[order], -1),
+                        int(frames[-1]) + 1 if n else 0, embeddings)
 
 
 def _fmt(value: float) -> str:
@@ -344,14 +346,11 @@ def write_mot(path: Union[str, Path], tracks: Sequence[Tracklet]) -> str:
 
 def write_detections(path: Union[str, Path], dets: DetectionSet) -> None:
     """Write a detection set as MOT rows in set order (gt id or -1)."""
-    lines = []
-    for d in dets.detections:
-        b = d.box
-        tid = d.gt_id if d.gt_id is not None else -1
-        lines.append(
-            f"{d.frame + 1},{tid},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},"
-            f"{_fmt(d.confidence)},-1,-1,-1"
-        )
+    lines = [
+        f"{f + 1},{g},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},{_fmt(c)},-1,-1,-1"
+        for f, g, (x, y, w, h), c in zip(dets.frames.tolist(), dets.gt_ids.tolist(),
+                                         dets.boxes.tolist(), dets.confidence.tolist())
+    ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -394,6 +393,8 @@ class ScenarioSpec:
             raise ValidationError("embedding noise must be >= 0")
         if self.embedding_dim < 2:
             raise ValidationError("embedding_dim must be >= 2")
+        if not (self.box_w > 0 and self.box_h > 0):
+            raise ValidationError("box_w and box_h must be > 0")
         if self.box_w >= self.arena_w or self.box_h >= self.arena_h:
             raise ValidationError("box does not fit the arena")
         for obj, start, dur in self.occlusions:
@@ -458,22 +459,12 @@ def _simulate(spec: ScenarioSpec):
 
 
 def _collect(spec: ScenarioSpec, pos, emb, survive) -> DetectionSet:
-    dets = []
-    for t in range(spec.n_frames):
-        for i in range(spec.n_objects):
-            if not survive[i, t]:
-                continue
-            x, y = pos[i, t]
-            dets.append(
-                Detection(
-                    frame=t,
-                    box=BoundingBox(float(x), float(y), spec.box_w, spec.box_h),
-                    confidence=1.0,
-                    embedding=emb[i, t],
-                    gt_id=i + 1,
-                )
-            )
-    return DetectionSet.build(dets, n_frames=spec.n_frames)
+    """The surviving detections, by frame and then by object."""
+    frames, objects = np.nonzero(survive.T)
+    n = frames.size
+    boxes = np.hstack([pos[objects, frames], np.broadcast_to([spec.box_w, spec.box_h], (n, 2))])
+    return DetectionSet(frames, boxes, np.ones(n), objects + 1, spec.n_frames,
+                        emb[objects, frames])
 
 
 def synthesize(spec: ScenarioSpec) -> DetectionSet:

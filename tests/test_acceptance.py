@@ -28,7 +28,7 @@ from trackgraph.builder import (
 )
 from trackgraph.cli import _labelled_graphs, main
 from trackgraph.config import RunConfig
-from trackgraph.core import BoundingBox, Detection, Tracklet
+from trackgraph.core import BoundingBox, Detection, NodeKind, Tracklet
 from trackgraph.ingest import DetectionSet, ScenarioSpec, ground_truth, synthesize
 from trackgraph.metrics import evaluate, idf1, match_frames
 from trackgraph.mpn import TrainSchedule, focal_loss, init_params, train
@@ -146,7 +146,7 @@ def test_criterion_5_graph_economy():
     # closed form over 512 frames of 20 detections each
     assert full == (10240 ** 2 - 512 * 20 ** 2) // 2
     ratio = len(graph.edges) / full
-    traj_frac = graph.n_traj_nodes / len(dets)
+    traj_frac = sum(n.kind is NodeKind.TRAJ for n in graph.nodes) / len(dets)
     assert ratio <= 0.05
     assert traj_frac < 0.05
     dt = time.perf_counter() - t0

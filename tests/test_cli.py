@@ -261,19 +261,19 @@ def test_eval_refuses_one_id_twice_in_a_frame(tmp_path, capsys):
 
 
 def test_track_and_eval_refuse_overflowing_boxes(tmp_path, capsys):
-    # every value 1e155: the corners are finite, the area w * h is not
-    big = tmp_path / "big.txt"
-    big.write_text("".join(f"{f},1,1e155,1e155,1e155,1e155,1.0,-1,-1,-1\n"
-                           for f in (1, 2)))
-    assert main(["track", "--det", str(big), "--out", str(tmp_path / "r.txt")]) == 2
-    assert "line 1: box needs finite corners" in capsys.readouterr().err
-    gt = tmp_path / "gt.txt"
+    big, gt = tmp_path / "big.txt", tmp_path / "gt.txt"
     write_rows(gt, [(1, 1, 0.0), (2, 1, 0.0)])
-    for pred, truth in ((big, gt), (gt, big)):
-        assert main(["eval", "--pred", str(pred), "--gt", str(truth)]) == 2
-        captured = capsys.readouterr()
-        assert "line 1: box needs finite corners" in captured.err
-        assert "idf1" not in captured.out
+    # every value 1e155: the corners are finite, the area w * h is not;
+    # an area of 1e308 is finite, but two of them add past the float range
+    for box in ("1e155,1e155,1e155,1e155", "0,0,1e154,1e154"):
+        big.write_text("".join(f"{f},1,{box},1.0,-1,-1,-1\n" for f in (1, 2)))
+        assert main(["track", "--det", str(big), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "line 1: box needs finite corners" in capsys.readouterr().err
+        for pred, truth in ((big, gt), (gt, big)):
+            assert main(["eval", "--pred", str(pred), "--gt", str(truth)]) == 2
+            captured = capsys.readouterr()
+            assert "line 1: box needs finite corners" in captured.err
+            assert "idf1" not in captured.out
 
 
 def test_eval_warns_on_frame_range_mismatch(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackgraph.core import (
+    MAX_BOX_AREA,
     BoundingBox,
     Detection,
     Edge,
@@ -116,10 +117,26 @@ def test_box_rejects_nonfinite():
     (1e308, 0.0, 1e308, 1.0),  # x + w overflows
     (0.0, 1e308, 1.0, 1e308),  # y + h overflows
     (0.0, 0.0, 1e-200, 1e-200),  # w * h underflows to 0
+    (0.0, 0.0, 1e154, 1e154),  # w * h is finite, but over MAX_BOX_AREA
+    (0.0, 0.0, MAX_BOX_AREA, np.nextafter(1.0, 2.0)),  # one ulp over it
 ])
 def test_box_rejects_overflowing_corners_and_area(box):
     with pytest.raises(ValidationError, match="finite corners"):
         BoundingBox(*box)
+
+
+def test_iou_of_the_largest_accepted_boxes_is_exact():
+    side = np.sqrt(MAX_BOX_AREA)
+    if side * side > MAX_BOX_AREA:
+        side = np.nextafter(side, 0.0)
+    for w, h in ((MAX_BOX_AREA, 1.0), (side, side), (1.0, MAX_BOX_AREA)):
+        b = BoundingBox(-w / 2, 0.0, w, h)
+        assert iou(b, b) == 1.0
+        assert iou_matrix(box_rows([b]), box_rows([b]))[0, 0] == 1.0
+        # half of it: the union is the whole box, with no overflow
+        half = BoundingBox(-w / 2, 0.0, w / 2, h)
+        assert iou(b, half) == iou_rows(box_rows([b]), box_rows([half]))[0]
+        assert iou(b, half) == pytest.approx(0.5, rel=1e-15)
 
 
 finite_boxes = st.builds(
@@ -150,6 +167,14 @@ def test_detection_validates_confidence():
 def test_detection_validates_frame():
     with pytest.raises(ValidationError):
         Detection(-1, BoundingBox(0, 0, 1, 1), 0.5, np.zeros(4))
+
+
+def test_detection_refuses_a_negative_gt_id():
+    # -1 in a gt_ids column means "no identity", so no record may carry it
+    for gt_id in (-1, -3):
+        with pytest.raises(ValidationError, match="gt_id"):
+            make_det(0, gt_id=gt_id)
+    assert make_det(0, gt_id=0).gt_id == 0
 
 
 def test_detection_embedding_is_readonly_float64():
@@ -214,7 +239,7 @@ def test_graph_construction():
     nodes = (d0, d1, span_tracklet(0, 3, 5))
     g = TrackGraph(nodes, [0, 1], [1, 2])
     assert len(g.nodes) == 3
-    assert g.n_traj_nodes == 1
+    assert [n.kind for n in g.nodes] == [NodeKind.DET, NodeKind.DET, NodeKind.TRAJ]
     assert g.nodes[0] is d0
     assert g.nodes[2].span == (3, 5)
     assert g.n_edges == 2

@@ -22,6 +22,7 @@ from trackgraph.ingest import (
     write_mot,
 )
 from trackgraph.core import Tracklet
+from trackgraph.metrics import evaluate
 
 
 def test_parse_single_row(tmp_path):
@@ -95,10 +96,11 @@ def test_parse_rejects_nonpositive_box(tmp_path):
 
 
 def test_parse_rejects_overflowing_box_on_both_paths(tmp_path):
-    # x + w, y + h or w * h past the float range, or an area of 0
+    # x + w, y + h or w * h past the float range, an area of 0, or one
+    # over half the largest float, so that two such areas would overflow
     p = tmp_path / "det.txt"
     for box in ("1e155,1e155,1e155,1e155", "1e308,0,1e308,5", "0,1e308,5,1e308",
-                "0,0,1e-200,1e-200"):
+                "0,0,1e-200,1e-200", "0,0,1e154,1e154"):
         for frame in ("2", "2.0"):  # "2.0" sends the file down the line path
             p.write_text(f"1,1,0,0,5,5,1.0,-1,-1,-1\n{frame},1,{box},1.0,-1,-1,-1\n")
             outcome = parse_outcome(p)
@@ -199,7 +201,7 @@ def test_parse_keeps_file_order_within_a_frame(tmp_path):
 
 
 def test_pseudo_embeddings_deterministic_and_unit():
-    b = BoundingBox(1.0, 2.0, 3.0, 4.0)
+    b = (1.0, 2.0, 3.0, 4.0)
     e1 = pseudo_embedding(5, b, 16)
     e2 = pseudo_embedding(5, b, 16)
     assert np.array_equal(e1, e2)
@@ -298,17 +300,36 @@ def test_detection_set_columns_follow_the_records():
     unlabelled = Detection(20, BoundingBox(1, 2, 3, 4), 0.5, np.ones(16))
     for dets in (ds, DetectionSet.build(ds.detections + (unlabelled,))):
         assert dets.frames.tolist() == [d.frame for d in dets.detections]
+        assert dets.confidence.tolist() == [d.confidence for d in dets.detections]
         assert dets.boxes.tolist() == [[d.box.x, d.box.y, d.box.w, d.box.h]
                                        for d in dets.detections]
         assert dets.gt_ids.tolist() == [-1 if d.gt_id is None else d.gt_id
                                         for d in dets.detections]
         assert np.array_equal(dets.embeddings(),
                               np.stack([d.embedding for d in dets.detections]))
-        for column in (dets.frames, dets.boxes, dets.gt_ids, dets.embeddings()):
+        for column in (dets.frames, dets.boxes, dets.confidence, dets.gt_ids,
+                       dets.embeddings()):
             assert not column.flags.writeable
     empty = DetectionSet.build([])
     assert empty.frames.shape == (0,) and empty.boxes.shape == (0, 4)
     assert empty.gt_ids.shape == (0,) and empty.embeddings().shape == (0, 0)
+
+
+def test_parsing_and_evaluating_make_no_record_and_no_pseudo_embedding(tmp_path):
+    spec = ScenarioSpec(n_objects=3, n_frames=20, seed=5, miss_rate=0.3)
+    p = tmp_path / "det.txt"
+    write_detections(p, synthesize(spec))
+    dets, gt = parse_mot(p), ground_truth(spec)
+    assert evaluate(dets, gt).gt_count == len(gt)
+    for made in (dets, gt):
+        assert "detections" not in vars(made) and "_embeddings" not in vars(made)
+    # read, the pseudo-embeddings are the ones each frame and box hash to
+    emb = dets.embeddings()
+    for k in (0, len(dets) - 1):
+        d = dets.detections[k]
+        box = (d.box.x, d.box.y, d.box.w, d.box.h)
+        assert np.array_equal(emb[k], pseudo_embedding(d.frame, box))
+        assert np.array_equal(d.embedding, emb[k])
 
 
 # --------------------------------------------------------------- synthesis
@@ -397,4 +418,7 @@ def test_scenario_spec_validation():
         ScenarioSpec(n_objects=1, n_frames=10, miss_rate=1.0)
     with pytest.raises(ValidationError):
         ScenarioSpec(n_objects=1, n_frames=10, occlusions=((4, 0, 2),))
+    for box in ({"box_w": 0.0}, {"box_h": -4.0}, {"box_w": float("nan")}):
+        with pytest.raises(ValidationError, match="box_w and box_h"):
+            ScenarioSpec(n_objects=1, n_frames=10, **box)
 

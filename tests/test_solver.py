@@ -19,6 +19,7 @@ from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
 from trackgraph.core import (
     BoundingBox,
     Detection,
+    NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -323,7 +324,7 @@ def test_build_traj_graph_groups_and_gates():
     dets = DetectionSet.build(rows)  # stable-sorted by frame
     ids = np.asarray([0, 1, 0, 1])
     tg = build_traj_graph(dets.detections, ids)
-    assert len(tg.nodes) == tg.n_traj_nodes == 2
+    assert [n.kind for n in tg.nodes] == [NodeKind.TRAJ, NodeKind.TRAJ]
     # node p is the tracklet of the p-th smallest id, its members in order
     assert [n.detections for n in tg.nodes] == [
         dets.detections[::2], dets.detections[1::2]]
