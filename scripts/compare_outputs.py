@@ -23,9 +23,14 @@ Another hashes the raw bytes of message passing with
 trajectory graphs of their pass-1 identities: scores and final node
 and edge states, since a last-bit change in scores shows in `track`
 only where it flips a rounding decision.
-For long6144 (cosine affinity) and gate700 (oracle affinity), cut into
-512/256 clips, one more entry hashes each clip's association raw: its
-tracklets' member indices and its part graph's endpoint arrays.
+For long6144 and narrow3 (cosine affinity) and gate700 and crowd120
+(oracle affinity), cut into 512/256 clips, one more entry hashes each
+clip's association raw: its tracklets' member indices and its part
+graph's endpoint arrays. crowd120 holds over 100 detections per frame
+and narrow3 at most 3, so the top_k candidates are checked on frames
+both wider and narrower than top_k; the oracle's many tied similarities
+on crowd120's wide frames also check that ties go to the earlier
+detection.
 Prints one SHA-256
 per scene and output of the working tree, marks each one `same` or
 `DIFFERS`, and exits 1 on any mismatch. `track` is compared on its
@@ -76,6 +81,13 @@ SCENES = {
     # a long video: 23 clips of 512/256 frames, 22 seams to stitch
     "long6144": ["--objects", "10", "--frames", "6144", "--seed", "60",
                  "--sigma", "0.1", "--miss-rate", "0.05"],
+    # a crowded scene, over 100 detections per frame, many more than top_k
+    "crowd120": ["--objects", "120", "--frames", "48", "--seed", "60",
+                 "--sigma", "0.1", "--miss-rate", "0.05"],
+    # a narrow scene in two clips: at most 3 detections per frame, fewer
+    # than top_k, so every candidate list is cut short
+    "narrow3": ["--objects", "3", "--frames", "600", "--seed", "60",
+                "--sigma", "0.3", "--miss-rate", "0.2"],
 }
 
 CKPT = ["--params", str(CHECKPOINT)]
@@ -189,7 +201,8 @@ print(digest.hexdigest())
 """
 
 # (scene, score mode) whose association is hashed clip by clip
-ASSOCIATION_RUNS = [("long6144", "handcrafted"), ("gate700", "oracle")]
+ASSOCIATION_RUNS = [("long6144", "handcrafted"), ("gate700", "oracle"),
+                    ("crowd120", "oracle"), ("narrow3", "handcrafted")]
 
 # prints one SHA-256 over a scene's association in 512/256 clips: each
 # clip's tracklet lengths and members, and its part graph's endpoints;

@@ -7,7 +7,7 @@ along the way. The part graph keeps every detection as a node
 only in the solver's trajectory graphs, built from the fragments of
 pass 1 when tracking and from these index lists when training. Every
 edge points forward in time, so the result is a DAG by construction.
-The builder only decides which links exist, as two lists of endpoint
+The builder only decides which links exist, as two arrays of endpoint
 indices; their descriptors are computed later, for the whole graph at
 once, by mpn.graph_tensors.
 """
@@ -47,12 +47,12 @@ class BuilderConfig:
 
 def associate_frames(
     dets: DetectionSet, aff: AffinityMatrix, cfg: BuilderConfig
-) -> tuple[list[list[int]], tuple[list[int], list[int]]]:
+) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
     """Greedy-over-time association into tracklets plus candidate links.
 
     Each tracklet comes back as the list of its members' detection
     indices, in frame order; the links come back as (u, v), two aligned
-    lists of their endpoints' detection indices.
+    int64 arrays of their endpoints' detection indices.
 
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
@@ -64,20 +64,23 @@ def associate_frames(
     -C falls below the threshold is dropped and the detection starts a
     new tracklet. Each accepted match emits detection links from the
     tracklet's last member to the assigned detection and to the top-k
-    appearance candidates of that frame, which caps the link count at
-    len(dets) * (top_k + 1).
+    appearance candidates of that frame (ties go to the earlier
+    detection), which caps the link count at len(dets) * (top_k + 1).
+    Each match keeps only those top_k + 1 indices until the links are
+    emitted, in match order, after the last frame.
 
     Only the work that hangs on the previous frame's matches runs frame
     by frame: the gate's and the lookback's lower indices are found for
-    every frame up front, box corners and areas once per clip, and the
-    links in one pass after the last frame. Each tracklet keeps a
-    running sum of its gated members' vectors (affinity.TrackSums): a
-    match adds one row, and the sum is redone from zero, in member
-    order, only when the gate drops one of its members, so it adds up
-    exactly as a sum over the gated members would.
+    every frame up front, and box corners and areas once per clip. Each
+    tracklet keeps a running sum of its gated members' vectors
+    (affinity.TrackSums): a match adds one row, and the sum is redone
+    from zero, in member order, only when the gate drops one of its
+    members, so it adds up exactly as a sum over the gated members
+    would.
     """
     if len(dets) == 0:
-        return [], ([], [])
+        empty = np.empty(0, dtype=np.int64)
+        return [], (empty, empty)
     frames, n = dets.frames, len(dets)
     corners = box_corners(dets.boxes)
     # frames are sorted, so each frame is one index run [s, e), and a
@@ -93,10 +96,12 @@ def associate_frames(
     last = np.empty(n, dtype=np.int64)  # each track's last member
     sums = TrackSums(aff, n)
     n_tracks = 0
-    # the accepted matches, frame by frame: tail, detection, appearance row
-    tails_kept: list[np.ndarray] = []
-    dets_kept: list[np.ndarray] = []
-    rows_kept: list[np.ndarray] = []
+    # row i holds the i-th accepted match: its tail, and its top_k
+    # candidates then its detection, -1 where a frame is narrower than
+    # top_k; each detection is matched at most once, so n rows suffice
+    link_tails = np.empty(n, dtype=np.int64)
+    picks = np.full((n, cfg.top_k + 1), -1)
+    kept = 0
     for s, e, a, g in zip(starts.tolist(), ends.tolist(), lows.tolist(), gates.tolist()):
         if g > sums.lo:
             sums.drop(owner, g, s)
@@ -114,9 +119,13 @@ def associate_frames(
             ok = cost[r, c] <= -cfg.new_track_threshold
             r, c = r[ok], c[ok]
             extended, matched = active[r], s + c
-            tails_kept.append(tails[r])
-            dets_kept.append(matched)
-            rows_kept.append(m_bar[r])
+            # a stable sort of the negated rows ranks ties by column
+            top = (-m_bar[r]).argsort(axis=1, kind="stable")[:, : cfg.top_k]
+            end = kept + r.size
+            picks[kept:end, : top.shape[1]] = s + top
+            picks[kept:end, -1] = matched
+            link_tails[kept:end] = tails[r]
+            kept = end
             owner[matched] = extended
             last[extended] = matched
             sums.add(extended, matched)
@@ -133,36 +142,11 @@ def associate_frames(
     order = np.argsort(owner, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(owner, minlength=n_tracks)).tolist()
     tracks = [order[i:j] for i, j in zip([0] + bounds[:-1], bounds)]
-    return tracks, _links(tails_kept, dets_kept, rows_kept, starts, ends, cfg.top_k)
-
-
-def _links(tails, matched, rows, starts, ends, top_k):
-    """Each accepted match's links, as aligned (u, v) lists.
-
-    Match i of the concatenated per-frame lists links tails[i] to
-    matched[i] and to the top_k detections of its frame by rows[i], its
-    appearance row, in column order.
-    """
-    if not rows:
-        return [], []
-    tails, matched = np.concatenate(tails), np.concatenate(matched)
-    # each match's frame, and the frame's first detection and width
-    run = np.searchsorted(starts, matched, side="right") - 1
-    first, width = starts[run], (ends - starts)[run]
-    # one stable sort over the rows padded to the widest frame; the
-    # padding sorts last, and picks of it are dropped below
-    keys = np.full((matched.size, width.max(initial=0)), np.inf)
-    at = 0
-    for block in rows:
-        keys[at: at + block.shape[0], : block.shape[1]] = -block
-        at += block.shape[0]
-    top = np.argsort(keys, axis=1, kind="stable")[:, :top_k]
-    targets = np.zeros(keys.shape, dtype=bool)
-    targets[np.arange(matched.size)[:, None], top] = True
-    targets &= np.arange(keys.shape[1]) < width[:, None]
-    targets[np.arange(matched.size), matched - first] = True
-    i, col = np.nonzero(targets)
-    return tails[i].tolist(), (first[i] + col).tolist()
+    # each match links its tail to its distinct picks in index order
+    picks = np.sort(picks[:kept], axis=1)
+    keep = picks >= 0
+    keep[:, 1:] &= picks[:, 1:] != picks[:, :-1]
+    return tracks, (link_tails[keep.nonzero()[0]], picks[keep])
 
 
 def build_part_graph(

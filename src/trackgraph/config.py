@@ -56,8 +56,6 @@ class RunConfig:
             raise ValidationError("traj_passes must be non-negative")
         if not (0.0 < self.iou_gate <= 1.0):
             raise ValidationError("iou_gate must lie in (0, 1]")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be non-negative")
         for name in ("embed_dim", "node_dim", "edge_dim", "hidden_dim", "steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")

@@ -389,6 +389,9 @@ class ScenarioSpec:
             raise ValidationError("miss_rate must lie in [0, 1)")
         if not (0.0 <= self.turn_prob <= 1.0):
             raise ValidationError("turn_prob must lie in [0, 1]")
+        for name in ("arena_w", "arena_h", "speed", "embedding_noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.embedding_noise_sigma < 0:
             raise ValidationError("embedding noise must be >= 0")
         if self.embedding_dim < 2:

@@ -810,8 +810,12 @@ class TrainSchedule:
     unfreeze_second_at: int = 500
 
     def __post_init__(self):
-        if self.iterations < 0 or self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValidationError("schedule values must be non-negative")
+        if self.iterations < 0:
+            raise ValidationError("iterations must be non-negative")
+        for name in ("learning_rate", "weight_decay", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass

@@ -22,6 +22,13 @@ from trackgraph.mpn import (
 )
 
 
+def assert_links(links, u, v):
+    """links are two int64 arrays holding exactly u and v, in order."""
+    assert len(links) == 2
+    for got, want in zip(links, (u, v)):
+        np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64), strict=True)
+
+
 def window_starts(plan, origin=0):
     """A plan's window start frames, listed one by one.
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import gated_pair_score, shares_a_window
+from conftest import assert_links, gated_pair_score, shares_a_window
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -80,7 +82,7 @@ def test_single_object_two_frames_one_link():
     aff = oracle_affinity(dets, clip_len=2)
     tracks, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
     assert tracks == [[0, 1]]
-    assert links == ([0], [1])
+    assert_links(links, [0], [1])
 
 
 def test_crossing_objects_keep_identities():
@@ -101,7 +103,7 @@ def test_unrelated_detection_starts_new_track_without_links():
     aff = oracle_affinity(dets, clip_len=2)
     tracks, links = associate_frames(dets, aff, BuilderConfig())
     assert tracks == [[0], [1]]
-    assert links == ([], [])
+    assert_links(links, [], [])
 
 
 def test_threshold_gates_acceptance():
@@ -323,17 +325,40 @@ def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
     tracks, links = associate_frames(dets, aff, cfg)
     ref_tracks, ref_links = reference_associate_frames(dets, plan, cfg, oracle)
     assert tracks == ref_tracks
-    assert links == ref_links
+    assert_links(links, *ref_links)
 
 
 def test_empty_set_round_trips():
     dets = DetectionSet.build([])
     aff = oracle_affinity(dets, clip_len=1)
     tracks, links = associate_frames(dets, aff, BuilderConfig())
-    assert tracks == [] and links == ([], [])
+    assert tracks == []
+    assert_links(links, [], [])
     graph = build_part_graph(links, dets)
     assert graph.nodes == () and graph.n_edges == 0
     assert dump_graph(graph) == ""
+
+
+def test_association_memory_follows_the_links_on_a_crowded_clip():
+    # about 140 detections a frame: association may hold a few words per
+    # link slot, n * (top_k + 1) of them, plus one frame's (tracks x
+    # detections) blocks, with about as many tracks as detections; a row
+    # per match as wide as its frame would take several times more
+    spec = ScenarioSpec(n_objects=150, n_frames=48, seed=3,
+                        embedding_noise_sigma=0.1, miss_rate=0.05)
+    dets = synthesize(spec)
+    aff = accumulate_affinity(dets, WindowPlan(48, 32, 16), cosine_scorer)
+    cfg = BuilderConfig()
+    width = int(np.bincount(dets.frames).max())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, links = associate_frames(dets, aff, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert width > 100 and len(links[0]) > len(dets)
+    assert peak <= 128 * len(dets) * (cfg.top_k + 1) + 128 * width**2
 
 
 # -------------------------------------------------------------- part graph

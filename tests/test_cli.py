@@ -4,12 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trackgraph
+from trackgraph import cli
 from trackgraph.cli import main
 from trackgraph.ingest import parse_mot
 from trackgraph.mpn import init_params, load_params, save_params
@@ -56,6 +58,19 @@ def test_synth_rejects_single_frame(tmp_path):
     code = main(["synth", "--objects", "1", "--frames", "1",
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--speed", "nan"), ("--speed", "inf"),
+                                        ("--sigma", "nan"), ("--sigma", "inf")])
+def test_synth_refuses_non_finite_settings(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", "--objects", "2", "--frames", "10",
+                     flag, value, "--out", str(out)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_miss_rate_drops_rows(tmp_path):
@@ -210,6 +225,26 @@ def test_train_divergence_exits_three(tmp_path):
                      "--out", str(tmp_path / "p.ckpt"),
                      "--iterations", "200", "--learning-rate", "1e6"])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag,value", [("--learning-rate", "nan"), ("--gamma", "nan"),
+                                        ("--weight-decay", "inf"), ("--learning-rate", "inf")])
+def test_train_refuses_non_finite_settings_before_building_graphs(
+        tmp_path, capsys, monkeypatch, flag, value):
+    data = synth(tmp_path, objects=2, frames=20)
+
+    def no_graphs(*args):
+        raise AssertionError("training graphs were built")
+
+    monkeypatch.setattr(cli, "_labelled_graphs", no_graphs)
+    ckpt = tmp_path / "p.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--gt", str(data / "det.txt"), "--emb", str(data / "det.emb"),
+                     "--out", str(ckpt), flag, value])
+    assert code == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_train_needs_identities(tmp_path):

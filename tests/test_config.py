@@ -4,6 +4,7 @@ import pytest
 
 from trackgraph.core import ParseError, ValidationError
 from trackgraph.config import RunConfig, load_config, parse_config_file
+from trackgraph.mpn import TrainSchedule
 
 
 def test_defaults_match_module_defaults():
@@ -96,6 +97,16 @@ def test_module_invariants_enforced_at_load():
         RunConfig(iou_gate=0.0)
     with pytest.raises(ValidationError):
         RunConfig(node_dim=0)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_training_rates_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite and non-negative"):
+        TrainSchedule(**{name: value})
+    with pytest.raises(ValidationError, match=f"{name} must be finite and non-negative"):
+        RunConfig(**{name: value})
+    TrainSchedule(**{name: 0.0})
 
 
 def test_shrunken_clip_still_validates():

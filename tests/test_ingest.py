@@ -421,4 +421,8 @@ def test_scenario_spec_validation():
     for box in ({"box_w": 0.0}, {"box_h": -4.0}, {"box_w": float("nan")}):
         with pytest.raises(ValidationError, match="box_w and box_h"):
             ScenarioSpec(n_objects=1, n_frames=10, **box)
+    for name in ("arena_w", "arena_h", "speed", "embedding_noise_sigma"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                ScenarioSpec(n_objects=1, n_frames=10, **{name: value})
 
