@@ -68,6 +68,10 @@ SCENES = {
     # the weak-appearance benchmark scene: 10 x 160 frames
     "weak": ["--objects", "10", "--frames", "160", "--seed", "60",
              "--sigma", "0.2", "--miss-rate", "0.1"],
+    # weak's recipe at 384 frames: the most trajectory pairs beyond the
+    # handcrafted scorer's reach
+    "weak384": ["--objects", "10", "--frames", "384", "--seed", "60",
+                "--sigma", "0.2", "--miss-rate", "0.1"],
     # the noisy 10 x 700 scene of the acceptance gate
     "gate700": ["--objects", "10", "--frames", "700", "--seed", "60",
                 "--sigma", "0.1", "--miss-rate", "0.05"],
@@ -100,6 +104,7 @@ TRACK_RUNS = [
     # message passing and oracle labels over weak's large trajectory graph
     ("weak", "mpn", CKPT),
     ("weak", "oracle", ["--oracle"]),
+    ("weak384", "handcrafted", []),
     ("gate700", "handcrafted", []),
     ("gate700", "mpn", CKPT),
     ("gate700", "oracle", ["--oracle"]),

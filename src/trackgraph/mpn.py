@@ -689,6 +689,20 @@ def oracle_scores(graph: TrackGraph) -> np.ndarray:
     return edge_labels(graph).astype(np.float64)
 
 
+def _handcrafted_block(feats: np.ndarray) -> np.ndarray:
+    """handcrafted_scores of (k, 6) descriptor rows."""
+    dx, dy, lw, lh, dt, de = feats.T
+    drift = np.hypot(dx, dy) / np.maximum(dt, 1.0)
+    logit = (
+        5.0
+        - 8.0 * drift
+        - 4.0 * (np.abs(lw) + np.abs(lh))
+        - 4.5 * de
+        - 0.15 * (dt - 1.0)
+    )
+    return _sigmoid(logit)
+
+
 def handcrafted_scores(graph: Union[TrackGraph, GraphTensors]) -> np.ndarray:
     """Fixed-weight fallback classifier on the raw edge descriptors.
 
@@ -699,17 +713,32 @@ def handcrafted_scores(graph: Union[TrackGraph, GraphTensors]) -> np.ndarray:
     g = _as_tensors(graph)
     scores = np.empty(g.n_edges)
     for start in range(0, g.n_edges, EDGE_BLOCK):
-        dx, dy, lw, lh, dt, de = g.feats[start : start + EDGE_BLOCK].T
-        drift = np.hypot(dx, dy) / np.maximum(dt, 1.0)
-        logit = (
-            5.0
-            - 8.0 * drift
-            - 4.0 * (np.abs(lw) + np.abs(lh))
-            - 4.5 * de
-            - 0.15 * (dt - 1.0)
-        )
-        scores[start : start + EDGE_BLOCK] = _sigmoid(logit)
+        scores[start : start + EDGE_BLOCK] = _handcrafted_block(
+            g.feats[start : start + EDGE_BLOCK])
     return scores
+
+
+def handcrafted_reach(eps: float) -> int:
+    """The largest frame gap at which a handcrafted score can exceed eps.
+
+    A descriptor with no drift, no size change and no appearance
+    distance scores highest at its gap; every other term of the logit
+    only subtracts, and the score falls as the gap grows, so no edge
+    with a longer gap scores above eps. Those best-case descriptors are
+    scored by handcrafted_scores' own arithmetic, on gaps doubling in
+    number until one fails. 0 when no gap passes, as at eps 1.
+    """
+    if not (0.0 < eps <= 1.0):
+        raise ValidationError(f"eps must lie in (0, 1], got {eps}")
+    gaps = 64
+    while True:
+        best = np.zeros((gaps, 6))
+        best[:, 4] = np.arange(1, gaps + 1)
+        passing = np.flatnonzero(_handcrafted_block(best) > eps)
+        # sigmoid underflows to 0 within about 5,000 frames of gap
+        if passing.size < gaps:
+            return int(passing[-1]) + 1 if passing.size else 0
+        gaps *= 2
 
 
 # ------------------------------------------------------------- checkpoints

@@ -23,7 +23,12 @@ from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
 from trackgraph.core import TrackGraph, Tracklet, ValidationError
 from trackgraph.ingest import DetectionSet
 from trackgraph.metrics import graph_stats
-from trackgraph.mpn import MpnParams, handcrafted_scores, oracle_scores
+from trackgraph.mpn import (
+    MpnParams,
+    handcrafted_reach,
+    handcrafted_scores,
+    oracle_scores,
+)
 from trackgraph.solver import aggregate, group_tracklets
 
 _MODES = ("auto", "mpn", "handcrafted", "oracle")
@@ -88,16 +93,19 @@ class ClipTracker:
         graph, _ = self.build_graph(dets)
         if self.stats_sink is not None:
             self.stats_sink.append(graph_stats(graph))
-        score_fn = None
+        score_fn, max_gap = None, None
         if mode == "oracle":
             score_fn = oracle_scores
         elif mode == "handcrafted":
+            # no fragment pair further apart than the reach can pass
             score_fn = handcrafted_scores
+            max_gap = handcrafted_reach(self.assign_threshold)
         ids = aggregate(
             graph,
             self.params,
             eps=self.assign_threshold,
             traj_passes=self.traj_passes,
             score_fn=score_fn,
+            max_gap=max_gap,
         )
         return group_tracklets(dets.detections, ids)

@@ -27,6 +27,7 @@ from trackgraph.core import (
     Tracklet,
     ValidationError,
     _endpoints,
+    unchecked,
 )
 from trackgraph.mpn import GraphTensors, MpnParams, forward
 
@@ -137,19 +138,34 @@ def _relabel(ids: np.ndarray) -> np.ndarray:
 
 
 def span_disjoint_edges(
-    traj_nodes: Sequence[Tracklet],
+    traj_nodes: Sequence[Tracklet], max_gap: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory edges for every node pair whose frame spans are disjoint.
+    """Trajectory edges for the node pairs whose frame spans are disjoint.
 
     Returns the (u, v) endpoint arrays, naming nodes by position. Each
-    edge points from the earlier span to the later one; pairs come in
-    node order (that of np.triu_indices).
+    edge points from the earlier span to the later one. When max_gap
+    (>= 0) is given, a pair is kept only if its gap, the later start
+    minus the earlier end, is at most max_gap. Pairs come in node order,
+    by lower then higher position, as a double loop over i < j meets
+    them. One sort of the start frames finds each node's successors, so
+    the work and memory follow the edges kept, not the square of the
+    node count.
     """
     spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
-    a, b = np.triu_indices(len(traj_nodes), 1)
-    a_first = spans[a, 1] < spans[b, 0]
-    keep = a_first | (spans[b, 1] < spans[a, 0])
-    return np.where(a_first, a, b)[keep], np.where(a_first, b, a)[keep]
+    n = spans.shape[0]
+    by_start = np.argsort(spans[:, 0], kind="stable")
+    starts = spans[by_start, 0]
+    # node i's successors sit at by_start[lo[i]:hi[i]]
+    lo = np.searchsorted(starts, spans[:, 1], side="right")
+    hi = n if max_gap is None else np.searchsorted(
+        starts, spans[:, 1] + max_gap, side="right")
+    counts = hi - lo
+    u = np.repeat(np.arange(n), counts)
+    # edge k is successor k - first[u[k]] of its node
+    first = np.cumsum(counts) - counts
+    v = by_start[lo[u] + np.arange(u.size) - first[u]]
+    order = np.argsort(np.minimum(u, v) * n + np.maximum(u, v))
+    return u[order], v[order]
 
 
 def group_tracklets(
@@ -159,32 +175,41 @@ def group_tracklets(
 
     Detection i joins the tracklet of det_ids[i] with index i. The
     detections come in frame order, so each id's members do too, in
-    index order; Tracklet refuses a run whose frames do not increase.
+    index order; one comparison over the grouped frames refuses a run
+    whose frames do not increase, as Tracklet would.
     """
     det_ids = np.asarray(det_ids, dtype=np.int64)
     if det_ids.shape != (len(detections),):
         raise ValidationError("det_ids must align with detections")
     order = np.argsort(det_ids, kind="stable")
-    ids, starts = np.unique(det_ids[order], return_index=True)
+    grouped = det_ids[order]
+    frames = np.fromiter((d.frame for d in detections), dtype=np.int64,
+                         count=len(detections))[order]
+    bad = (grouped[1:] == grouped[:-1]) & (frames[1:] <= frames[:-1])
+    if bad.any():
+        a, b = frames[np.argmax(bad):][:2].tolist()
+        raise ValidationError(f"tracklet frames must strictly increase, got {a} then {b}")
+    ids, starts = np.unique(grouped, return_index=True)
     tracklets = []
     for g, run in zip(ids.tolist(), np.split(order, starts[1:])):
         run = tuple(run.tolist())
-        tracklets.append(Tracklet(id=g, detections=tuple(detections[i] for i in run),
-                                  det_indices=run))
+        tracklets.append(unchecked(Tracklet, id=g, det_indices=run,
+                                   detections=tuple(detections[i] for i in run)))
     return tracklets
 
 
 def build_traj_graph(
-    detections: Sequence[Detection], det_ids: np.ndarray
+    detections: Sequence[Detection], det_ids: np.ndarray,
+    max_gap: Optional[int] = None,
 ) -> TrackGraph:
     """Trajectory-level graph: one node per id, edges where spans allow.
 
     Every id becomes a tracklet node, length one included; pairs with
-    disjoint frame spans connect fully, earlier span first, in the
-    order span_disjoint_edges gives.
+    disjoint frame spans, and a gap of at most max_gap when it is given,
+    connect earlier span first, in the order span_disjoint_edges gives.
     """
     nodes = tuple(group_tracklets(detections, det_ids))
-    return TrackGraph(nodes, *span_disjoint_edges(nodes))
+    return TrackGraph(nodes, *span_disjoint_edges(nodes, max_gap))
 
 
 def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
@@ -212,6 +237,7 @@ def aggregate(
     eps: float = 0.5,
     traj_passes: int = 1,
     score_fn: Optional[ScoreFn] = None,
+    max_gap: Optional[int] = None,
 ) -> np.ndarray:
     """Two-stage identity assignment over a part graph.
 
@@ -219,7 +245,9 @@ def aggregate(
     trajectory pass then regroups the current identities into tracklet
     nodes, re-scores their graph with the same parameters, keeps edges
     above the threshold, and merges groups whose spans stay disjoint;
-    it stops early when nothing merges. Takes a graph of detection
+    it stops early when nothing merges. A max_gap leaves out of the
+    trajectory graphs every pair whose gap exceeds it: exact when no such
+    pair can score above eps. Takes a graph of detection
     nodes only and returns one id per node, numbered by first
     appearance.
     """
@@ -247,7 +275,7 @@ def aggregate(
         graph.spans, problem.u[pos], problem.v[pos], problem.scores[pos])
 
     for _ in range(traj_passes):
-        tg = build_traj_graph(graph.nodes, ids)
+        tg = build_traj_graph(graph.nodes, ids, max_gap)
         if len(tg.nodes) <= 1:
             break
         t_scores = run_scores(tg)

@@ -31,6 +31,7 @@ from trackgraph.core import (
     Detection,
     Tracklet,
     ValidationError,
+    box_fault,
     unchecked,
 )
 from trackgraph.ingest import DetectionSet
@@ -86,8 +87,10 @@ def _merge(a: Tracklet, b: Tracklet) -> Tracklet:
     by_frame = {d.frame: (i, d) for i, d in zip(a.det_indices[k:], a.detections[k:])}
     by_frame.update({d.frame: (i, d) for i, d in zip(b.det_indices, b.detections)})
     tail = [by_frame[f] for f in sorted(by_frame)]
-    return Tracklet(a.id, a.detections[:k] + tuple(d for _, d in tail),
-                    a.det_indices[:k] + tuple(i for i, _ in tail))
+    # a's frames before k all precede the sorted keys, so they increase
+    return unchecked(Tracklet, id=a.id,
+                     detections=a.detections[:k] + tuple(d for _, d in tail),
+                     det_indices=a.det_indices[:k] + tuple(i for i, _ in tail))
 
 
 def stitch(
@@ -154,25 +157,36 @@ def interpolate_gaps(track: Tracklet) -> Tracklet:
 
     Inserted detections carry the endpoint-minimum confidence, the mean
     embedding, and detection index -1. Gap-free tracks come back as-is.
+    Members are made in frame order, so only the inserted boxes and
+    embeddings need a check.
     """
     dets = track.detections
     if all(b.frame - a.frame == 1 for a, b in zip(dets, dets[1:])):
         return track
-    members = list(zip(track.det_indices, dets))
-    for lo, hi in zip(dets, dets[1:]):
+    out, indices = [dets[0]], [track.det_indices[0]]
+    for lo, hi, i in zip(dets, dets[1:], track.det_indices[1:]):
         gap = hi.frame - lo.frame
-        conf = min(lo.confidence, hi.confidence)
-        emb = 0.5 * (lo.embedding + hi.embedding)
-        for k in range(1, gap):
-            w = k / gap
-            box = BoundingBox(
-                lo.box.x + w * (hi.box.x - lo.box.x),
-                lo.box.y + w * (hi.box.y - lo.box.y),
-                lo.box.w + w * (hi.box.w - lo.box.w),
-                lo.box.h + w * (hi.box.h - lo.box.h),
-            )
-            members.append((-1, Detection(lo.frame + k, box, conf, emb)))
-    return Tracklet.from_members(track.id, members)
+        if gap > 1:
+            conf = min(lo.confidence, hi.confidence)
+            emb = 0.5 * (lo.embedding + hi.embedding)
+            if not np.all(np.isfinite(emb)):
+                raise ValidationError("embedding must be finite")
+            emb.setflags(write=False)
+            a, b = lo.box, hi.box
+            for k in range(1, gap):
+                w = k / gap
+                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
+                bw, bh = a.w + w * (b.w - a.w), a.h + w * (b.h - a.h)
+                if (fault := box_fault(x, y, bw, bh)) is not None:
+                    raise ValidationError(fault)
+                box = unchecked(BoundingBox, x=x, y=y, w=bw, h=bh)
+                out.append(unchecked(Detection, frame=lo.frame + k, box=box,
+                                     confidence=conf, embedding=emb, gt_id=None))
+            indices += [-1] * (gap - 1)
+        out.append(hi)
+        indices.append(i)
+    return unchecked(Tracklet, id=track.id, detections=tuple(out),
+                     det_indices=tuple(indices))
 
 
 Pipeline = Callable[[DetectionSet], list[Tracklet]]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trackgraph
-from trackgraph import cli
+from trackgraph import cli, pipeline
 from trackgraph.cli import main
 from trackgraph.ingest import parse_mot
 from trackgraph.mpn import init_params, load_params, save_params
@@ -119,6 +119,22 @@ def test_track_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     assert track(data, a) == 0
     assert track(data, b) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("threshold", ["1.0", "0.999999"])
+def test_track_at_a_threshold_no_score_reaches(tmp_path, capsys, monkeypatch, threshold):
+    # no handcrafted score exceeds these thresholds: every detection is
+    # its own track, with the trajectory graph cut to nothing or kept whole
+    data = synth(tmp_path, objects=4, frames=60,
+                 extra=("--sigma", "0.2", "--miss-rate", "0.2"))
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    capsys.readouterr()
+    assert track(data, a, "--assign-threshold", threshold) == 0
+    n_det = len((data / "det.txt").read_text().splitlines())
+    assert kv(capsys.readouterr().out)["tracks"] == str(n_det)
+    monkeypatch.setattr(pipeline, "handcrafted_reach", lambda eps: None)
+    assert track(data, b, "--assign-threshold", threshold) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

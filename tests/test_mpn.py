@@ -35,6 +35,7 @@ from trackgraph.mpn import (
     focal_loss,
     forward,
     graph_tensors,
+    handcrafted_reach,
     handcrafted_scores,
     init_params,
     load_params,
@@ -896,6 +897,54 @@ def test_handcrafted_separates_obvious_cases():
     assert s[1] > 0.5
     assert s[2] < 0.5
     assert s[3] < 0.05
+
+
+def descriptor_tensors(feats) -> GraphTensors:
+    """Edges 0 -> 1, 0 -> 2, ... carrying the given descriptor rows."""
+    feats = np.asarray(feats, dtype=np.float64).reshape(-1, 6)
+    m = feats.shape[0]
+    return GraphTensors(u=np.zeros(m, dtype=np.int64), v=np.arange(1, m + 1),
+                        feats=feats, node_feat=np.ones((m + 1, 2)),
+                        spans=np.stack([np.arange(m + 1)] * 2, axis=1))
+
+
+def best_case(gap):
+    """The highest-scoring descriptor at a gap: no drift, size change or
+    appearance distance."""
+    return [0.0, 0.0, 0.0, 0.0, float(gap), 0.0]
+
+
+def test_handcrafted_reach_is_the_last_gap_a_best_case_edge_passes():
+    # logit 5 - 0.15 (gap - 1) stays positive up to gap 34
+    assert handcrafted_reach(0.5) == 34
+    for eps in (0.3, 0.5, 0.9, 1e-300):
+        reach = handcrafted_reach(eps)
+        at, past = handcrafted_scores(descriptor_tensors([best_case(reach),
+                                                          best_case(reach + 1)]))
+        assert at > eps >= past
+    # sigmoid(5) < 0.999999: no gap passes
+    assert handcrafted_reach(1.0) == handcrafted_reach(0.999999) == 0
+    for eps in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="eps"):
+            handcrafted_reach(eps)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.sampled_from([0.3, 0.5, 0.9]),
+       rows=st.lists(st.tuples(_finite(-5, 5), _finite(-5, 5), _finite(-2, 2),
+                               _finite(-2, 2), st.integers(1, 300), _finite(0, 3)),
+                     min_size=1, max_size=16))
+@example(eps=0.5, rows=[(0.0, 0.0, 0.0, 0.0, 1, 0.0)])
+@example(eps=0.9, rows=[(-0.0, 0.0, -0.0, 0.0, 1, 0.0)])
+def test_no_edge_beyond_the_handcrafted_reach_scores_above_eps(eps, rows):
+    # rows hold gaps past the reach: 1 is the first gap beyond it
+    feats = np.asarray(rows, dtype=np.float64)
+    feats[:, 4] += handcrafted_reach(eps)
+    assert np.all(handcrafted_scores(descriptor_tensors(feats)) <= eps)
 
 
 # ------------------------------------------------------------- checkpoints

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trackgraph import pipeline, solver
 from trackgraph.core import ValidationError
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.mpn import init_params
@@ -118,3 +119,42 @@ def test_stats_sink_collects_one_entry_per_clip():
     run_clipped(dets, ClipPlan(512, 256), tracker)
     assert len(sink) == 2
     assert all(s.node_count > 0 for s in sink)
+
+
+@pytest.mark.parametrize("spec,plan", [
+    # the weak-appearance scene, and its recipe at 384 frames
+    (ScenarioSpec(10, 160, seed=60, embedding_noise_sigma=0.2, miss_rate=0.1),
+     ClipPlan(512, 256)),
+    (ScenarioSpec(10, 384, seed=60, embedding_noise_sigma=0.2, miss_rate=0.1),
+     ClipPlan(512, 256)),
+    # dense and noisy
+    (ScenarioSpec(20, 128, seed=60, embedding_noise_sigma=0.3, miss_rate=0.05),
+     ClipPlan(512, 256)),
+    # fragmented 64-frame clips, stitched
+    (ScenarioSpec(10, 120, seed=70, embedding_noise_sigma=0.5, miss_rate=0.2,
+                  turn_prob=0.1), ClipPlan(64, 32)),
+])
+def test_handcrafted_reach_leaves_the_tracks_unchanged(monkeypatch, spec, plan):
+    # no fragment pair beyond the reach can score above the threshold,
+    # so cutting the trajectory graph there changes no id
+    dets = synthesize(spec)
+    built = []
+
+    def recorded(*args):
+        graph = build(*args)
+        built.append(graph.n_edges)
+        return graph
+
+    build = solver.build_traj_graph
+    monkeypatch.setattr(solver, "build_traj_graph", recorded)
+
+    def run():
+        built.clear()
+        tracks = run_clipped(dets, plan, ClipTracker())
+        return [(t.id, t.det_indices) for t in tracks], sum(built)
+
+    cut, cut_edges = run()
+    monkeypatch.setattr(pipeline, "handcrafted_reach", lambda eps: None)
+    full, full_edges = run()
+    assert cut == full
+    assert cut_edges < full_edges

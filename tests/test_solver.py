@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -345,23 +347,40 @@ def test_build_traj_graph_groups_and_gates():
     assert list(zip(tg3.u.tolist(), tg3.v.tolist())) == [(0, 1), (0, 2), (1, 2)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=8))
-def test_span_disjoint_edges_match_a_double_loop(spans):
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=8),
+       st.one_of(st.none(), st.integers(0, 25)))
+def test_span_disjoint_edges_match_a_double_loop(spans, max_gap):
     nodes = [
         Tracklet.from_members(k, [(f, det(f, 0.0, 1)) for f in range(a, a + n + 1)])
         for k, (a, n) in enumerate(spans)
     ]
+    reach = float("inf") if max_gap is None else max_gap
     expected = []
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             (si, ei), (sj, ej) = nodes[i].span, nodes[j].span
-            if ei < sj:
+            if ei < sj and sj - ei <= reach:
                 expected.append((i, j))
-            elif ej < si:
+            elif ej < si and si - ej <= reach:
                 expected.append((j, i))
-    u, v = span_disjoint_edges(nodes)
+    u, v = span_disjoint_edges(nodes, max_gap)
     assert list(zip(u.tolist(), v.tolist())) == expected
+
+
+def test_span_disjoint_edges_memory_follows_the_edges_kept():
+    # 5,000 one-frame fragments, two a frame: within a gap of 3 each has
+    # at most 6 successors, so about 30,000 edges; the node pairs number
+    # 12.5 M, and a pass over them would hold hundreds of MB
+    nodes = [Tracklet(k, (det(k // 2, 0.0, 1),), (k,)) for k in range(5000)]
+    tracemalloc.start()
+    try:
+        u, v = span_disjoint_edges(nodes, max_gap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.size == 6 * 5000 - 24
+    assert peak <= 256 * (u.size + len(nodes))
 
 
 # --------------------------------------------------------------- aggregate

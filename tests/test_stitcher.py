@@ -357,6 +357,19 @@ def test_interpolate_three_frame_gap():
     assert out.detections[0] is lo and out.detections[4] is hi
 
 
+def test_interpolate_refuses_an_overflowing_box_or_embedding():
+    # each endpoint is valid, but the midpoint of a 1e200 x 1 box and a
+    # 1 x 1e200 box is about 5e199 on a side, an area past any float
+    lo = Detection(0, BoundingBox(0.0, 0.0, 1e200, 1.0), 0.9, np.asarray([1e308]))
+    hi = Detection(2, BoundingBox(0.0, 0.0, 1.0, 1e200), 0.9, np.asarray([1.0]))
+    with pytest.raises(ValidationError, match="positive area"):
+        interpolate_gaps(Tracklet.from_members(0, [(0, lo), (1, hi)]))
+    # the mean of two large embeddings overflows before its halving
+    hi = replace(lo, frame=2, embedding=np.asarray([1e308]))
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+        interpolate_gaps(Tracklet.from_members(0, [(0, lo), (1, hi)]))
+
+
 def test_interpolate_preserves_id_and_multiple_gaps():
     track = trk(5, (0, 0), (2, 1), (4, 2))
     out = interpolate_gaps(track)
