@@ -166,7 +166,9 @@ EDGE_ARRAY_SCENES = ("weak", "gate700")
 
 # prints one SHA-256 over a scene's part and first trajectory graph:
 # each graph's descriptors, node features and handcrafted scores; calls
-# only functions that every compared tree has
+# only functions that every compared tree has, and hands
+# build_traj_graph the graph's detection set where the graph holds one
+# (its records, in older trees)
 EDGE_ARRAY_CODE = """
 import hashlib, sys
 from trackgraph.ingest import parse_mot
@@ -177,7 +179,7 @@ from trackgraph.solver import aggregate, build_traj_graph
 graph, _ = ClipTracker().build_graph(parse_mot(sys.argv[1], sys.argv[2]))
 ids = aggregate(graph, None, traj_passes=0, score_fn=handcrafted_scores)
 digest = hashlib.sha256()
-for g in (graph, build_traj_graph(graph.nodes, ids)):
+for g in (graph, build_traj_graph(graph.dets if hasattr(graph, "dets") else graph.nodes, ids)):
     tensors = graph_tensors(g)
     for arr in (tensors.feats, tensors.node_feat, handcrafted_scores(tensors)):
         digest.update(arr.tobytes())
@@ -198,7 +200,7 @@ params = load_params(sys.argv[3])
 graph, _ = ClipTracker().build_graph(parse_mot(sys.argv[1], sys.argv[2]))
 ids = aggregate(graph, params, traj_passes=0)
 digest = hashlib.sha256()
-for g in (graph, build_traj_graph(graph.nodes, ids)):
+for g in (graph, build_traj_graph(graph.dets if hasattr(graph, "dets") else graph.nodes, ids)):
     state, scores = forward(g, params)
     for arr in (scores, state.node, state.edge):
         digest.update(arr.tobytes())

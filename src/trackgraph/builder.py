@@ -153,7 +153,7 @@ def build_part_graph(
     links: tuple[Sequence[int], Sequence[int]], dets: DetectionSet
 ) -> TrackGraph:
     """The part graph: detection i as node i, plus the (u, v) links."""
-    return TrackGraph(dets.detections, *links)
+    return TrackGraph(dets, *links)
 
 
 def edge_coverage(graph: TrackGraph, dets: DetectionSet) -> float:
@@ -184,13 +184,10 @@ def fully_connected_edge_count(dets: DetectionSet) -> int:
 
 def dump_graph(graph: TrackGraph) -> str:
     """Line-oriented dump of a part graph: all nodes, then all edges."""
-    lines = []
-    for i, d in enumerate(graph.nodes):
-        b = d.box
-        lines.append(
-            f"node {i} det frame={d.frame} "
-            f"box={b.x:g},{b.y:g},{b.w:g},{b.h:g} conf={d.confidence:g}"
-        )
+    dets = graph.dets
+    rows = zip(dets.frames.tolist(), dets.boxes.tolist(), dets.confidence.tolist())
+    lines = [f"node {i} det frame={f} box={x:g},{y:g},{w:g},{h:g} conf={c:g}"
+             for i, (f, (x, y, w, h), c) in enumerate(rows)]
     if graph.n_edges:
         kind = EdgeKind.DET_DET.value
         rows = zip(graph.u.tolist(), graph.v.tolist(), graph_tensors(graph).feats)

@@ -133,7 +133,7 @@ def _labelled_graphs(dets, cfg: RunConfig):
         graph, tracklets = tracker.build_graph(sub)
         if graph.n_edges:
             primary.append((graph_tensors(graph), edge_labels(graph)))
-        frag = build_traj_graph(sub.detections, tracklet_ids(tracklets, len(sub)))
+        frag = build_traj_graph(sub, tracklet_ids(tracklets, len(sub)))
         if frag.n_edges:
             secondary.append((graph_tensors(frag), edge_labels(frag)))
     return primary, secondary

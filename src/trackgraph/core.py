@@ -3,13 +3,13 @@
 Boxes live in pixel space as (left, top, width, height). Frames are
 integer time indices starting at 0. A tracklet is its members: a
 strictly time-ordered run of detections, at most one per frame. The
-nodes of a graph are the detections or tracklets themselves: each
-answers its kind, its inclusive frame span, its first and last box and
-its appearance feature (a tracklet derives the members' mean embedding
-where it is read). A graph's edges are two aligned arrays of node
-positions, u and v; an edge's kind follows from its endpoints' node
-kinds, and edge descriptors are computed for a whole graph at once by
-mpn.graph_tensors.
+nodes of a graph are index ranges over one DetectionSet: a part graph's
+node i is detection i, and a trajectory graph's node i is a group of
+the set's detections in a CSR member table. A graph's edges are two
+aligned arrays of node positions, u and v. Edge descriptors are
+computed for a whole graph at once from the set's columns by
+mpn.graph_tensors; the nodes and edges as records are views made on
+first read.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from trackgraph.ingest import DetectionSet
 
 DEFAULT_EMBED_DIM = 16
 # the largest box area accepted: two such areas add up to a finite union
@@ -199,18 +202,6 @@ class Detection:
     def span(self) -> tuple[int, int]:
         return (self.frame, self.frame)
 
-    @property
-    def first_box(self) -> BoundingBox:
-        return self.box
-
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.box
-
-    @property
-    def feature(self) -> np.ndarray:
-        return self.embedding
-
 
 @dataclass(frozen=True)
 class Tracklet:
@@ -257,19 +248,6 @@ class Tracklet:
         """Inclusive (first, last) frame span."""
         return (self.detections[0].frame, self.detections[-1].frame)
 
-    @property
-    def first_box(self) -> BoundingBox:
-        return self.detections[0].box
-
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.detections[-1].box
-
-    @property
-    def feature(self) -> np.ndarray:
-        """The members' mean appearance embedding."""
-        return np.mean([d.embedding for d in self.detections], axis=0)
-
 
 class Edge(NamedTuple):
     """Directed link u -> v between two node indices, with its kind.
@@ -283,13 +261,13 @@ class Edge(NamedTuple):
     kind: EdgeKind
 
 
-def _endpoints(name: str, values) -> np.ndarray:
-    """A read-only 1-d int64 copy of one endpoint array."""
+def _endpoints(name: str, values, what: str = "edge endpoints") -> np.ndarray:
+    """A read-only 1-d int64 copy of one endpoint (or other index) array."""
     raw = np.asarray(values)
     if raw.ndim != 1:
-        raise ValidationError(f"edge endpoints {name} must be a 1-d array")
+        raise ValidationError(f"{what} {name} must be a 1-d array")
     if raw.size and not np.issubdtype(raw.dtype, np.integer):
-        raise ValidationError(f"edge endpoints {name} must be integers")
+        raise ValidationError(f"{what} {name} must be integers")
     out = raw.astype(np.int64)  # always a copy: nobody else holds it
     out.setflags(write=False)
     return out
@@ -297,25 +275,36 @@ def _endpoints(name: str, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrackGraph:
-    """Immutable graph whose nodes are detections or tracklets themselves.
+    """Immutable graph whose nodes are index ranges over a DetectionSet.
 
-    Node i is the i-th entry of nodes. Edge k runs from node u[k] to
-    node v[k]; u and v are read-only int64 arrays of equal length. Every
-    edge points forward in time (u's span ends strictly before v's span
-    starts), so the graph is a DAG by construction; this also rules out
-    self-loops. No (u, v) pair repeats. spans is made on construction:
-    the read-only (n, 2) int64 array of the nodes' inclusive frame
-    spans, row i for node i.
+    dets is the clip's detection set. With groups None, node i is
+    detection i (a part graph). Otherwise groups is a CSR table
+    (offsets, members): node i holds the detections
+    members[offsets[i]:offsets[i + 1]], at least one, in strictly
+    increasing frame order (a trajectory graph). Edge k runs from node
+    u[k] to node v[k]; u and v are read-only int64 arrays of equal
+    length. Every edge points forward in time (u's span ends strictly
+    before v's span starts), so the graph is a DAG by construction; this
+    also rules out self-loops. No (u, v) pair repeats. spans is made on
+    construction: the read-only (n, 2) int64 array of the nodes'
+    inclusive frame spans, row i for node i.
     """
 
-    nodes: tuple[Union[Detection, Tracklet], ...]
+    dets: DetectionSet
     u: np.ndarray
     v: np.ndarray
+    groups: Optional[tuple[np.ndarray, np.ndarray]] = None
     spans: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u, v = _endpoints("u", self.u), _endpoints("v", self.v)
-        spans = np.asarray([node.span for node in self.nodes], dtype=np.int64).reshape(-1, 2)
+        frames = self.dets.frames
+        if self.groups is None:
+            spans = np.stack([frames, frames], axis=1)
+        else:
+            offsets, members = _check_groups(frames, *self.groups)
+            object.__setattr__(self, "groups", (offsets, members))
+            spans = group_spans(frames, offsets, members)
         spans.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -326,7 +315,7 @@ class TrackGraph:
             )
         if not u.size:
             return
-        n = len(self.nodes)
+        n = self.n_nodes
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():
             k = int(np.argmax(bad))
@@ -342,19 +331,66 @@ class TrackGraph:
             )
 
     @property
+    def n_nodes(self) -> int:
+        return self.spans.shape[0]
+
+    @property
     def n_edges(self) -> int:
         return self.u.size
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as Edge(u, v, kind) records, built on first read.
-
-        The kind follows from the endpoints: two detections make
-        DET_DET, two tracklets TRAJ_TRAJ, one of each DET_TRAJ.
-        """
-        traj = [node.kind is NodeKind.TRAJ for node in self.nodes]
-        kinds = (EdgeKind.DET_DET, EdgeKind.DET_TRAJ, EdgeKind.TRAJ_TRAJ)
+    def nodes(self) -> tuple[Union[Detection, Tracklet], ...]:
+        """The nodes as records, made on first read: the set's detections
+        for a part graph, one Tracklet per group (its id the node
+        position) for a trajectory graph. Tracking and training never
+        read them; the benchmark tracer and the tests' references do."""
+        records = self.dets.detections
+        if self.groups is None:
+            return records
+        members, bounds = self.groups[1].tolist(), self.groups[0].tolist()
+        runs = (tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
         return tuple(
-            Edge(a, b, kinds[traj[a] + traj[b]])
-            for a, b in zip(self.u.tolist(), self.v.tolist())
+            unchecked(Tracklet, id=i, det_indices=run,
+                      detections=tuple(records[j] for j in run))
+            for i, run in enumerate(runs)
         )
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as Edge(u, v, kind) records, built on first read:
+        DET_DET in a part graph, TRAJ_TRAJ in a trajectory graph."""
+        kind = EdgeKind.DET_DET if self.groups is None else EdgeKind.TRAJ_TRAJ
+        return tuple(Edge(a, b, kind) for a, b in zip(self.u.tolist(), self.v.tolist()))
+
+
+def _check_groups(frames: np.ndarray, offsets, members) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 copies of a CSR member table over a set with the
+    given frame column, after checking it: offsets rise strictly from 0
+    to the member count, every member names a detection, and each
+    group's frames strictly increase."""
+    offsets = _endpoints("offsets", offsets, "group")
+    members = _endpoints("members", members, "group")
+    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != members.size
+            or (offsets[1:] <= offsets[:-1]).any()):
+        raise ValidationError(
+            "group offsets must rise strictly from 0 to the member count")
+    if members.size and (members.min() < 0 or members.max() >= frames.size):
+        raise ValidationError("group member out of range")
+    check_increasing(frames[members], offsets)
+    return offsets, members
+
+
+def group_spans(frames: np.ndarray, offsets: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (n, 2) inclusive frame spans of a CSR member table's groups,
+    each group in frame order."""
+    return np.stack([frames[members[offsets[:-1]]], frames[members[offsets[1:] - 1]]], axis=1)
+
+
+def check_increasing(frames: np.ndarray, offsets: np.ndarray) -> None:
+    """Refuse a group whose frames do not strictly increase; group i's
+    frames are frames[offsets[i]:offsets[i + 1]]."""
+    bad = frames[1:] <= frames[:-1]
+    bad[offsets[1:-1] - 1] = False  # a group's first frame follows no member
+    if bad.any():
+        a, b = frames[np.argmax(bad):][:2].tolist()
+        raise ValidationError(f"tracklet frames must strictly increase, got {a} then {b}")

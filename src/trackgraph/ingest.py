@@ -66,7 +66,7 @@ class DetectionSet:
     column, or D alone: embeddings() then hashes pseudo-embeddings from
     the frames and boxes on first read. detections is a view of Detection
     records made on first read; build keeps the records it is given, and
-    a slice takes its parent's.
+    a slice takes its parent's when it is first read.
     """
 
     frames: np.ndarray
@@ -116,7 +116,7 @@ class DetectionSet:
         embedding alike, so overlapping slices make neither twice."""
         part = DetectionSet(self.frames[lo:hi], self.boxes[lo:hi], self.confidence[lo:hi],
                             self.gt_ids[lo:hi], n_frames, self.embeddings()[lo:hi])
-        object.__setattr__(part, "detections", self.detections[lo:hi])
+        object.__setattr__(part, "_origin", (self, lo))
         return part
 
     def __len__(self) -> int:
@@ -129,7 +129,11 @@ class DetectionSet:
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
-        """The detections as records, made from the columns on first read."""
+        """The detections as records, made on first read: a slice takes
+        its parent's, any other set makes them from its columns."""
+        if (origin := self.__dict__.pop("_origin", None)) is not None:
+            parent, lo = origin
+            return parent.detections[lo : lo + len(self)]
         # every record is made from checked columns
         gt = [g if g >= 0 else None for g in self.gt_ids.tolist()]
         return tuple(

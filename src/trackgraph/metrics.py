@@ -156,7 +156,7 @@ class GraphStats:
 
 
 def graph_stats(graph: TrackGraph) -> GraphStats:
-    return GraphStats(len(graph.nodes), graph.n_edges)
+    return GraphStats(graph.n_nodes, graph.n_edges)
 
 
 @dataclass(frozen=True)

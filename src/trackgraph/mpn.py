@@ -49,16 +49,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from trackgraph.core import (
-    Detection,
-    NodeKind,
-    NumericError,
-    ParseError,
-    TrackGraph,
-    Tracklet,
-    ValidationError,
-    box_rows,
-)
+from trackgraph.core import NumericError, ParseError, TrackGraph, ValidationError
 
 _CKPT_MAGIC = b"TGCKPT01"
 _SCORE_CLAMP = 1e-7
@@ -289,46 +280,41 @@ class GraphTensors:
         return self.u.size
 
 
-def _node_features(nodes: Sequence[Union[Detection, Tracklet]]) -> np.ndarray:
-    """The nodes' appearance vectors as rows: a detection's embedding, a
-    tracklet's mean member embedding.
-
-    When every node is a tracklet (a trajectory graph), the means are
-    one sum over all members in node order, divided by the member
-    counts. np.mean over axis 0 of a (k, D) array also adds the rows one
-    by one from zero, so the bits agree. Any other node list, and 1-d
-    embeddings, for which np.mean sums pairwise, read each node's own
-    feature.
-    """
-    if any(node.kind is NodeKind.DET for node in nodes) or nodes[0].feature.size == 1:
-        return np.stack([node.feature for node in nodes])
-    counts = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
-    emb = np.stack([d.embedding for node in nodes for d in node.detections])
-    owner = np.repeat(np.arange(len(nodes)), counts)
-    return (_incidence(owner, len(nodes)) @ emb) / counts[:, None]
-
-
 def graph_tensors(graph: TrackGraph) -> GraphTensors:
     """Pack a graph for the network; the one place edge descriptors are made.
 
     The descriptor of a forward edge u -> v compares u's last box with
     v's first box: offsets normalised by the summed heights, log
     width/height ratios, then the frame gap and the euclidean distance
-    of the (mean) appearance vectors. Detections act as length-1
-    tracklets. Edges are computed EDGE_BLOCK at a time into one
-    preallocated array, so no temporary grows with the edge count: a
+    of the (mean) appearance vectors. Everything is read from the
+    detection set's columns. A part graph's node features are its
+    embeddings as they are. A group's mean is one sum over all members
+    in node order, divided by the member counts: np.mean over axis 0 of
+    a (k, D) array also adds the rows one by one from zero, so the bits
+    agree. With 1-d embeddings, for which np.mean sums pairwise, each
+    group takes its own np.mean. A one-member group gives the same
+    descriptor as its detection. Edges are computed EDGE_BLOCK at a time
+    into one preallocated array, so no temporary grows with the edge count: a
     trajectory graph can hold every span-disjoint pair of hundreds of
     fragments, and full-length (edges x embedding) gathers would make
     its packing the largest allocation of a run. Each descriptor is the
     same whatever block holds it.
     """
-    n = len(graph.nodes)
-    if n == 0:
+    if graph.n_nodes == 0:
         raise ValidationError("graph has no nodes")
-    node_feat = _node_features(graph.nodes)
     u, v, spans = graph.u, graph.v, graph.spans
-    last = box_rows(node.last_box for node in graph.nodes)
-    first = box_rows(node.first_box for node in graph.nodes)
+    node_feat = emb = graph.dets.embeddings()
+    first = last = graph.dets.boxes
+    if graph.groups is not None:
+        offsets, members = graph.groups
+        first, last = first[members[offsets[:-1]]], last[members[offsets[1:] - 1]]
+        counts = np.diff(offsets)
+        if emb.shape[1] == 1:
+            node_feat = np.stack([np.mean(emb[members[a:b]], axis=0) for a, b in
+                                  zip(offsets[:-1].tolist(), offsets[1:].tolist())])
+        else:
+            owner = np.repeat(np.arange(counts.size), counts)
+            node_feat = (_incidence(owner, counts.size) @ emb[members]) / counts[:, None]
     feats = np.empty((u.size, 6))
     for start in range(0, u.size, EDGE_BLOCK):
         a, b = u[start : start + EDGE_BLOCK], v[start : start + EDGE_BLOCK]
@@ -649,10 +635,6 @@ def backward(
 # ------------------------------------------------------------------ labels
 
 
-def _members(node: Union[Detection, Tracklet]) -> Sequence[Detection]:
-    return (node,) if node.kind is NodeKind.DET else node.detections
-
-
 def edge_labels(graph: TrackGraph) -> np.ndarray:
     """1 for edges linking consecutive same-identity fragments, else 0.
 
@@ -663,24 +645,26 @@ def edge_labels(graph: TrackGraph) -> np.ndarray:
     first and last frame are keys of its identity, so the keys strictly
     between u's last and v's first are the frames in between.
     """
-    number: dict[int, int] = {}  # gt id -> dense number
-    member_id, member_frame = [], []
-    pure = np.full(len(graph.nodes), -1, dtype=np.int64)  # number, or -1
-    for k, node in enumerate(graph.nodes):
-        ids = set()
-        for d in _members(node):
-            ids.add(d.gt_id)
-            if d.gt_id is not None:
-                member_id.append(number.setdefault(d.gt_id, len(number)))
-                member_frame.append(d.frame)
-        if len(ids) == 1 and None not in ids:
-            pure[k] = number[ids.pop()]
-    frames, rank = np.unique(np.asarray(member_frame, dtype=np.int64), return_inverse=True)
-    keys = np.unique(np.asarray(member_id, dtype=np.int64) * frames.size + rank)
-    pos = np.searchsorted(keys, pure[:, None] * frames.size
-                          + np.searchsorted(frames, graph.spans))
+    gt, frames = graph.dets.gt_ids, graph.dets.frames
+    if graph.groups is not None:
+        offsets, members = graph.groups
+        gt, frames = gt[members], frames[members]
+    lowest = highest = gt  # with no members, there is no node either
+    if graph.groups is not None and gt.size:
+        lowest = np.minimum.reduceat(gt, offsets[:-1])
+        highest = np.maximum.reduceat(gt, offsets[:-1])
+    # a node is pure when its members' smallest and largest id agree and
+    # are an identity (gt_ids holds -1 for none)
+    pure = (lowest == highest) & (lowest >= 0)
+    known = gt >= 0
+    ids, number = np.unique(gt[known], return_inverse=True)
+    frame_set, rank = np.unique(frames[known], return_inverse=True)
+    keys = np.unique(number * frame_set.size + rank)
+    node_number = np.where(pure, np.searchsorted(ids, lowest), -1)
+    pos = np.searchsorted(keys, node_number[:, None] * frame_set.size
+                          + np.searchsorted(frame_set, graph.spans))
     u, v = graph.u, graph.v
-    positive = (pure[u] >= 0) & (pure[u] == pure[v]) & (pos[v, 0] <= pos[u, 1] + 1)
+    positive = pure[u] & (node_number[u] == node_number[v]) & (pos[v, 0] <= pos[u, 1] + 1)
     return positive.astype(np.int64)
 
 

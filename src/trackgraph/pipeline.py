@@ -77,7 +77,7 @@ class ClipTracker:
         index lists; an empty set gives an empty graph.
         """
         if len(dets) == 0:
-            return TrackGraph((), (), ()), []
+            return TrackGraph(dets, (), ()), []
         first, last = dets.frames[[0, -1]].tolist()
         span = last - first + 1
         window = min(self.window, span)

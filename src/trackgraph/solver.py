@@ -4,13 +4,15 @@ Rounding projects fractional edge scores onto flow-feasible binary
 labelings: at most one positive outgoing and one positive incoming
 edge per node, the discrete analogue of unit-capacity flow. A greedy
 projection does the rounding; the tests hold an exhaustive oracle for
-small instances. Connected components over the positive edges then assign
-identities, refusing any merge that would put two time-overlapping
-nodes in one group. Aggregation applies the machinery twice: once over
-the part graph's detection links, then over trajectory graphs whose
-nodes are the tracklets of the first pass, re-scored with the same
-parameters. Tracklets are nodes only in those trajectory graphs. Both
-passes read the graph's endpoint arrays and node spans as they are.
+small instances. Aggregation then assigns identities twice. Over the
+part graph's detection links, the rounded edges chain the detections
+into paths, which label the detections as they are. Trajectory graphs,
+whose nodes group the detections by the first pass's fragments, are
+re-scored with the same parameters, and connected components over their
+edges above the threshold merge fragments, refusing any merge that would
+put two time-overlapping nodes in one group. Both passes read the
+graph's endpoint arrays and node spans, and a trajectory graph's nodes
+are index groups over the clip's detection set, not records.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ import numpy as np
 
 from trackgraph.core import (
     Detection,
-    NodeKind,
     TrackGraph,
     Tracklet,
     ValidationError,
     _endpoints,
+    check_increasing,
+    group_spans,
     unchecked,
 )
+from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import GraphTensors, MpnParams, forward
 
 
@@ -104,14 +108,17 @@ def connected_components_ids(
     Edge k links u[k] and v[k] with score scores[k]. Edges merge
     strongest-first; a merge is refused when the two groups occupy a
     common frame. Returns one id per node, numbered by first
-    appearance.
+    appearance. A group's frames are one Python int, bit f - first frame
+    standing for frame f: & tests a merge and | applies it.
     """
     spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     order = _strongest_first(u, v, np.asarray(scores, dtype=np.float64))
     n = spans.shape[0]
     parent = list(range(n))
-    frames = [set(range(s, e + 1)) for s, e in spans.tolist()]
+    lo = spans[:, 0] - (spans[:, 0].min() if n else 0)
+    width = spans[:, 1] - spans[:, 0] + 1
+    frames = [((1 << w) - 1) << s for s, w in zip(lo.tolist(), width.tolist())]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -121,12 +128,31 @@ def connected_components_ids(
 
     for a, b in zip(u[order].tolist(), v[order].tolist()):
         ra, rb = find(a), find(b)
-        if ra == rb or not frames[ra].isdisjoint(frames[rb]):
+        if ra == rb or frames[ra] & frames[rb]:
             continue
         parent[rb] = ra
         frames[ra] |= frames[rb]
-        frames[rb] = set()
     return _relabel(np.asarray([find(i) for i in range(n)], dtype=np.int64))
+
+
+def path_ids(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One id per node along edges that form vertex-disjoint paths.
+
+    Each node has at most one edge out and one in, and every edge points
+    forward in time, so the edges u[k] -> v[k] chain the nodes into
+    paths and no cycle. Each node points at its predecessor, and the
+    pointers jump (head = head[head]) until every node names its path's
+    first node. Returns one id per node, numbered by first appearance:
+    what connected_components_ids gives when each node spans one frame,
+    since no two of these paths can then share one.
+    """
+    head = np.arange(n_nodes)
+    head[v] = u
+    while True:
+        jumped = head[head]
+        if np.array_equal(jumped, head):
+            return _relabel(head)
+        head = jumped
 
 
 def _relabel(ids: np.ndarray) -> np.ndarray:
@@ -138,10 +164,11 @@ def _relabel(ids: np.ndarray) -> np.ndarray:
 
 
 def span_disjoint_edges(
-    traj_nodes: Sequence[Tracklet], max_gap: Optional[int] = None,
+    spans: np.ndarray, max_gap: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory edges for the node pairs whose frame spans are disjoint.
 
+    spans holds each node's inclusive (first, last) frames as a row.
     Returns the (u, v) endpoint arrays, naming nodes by position. Each
     edge points from the earlier span to the later one. When max_gap
     (>= 0) is given, a pair is kept only if its gap, the later start
@@ -151,7 +178,7 @@ def span_disjoint_edges(
     the work and memory follow the edges kept, not the square of the
     node count.
     """
-    spans = np.asarray([tn.span for tn in traj_nodes], dtype=np.int64).reshape(-1, 2)
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
     n = spans.shape[0]
     by_start = np.argsort(spans[:, 0], kind="stable")
     starts = spans[by_start, 0]
@@ -168,6 +195,17 @@ def span_disjoint_edges(
     return u[order], v[order]
 
 
+def _id_groups(det_ids: np.ndarray, n_det: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ids, ascending, and the CSR table (offsets, members)
+    of the detections under each, in index order, from one stable sort."""
+    det_ids = np.asarray(det_ids, dtype=np.int64)
+    if det_ids.shape != (n_det,):
+        raise ValidationError("det_ids must align with detections")
+    members = np.argsort(det_ids, kind="stable")
+    ids, starts = np.unique(det_ids[members], return_index=True)
+    return ids, np.append(starts, n_det), members
+
+
 def group_tracklets(
     detections: Sequence[Detection], det_ids: np.ndarray
 ) -> list[Tracklet]:
@@ -178,38 +216,32 @@ def group_tracklets(
     index order; one comparison over the grouped frames refuses a run
     whose frames do not increase, as Tracklet would.
     """
-    det_ids = np.asarray(det_ids, dtype=np.int64)
-    if det_ids.shape != (len(detections),):
-        raise ValidationError("det_ids must align with detections")
-    order = np.argsort(det_ids, kind="stable")
-    grouped = det_ids[order]
+    ids, offsets, members = _id_groups(det_ids, len(detections))
     frames = np.fromiter((d.frame for d in detections), dtype=np.int64,
-                         count=len(detections))[order]
-    bad = (grouped[1:] == grouped[:-1]) & (frames[1:] <= frames[:-1])
-    if bad.any():
-        a, b = frames[np.argmax(bad):][:2].tolist()
-        raise ValidationError(f"tracklet frames must strictly increase, got {a} then {b}")
-    ids, starts = np.unique(grouped, return_index=True)
+                         count=len(detections))
+    check_increasing(frames[members], offsets)
+    order, bounds = members.tolist(), offsets.tolist()
     tracklets = []
-    for g, run in zip(ids.tolist(), np.split(order, starts[1:])):
-        run = tuple(run.tolist())
+    for g, a, b in zip(ids.tolist(), bounds, bounds[1:]):
+        run = tuple(order[a:b])
         tracklets.append(unchecked(Tracklet, id=g, det_indices=run,
                                    detections=tuple(detections[i] for i in run)))
     return tracklets
 
 
 def build_traj_graph(
-    detections: Sequence[Detection], det_ids: np.ndarray,
-    max_gap: Optional[int] = None,
+    dets: DetectionSet, det_ids: np.ndarray, max_gap: Optional[int] = None,
 ) -> TrackGraph:
     """Trajectory-level graph: one node per id, edges where spans allow.
 
-    Every id becomes a tracklet node, length one included; pairs with
-    disjoint frame spans, and a gap of at most max_gap when it is given,
-    connect earlier span first, in the order span_disjoint_edges gives.
+    Node p holds the detections of the p-th smallest id, in index order,
+    length one included; pairs with disjoint frame spans, and a gap of
+    at most max_gap when it is given, connect earlier span first, in the
+    order span_disjoint_edges gives.
     """
-    nodes = tuple(group_tracklets(detections, det_ids))
-    return TrackGraph(nodes, *span_disjoint_edges(nodes, max_gap))
+    _, offsets, members = _id_groups(det_ids, len(dets))
+    spans = group_spans(dets.frames, offsets, members)
+    return TrackGraph(dets, *span_disjoint_edges(spans, max_gap), (offsets, members))
 
 
 def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
@@ -255,10 +287,10 @@ def aggregate(
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
     if traj_passes < 0:
         raise ValidationError("traj_passes must be non-negative")
-    n_det = len(graph.nodes)
+    n_det = graph.n_nodes
     if n_det == 0:
         return np.zeros(0, dtype=np.int64)
-    if any(node.kind is not NodeKind.DET for node in graph.nodes):
+    if graph.groups is not None:
         raise ValidationError("aggregate takes a graph of detection nodes only")
 
     def run_scores(g: TrackGraph) -> np.ndarray:
@@ -271,18 +303,17 @@ def aggregate(
     problem = RoundingProblem(n_det, graph.u, graph.v,
                               np.clip(run_scores(graph), 0.0, 1.0))
     pos = greedy_round(problem, eps).astype(bool)
-    ids = connected_components_ids(
-        graph.spans, problem.u[pos], problem.v[pos], problem.scores[pos])
+    ids = path_ids(n_det, problem.u[pos], problem.v[pos])
 
     for _ in range(traj_passes):
-        tg = build_traj_graph(graph.nodes, ids, max_gap)
-        if len(tg.nodes) <= 1:
+        tg = build_traj_graph(graph.dets, ids, max_gap)
+        if tg.n_nodes <= 1:
             break
         t_scores = run_scores(tg)
         keep = t_scores > eps
         gids = connected_components_ids(
             tg.spans, tg.u[keep], tg.v[keep], np.clip(t_scores[keep], 0.0, 1.0))
-        if len(set(gids.tolist())) == len(tg.nodes):
+        if gids.max() + 1 == tg.n_nodes:
             break
         # node p of the trajectory graph holds the p-th smallest id
         ids = gids[np.unique(ids, return_inverse=True)[1]]

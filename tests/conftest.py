@@ -3,7 +3,16 @@
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import NumericError, Tracklet, ValidationError, box_rows, iou
+from trackgraph.core import (
+    Detection,
+    NumericError,
+    TrackGraph,
+    Tracklet,
+    ValidationError,
+    box_rows,
+    iou,
+)
+from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import (
     EmbeddingState,
     GraphTensors,
@@ -27,6 +36,29 @@ def assert_links(links, u, v):
     assert len(links) == 2
     for got, want in zip(links, (u, v)):
         np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64), strict=True)
+
+
+def members_of(node):
+    """A record node's member detections: a detection is its own."""
+    return (node,) if isinstance(node, Detection) else node.detections
+
+
+def graph_of(nodes, u, v):
+    """A TrackGraph over record nodes, as the pipeline builds one.
+
+    The set is DetectionSet.build over every member record, each record
+    once. Detections in frame order make a part graph, node i being
+    detection i; any other node list makes a trajectory graph whose node
+    i holds the members of nodes[i], a detection as a one-member group.
+    """
+    records = list({id(d): d for node in nodes for d in members_of(node)}.values())
+    dets = DetectionSet.build(records)
+    index = {id(d): i for i, d in enumerate(dets.detections)}
+    members = [index[id(d)] for node in nodes for d in members_of(node)]
+    if all(isinstance(node, Detection) for node in nodes) and members == sorted(members):
+        return TrackGraph(dets, u, v)
+    offsets = np.cumsum([0] + [len(members_of(node)) for node in nodes])
+    return TrackGraph(dets, u, v, (offsets, members))
 
 
 def window_starts(plan, origin=0):
@@ -92,15 +124,22 @@ def random_graph_tensors(rng, n_nodes=5, n_edges=6, dim=3):
 
 
 def reference_graph_tensors(graph):
-    """mpn.graph_tensors computed in one pass over all edges.
+    """mpn.graph_tensors computed from the graph's node records, in one
+    pass over all edges.
 
-    Node features are each node's np.mean; every descriptor column is one
-    full-length array. The blocked graph_tensors must match it bit for bit.
+    Node features are each node's np.mean over its members' embeddings
+    (a detection's own embedding); boxes are the first and last member's;
+    every descriptor column is one full-length array. The blocked,
+    column-reading graph_tensors must match it bit for bit.
     """
-    node_feat = np.stack([node.feature for node in graph.nodes])
+    node_feat = np.stack([
+        node.embedding if isinstance(node, Detection)
+        else np.mean([d.embedding for d in node.detections], axis=0)
+        for node in graph.nodes
+    ])
     u, v, spans = graph.u, graph.v, graph.spans
-    bu = box_rows(node.last_box for node in graph.nodes)[u]
-    bv = box_rows(node.first_box for node in graph.nodes)[v]
+    bu = box_rows(members_of(node)[-1].box for node in graph.nodes)[u]
+    bv = box_rows(members_of(node)[0].box for node in graph.nodes)[v]
     denom = bu[:, 3] + bv[:, 3]
     diff = node_feat[u] - node_feat[v]
     dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
@@ -115,6 +154,34 @@ def reference_graph_tensors(graph):
         ]
     )
     return GraphTensors(u, v, feats, node_feat, spans)
+
+
+def reference_edge_labels(graph):
+    """mpn.edge_labels read from the graph's node records, node by node.
+
+    Every (identity, frame) a member shows is one sorted key; an edge is
+    positive when both endpoints are pure in one identity and no key of
+    it falls strictly between u's last frame and v's first frame.
+    """
+    number = {}  # gt id -> dense number
+    member_id, member_frame = [], []
+    pure = np.full(len(graph.nodes), -1, dtype=np.int64)  # number, or -1
+    for k, node in enumerate(graph.nodes):
+        ids = set()
+        for d in members_of(node):
+            ids.add(d.gt_id)
+            if d.gt_id is not None:
+                member_id.append(number.setdefault(d.gt_id, len(number)))
+                member_frame.append(d.frame)
+        if len(ids) == 1 and None not in ids:
+            pure[k] = number[ids.pop()]
+    frames, rank = np.unique(np.asarray(member_frame, dtype=np.int64), return_inverse=True)
+    keys = np.unique(np.asarray(member_id, dtype=np.int64) * frames.size + rank)
+    pos = np.searchsorted(keys, pure[:, None] * frames.size
+                          + np.searchsorted(frames, graph.spans))
+    u, v = graph.u, graph.v
+    positive = (pure[u] >= 0) & (pure[u] == pure[v]) & (pos[v, 0] <= pos[u, 1] + 1)
+    return positive.astype(np.int64)
 
 
 def reference_handcrafted_scores(g):

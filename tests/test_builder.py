@@ -207,7 +207,7 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
             assert group == {t[0]}
     # the builder's tracklets, and every detection on its own
     for ids in (ids, np.arange(len(dets))):
-        traj = build_traj_graph(dets.detections, ids)
+        traj = build_traj_graph(dets, ids)
         assert_forward_dag(traj)
         assert traj.edges == records(traj, EdgeKind.TRAJ_TRAJ)
 

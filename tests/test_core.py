@@ -18,7 +18,10 @@ from trackgraph.core import (
     iou_matrix,
     iou_rows,
 )
+from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
+
+from conftest import graph_of
 
 
 def make_det(frame, x=0.0, y=0.0, w=10.0, h=10.0, emb=(1.0, 0.0), gt_id=None):
@@ -196,23 +199,30 @@ def test_tracklet_from_members_orders_and_averages():
     assert t.det_indices == (10, 11)
     assert t.span == (3, 5)
     assert len(t) == 2
-    # a tracklet derives its member mean where it is read
-    assert np.all(t.feature == np.mean([d3.embedding, d5.embedding], axis=0))
-    assert np.all(t.feature == [0.5, 1.0])
+    # as a graph node, a tracklet's feature is its member mean
+    feature = graph_tensors(graph_of((t,), [], [])).node_feat[0]
+    assert np.all(feature == np.mean([d3.embedding, d5.embedding], axis=0))
+    assert np.all(feature == [0.5, 1.0])
 
 
 def test_detection_and_tracklet_answer_node_attributes():
     d = make_det(4, x=1.0, emb=(0.0, 3.0))
     assert d.kind is NodeKind.DET
     assert d.span == (4, 4)
-    assert d.first_box is d.box and d.last_box is d.box
-    assert d.feature is d.embedding
     first, last = make_det(2, x=5.0, emb=(1.0, 1.0)), make_det(6, x=9.0, emb=(3.0, 1.0))
     t = Tracklet.from_members(0, [(0, first), (1, d), (2, last)])
     assert t.kind is NodeKind.TRAJ
     assert t.span == (2, 6)
-    assert t.first_box is first.box and t.last_box is last.box
-    assert np.all(t.feature == [4.0 / 3.0, 5.0 / 3.0])
+    # as graph nodes: a detection reads its own box and embedding, a
+    # tracklet its first member's box, its last member's box and the
+    # member mean (descriptor offsets are 2 dx / summed heights)
+    before, after = make_det(0, x=-3.0), make_det(9, x=13.0)
+    for node, first_x, last_x, feature in ((d, 1.0, 1.0, d.embedding),
+                                           (t, 5.0, 9.0, [4.0 / 3.0, 5.0 / 3.0])):
+        tensors = graph_tensors(graph_of((before, node, after), [0, 1], [1, 2]))
+        assert np.all(tensors.node_feat[1] == feature)
+        assert tensors.feats[0, 0] == 2.0 * (first_x + 3.0) / 20.0
+        assert tensors.feats[1, 0] == 2.0 * (13.0 - last_x) / 20.0
 
 
 def test_tracklet_rejects_two_detections_same_frame():
@@ -235,65 +245,103 @@ def span_tracklet(tid, start, end):
 
 
 def test_graph_construction():
-    d0, d1 = make_det(0), make_det(1)
-    nodes = (d0, d1, span_tracklet(0, 3, 5))
-    g = TrackGraph(nodes, [0, 1], [1, 2])
-    assert len(g.nodes) == 3
-    assert [n.kind for n in g.nodes] == [NodeKind.DET, NodeKind.DET, NodeKind.TRAJ]
+    # a part graph: node i is detection i of the set, read as its record
+    d0, d1, d2 = make_det(0), make_det(1), make_det(3)
+    g = graph_of((d0, d1, d2), [0, 1], [1, 2])
+    assert g.groups is None and g.n_nodes == len(g.nodes) == 3
+    assert [n.kind for n in g.nodes] == [NodeKind.DET] * 3
     assert g.nodes[0] is d0
-    assert g.nodes[2].span == (3, 5)
+    assert g.spans.tolist() == [[0, 0], [1, 1], [3, 3]]
     assert g.n_edges == 2
     assert g.u.dtype == g.v.dtype == np.int64
-    # the record view derives each kind from the endpoints' node kinds
-    assert g.edges == (
-        Edge(0, 1, EdgeKind.DET_DET),
-        Edge(1, 2, EdgeKind.DET_TRAJ),
-    )
+    assert g.edges == (Edge(0, 1, EdgeKind.DET_DET), Edge(1, 2, EdgeKind.DET_DET))
+    # a trajectory graph: node i is a group of the set's detections,
+    # read as a tracklet; a detection is a one-member group
+    g = graph_of((d0, d1, span_tracklet(0, 3, 5)), [0, 1], [1, 2])
+    assert g.n_nodes == len(g.nodes) == 3
+    assert [n.kind for n in g.nodes] == [NodeKind.TRAJ] * 3
+    assert g.nodes[0].detections == (d0,) and g.nodes[0].det_indices == (0,)
+    assert g.nodes[2].span == (3, 5) and g.nodes[2].det_indices == (2, 3, 4)
+    assert g.spans.tolist() == [[0, 0], [1, 1], [3, 5]]
+    assert g.n_edges == 2
+    assert g.edges == (Edge(0, 1, EdgeKind.TRAJ_TRAJ), Edge(1, 2, EdgeKind.TRAJ_TRAJ))
+
+
+def test_graph_groups_are_checked_read_only_copies():
+    dets = DetectionSet([0, 1, 1, 2], [[0.0, 0.0, 1.0, 1.0]] * 4, [1.0] * 4,
+                        [-1] * 4, 3, np.ones((4, 2)))
+    offsets, members = np.asarray([0, 2, 4]), np.asarray([0, 1, 2, 3])
+    g = TrackGraph(dets, [], [], (offsets, members))
+    offsets[1] = 1  # the caller's arrays stay the caller's
+    assert g.groups[0].tolist() == [0, 2, 4] and g.spans.tolist() == [[0, 1], [1, 2]]
+    for arr in g.groups:
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    bad_tables = [
+        ([0, 2], [0, 1, 2]),  # offsets stop short of the members
+        ([1, 2], [0, 1]),  # offsets start past 0
+        ([0, 2, 2, 4], [0, 1, 2, 3]),  # an empty group
+        ([0, 3, 2, 4], [0, 1, 2, 3]),  # offsets fall
+        ([], []),  # no offsets at all
+        ([0, 2], [0, 4]),  # a member past the set
+        ([0, 2], [-1, 0]),  # a negative member
+        ([0.0, 2.0], [0, 1]),  # float offsets
+        ([[0, 2]], [0, 1]),  # 2-d offsets
+    ]
+    for offsets, members in bad_tables:
+        with pytest.raises(ValidationError):
+            TrackGraph(dets, [], [], (offsets, members))
+    # frames must strictly increase in a group, with group_tracklets' message
+    for members in ([1, 2], [1, 0]):
+        with pytest.raises(ValidationError, match="tracklet frames must strictly increase"):
+            TrackGraph(dets, [], [], ([0, 2], members))
 
 
 def test_graph_rejects_backward_edge():
-    nodes = (make_det(5), make_det(2))
+    # a part graph's detections come in frame order; one-member groups
+    # need not
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, [0], [1])
+        graph_of((make_det(2), make_det(5)), [1], [0])
+    with pytest.raises(ValidationError):
+        graph_of((make_det(5), make_det(2)), [0], [1])
 
 
 def test_graph_rejects_same_frame_edge():
     nodes = (make_det(2), make_det(2))
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, [0], [1])
+        graph_of(nodes, [0], [1])
 
 
 def test_graph_rejects_duplicate_edge():
     nodes = (make_det(0), make_det(1))
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, [0, 0], [1, 1])
+        graph_of(nodes, [0, 0], [1, 1])
 
 
 def test_graph_rejects_dangling_endpoint():
     nodes = (make_det(0),)
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, [0], [3])
+        graph_of(nodes, [0], [3])
     with pytest.raises(ValidationError):
-        TrackGraph(nodes, [-1], [0])
+        graph_of(nodes, [-1], [0])
 
 
 def test_graph_rejects_malformed_endpoint_arrays():
     nodes = (make_det(0), make_det(1))
     for u, v in (([0], []), ([0.0], [1.0]), ([[0]], [[1]]), ([True], [True])):
         with pytest.raises(ValidationError):
-            TrackGraph(nodes, u, v)
+            graph_of(nodes, u, v)
 
 
 def test_graph_endpoints_are_read_only_copies():
     u, v = np.asarray([0, 0]), np.asarray([1, 2])
-    g = TrackGraph((make_det(0), make_det(1), make_det(2)), u, v)
+    g = graph_of((make_det(0), make_det(1), make_det(2)), u, v)
     u[0] = 1  # the caller's array stays the caller's
     assert g.u.tolist() == [0, 0]
     tensors = graph_tensors(g)
     # the graph lists its node spans once; the tensors share them
     assert g.spans.tolist() == [[0, 0], [1, 1], [2, 2]]
     assert tensors.spans is g.spans
-    assert TrackGraph((), [], []).spans.shape == (0, 2)
+    assert graph_of((), [], []).spans.shape == (0, 2)
     for arr in (g.u, g.v, g.spans, tensors.u, tensors.v):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -341,7 +389,7 @@ def graph_parts(draw):
 def test_graph_accepts_exactly_what_a_per_edge_check_accepts(parts):
     nodes, u, v = parts
     try:
-        g = TrackGraph(nodes, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
+        g = graph_of(nodes, np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
     except ValidationError:
         assert not brute_force_accepts(nodes, u, v)
     else:

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_idf1, reference_match_frames
+from conftest import graph_of, reference_idf1, reference_match_frames
 from trackgraph import metrics
 from trackgraph.core import (
     BoundingBox,
     Detection,
-    TrackGraph,
     ValidationError,
 )
 from trackgraph.ingest import DetectionSet
@@ -257,13 +256,13 @@ def test_relabeling_changes_nothing():
 
 
 def test_graph_stats_empty():
-    s = graph_stats(TrackGraph((), (), ()))
+    s = graph_stats(graph_of((), (), ()))
     assert s.node_count == 0 and s.edge_count == 0
 
 
 def test_graph_stats_counts_by_kind():
     a, b, c = mk(0, None), mk(1, None), mk(2, None)
-    s = graph_stats(TrackGraph((a, b, c), [0, 1], [1, 2]))
+    s = graph_stats(graph_of((a, b, c), [0, 1], [1, 2]))
     assert (s.node_count, s.edge_count) == (3, 2)
 
 

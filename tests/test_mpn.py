@@ -17,7 +17,7 @@ from trackgraph.core import (
 from trackgraph import mpn
 from trackgraph.cli import _labelled_graphs
 from trackgraph.config import RunConfig
-from trackgraph.ingest import ScenarioSpec, synthesize
+from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import aggregate, build_traj_graph
 from trackgraph.mpn import (
@@ -68,8 +68,10 @@ def det_node(frame, box=None, emb=(1.0, 0.0), gt_id=None):
 
 def reference_features(u, v):
     """Scalar descriptor of one forward edge u -> v, straight from its definition."""
-    bu = u.last_box
-    bv = v.first_box
+    bu = members_of(u)[-1].box
+    bv = members_of(v)[0].box
+    feature_u, feature_v = (np.mean([d.embedding for d in members_of(node)], axis=0)
+                            for node in (u, v))
     denom = bu.h + bv.h
     return np.asarray(
         [
@@ -78,14 +80,14 @@ def reference_features(u, v):
             np.log(bv.w / bu.w),
             np.log(bv.h / bu.h),
             float(v.span[0] - u.span[1]),
-            float(np.linalg.norm(u.feature - v.feature)),
+            float(np.linalg.norm(feature_u - feature_v)),
         ]
     )
 
 
 def edge_features(u, v):
     """Descriptor of the edge u -> v of a two-node graph (u is node 0)."""
-    return graph_tensors(TrackGraph((u, v), [0], [1])).feats[0]
+    return graph_tensors(graph_of((u, v), [0], [1])).feats[0]
 
 
 def test_edge_features_derived_case():
@@ -129,7 +131,7 @@ def test_edge_features_reject_non_forward_pair():
     v = det_node(5)
     for a, b in ((0, 1), (0, 0)):
         with pytest.raises(ValidationError):
-            TrackGraph((u, v), [a], [b])
+            graph_of((u, v), [a], [b])
 
 
 @st.composite
@@ -161,7 +163,7 @@ def forward_graphs(draw):
         for b, nb in enumerate(nodes)
         if na.span[1] < nb.span[0]
     ]
-    return TrackGraph(tuple(nodes), [a for a, _ in pairs], [b for _, b in pairs])
+    return graph_of(tuple(nodes), [a for a, _ in pairs], [b for _, b in pairs])
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,7 +192,7 @@ def test_blocked_edges_equal_one_pass_reference():
             box = BoundingBox(*rng.uniform(-50, 50, 2), *rng.uniform(1, 80, 2))
             members.append((f, det(f, box, rng.normal(size=16))))
         nodes.append(Tracklet.from_members(k, members))
-    graph = TrackGraph(tuple(nodes), *np.triu_indices(len(nodes), 1))
+    graph = graph_of(tuple(nodes), *np.triu_indices(len(nodes), 1))
     assert graph.n_edges >= 2 * EDGE_BLOCK + 1 and graph.n_edges % EDGE_BLOCK
     got, want = graph_tensors(graph), reference_graph_tensors(graph)
     assert bit_equal(got.feats, want.feats)
@@ -220,9 +222,57 @@ def test_node_features_are_member_means_bit_for_bit(width, sizes, seed, signed_z
         box = BoundingBox(0.0, 0.0, 1.0, 1.0)
         members = [(f, det(f, box, emb[f])) for f in range(size)]
         nodes.append(Tracklet.from_members(k, members))
-    node_feat = graph_tensors(TrackGraph(tuple(nodes), [], [])).node_feat
+    node_feat = graph_tensors(graph_of(tuple(nodes), [], [])).node_feat
     want = np.stack([np.mean([d.embedding for d in n.detections], axis=0) for n in nodes])
     assert bit_equal(node_feat, want)
+
+
+@st.composite
+def column_graphs(draw):
+    """A graph drawn over the columns of a detection set, as the pipeline
+    makes one: a part graph, or a trajectory graph whose groups (some of
+    them past 8 members, and not covering every detection) come in any
+    order; embeddings of D = 16 or D = 1, ids missing on some members,
+    and a random share of the forward node pairs as edges."""
+    dim = draw(st.sampled_from([1, 16]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = np.sort(rng.integers(0, draw(st.sampled_from([1, 5, 20, 80])), size=n))
+    boxes = np.column_stack([rng.uniform(-50, 50, (n, 2)), rng.uniform(0.5, 80, (n, 2))])
+    emb = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, dim))
+    gt_ids = rng.choice([-1, 0, 0, 0, 1, 1, 10**12], size=n)
+    dets = DetectionSet(frames, boxes, np.ones(n), gt_ids, int(frames[-1]) + 1, emb)
+    if draw(st.booleans()):
+        graph = TrackGraph(dets, [], [])
+    else:
+        # each detection joins one of a few groups, or a new one where its
+        # drawn group already holds its frame; some detections join none
+        groups, latest = [], {}
+        for i, label in enumerate(rng.integers(0, draw(st.integers(1, 4)), size=n).tolist()):
+            if rng.random() < 0.1:
+                continue
+            if label not in latest or frames[groups[latest[label]][-1]] == frames[i]:
+                latest[label] = len(groups)
+                groups.append([])
+            groups[latest[label]].append(i)
+        if not groups:
+            groups = [[0]]
+        groups = [groups[k] for k in rng.permutation(len(groups))]
+        offsets = np.cumsum([0] + [len(g) for g in groups])
+        graph = TrackGraph(dets, [], [], (offsets, np.concatenate(groups)))
+    sp = graph.spans
+    a, b = np.nonzero(sp[:, 1][:, None] < sp[:, 0][None, :])
+    keep = rng.random(a.size) < draw(st.sampled_from([0.3, 1.0]))
+    return TrackGraph(dets, a[keep], b[keep], graph.groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=column_graphs())
+def test_graph_tensors_from_the_columns_equal_the_record_reference(graph):
+    got, want = graph_tensors(graph), reference_graph_tensors(graph)
+    assert bit_equal(got.feats, want.feats)
+    assert bit_equal(got.node_feat, want.node_feat)
+    assert got.spans is graph.spans
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +283,7 @@ def weak_traj_graph():
                                    miss_rate=0.1))
     graph, _ = ClipTracker().build_graph(dets)
     ids = aggregate(graph, None, traj_passes=0, score_fn=handcrafted_scores)
-    return build_traj_graph(graph.nodes, ids)
+    return build_traj_graph(graph.dets, ids)
 
 
 def traced_peak(fn, *args):
@@ -277,8 +327,11 @@ def test_forward_stays_within_its_storage_bound(weak_traj_graph):
 from conftest import (
     draw_audit_case,
     gradient_audit_errors,
+    graph_of,
+    members_of,
     random_graph_tensors,
     reference_backward,
+    reference_edge_labels,
     reference_forward,
     reference_graph_tensors,
     reference_handcrafted_scores,
@@ -797,7 +850,7 @@ def build_label_graph():
         (6, 2),  # pure tracklet to next det -> 1
         (7, 2),  # mixed tracklet -> 0
     )
-    return TrackGraph(nodes, [a for a, _ in pairs], [b for _, b in pairs])
+    return graph_of(nodes, [a for a, _ in pairs], [b for _, b in pairs])
 
 
 def test_edge_labels_consecutive_same_identity():
@@ -810,21 +863,17 @@ def test_oracle_scores_are_labels():
     assert np.array_equal(oracle_scores(g), edge_labels(g).astype(float))
 
 
-def reference_edge_labels(graph):
+def per_edge_labels(graph):
     """One edge at a time: count the identity's frames strictly between."""
-
-    def members(node):
-        return (node,) if isinstance(node, Detection) else node.detections
-
     id_frames = {}
     for node in graph.nodes:
-        for d in members(node):
+        for d in members_of(node):
             if d.gt_id is not None:
                 id_frames.setdefault(d.gt_id, set()).add(d.frame)
     sorted_frames = {g: np.asarray(sorted(fs)) for g, fs in id_frames.items()}
 
     def purity(node):
-        ids = {d.gt_id for d in members(node)}
+        ids = {d.gt_id for d in members_of(node)}
         if len(ids) != 1 or None in ids:
             return None
         return (ids.pop(), *node.span)
@@ -862,12 +911,22 @@ def labelled_graphs(draw):
     pairs = [(a, b) for a, na in enumerate(nodes) for b, nb in enumerate(nodes)
              if na.span[1] < nb.span[0]]
     kept = [p for p in pairs if draw(st.booleans())]
-    return TrackGraph(tuple(nodes), [a for a, _ in kept], [b for _, b in kept])
+    return graph_of(tuple(nodes), [a for a, _ in kept], [b for _, b in kept])
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph=labelled_graphs())
 def test_edge_labels_match_per_edge_reference(graph):
+    got = edge_labels(graph)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, per_edge_labels(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=st.one_of(labelled_graphs(), column_graphs()))
+def test_edge_labels_from_the_columns_match_the_record_loop(graph):
+    # the column version reads gt_ids[members]; the record loop reads
+    # each node's members one by one, ids missing on some of them
     got = edge_labels(graph)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_edge_labels(graph))

@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from trackgraph import pipeline, solver
+from trackgraph.cli import _labelled_graphs
+from trackgraph.config import RunConfig
 from trackgraph.core import ValidationError
-from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
-from trackgraph.mpn import init_params
+from trackgraph.ingest import (
+    DetectionSet,
+    ScenarioSpec,
+    parse_mot,
+    synthesize,
+    write_detections,
+    write_embeddings,
+)
+from trackgraph.mpn import handcrafted_reach, handcrafted_scores, init_params, oracle_scores
 from trackgraph.pipeline import ClipTracker
+from trackgraph.solver import aggregate
 from trackgraph.stitcher import ClipPlan, run_clipped
 
 
@@ -158,3 +168,43 @@ def test_handcrafted_reach_leaves_the_tracks_unchanged(monkeypatch, spec, plan):
     full, full_edges = run()
     assert cut == full
     assert cut_edges < full_edges
+
+
+def test_the_graph_path_makes_no_record(tmp_path):
+    # graphs, scores and both passes read the columns: a freshly parsed
+    # set, and each clip sliced from it, make no Detection record until
+    # the tracker groups its output tracks
+    dets = synthesize(ScenarioSpec(6, 90, seed=3, embedding_noise_sigma=0.2, miss_rate=0.1))
+    write_detections(tmp_path / "det.txt", dets)
+    write_embeddings(tmp_path / "det.emb", dets.embeddings())
+    runs = [("handcrafted", handcrafted_scores, handcrafted_reach(0.5)),
+            ("oracle", oracle_scores, None)]
+    for mode, score_fn, max_gap in runs:
+        fresh = parse_mot(tmp_path / "det.txt", tmp_path / "det.emb")
+        tracker = ClipTracker(score_mode=mode)
+        clips = [fresh] + [sub for sub, _ in ClipPlan(64, 32).clips(fresh)]
+        for clip in clips:
+            graph, _ = tracker.build_graph(clip)
+            ids = aggregate(graph, None, score_fn=score_fn, max_gap=max_gap)
+            assert ids.shape == (len(clip),)
+            assert "detections" not in clip.__dict__
+        assert "detections" not in fresh.__dict__
+        # a clip's records are its parent's, made once, when first read
+        first, second = clips[1], clips[2]
+        overlap = len(first) - int(np.searchsorted(fresh.frames, 32))
+        assert first.detections[-overlap:] == second.detections[:overlap]
+        assert all(a is b for a, b in zip(first.detections[-overlap:],
+                                          second.detections[:overlap]))
+        assert first.detections == fresh.detections[:len(first)]
+        assert len(tracker(clips[1])) > 0
+
+
+def test_training_graphs_make_no_record():
+    # occlusions longer than the 4-frame lookback leave fragments, so
+    # both the part graphs and the fragment graphs are labelled
+    dets = synthesize(ScenarioSpec(6, 80, seed=70, embedding_noise_sigma=0.1, miss_rate=0.05,
+                                   occlusions=((1, 30, 6), (3, 50, 8))))
+    cfg = RunConfig(clip_len=64, overlap=32, window=4, step=2)
+    primary, secondary = _labelled_graphs(dets, cfg)
+    assert len(primary) == len(secondary) == 2
+    assert "detections" not in dets.__dict__

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from conftest import (
     edge_tuples,
     exact_round,
+    graph_of,
     is_feasible,
     reference_components_ids,
     reference_greedy_round,
@@ -22,7 +23,6 @@ from trackgraph.core import (
     BoundingBox,
     Detection,
     NodeKind,
-    TrackGraph,
     Tracklet,
     ValidationError,
 )
@@ -35,6 +35,8 @@ from trackgraph.solver import (
     build_traj_graph,
     connected_components_ids,
     greedy_round,
+    group_tracklets,
+    path_ids,
     span_disjoint_edges,
 )
 
@@ -316,6 +318,37 @@ def test_pass_one_components_never_refuse_a_merge(graph, eps):
                            shape=(n, n))
     _, weak = connected_components(adjacency, directed=True, connection="weak")
     assert ids.tolist() == reference_relabel(weak.tolist()).tolist()
+    assert path_ids(n, p.u[pos], p.v[pos]).tolist() == ids.tolist()
+
+
+@st.composite
+def degree_bounded_paths(draw):
+    """One-frame nodes and forward edges with at most one edge out of and
+    one into each node, scored, in any order."""
+    frames = draw(st.lists(st.integers(0, 20), min_size=1, max_size=40))
+    n = len(frames)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=60))
+    out_used, in_used, edges = set(), set(), []
+    for a, b in pairs:
+        if frames[a] < frames[b] and a not in out_used and b not in in_used:
+            out_used.add(a)
+            in_used.add(b)
+            edges.append((a, b, draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))))
+    return frames, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=degree_bounded_paths())
+def test_pass_one_path_ids_match_the_components_reference(case):
+    # any rounding that keeps both degree budgets leaves paths whose
+    # frames strictly increase, so labelling them refuses no merge
+    frames, edges = case
+    sp = spans(*((f, f) for f in frames))
+    u, v, _ = columns(edges)
+    got = path_ids(len(frames), np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_components_ids(sp, edges).tolist()
 
 
 # -------------------------------------------------------------- traj graph
@@ -325,25 +358,29 @@ def test_build_traj_graph_groups_and_gates():
     rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(0, 50.0, 2), det(1, 50.0, 2)]
     dets = DetectionSet.build(rows)  # stable-sorted by frame
     ids = np.asarray([0, 1, 0, 1])
-    tg = build_traj_graph(dets.detections, ids)
+    tg = build_traj_graph(dets, ids)
+    assert tg.dets is dets and tg.n_nodes == 2
+    # node p groups the detections of the p-th smallest id, in index order
+    assert [m.tolist() for m in tg.groups] == [[0, 2, 4], [0, 2, 1, 3]]
     assert [n.kind for n in tg.nodes] == [NodeKind.TRAJ, NodeKind.TRAJ]
-    # node p is the tracklet of the p-th smallest id, its members in order
     assert [n.detections for n in tg.nodes] == [
         dets.detections[::2], dets.detections[1::2]]
     assert tg.n_edges == 0  # spans overlap, gate closed
     with pytest.raises(ValidationError, match="align"):
-        build_traj_graph(dets.detections, ids[:3])
+        build_traj_graph(dets, ids[:3])
     # an id's members are taken in index order, which must be frame order
+    with pytest.raises(ValidationError, match="0 then 0"):
+        build_traj_graph(dets, np.asarray([0, 0, 1, 2]))
     with pytest.raises(ValidationError, match="1 then 0"):
-        build_traj_graph(dets.detections[::-1], ids)
+        group_tracklets(dets.detections[::-1], ids)
     rows2 = [det(0, 0.0, 1), det(1, 0.0, 1), det(3, 50.0, 2), det(4, 50.0, 2)]
     dets2 = DetectionSet.build(rows2)
-    tg2 = build_traj_graph(dets2.detections, np.asarray([0, 0, 1, 1]))
+    tg2 = build_traj_graph(dets2, np.asarray([0, 0, 1, 1]))
     assert (tg2.u.tolist(), tg2.v.tolist()) == ([0], [1])
     # three mutually disjoint spans connect completely, earlier span first
     rows3 = rows2 + [det(6, 90.0, 3), det(7, 90.0, 3)]
     dets3 = DetectionSet.build(rows3)
-    tg3 = build_traj_graph(dets3.detections, np.asarray([0, 0, 1, 1, 2, 2]))
+    tg3 = build_traj_graph(dets3, np.asarray([0, 0, 1, 1, 2, 2]))
     assert list(zip(tg3.u.tolist(), tg3.v.tolist())) == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -364,7 +401,7 @@ def test_span_disjoint_edges_match_a_double_loop(spans, max_gap):
                 expected.append((i, j))
             elif ej < si and si - ej <= reach:
                 expected.append((j, i))
-    u, v = span_disjoint_edges(nodes, max_gap)
+    u, v = span_disjoint_edges(np.asarray([n.span for n in nodes]).reshape(-1, 2), max_gap)
     assert list(zip(u.tolist(), v.tolist())) == expected
 
 
@@ -372,15 +409,15 @@ def test_span_disjoint_edges_memory_follows_the_edges_kept():
     # 5,000 one-frame fragments, two a frame: within a gap of 3 each has
     # at most 6 successors, so about 30,000 edges; the node pairs number
     # 12.5 M, and a pass over them would hold hundreds of MB
-    nodes = [Tracklet(k, (det(k // 2, 0.0, 1),), (k,)) for k in range(5000)]
+    frames = np.arange(5000) // 2
     tracemalloc.start()
     try:
-        u, v = span_disjoint_edges(nodes, max_gap=3)
+        u, v = span_disjoint_edges(np.stack([frames, frames], axis=1), max_gap=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert u.size == 6 * 5000 - 24
-    assert peak <= 256 * (u.size + len(nodes))
+    assert peak <= 256 * (u.size + frames.size)
 
 
 # --------------------------------------------------------------- aggregate
@@ -422,12 +459,17 @@ def test_aggregate_more_traj_passes_idempotent():
 
 def test_aggregate_refuses_a_trajectory_node():
     rows = [det(0, 0.0, 1), det(1, 0.0, 1), det(2, 0.0, 1)]
-    traj = Tracklet.from_members(0, [(0, rows[0]), (1, rows[1])])
-    graph = TrackGraph((*rows, traj), [0], [1])
-    with pytest.raises(ValidationError, match="detection nodes only"):
-        aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
-    # the same graph without the trajectory node is accepted
-    part = TrackGraph(graph.nodes[:3], graph.u, graph.v)
+    # a trajectory graph is refused, even one whose groups hold one
+    # detection each, as a part graph's nodes do
+    for traj in ((Tracklet.from_members(0, [(0, rows[0]), (1, rows[1])]), rows[2]),
+                 tuple(Tracklet.from_members(k, [(k, d)]) for k, d in enumerate(rows))):
+        graph = graph_of(traj, [0], [1])
+        assert graph.groups is not None
+        with pytest.raises(ValidationError, match="detection nodes only"):
+            aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
+    # the part graph over the same detections is accepted
+    part = graph_of(rows, [0], [1])
+    assert part.groups is None
     assert aggregate(part, None, eps=0.5, score_fn=oracle_scores).tolist() == [0, 0, 0]
 
 
