@@ -213,7 +213,10 @@ ASSOCIATION_RUNS = [("long6144", "handcrafted"), ("gate700", "oracle"),
 
 # prints one SHA-256 over a scene's association in 512/256 clips: each
 # clip's tracklet lengths and members, and its part graph's endpoints;
-# calls only ClipPlan.clips and ClipTracker.build_graph
+# calls only ClipPlan.clips and ClipTracker.build_graph. A tree whose
+# build_graph returns one tracklet number per detection has it turned
+# into the member lists that older trees return (one stable argsort,
+# split by bincount), so both trees hash the same bytes
 ASSOCIATION_CODE = """
 import hashlib, sys
 import numpy as np
@@ -225,6 +228,9 @@ tracker = ClipTracker(score_mode=sys.argv[3])
 digest = hashlib.sha256()
 for clip, _ in ClipPlan(512, 256).clips(parse_mot(sys.argv[1], sys.argv[2])):
     graph, tracks = tracker.build_graph(clip)
+    if isinstance(tracks, np.ndarray):
+        order = np.argsort(tracks, kind="stable")
+        tracks = np.split(order, np.cumsum(np.bincount(tracks))[:-1])
     for arr in ([len(t) for t in tracks], [i for t in tracks for i in t], graph.u, graph.v):
         digest.update(np.asarray(arr, dtype=np.int64).tobytes())
 print(digest.hexdigest())

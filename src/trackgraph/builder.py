@@ -1,11 +1,11 @@
 """Partially connected detection graph construction.
 
 Frame-by-frame association groups raw detections into coarse tracklets,
-returned as member index lists, and emits candidate detection links
-along the way. The part graph keeps every detection as a node
-(detection i is node i) and exactly those links. Tracklets become nodes
-only in the solver's trajectory graphs, built from the fragments of
-pass 1 when tracking and from these index lists when training. Every
+returned as one tracklet number per detection, and emits candidate
+detection links along the way. The part graph keeps every detection as
+a node (detection i is node i) and exactly those links. Tracklets become
+nodes only in the solver's trajectory graphs, built from the fragments
+of pass 1 when tracking and from these numbers when training. Every
 edge points forward in time, so the result is a DAG by construction.
 The builder only decides which links exist, as two arrays of endpoint
 indices; their descriptors are computed later, for the whole graph at
@@ -47,12 +47,12 @@ class BuilderConfig:
 
 def associate_frames(
     dets: DetectionSet, aff: AffinityMatrix, cfg: BuilderConfig
-) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Greedy-over-time association into tracklets plus candidate links.
 
-    Each tracklet comes back as the list of its members' detection
-    indices, in frame order; the links come back as (u, v), two aligned
-    int64 arrays of their endpoints' detection indices.
+    Returns (owner, (u, v)): owner[i] is detection i's tracklet, numbered
+    in the order the tracklets start, and the links are two aligned int64
+    arrays of their endpoints' detection indices.
 
     Detections of the first populated frame each start a tracklet. Every
     later frame runs an optimal assignment against the tracklets that
@@ -66,8 +66,9 @@ def associate_frames(
     tracklet's last member to the assigned detection and to the top-k
     appearance candidates of that frame (ties go to the earlier
     detection), which caps the link count at len(dets) * (top_k + 1).
-    Each match keeps only those top_k + 1 indices until the links are
-    emitted, in match order, after the last frame.
+    Each match keeps only those indices, no more than the widest frame
+    offers, until the links are emitted, in match order, after the last
+    frame.
 
     Only the work that hangs on the previous frame's matches runs frame
     by frame: the gate's and the lookback's lower indices are found for
@@ -80,7 +81,7 @@ def associate_frames(
     """
     if len(dets) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return [], (empty, empty)
+        return empty, (empty, empty)
     frames, n = dets.frames, len(dets)
     corners = box_corners(dets.boxes)
     # frames are sorted, so each frame is one index run [s, e), and a
@@ -96,11 +97,12 @@ def associate_frames(
     last = np.empty(n, dtype=np.int64)  # each track's last member
     sums = TrackSums(aff, n)
     n_tracks = 0
-    # row i holds the i-th accepted match: its tail, and its top_k
+    # row i holds the i-th accepted match: its tail, and its top k
     # candidates then its detection, -1 where a frame is narrower than
-    # top_k; each detection is matched at most once, so n rows suffice
+    # k; each detection is matched at most once, so n rows suffice
+    top_k = min(cfg.top_k, int((ends - starts).max()))
     link_tails = np.empty(n, dtype=np.int64)
-    picks = np.full((n, cfg.top_k + 1), -1)
+    picks = np.full((n, top_k + 1), -1)
     kept = 0
     for s, e, a, g in zip(starts.tolist(), ends.tolist(), lows.tolist(), gates.tolist()):
         if g > sums.lo:
@@ -120,7 +122,7 @@ def associate_frames(
             r, c = r[ok], c[ok]
             extended, matched = active[r], s + c
             # a stable sort of the negated rows ranks ties by column
-            top = (-m_bar[r]).argsort(axis=1, kind="stable")[:, : cfg.top_k]
+            top = (-m_bar[r]).argsort(axis=1, kind="stable")[:, :top_k]
             end = kept + r.size
             picks[kept:end, : top.shape[1]] = s + top
             picks[kept:end, -1] = matched
@@ -138,15 +140,11 @@ def associate_frames(
             last[started] = new
             sums.add(started, new)
             n_tracks += new.size
-    # members come out of one stable sort by track, so in frame order
-    order = np.argsort(owner, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(owner, minlength=n_tracks)).tolist()
-    tracks = [order[i:j] for i, j in zip([0] + bounds[:-1], bounds)]
     # each match links its tail to its distinct picks in index order
     picks = np.sort(picks[:kept], axis=1)
     keep = picks >= 0
     keep[:, 1:] &= picks[:, 1:] != picks[:, :-1]
-    return tracks, (link_tails[keep.nonzero()[0]], picks[keep])
+    return owner, (link_tails[keep.nonzero()[0]], picks[keep])
 
 
 def build_part_graph(

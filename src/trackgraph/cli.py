@@ -1,7 +1,7 @@
 """Batch entry points: synthesize, track, train, evaluate, inspect.
 
 Exit codes: 0 success, 2 for validation and parse failures, 3 for
-runtime failures (I/O, numeric divergence). Every command is
+runtime failures (I/O, numeric divergence, memory). Every command is
 deterministic under fixed seed and inputs.
 """
 
@@ -130,10 +130,10 @@ def _labelled_graphs(dets, cfg: RunConfig):
     tracker = _tracker(cfg)
     primary, secondary = [], []
     for sub, _ in ClipPlan(cfg.clip_len, cfg.overlap).clips(dets):
-        graph, tracklets = tracker.build_graph(sub)
+        graph, owner = tracker.build_graph(sub)
         if graph.n_edges:
             primary.append((graph_tensors(graph), edge_labels(graph)))
-        frag = build_traj_graph(sub, tracklet_ids(tracklets, len(sub)))
+        frag = build_traj_graph(sub, tracklet_ids(owner))
         if frag.n_edges:
             secondary.append((graph_tensors(frag), edge_labels(frag)))
     return primary, secondary
@@ -262,8 +262,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

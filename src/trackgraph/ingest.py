@@ -66,7 +66,8 @@ class DetectionSet:
     column, or D alone: embeddings() then hashes pseudo-embeddings from
     the frames and boxes on first read. detections is a view of Detection
     records made on first read; build keeps the records it is given, and
-    a slice takes its parent's when it is first read.
+    a slice takes its parent's when it is first read. Tracking reads
+    only the video's, when run_clipped makes a clip's tracks.
     """
 
     frames: np.ndarray

@@ -5,13 +5,16 @@ by-frame association, part-graph assembly (detection nodes and their
 links), edge scoring, and identity aggregation, whose trajectory passes
 are where tracklets become nodes. A ClipTracker instance closes over
 all knobs, so it plugs straight into run_clipped as the per-clip
-pipeline.
+pipeline: it returns one id per detection of the clip, and run_clipped
+makes the tracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from trackgraph.affinity import (
     WindowPlan,
@@ -20,7 +23,7 @@ from trackgraph.affinity import (
     oracle_scorer,
 )
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
-from trackgraph.core import TrackGraph, Tracklet, ValidationError
+from trackgraph.core import TrackGraph, ValidationError
 from trackgraph.ingest import DetectionSet
 from trackgraph.metrics import graph_stats
 from trackgraph.mpn import (
@@ -29,7 +32,7 @@ from trackgraph.mpn import (
     handcrafted_scores,
     oracle_scores,
 )
-from trackgraph.solver import aggregate, group_tracklets
+from trackgraph.solver import aggregate
 
 _MODES = ("auto", "mpn", "handcrafted", "oracle")
 
@@ -70,14 +73,15 @@ class ClipTracker:
             return self.score_mode
         return "mpn" if self.params is not None else "handcrafted"
 
-    def build_graph(self, dets: DetectionSet) -> tuple[TrackGraph, list[list[int]]]:
+    def build_graph(self, dets: DetectionSet) -> tuple[TrackGraph, np.ndarray]:
         """Affinity, association, and part-graph assembly for one clip.
 
-        Returns the part graph and the association's tracklets as member
-        index lists; an empty set gives an empty graph.
+        Returns the part graph and the association's tracklet number per
+        detection (builder.associate_frames' owner); an empty set gives
+        an empty graph.
         """
         if len(dets) == 0:
-            return TrackGraph(dets, (), ()), []
+            return TrackGraph(dets, (), ()), np.empty(0, dtype=np.int64)
         first, last = dets.frames[[0, -1]].tolist()
         span = last - first + 1
         window = min(self.window, span)
@@ -85,10 +89,11 @@ class ClipTracker:
         scorer = oracle_scorer if self.mode == "oracle" else cosine_scorer
         aff = accumulate_affinity(dets, plan, scorer, origin=first)
         cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
-        tracks, links = associate_frames(dets, aff, cfg)
-        return build_part_graph(links, dets), tracks
+        owner, links = associate_frames(dets, aff, cfg)
+        return build_part_graph(links, dets), owner
 
-    def __call__(self, dets: DetectionSet) -> list[Tracklet]:
+    def __call__(self, dets: DetectionSet) -> np.ndarray:
+        """One id per detection, numbered by first appearance."""
         mode = self.mode
         graph, _ = self.build_graph(dets)
         if self.stats_sink is not None:
@@ -100,7 +105,7 @@ class ClipTracker:
             # no fragment pair further apart than the reach can pass
             score_fn = handcrafted_scores
             max_gap = handcrafted_reach(self.assign_threshold)
-        ids = aggregate(
+        return aggregate(
             graph,
             self.params,
             eps=self.assign_threshold,
@@ -108,4 +113,3 @@ class ClipTracker:
             score_fn=score_fn,
             max_gap=max_gap,
         )
-        return group_tracklets(dets.detections, ids)

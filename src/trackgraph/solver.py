@@ -18,20 +18,11 @@ are index groups over the clip's detection set, not records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from trackgraph.core import (
-    Detection,
-    TrackGraph,
-    Tracklet,
-    ValidationError,
-    _endpoints,
-    check_increasing,
-    group_spans,
-    unchecked,
-)
+from trackgraph.core import TrackGraph, ValidationError, _endpoints, group_spans
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import GraphTensors, MpnParams, forward
 
@@ -197,36 +188,14 @@ def span_disjoint_edges(
 
 def _id_groups(det_ids: np.ndarray, n_det: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ids, ascending, and the CSR table (offsets, members)
-    of the detections under each, in index order, from one stable sort."""
-    det_ids = np.asarray(det_ids, dtype=np.int64)
-    if det_ids.shape != (n_det,):
+    of the detections under each, in index order, from one stable sort;
+    det_ids must hold one integer id per detection."""
+    det_ids = np.asarray(det_ids)
+    if det_ids.shape != (n_det,) or (n_det and det_ids.dtype.kind not in "iu"):
         raise ValidationError("det_ids must align with detections")
     members = np.argsort(det_ids, kind="stable")
     ids, starts = np.unique(det_ids[members], return_index=True)
     return ids, np.append(starts, n_det), members
-
-
-def group_tracklets(
-    detections: Sequence[Detection], det_ids: np.ndarray
-) -> list[Tracklet]:
-    """One tracklet per id, in ascending id order.
-
-    Detection i joins the tracklet of det_ids[i] with index i. The
-    detections come in frame order, so each id's members do too, in
-    index order; one comparison over the grouped frames refuses a run
-    whose frames do not increase, as Tracklet would.
-    """
-    ids, offsets, members = _id_groups(det_ids, len(detections))
-    frames = np.fromiter((d.frame for d in detections), dtype=np.int64,
-                         count=len(detections))
-    check_increasing(frames[members], offsets)
-    order, bounds = members.tolist(), offsets.tolist()
-    tracklets = []
-    for g, a, b in zip(ids.tolist(), bounds, bounds[1:]):
-        run = tuple(order[a:b])
-        tracklets.append(unchecked(Tracklet, id=g, det_indices=run,
-                                   detections=tuple(detections[i] for i in run)))
-    return tracklets
 
 
 def build_traj_graph(
@@ -244,20 +213,19 @@ def build_traj_graph(
     return TrackGraph(dets, *span_disjoint_edges(spans, max_gap), (offsets, members))
 
 
-def tracklet_ids(tracks: Sequence[Sequence[int]], n_det: int) -> np.ndarray:
+def tracklet_ids(owner: np.ndarray) -> np.ndarray:
     """One raw id per detection: the builder's coarse tracklets.
 
-    tracks holds each tracklet's member detection indices. A detection
-    of a tracklet with two or more members gets n_det plus that
-    tracklet's rank among them; any other detection keeps its own
-    index. Training groups the detections by these ids into its
-    trajectory-level graphs.
+    owner[i] is detection i's tracklet (builder.associate_frames). A
+    detection of a tracklet with two or more members gets the detection
+    count plus that tracklet's rank among them; any other detection
+    keeps its own index. Training groups the detections by these ids
+    into its trajectory-level graphs.
     """
-    ids = np.arange(n_det, dtype=np.int64)
-    multi = (t for t in tracks if len(t) >= 2)
-    for p, t in enumerate(multi):
-        ids[list(t)] = n_det + p
-    return ids
+    owner = np.asarray(owner, dtype=np.int64)
+    multi = np.bincount(owner) >= 2
+    rank = np.cumsum(multi) - 1
+    return np.where(multi[owner], owner.size + rank[owner], np.arange(owner.size))
 
 
 ScoreFn = Callable[[Union[TrackGraph, GraphTensors]], np.ndarray]

@@ -1,6 +1,8 @@
 """Long videos as overlapping clips: track each, then merge the seams.
 
-Two per-clip tracks describe the same object when they picked the same
+Each clip's pipeline returns one id per clip detection, and run_clipped
+makes the clip's tracks from them once, at the video's indices. Two
+per-clip tracks describe the same object when they picked the same
 input detections in the frames both cover. That overlap ratio drives a
 bipartite assignment between consecutive clips; matched tracks merge
 under the earlier clip's id, with the later clip owning any frame both
@@ -32,9 +34,11 @@ from trackgraph.core import (
     Tracklet,
     ValidationError,
     box_fault,
+    check_increasing,
     unchecked,
 )
 from trackgraph.ingest import DetectionSet
+from trackgraph.solver import _id_groups
 
 # sentinel cost for pairs that must not match; real costs stay in [0, 1]
 _FORBIDDEN = 1e6
@@ -189,7 +193,27 @@ def interpolate_gaps(track: Tracklet) -> Tracklet:
                      det_indices=tuple(indices))
 
 
-Pipeline = Callable[[DetectionSet], list[Tracklet]]
+def group_tracklets(
+    dets: DetectionSet, det_ids: np.ndarray, offset: int, n_det: int
+) -> list[Tracklet]:
+    """One tracklet per id, in ascending id order.
+
+    det_ids holds one id for each of the n_det detections of dets from
+    offset on; detection offset + i joins the tracklet of det_ids[i].
+    Members come in index order, so in frame order, and an id that
+    holds two detections of one frame is refused, as Tracklet would.
+    """
+    ids, bounds, members = _id_groups(det_ids, n_det)
+    members = members + offset
+    check_increasing(dets.frames[members], bounds)
+    records, order, bounds = dets.detections, members.tolist(), bounds.tolist()
+    return [unchecked(Tracklet, id=g, det_indices=tuple(order[a:b]),
+                      detections=tuple(records[i] for i in order[a:b]))
+            for g, a, b in zip(ids.tolist(), bounds, bounds[1:])]
+
+
+# a clip's detection set -> one id per detection of the clip
+Pipeline = Callable[[DetectionSet], np.ndarray]
 
 
 def run_clipped(
@@ -198,17 +222,12 @@ def run_clipped(
     """Track a long video clip by clip and fold the results left to right.
 
     Only clips that hold a detection are tracked. The pipeline sees each
-    clip as its own detection set; its track indices are translated back
-    to the full set before stitching. Gap interpolation runs once, on
-    the final tracks.
+    clip as its own detection set and returns one id per detection of
+    it; each id becomes one track at the video's indices before
+    stitching. Gap interpolation runs once, on the final tracks.
     """
     merged: list[Tracklet] = []
     for sub, offset in plan.clips(dets):
-        # only the indices move, so the members need no new check
-        clip_tracks = [
-            unchecked(Tracklet, id=t.id, detections=t.detections,
-                      det_indices=tuple(offset + i for i in t.det_indices))
-            for t in pipeline(sub)
-        ]
+        clip_tracks = group_tracklets(dets, pipeline(sub), offset, len(sub))
         merged = stitch(merged, clip_tracks) if merged else clip_tracks
     return [interpolate_gaps(t) for t in merged]

@@ -38,6 +38,23 @@ def assert_links(links, u, v):
         np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64), strict=True)
 
 
+def owner_tracks(owner):
+    """The member lists owner stands for: tracklet t's detection indices,
+    ascending, at position t."""
+    owner = np.asarray(owner, dtype=np.int64)
+    order = np.argsort(owner, kind="stable")
+    return [t.tolist() for t in np.split(order, np.cumsum(np.bincount(owner))[:-1])]
+
+
+def id_partition(dets, ids):
+    """The groups one id per detection stands for, as (frame, index) sets."""
+    assert np.asarray(ids).shape == (len(dets),)
+    groups = {}
+    for i, (f, g) in enumerate(zip(dets.frames.tolist(), ids.tolist())):
+        groups.setdefault(g, set()).add((f, i))
+    return {frozenset(v) for v in groups.values()}
+
+
 def members_of(node):
     """A record node's member detections: a detection is its own."""
     return (node,) if isinstance(node, Detection) else node.detections

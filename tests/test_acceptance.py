@@ -15,6 +15,7 @@ from conftest import (
     draw_audit_case,
     exact_round,
     gradient_audit_errors,
+    id_partition,
     is_feasible,
     rounding_objective,
 )
@@ -260,7 +261,7 @@ def test_criterion_8_stitch_reproduces_unsplit_partition():
     ):
         dets = synthesize(spec)
         tracker = ClipTracker(score_mode="oracle")
-        whole = _partition(tracker(dets))
+        whole = id_partition(dets, tracker(dets))
         split = _partition(run_clipped(dets, ClipPlan(512, 256), tracker))
         assert split == whole
 

@@ -419,11 +419,11 @@ def test_step_cost_rejects_empty_member_window():
     # detection that it would match perfectly starts a track of its own
     b = BoundingBox(0.0, 0.0, 10.0, 10.0)
     ds, aff = clip_set([0, 3], [[1.0, 0.0], [1.0, 0.0]], WindowPlan(4, 4, 2), [b, b])
-    tracks, links = associate_frames(ds, aff, BuilderConfig(lookback=3))
-    assert tracks == [[0, 1]]
+    owner, links = associate_frames(ds, aff, BuilderConfig(lookback=3))
+    assert owner.tolist() == [0, 0]
     assert_links(links, [0], [1])
-    tracks, links = associate_frames(ds, aff, BuilderConfig(lookback=2))
-    assert tracks == [[0], [1]]
+    owner, links = associate_frames(ds, aff, BuilderConfig(lookback=2))
+    assert owner.tolist() == [0, 1]
     assert_links(links, [], [])
 
 

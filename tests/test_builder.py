@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import assert_links, gated_pair_score, shares_a_window
+from conftest import assert_links, gated_pair_score, owner_tracks, shares_a_window
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -55,8 +55,8 @@ def oracle_affinity(dets, clip_len, window=None, step=None):
     return accumulate_affinity(dets, plan, oracle_scorer)
 
 
-def track_ids(tracks, dets):
-    return [tuple(dets.detections[i].gt_id for i in t) for t in tracks]
+def track_ids(owner, dets):
+    return [tuple(dets.detections[i].gt_id for i in t) for t in owner_tracks(owner)]
 
 
 # ----------------------------------------------------------------- config
@@ -80,8 +80,8 @@ def test_config_validation():
 def test_single_object_two_frames_one_link():
     dets = make_set([det(0, 0.0, 1), det(1, 1.0, 1)])
     aff = oracle_affinity(dets, clip_len=2)
-    tracks, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    assert tracks == [[0, 1]]
+    owner, links = associate_frames(dets, aff, BuilderConfig(top_k=1))
+    assert owner.tolist() == [0, 0]
     assert_links(links, [0], [1])
 
 
@@ -94,15 +94,15 @@ def test_crossing_objects_keep_identities():
         rows.append(det(f, xb[f], 2))
     dets = make_set(rows)
     aff = oracle_affinity(dets, clip_len=4)
-    tracks, _ = associate_frames(dets, aff, BuilderConfig(top_k=1))
-    assert sorted(track_ids(tracks, dets)) == [(1, 1, 1, 1), (2, 2, 2, 2)]
+    owner, _ = associate_frames(dets, aff, BuilderConfig(top_k=1))
+    assert sorted(track_ids(owner, dets)) == [(1, 1, 1, 1), (2, 2, 2, 2)]
 
 
 def test_unrelated_detection_starts_new_track_without_links():
     dets = make_set([det(0, 0.0, 1), det(1, 500.0, 2)])
     aff = oracle_affinity(dets, clip_len=2)
-    tracks, links = associate_frames(dets, aff, BuilderConfig())
-    assert tracks == [[0], [1]]
+    owner, links = associate_frames(dets, aff, BuilderConfig())
+    assert owner.tolist() == [0, 1]
     assert_links(links, [], [])
 
 
@@ -115,16 +115,16 @@ def test_threshold_gates_acceptance():
     aff = accumulate_affinity(dets, plan, cosine_scorer)
     accept, _ = associate_frames(dets, aff, BuilderConfig(new_track_threshold=0.3))
     reject, _ = associate_frames(dets, aff, BuilderConfig(new_track_threshold=0.31))
-    assert len(accept) == 1
-    assert len(reject) == 2
+    assert accept.tolist() == [0, 0]
+    assert reject.tolist() == [0, 1]
 
 
 def test_track_outside_lookbook_is_not_extended():
     dets = make_set([det(0, 0.0, 1), det(1, 1.0, 1), det(40, 2.0, 1)])
     plan = WindowPlan(clip_len=41, window=32, step=16)
     aff = accumulate_affinity(dets, plan, oracle_scorer)
-    tracks, _ = associate_frames(dets, aff, BuilderConfig(lookback=32))
-    assert tracks == [[0, 1], [2]]
+    owner, _ = associate_frames(dets, aff, BuilderConfig(lookback=32))
+    assert owner.tolist() == [0, 0, 1]
 
 
 def test_oracle_reproduces_ground_truth_partition():
@@ -132,11 +132,11 @@ def test_oracle_reproduces_ground_truth_partition():
                         embedding_noise_sigma=0.0)
     dets = synthesize(spec)
     aff = oracle_affinity(dets, clip_len=8)
-    tracks, _ = associate_frames(dets, aff, BuilderConfig())
-    assert len(tracks) == 3
-    for ids in track_ids(tracks, dets):
+    owner, _ = associate_frames(dets, aff, BuilderConfig())
+    assert owner.shape == (len(dets),) and owner.dtype == np.int64
+    assert owner.max() + 1 == 3
+    for ids in track_ids(owner, dets):
         assert len(set(ids)) == 1
-    assert sorted(i for t in tracks for i in t) == list(range(len(dets)))
 
 
 def test_detdet_bound_and_dag_on_noisy_scenario():
@@ -185,20 +185,29 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
     dets = synthesize(spec)
     assume(len(dets) > 0)
     tracker = ClipTracker(window=window, step=max(1, window // 2))
-    part, tracks = tracker.build_graph(dets)
+    part, owner = tracker.build_graph(dets)
+    tracks = owner_tracks(owner)
     assert_forward_dag(part)
     # node i is detection i, and every edge is an association link
     assert len(part.nodes) == len(dets)
     for node, d in zip(part.nodes, dets.detections):
         assert node is d
     assert part.edges == records(part, EdgeKind.DET_DET)
-    # each detection sits in one tracklet, members in frame order
-    assert sorted(i for t in tracks for i in t) == list(range(len(dets)))
+    # each detection sits in one tracklet, members in frame order, and
+    # the tracklets are numbered in the order they start
+    assert owner.shape == (len(dets),) and owner.dtype == np.int64
+    assert all(t for t in tracks)
+    assert [t[0] for t in tracks] == sorted(t[0] for t in tracks)
     for t in tracks:
         frames_of = [dets.detections[i].frame for i in t]
         assert frames_of == sorted(set(frames_of))
-    # a singleton keeps its own index; a longer tracklet shares one id
-    ids = tracklet_ids(tracks, len(dets))
+    # a singleton keeps its own index; a longer tracklet shares one id,
+    # the detection count plus its rank among the longer tracklets
+    ids = tracklet_ids(owner)
+    expect = np.arange(len(dets))
+    for rank, t in enumerate(t for t in tracks if len(t) >= 2):
+        expect[t] = len(dets) + rank
+    assert ids.dtype == np.int64 and ids.tolist() == expect.tolist()
     assert len(set(ids.tolist())) == len(tracks)
     for t in tracks:
         group = set(ids[t].tolist())
@@ -322,17 +331,17 @@ def test_associate_frames_matches_rescanning_reference(objects, frames, seed,
     plan = WindowPlan(clip_len=frames, window=window, step=step)
     aff = accumulate_affinity(dets, plan, oracle_scorer if oracle else cosine_scorer)
     cfg = BuilderConfig(top_k=top_k, lookback=lookback)
-    tracks, links = associate_frames(dets, aff, cfg)
+    owner, links = associate_frames(dets, aff, cfg)
     ref_tracks, ref_links = reference_associate_frames(dets, plan, cfg, oracle)
-    assert tracks == ref_tracks
+    assert owner_tracks(owner) == ref_tracks
     assert_links(links, *ref_links)
 
 
 def test_empty_set_round_trips():
     dets = DetectionSet.build([])
     aff = oracle_affinity(dets, clip_len=1)
-    tracks, links = associate_frames(dets, aff, BuilderConfig())
-    assert tracks == []
+    owner, links = associate_frames(dets, aff, BuilderConfig())
+    np.testing.assert_array_equal(owner, np.empty(0, dtype=np.int64), strict=True)
     assert_links(links, [], [])
     graph = build_part_graph(links, dets)
     assert graph.nodes == () and graph.n_edges == 0
@@ -359,6 +368,22 @@ def test_association_memory_follows_the_links_on_a_crowded_clip():
         tracemalloc.stop()
     assert width > 100 and len(links[0]) > len(dets)
     assert peak <= 128 * len(dets) * (cfg.top_k + 1) + 128 * width**2
+
+
+def test_a_top_k_past_every_frame_costs_the_widest_frame():
+    # no frame offers more candidates than it holds detections, so a
+    # top_k whose candidate table no address space could hold links and
+    # groups as the widest frame's width does
+    spec = ScenarioSpec(n_objects=10, n_frames=30, seed=60,
+                        embedding_noise_sigma=0.2, miss_rate=0.1)
+    dets = synthesize(spec)
+    aff = accumulate_affinity(dets, WindowPlan(30, 16, 8), cosine_scorer)
+    width = int(np.bincount(dets.frames).max())
+    owner, links = associate_frames(dets, aff, BuilderConfig(top_k=width))
+    huge_owner, huge_links = associate_frames(dets, aff, BuilderConfig(top_k=10**15))
+    np.testing.assert_array_equal(huge_owner, owner, strict=True)
+    assert_links(huge_links, *links)
+    assert len(links[0]) > len(dets)
 
 
 # -------------------------------------------------------------- part graph

@@ -243,6 +243,25 @@ def test_train_divergence_exits_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["train", "track"])
+def test_running_out_of_memory_exits_three(tmp_path, capsys, monkeypatch, command):
+    # a stage that cannot get its memory raises MemoryError; the stages
+    # are stood in for, so nothing large is allocated
+    data = synth(tmp_path, objects=3, frames=40)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 447. GiB for an array")
+
+    monkeypatch.setattr(cli, "_labelled_graphs" if command == "train" else "run_clipped",
+                        no_memory)
+    flag = "--gt" if command == "train" else "--det"
+    code = main([command, flag, str(data / "det.txt"), "--emb", str(data / "det.emb"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 447. GiB for an array\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--learning-rate", "nan"), ("--gamma", "nan"),
                                         ("--weight-decay", "inf"), ("--learning-rate", "inf")])
 def test_train_refuses_non_finite_settings_before_building_graphs(

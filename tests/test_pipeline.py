@@ -20,6 +20,8 @@ from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import aggregate
 from trackgraph.stitcher import ClipPlan, run_clipped
 
+from conftest import id_partition
+
 
 def partition(tracks) -> set[frozenset]:
     return {
@@ -48,47 +50,51 @@ def test_mode_resolution_and_validation():
 
 
 def test_empty_input_gives_no_tracks():
-    assert ClipTracker()(DetectionSet.build([])) == []
+    ids = ClipTracker()(DetectionSet.build([]))
+    np.testing.assert_array_equal(ids, np.empty(0, dtype=np.int64), strict=True)
 
 
 def test_oracle_mode_recovers_clean_partition():
     dets = synthesize(ScenarioSpec(n_objects=3, n_frames=40, seed=2))
-    tracks = ClipTracker(score_mode="oracle")(dets)
-    assert partition(tracks) == gt_partition(dets)
+    ids = ClipTracker(score_mode="oracle")(dets)
+    assert id_partition(dets, ids) == gt_partition(dets)
 
 
 def test_handcrafted_mode_recovers_clean_partition():
     dets = synthesize(ScenarioSpec(n_objects=3, n_frames=40, seed=2))
-    tracks = ClipTracker()(dets)
-    assert partition(tracks) == gt_partition(dets)
+    ids = ClipTracker()(dets)
+    assert id_partition(dets, ids) == gt_partition(dets)
 
 
 def test_output_is_a_partition_under_noise():
     spec = ScenarioSpec(n_objects=4, n_frames=60, seed=11,
                         miss_rate=0.1, embedding_noise_sigma=0.2)
     dets = synthesize(spec)
-    tracks = ClipTracker()(dets)
-    seen = [i for t in tracks for i in t.det_indices]
-    assert sorted(seen) == list(range(len(dets)))
-    for t in tracks:
-        frames = [d.frame for d in t.detections]
+    ids = ClipTracker()(dets)
+    assert ids.shape == (len(dets),) and ids.dtype == np.int64
+    for group in id_partition(dets, ids):
+        frames = [f for f, _ in group]
         assert len(frames) == len(set(frames))
-    assert [t.id for t in tracks] == list(range(len(tracks)))
+    # ids count up from 0 in order of first appearance
+    distinct, first = np.unique(ids, return_index=True)
+    assert distinct.tolist() == list(range(distinct.size))
+    assert first.tolist() == sorted(first.tolist())
 
 
 def test_untrained_params_still_produce_a_partition():
     dets = synthesize(ScenarioSpec(n_objects=2, n_frames=20, seed=4))
-    tracks = ClipTracker(params=init_params(1))(dets)
-    seen = [i for t in tracks for i in t.det_indices]
-    assert sorted(seen) == list(range(len(dets)))
+    ids = ClipTracker(params=init_params(1))(dets)
+    assert ids.shape == (len(dets),) and ids.dtype == np.int64
+    for group in id_partition(dets, ids):
+        frames = [f for f, _ in group]
+        assert len(frames) == len(set(frames))
 
 
 def test_single_frame_clip_yields_singletons():
     dets = synthesize(ScenarioSpec(n_objects=3, n_frames=2, seed=0))
     sub = DetectionSet.build([d for d in dets.detections if d.frame == 0])
-    tracks = ClipTracker()(sub)
-    assert len(tracks) == len(sub)
-    assert all(len(t) == 1 for t in tracks)
+    ids = ClipTracker()(sub)
+    assert ids.tolist() == list(range(len(sub)))
 
 
 def test_input_order_within_frames_does_not_matter():
@@ -96,10 +102,10 @@ def test_input_order_within_frames_does_not_matter():
     flipped = DetectionSet.build(list(reversed(dets.detections)),
                                  n_frames=dets.n_frames)
 
-    def keyed(dset, tracks):
+    def keyed(dset, ids):
         return {
-            frozenset((d.frame, d.gt_id) for d in t.detections)
-            for t in tracks
+            frozenset((f, dset.detections[i].gt_id) for f, i in group)
+            for group in id_partition(dset, ids)
         }
 
     a = ClipTracker(score_mode="oracle")(dets)
@@ -112,7 +118,7 @@ def test_tracker_is_deterministic():
                                    embedding_noise_sigma=0.1))
     a = ClipTracker()(dets)
     b = ClipTracker()(dets)
-    assert [t.det_indices for t in a] == [t.det_indices for t in b]
+    np.testing.assert_array_equal(a, b, strict=True)
 
 
 def test_long_video_through_clips_matches_ground_truth():
@@ -171,22 +177,26 @@ def test_handcrafted_reach_leaves_the_tracks_unchanged(monkeypatch, spec, plan):
 
 
 def test_the_graph_path_makes_no_record(tmp_path):
-    # graphs, scores and both passes read the columns: a freshly parsed
-    # set, and each clip sliced from it, make no Detection record until
-    # the tracker groups its output tracks
+    # graphs, scores, both passes and the tracker's ids read the columns:
+    # a freshly parsed set, and each clip sliced from it, make no
+    # Detection record in any score mode; only run_clipped's tracks do
     dets = synthesize(ScenarioSpec(6, 90, seed=3, embedding_noise_sigma=0.2, miss_rate=0.1))
     write_detections(tmp_path / "det.txt", dets)
     write_embeddings(tmp_path / "det.emb", dets.embeddings())
-    runs = [("handcrafted", handcrafted_scores, handcrafted_reach(0.5)),
-            ("oracle", oracle_scores, None)]
-    for mode, score_fn, max_gap in runs:
+    params = init_params(0, dets.embeddings().shape[1])
+    runs = [("handcrafted", None, handcrafted_scores, handcrafted_reach(0.5)),
+            ("oracle", None, oracle_scores, None),
+            ("mpn", params, None, None)]
+    for mode, mode_params, score_fn, max_gap in runs:
         fresh = parse_mot(tmp_path / "det.txt", tmp_path / "det.emb")
-        tracker = ClipTracker(score_mode=mode)
+        tracker = ClipTracker(score_mode=mode, params=mode_params)
         clips = [fresh] + [sub for sub, _ in ClipPlan(64, 32).clips(fresh)]
         for clip in clips:
             graph, _ = tracker.build_graph(clip)
-            ids = aggregate(graph, None, score_fn=score_fn, max_gap=max_gap)
+            ids = aggregate(graph, mode_params, score_fn=score_fn, max_gap=max_gap)
             assert ids.shape == (len(clip),)
+            # the whole call hands back aggregate's ids
+            np.testing.assert_array_equal(tracker(clip), ids, strict=True)
             assert "detections" not in clip.__dict__
         assert "detections" not in fresh.__dict__
         # a clip's records are its parent's, made once, when first read
@@ -196,7 +206,6 @@ def test_the_graph_path_makes_no_record(tmp_path):
         assert all(a is b for a, b in zip(first.detections[-overlap:],
                                           second.detections[:overlap]))
         assert first.detections == fresh.detections[:len(first)]
-        assert len(tracker(clips[1])) > 0
 
 
 def test_training_graphs_make_no_record():

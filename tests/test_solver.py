@@ -35,7 +35,6 @@ from trackgraph.solver import (
     build_traj_graph,
     connected_components_ids,
     greedy_round,
-    group_tracklets,
     path_ids,
     span_disjoint_edges,
 )
@@ -66,8 +65,8 @@ def part_graph(rows, clip_len, cfg=None, scorer=oracle_scorer, window=None, step
     plan = WindowPlan(clip_len=clip_len, window=window or clip_len, step=step or window or clip_len)
     aff = accumulate_affinity(dets, plan, scorer)
     cfg = cfg or BuilderConfig(top_k=1)
-    tracks, links = associate_frames(dets, aff, cfg)
-    return dets, build_part_graph(links, dets), tracks
+    owner, links = associate_frames(dets, aff, cfg)
+    return dets, build_part_graph(links, dets), owner
 
 
 # ----------------------------------------------------------------- problem
@@ -371,8 +370,6 @@ def test_build_traj_graph_groups_and_gates():
     # an id's members are taken in index order, which must be frame order
     with pytest.raises(ValidationError, match="0 then 0"):
         build_traj_graph(dets, np.asarray([0, 0, 1, 2]))
-    with pytest.raises(ValidationError, match="1 then 0"):
-        group_tracklets(dets.detections[::-1], ids)
     rows2 = [det(0, 0.0, 1), det(1, 0.0, 1), det(3, 50.0, 2), det(4, 50.0, 2)]
     dets2 = DetectionSet.build(rows2)
     tg2 = build_traj_graph(dets2, np.asarray([0, 0, 1, 1]))
@@ -433,8 +430,9 @@ def fragmented_fixture():
 
 
 def test_aggregate_bridges_long_gap_with_traj_pass():
-    dets, graph, tracks = fragmented_fixture()
-    assert tracks == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # the step tracker cannot cross the gap
+    dets, graph, owner = fragmented_fixture()
+    # the step tracker cannot cross the gap
+    assert owner.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     ids = aggregate(graph, None, eps=0.5, score_fn=oracle_scores)
     gt = [d.gt_id for d in dets.detections]
     assert len(set(ids.tolist())) == 2

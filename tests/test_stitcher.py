@@ -16,6 +16,7 @@ from trackgraph.core import BoundingBox, Detection, Tracklet, ValidationError
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.stitcher import (
     ClipPlan,
+    group_tracklets,
     interpolate_gaps,
     run_clipped,
     stitch,
@@ -382,11 +383,8 @@ def test_interpolate_preserves_id_and_multiple_gaps():
 
 
 def oracle_pipeline(sub: DetectionSet):
-    """Groups a clip's detections by ground-truth id."""
-    groups = {}
-    for i, d in enumerate(sub.detections):
-        groups.setdefault(d.gt_id, []).append((i, d))
-    return [Tracklet.from_members(k, groups[g]) for k, g in enumerate(sorted(groups))]
+    """One id per clip detection: its ground-truth id's rank in the clip."""
+    return np.unique(sub.gt_ids, return_inverse=True)[1]
 
 
 def partition(dets: DetectionSet, tracks) -> set[frozenset]:
@@ -430,12 +428,96 @@ def test_run_clipped_tracks_only_the_clips_holding_a_detection():
     calls = []
 
     def pipeline(sub):
-        calls.append([d.frame for d in sub.detections])
-        return [Tracklet.from_members(0, [(0, sub.detections[0])])]
+        calls.append(sub.frames.tolist())
+        return np.zeros(len(sub), dtype=np.int64)
 
     tracks = run_clipped(dets, ClipPlan(512, 256), pipeline)
     assert calls == [[0], [far]]
     assert [members(t) for t in tracks] == [[(0, 0)], [(far, 1)]]
+
+
+def test_run_clipped_refuses_a_result_that_is_not_one_id_per_detection():
+    dets = synthesize(ScenarioSpec(n_objects=2, n_frames=30, seed=0))
+    wrong = [
+        lambda sub: np.zeros(len(sub) + 1, dtype=np.int64),  # one id too many
+        lambda sub: np.zeros(len(sub) - 1, dtype=np.int64),  # one too few
+        lambda sub: np.zeros((len(sub), 1), dtype=np.int64),  # a column, not ids
+        lambda sub: np.zeros(len(sub)),  # floats
+        lambda sub: [Tracklet.from_members(0, [(0, sub.detections[0])])],  # records
+    ]
+    for pipeline in wrong:
+        with pytest.raises(ValidationError, match="align"):
+            run_clipped(dets, ClipPlan(512, 256), pipeline)
+
+
+def test_group_tracklets_makes_each_track_at_the_video_indices():
+    dets = DetectionSet.build([det(0, 0), det(0, 1), det(1, 2), det(2, 3), det(2, 4)])
+    # the clip is video detections 1 to 3
+    tracks = group_tracklets(dets, np.asarray([5, 2, 5]), 1, 3)
+    assert [(t.id, members(t)) for t in tracks] == [(2, [(1, 2)]), (5, [(0, 1), (2, 3)])]
+    assert all(d is dets.detections[i]
+               for t in tracks for i, d in zip(t.det_indices, t.detections))
+    # an id may hold one detection per frame
+    with pytest.raises(ValidationError, match="0 then 0"):
+        group_tracklets(dets, np.asarray([0, 0, 1]), 0, 3)
+
+
+@st.composite
+def clipped_videos(draw):
+    """A frame layout and a clip plan.
+
+    Up to three detections a frame, some frames empty and some past the
+    last detection.
+    """
+    frame_of = []
+    for f in range(draw(st.integers(1, 24))):
+        frame_of += [f] * draw(st.integers(0, 3))
+    tail = draw(st.integers(0, 6))
+    clip_len = draw(st.integers(2, 8))
+    plan = ClipPlan(clip_len, draw(st.integers(1, clip_len - 1)))
+    rows = [det(f, i) for i, f in enumerate(frame_of)]
+    return DetectionSet.build(rows, n_frames=(frame_of[-1] + 1 if frame_of else 0) + tail), plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clipped_videos(), data=st.data())
+def test_run_clipped_folds_clip_ids_as_the_reference_does(case, data):
+    dets, plan = case
+    calls = []
+
+    def pipeline(sub):
+        # a permutation of 0-3 over each frame's detections: an id holds
+        # at most one detection a frame
+        ids = np.empty(len(sub), dtype=np.int64)
+        for f in np.unique(sub.frames).tolist():
+            at = np.flatnonzero(sub.frames == f)
+            ids[at] = data.draw(st.permutations(range(4)))[: at.size]
+        calls.append((sub.frames.tolist(), ids))
+        return ids
+
+    got = run_clipped(dets, plan, pipeline)
+    # the reference: each clip's ids grouped into tracks at the video's
+    # indices, folded by the frame-keyed reference stitch, interpolated
+    clips = every_start_clips(dets, plan)
+    assert len(calls) == len(clips)
+    merged = []
+    for (_, idx, _), (frames, ids) in zip(clips, calls):
+        assert frames == [dets.detections[i].frame for i in idx]
+        groups = {}
+        for i, g in zip(idx, ids.tolist()):
+            groups.setdefault(g, []).append((i, dets.detections[i]))
+        tracks = [Tracklet.from_members(g, groups[g]) for g in sorted(groups)]
+        merged = reference_stitch(merged, tracks) if merged else tracks
+    expect = [interpolate_gaps(t) for t in merged]
+
+    def rows(tracks):
+        return [(t.id, t.det_indices,
+                 [(d.frame, d.box, d.confidence, d.embedding.tolist()) for d in t.detections])
+                for t in tracks]
+
+    assert rows(got) == rows(expect)
+    placed = [i for t in got for i in t.det_indices if i >= 0]
+    assert sorted(placed) == list(range(len(dets)))
 
 
 def test_run_clipped_interpolates_occlusion_gaps():
