@@ -8,7 +8,10 @@ on a fixed ladder of scenes under both trees: REV and this working tree
 (uncommitted edits included). One more `track` run reads a sparse copy
 of a scene whose later half sits far ahead in time, and one more
 `track` and `eval` read a copy of a scene respelled so that `parse_mot`
-reads it line by line. Two more runs read no embedding sidecar, so
+reads it line by line. One more `track` and `eval` read a copy of the
+weak scene with every box scaled by 1e-6 and moved by -2e-4, so that
+the written boxes are spelled with exponents and minus signs
+(`-5.3e-05`), which the synthetic scenes never write. Two more runs read no embedding sidecar, so
 `parse_mot` hashes a pseudo-embedding for each detection: `track` and
 `eval` on weak, and `graph-stats --dump` on long. One more `eval` scores
 gate700's ground truth, its ids cut into 8-frame runs (about 880 ids),
@@ -128,6 +131,11 @@ TRACK_RUNS = [
 # disk) moved 100,000 frames later, same sidecar, tracked handcrafted in
 # 128/64 clips, so the clips between the two halves hold no detection
 SPARSE_AFTER, SPARSE_SHIFT = 192, 100_000
+
+# the scaled run: weak's boxes (and ground truth) scaled about the origin
+# and moved, so that repr spells coordinates and sides with exponents and
+# minus signs
+SCALED_SCALE, SCALED_SHIFT = 1e-6, -2e-4
 
 # (scene, run name, extra graph-stats flags)
 GRAPH_RUNS = [
@@ -305,6 +313,19 @@ def fragment_ids(src: Path, dest: Path, run: int) -> None:
     dest.write_text("\n".join(rows) + "\n")
 
 
+def rescale(src: Path, dest: Path, scale: float, shift: float) -> None:
+    """Copy a MOT file with every box scaled by `scale` about the origin,
+    then its corner moved by `shift` along both axes."""
+    rows = []
+    for line in src.read_text().splitlines():
+        fields = line.split(",")
+        x, y, w, h = (float(v) for v in fields[2:6])
+        fields[2:6] = [repr(v) for v in (x * scale + shift, y * scale + shift,
+                                         w * scale, h * scale)]
+        rows.append(",".join(fields))
+    dest.write_text("\n".join(rows) + "\n")
+
+
 def respell(src: Path, dest: Path) -> None:
     """Copy a MOT file with every frame spelled as a float (12 -> 12.0)
     and every seventh row cut to its first 7 columns."""
@@ -372,6 +393,15 @@ def run_ladder(tree: Path, work: Path) -> dict[str, Output]:
     report = trackgraph(tree, ["eval", "--pred", str(result),
                                "--gt", str(work / "weak" / "gt.txt")])
     text("respelled/eval-handcrafted", report)
+    # the scaled run: weak's boxes spelled with exponents and minus signs
+    (work / "scaled").mkdir()
+    for name in ("det.txt", "gt.txt"):
+        rescale(work / "weak" / name, work / "scaled" / name, SCALED_SCALE, SCALED_SHIFT)
+    shutil.copyfile(work / "weak" / "det.emb", work / "scaled" / "det.emb")
+    result = track("scaled", "handcrafted", [])
+    report = trackgraph(tree, ["eval", "--pred", str(result),
+                               "--gt", str(work / "scaled" / "gt.txt")])
+    text("scaled/eval-handcrafted", report)
     # the fragmented run: gate700's ground truth with ids cut into runs
     (work / "fragmented").mkdir()
     fragment_ids(work / "gate700" / "gt.txt", work / "fragmented" / "pred.txt", 8)

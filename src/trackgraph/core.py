@@ -2,7 +2,9 @@
 
 Boxes live in pixel space as (left, top, width, height). Frames are
 integer time indices starting at 0. A tracklet is its members: a
-strictly time-ordered run of detections, at most one per frame. The
+strictly time-ordered run of detections, at most one per frame. It
+holds them as columns, and its members as records are a view made on
+first read. The
 nodes of a graph are index ranges over one DetectionSet: a part graph's
 node i is detection i, and a trajectory graph's node i is a group of
 the set's detections in a CSR member table. A graph's edges are two
@@ -59,6 +61,13 @@ def unchecked(cls, **fields):
     return obj
 
 
+def frozen(values, dtype=None) -> np.ndarray:
+    """values as a read-only array of dtype (no copy when it already is one)."""
+    column = np.asarray(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
 def box_fault(x: float, y: float, w: float, h: float) -> Optional[str]:
     """Why BoundingBox refuses the box (x, y, w, h), or None if it accepts it."""
     # one test passes a valid box: finite x and x + w mean a finite w,
@@ -73,6 +82,16 @@ def box_fault(x: float, y: float, w: float, h: float) -> Optional[str]:
         return f"box needs w > 0 and h > 0, got w={w} h={h}"
     return ("box needs finite corners and a positive area of at most half "
             f"the largest float, got {vals}")
+
+
+def box_faults(rows: np.ndarray) -> np.ndarray:
+    """Which (n, 4) x/y/w/h rows BoundingBox refuses, as a bool mask;
+    box_fault names why."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # finite corners also mean finite x, y, w and h
+        corners = box_corners(rows)
+    return ~(np.isfinite(corners).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0)
+             & (corners[:, 4] > 0) & (corners[:, 4] <= MAX_BOX_AREA))
 
 
 @dataclass(frozen=True)
@@ -203,50 +222,111 @@ class Detection:
         return (self.frame, self.frame)
 
 
-@dataclass(frozen=True)
-class Tracklet:
-    """A time-ordered run of detections under one identity.
+# a Tracklet's columns and their dtypes, in field order
+_TRACK_COLUMNS = (("indices", np.int64), ("frames", np.int64), ("boxes", np.float64),
+                  ("confidence", np.float64), ("embeddings", np.float64),
+                  ("gt_ids", np.int64))
 
-    det_indices carries each member's position in the originating
-    detection set; -1 marks synthesized (interpolated) members.
+
+@dataclass(frozen=True, eq=False)
+class Tracklet:
+    """A time-ordered run of detections under one identity, as columns.
+
+    Row k of every column is member k, and frames strictly increase.
+    indices holds each member's position in the originating detection
+    set, -1 for a synthesized (interpolated) member. boxes are (n, 4)
+    x/y/w/h rows, embeddings (n, D) rows, and gt_ids is -1 where a member
+    carries no identity. The columns are read-only. det_indices (indices
+    as a tuple of ints) and detections (the members as Detection records)
+    are views made on first read.
     """
 
     kind: ClassVar[NodeKind] = NodeKind.TRAJ
     id: int
-    detections: tuple[Detection, ...]
-    det_indices: tuple[int, ...]
+    indices: np.ndarray
+    frames: np.ndarray
+    boxes: np.ndarray
+    confidence: np.ndarray
+    embeddings: np.ndarray
+    gt_ids: np.ndarray
 
     def __post_init__(self):
-        if not self.detections:
+        for name, dtype in _TRACK_COLUMNS:
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
+        n = self.frames.size
+        if not n:
             raise ValidationError("tracklet needs at least one detection")
-        if len(self.det_indices) != len(self.detections):
-            raise ValidationError("det_indices must align with detections")
-        frames = [d.frame for d in self.detections]
-        for a, b in zip(frames, frames[1:]):
-            if b <= a:
-                raise ValidationError(
-                    f"tracklet frames must strictly increase, got {a} then {b}"
-                )
+        if (any(getattr(self, name).shape[:1] != (n,) for name, _ in _TRACK_COLUMNS)
+                or self.boxes.shape != (n, 4) or self.embeddings.ndim != 2):
+            raise ValidationError("tracklet columns must hold one row per member")
+        check_increasing(self.frames, np.asarray([0, n]))
 
     @classmethod
     def from_members(
         cls, track_id: int, members: Sequence[tuple[int, Detection]]
     ) -> "Tracklet":
-        """Build a tracklet from (detection index, detection) pairs."""
+        """Build a tracklet from (detection index, detection) pairs; its
+        detections are the given records, in frame order."""
         ordered = sorted(members, key=lambda m: m[1].frame)
-        return cls(
-            id=track_id,
-            detections=tuple(d for _, d in ordered),
-            det_indices=tuple(i for i, _ in ordered),
-        )
+        if not ordered:
+            raise ValidationError("tracklet needs at least one detection")
+        dets = tuple(d for _, d in ordered)
+        track = cls(track_id, [i for i, _ in ordered], [d.frame for d in dets],
+                    box_rows(d.box for d in dets), [d.confidence for d in dets],
+                    np.stack([d.embedding for d in dets]),
+                    [-1 if d.gt_id is None else d.gt_id for d in dets])
+        track.__dict__["detections"] = dets
+        return track
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return self.frames.size
 
     @property
     def span(self) -> tuple[int, int]:
         """Inclusive (first, last) frame span."""
-        return (self.detections[0].frame, self.detections[-1].frame)
+        return tuple(self.frames[[0, -1]].tolist())
+
+    @cached_property
+    def det_indices(self) -> tuple[int, ...]:
+        """indices as a tuple of ints, made on first read."""
+        return tuple(self.indices.tolist())
+
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        """The members as Detection records, made on first read."""
+        return detection_records(self.frames, self.boxes, self.confidence,
+                                 self.embeddings, self.gt_ids)
+
+
+def gather_tracklets(dets: "DetectionSet", ids, offsets, members) -> list[Tracklet]:
+    """One Tracklet per group of a CSR member table over dets.
+
+    Group i, under id ids[i], holds the set's detections
+    members[offsets[i]:offsets[i + 1]], which the caller vouches are in
+    strictly increasing frame order. Each column is gathered once for
+    all groups, and a tracklet's columns are read-only views of it.
+    """
+    index, frames, boxes, conf, emb, gt = (
+        frozen(col) for col in (members, dets.frames[members], dets.boxes[members],
+                                dets.confidence[members], dets.embeddings()[members],
+                                dets.gt_ids[members]))
+    bounds = offsets.tolist()
+    return [unchecked(Tracklet, id=g, indices=index[a:b], frames=frames[a:b],
+                      boxes=boxes[a:b], confidence=conf[a:b], embeddings=emb[a:b],
+                      gt_ids=gt[a:b])
+            for g, a, b in zip(ids, bounds, bounds[1:])]
+
+
+def detection_records(frames, boxes, confidence, embeddings, gt_ids) -> tuple[Detection, ...]:
+    """Checked columns as Detection records, row i as record i; a gt id
+    below 0 is None."""
+    gt = [g if g >= 0 else None for g in gt_ids.tolist()]
+    return tuple(
+        unchecked(Detection, frame=f, box=unchecked(BoundingBox, x=x, y=y, w=w, h=h),
+                  confidence=c, embedding=e, gt_id=g)
+        for f, (x, y, w, h), c, e, g in zip(
+            frames.tolist(), boxes.tolist(), confidence.tolist(), embeddings, gt)
+    )
 
 
 class Edge(NamedTuple):
@@ -342,18 +422,17 @@ class TrackGraph:
     def nodes(self) -> tuple[Union[Detection, Tracklet], ...]:
         """The nodes as records, made on first read: the set's detections
         for a part graph, one Tracklet per group (its id the node
-        position) for a trajectory graph. Tracking and training never
-        read them; the benchmark tracer and the tests' references do."""
+        position, its detections the set's records) for a trajectory
+        graph. Tracking and training never read them; the benchmark
+        tracer and the tests' references do."""
         records = self.dets.detections
         if self.groups is None:
             return records
-        members, bounds = self.groups[1].tolist(), self.groups[0].tolist()
-        runs = (tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return tuple(
-            unchecked(Tracklet, id=i, det_indices=run,
-                      detections=tuple(records[j] for j in run))
-            for i, run in enumerate(runs)
-        )
+        offsets, members = self.groups
+        nodes = gather_tracklets(self.dets, range(offsets.size - 1), offsets, members)
+        for node in nodes:
+            node.__dict__["detections"] = tuple(records[j] for j in node.indices.tolist())
+        return tuple(nodes)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

@@ -36,16 +36,15 @@ import numpy as np
 
 from trackgraph.core import (
     DEFAULT_EMBED_DIM,
-    BoundingBox,
     Detection,
-    MAX_BOX_AREA,
     ParseError,
     Tracklet,
     ValidationError,
-    box_corners,
     box_fault,
+    box_faults,
     box_rows,
-    unchecked,
+    detection_records,
+    frozen,
 )
 
 _MAX_FRAME = 2**53
@@ -66,8 +65,8 @@ class DetectionSet:
     column, or D alone: embeddings() then hashes pseudo-embeddings from
     the frames and boxes on first read. detections is a view of Detection
     records made on first read; build keeps the records it is given, and
-    a slice takes its parent's when it is first read. Tracking reads
-    only the video's, when run_clipped makes a clip's tracks.
+    a slice takes its parent's when it is first read. Tracking and
+    writing read only the columns, so `trackgraph track` makes no record.
     """
 
     frames: np.ndarray
@@ -80,14 +79,14 @@ class DetectionSet:
     def __post_init__(self):
         for name, dtype in (("frames", np.int64), ("boxes", np.float64),
                             ("confidence", np.float64), ("gt_ids", np.int64)):
-            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
         frames, source = self.frames, self.embedding_source
         if (frames[1:] < frames[:-1]).any():
             raise ValidationError("detections must be sorted by frame")
         if frames.size and frames[-1] >= self.n_frames:
             raise ValidationError("n_frames does not cover all detections")
         if not isinstance(source, int):
-            source = _column(source, np.float64)
+            source = frozen(source, np.float64)
             object.__setattr__(self, "embedding_source", source)
             if frames.size and source.shape[1] == 0:
                 raise ValidationError("embedding must be a non-empty 1-d vector")
@@ -135,35 +134,22 @@ class DetectionSet:
         if (origin := self.__dict__.pop("_origin", None)) is not None:
             parent, lo = origin
             return parent.detections[lo : lo + len(self)]
-        # every record is made from checked columns
-        gt = [g if g >= 0 else None for g in self.gt_ids.tolist()]
-        return tuple(
-            unchecked(Detection, frame=f, box=unchecked(BoundingBox, x=x, y=y, w=w, h=h),
-                      confidence=c, embedding=e, gt_id=g)
-            for f, (x, y, w, h), c, e, g in zip(
-                self.frames.tolist(), self.boxes.tolist(), self.confidence.tolist(),
-                self.embeddings(), gt)
-        )
+        return detection_records(self.frames, self.boxes, self.confidence,
+                                 self.embeddings(), self.gt_ids)
 
     @cached_property
     def _embeddings(self) -> np.ndarray:
         source = self.embedding_source
         if not len(self):
-            return _column(np.empty((0, 0)), np.float64)
+            return frozen(np.empty((0, 0)), np.float64)
         if not isinstance(source, int):
             return source
-        return _column([pseudo_embedding(f, box, source) for f, box in
+        return frozen([pseudo_embedding(f, box, source) for f, box in
                         zip(self.frames.tolist(), self.boxes.tolist())], np.float64)
 
     def embeddings(self) -> np.ndarray:
         """The embeddings as a read-only (n, D) column; (0, 0) when empty."""
         return self._embeddings
-
-
-def _column(values, dtype) -> np.ndarray:
-    column = np.asarray(values, dtype=dtype)
-    column.setflags(write=False)
-    return column
 
 
 def pseudo_embedding(frame: int, box: Sequence[float],
@@ -251,12 +237,8 @@ def _read_columns(det_path: Union[str, Path]):
             values = np.loadtxt(lines, dtype=np.float64, usecols=range(2, 7), **read)
     except (ValueError, UserWarning):
         return None
-    frames, w, h, conf = ints[:, 0], values[:, 2], values[:, 3], values[:, 4]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # finite corners also mean finite x, y, w and h
-        corners = box_corners(values[:, :4])
-    ok = ((frames >= 1) & (frames <= _MAX_FRAME) & np.isfinite(corners).all(axis=1)
-          & (w > 0) & (h > 0) & (corners[:, 4] > 0) & (corners[:, 4] <= MAX_BOX_AREA)
+    frames, conf = ints[:, 0], values[:, 4]
+    ok = ((frames >= 1) & (frames <= _MAX_FRAME) & ~box_faults(values[:, :4])
           & (conf >= 0.0) & (conf <= 1.0))
     return (frames, ints[:, 1], values) if ok.all() else None
 
@@ -325,38 +307,50 @@ def parse_mot(
                         int(frames[-1]) + 1 if n else 0, embeddings)
 
 
-def _fmt(value: float) -> str:
-    # repr round-trips exactly and keeps synthetic values short
-    return repr(float(value))
+# rows spelled at a time: bounds the Python objects a long video's
+# output holds at once
+_SPELL_ROWS = 1 << 15
+
+
+def _mot_text(frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray,
+              confidence: np.ndarray) -> str:
+    """MOT rows of aligned 0-based frame, id, (n, 4) box and confidence
+    columns, in the columns' order; one line per row, each ended by a
+    newline. Each column is spelled a block of rows at a time, every
+    value by repr, which round-trips exactly and keeps synthetic values
+    short."""
+    blocks = []
+    for lo in range(0, frames.size, _SPELL_ROWS):
+        part = slice(lo, lo + _SPELL_ROWS)
+        spelled = [map(repr, col) for col in ((frames[part] + 1).tolist(), ids[part].tolist(),
+                                              *boxes[part].T.tolist(), confidence[part].tolist())]
+        blocks.append("".join([",".join(row) + ",-1,-1,-1\n" for row in zip(*spelled)]))
+    return "".join(blocks)
 
 
 def write_mot(path: Union[str, Path], tracks: Sequence[Tracklet]) -> str:
-    """Write tracklets as MOT rows sorted by (frame, id); returns the text."""
-    rows = []
-    for t in tracks:
-        for d in t.detections:
-            rows.append((d.frame, t.id, d))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    lines = []
-    for frame, tid, d in rows:
-        b = d.box
-        lines.append(
-            f"{frame + 1},{tid},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},"
-            f"{_fmt(d.confidence)},-1,-1,-1"
-        )
-    text = "\n".join(lines) + ("\n" if lines else "")
+    """Write tracklets as MOT rows sorted by (frame, id); returns the text.
+
+    The tracks' columns are joined and sorted once, so writing makes no
+    Detection record.
+    """
+    text = ""
+    if tracks:
+        frames = np.concatenate([t.frames for t in tracks])
+        ids = np.repeat(np.asarray([t.id for t in tracks], dtype=np.int64),
+                        [len(t) for t in tracks])
+        order = np.lexsort((ids, frames))
+        text = _mot_text(frames[order], ids[order],
+                         np.concatenate([t.boxes for t in tracks])[order],
+                         np.concatenate([t.confidence for t in tracks])[order])
     Path(path).write_text(text, encoding="utf-8")
     return text
 
 
 def write_detections(path: Union[str, Path], dets: DetectionSet) -> None:
     """Write a detection set as MOT rows in set order (gt id or -1)."""
-    lines = [
-        f"{f + 1},{g},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},{_fmt(c)},-1,-1,-1"
-        for f, g, (x, y, w, h), c in zip(dets.frames.tolist(), dets.gt_ids.tolist(),
-                                         dets.boxes.tolist(), dets.confidence.tolist())
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    Path(path).write_text(_mot_text(dets.frames, dets.gt_ids, dets.boxes, dets.confidence),
+                          encoding="utf-8")
 
 
 # --------------------------------------------------------------- synthesis

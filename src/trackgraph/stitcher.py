@@ -11,6 +11,11 @@ Only clips that hold a detection are tracked, so a long run of empty
 frames costs nothing. Remaining gaps are closed by linear interpolation
 at the end.
 
+A track is a Tracklet's columns, gathered once per clip from the
+video's set. Scoring a seam, merging, placing each detection once and
+interpolating all read and write those columns, so tracking makes no
+Detection record; a track's detections are a view made on first read.
+
 Stitching relies on what run_clipped guarantees: an index names one
 detection, indices rise with frame, tracks hold only real members and
 the tracks merged so far are disjoint. A seam then reads each track only
@@ -19,22 +24,20 @@ from the later clip's lowest index on, in time that follows the overlap.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackgraph.core import (
-    BoundingBox,
-    Detection,
     Tracklet,
     ValidationError,
     box_fault,
+    box_faults,
     check_increasing,
+    frozen,
+    gather_tracklets,
     unchecked,
 )
 from trackgraph.ingest import DetectionSet
@@ -85,16 +88,54 @@ class ClipPlan:
             k = max(k + 1, (int(frames[lo]) - self.clip_len) // self.stride + 1)
 
 
+# a Tracklet's column fields, all but its id
+_COLUMNS = tuple(f.name for f in fields(Tracklet) if f.name != "id")
+
+
+def _joined(track_id: int, parts) -> Tracklet:
+    """A track under track_id of the rows of each (track, rows) part, in
+    order; the caller vouches that their frames strictly increase."""
+    return unchecked(Tracklet, id=track_id, **{
+        name: frozen(np.concatenate([getattr(t, name)[rows] for t, rows in parts]))
+        for name in _COLUMNS})
+
+
 def _merge(a: Tracklet, b: Tracklet) -> Tracklet:
     """Union of members under a's id; b's choice wins a contested frame."""
-    k = bisect_left(a.detections, b.detections[0].frame, key=attrgetter("frame"))
-    by_frame = {d.frame: (i, d) for i, d in zip(a.det_indices[k:], a.detections[k:])}
-    by_frame.update({d.frame: (i, d) for i, d in zip(b.det_indices, b.detections)})
-    tail = [by_frame[f] for f in sorted(by_frame)]
-    # a's frames before k all precede the sorted keys, so they increase
-    return unchecked(Tracklet, id=a.id,
-                     detections=a.detections[:k] + tuple(d for _, d in tail),
-                     det_indices=a.det_indices[:k] + tuple(i for i, _ in tail))
+    k = int(np.searchsorted(a.frames, b.frames[0]))
+    contested = np.isin(a.frames[k:], b.frames)
+    tail = _joined(a.id, [(a, k + np.flatnonzero(~contested)), (b, slice(None))])
+    # a's frames before k all precede the tail's, so they increase
+    return _joined(a.id, [(a, slice(k)), (tail, np.argsort(tail.frames, kind="stable"))])
+
+
+def _overlap_costs(tracks_a: Sequence[Tracklet], tracks_b: Sequence[Tracklet],
+                   starts: list[int]) -> np.ndarray:
+    """The assignment's cost matrix: 1 - overlap ratio for each pair that
+    chose a common detection, _FORBIDDEN for the rest. Left track r is
+    read from row starts[r] on."""
+    # the right tracks' members by index, each with its track's column
+    held = np.concatenate([tb.indices for tb in tracks_b])
+    order = np.argsort(held, kind="stable")
+    held = held[order]
+    holder = np.repeat(np.arange(len(tracks_b)), [len(tb) for tb in tracks_b])[order]
+    # every (left row, right column) pair per detection both hold
+    tails = [ta.indices[s:] for ta, s in zip(tracks_a, starts)]
+    mine = np.concatenate(tails)
+    first = np.searchsorted(held, mine)
+    count = np.searchsorted(held, mine, side="right") - first
+    rows = np.repeat(np.repeat(np.arange(len(tracks_a)), [t.size for t in tails]), count)
+    cols = holder[np.repeat(first - np.cumsum(count) + count, count)
+                  + np.arange(rows.size)]
+    pairs, shared = np.unique(rows * len(tracks_b) + cols, return_counts=True)
+    r, j = np.divmod(pairs, len(tracks_b))
+    sizes_a = np.asarray([len(ta) for ta in tracks_a])
+    sizes_b = np.asarray([len(tb) for tb in tracks_b])
+    # every left track keeps its row: linear_sum_assignment breaks ties
+    # by position, so dropping all-forbidden rows can change its pick
+    cost = np.full((len(tracks_a), len(tracks_b)), _FORBIDDEN)
+    cost[r, j] = 1.0 - shared / (sizes_a[r] + sizes_b[j] - shared)
+    return cost
 
 
 def stitch(
@@ -116,23 +157,11 @@ def stitch(
     """
     if not tracks_a or not tracks_b:
         return list(tracks_a) + list(tracks_b)
-    lo = min(tb.det_indices[0] for tb in tracks_b)
-    # right-side tracks by detection: a left track can only overlap the
-    # ones holding one of its own detections
-    holders: dict[int, list[int]] = {}
-    for j, tb in enumerate(tracks_b):
-        for i in tb.det_indices:
-            holders.setdefault(i, []).append(j)
-    # every left track keeps its row: linear_sum_assignment breaks ties
-    # by position, so dropping all-forbidden rows can change its pick
-    cost = np.full((len(tracks_a), len(tracks_b)), _FORBIDDEN)
-    for r, ta in enumerate(tracks_a):
-        shared = Counter(j for i in ta.det_indices[bisect_left(ta.det_indices, lo):]
-                         for j in holders.get(i, ()))
-        for j, n in shared.items():
-            cost[r, j] = 1.0 - n / (len(ta) + len(tracks_b[j]) - n)
+    lo = min(int(tb.indices[0]) for tb in tracks_b)
+    starts = [int(np.searchsorted(ta.indices, lo)) for ta in tracks_a]
+    cost = _overlap_costs(tracks_a, tracks_b, starts)
     rows, cols = linear_sum_assignment(cost)
-    pair = {r: c for r, c in zip(rows, cols) if cost[r, c] < 1.5}
+    pair = {r: c for r, c in zip(rows.tolist(), cols.tolist()) if cost[r, c] < 1.5}
 
     left = [_merge(ta, tracks_b[pair[i]]) if i in pair else ta
             for i, ta in enumerate(tracks_a)]
@@ -140,18 +169,20 @@ def stitch(
     right = [tb for j, tb in enumerate(tracks_b) if j not in used_b]
     next_id = max(t.id for t in left) + 1
     # the first track in output order keeps a detection; later ones drop it
-    out, placed = [], set()
-    for k, t in enumerate(left + right):
-        s = bisect_left(t.det_indices, lo)
-        kept = [(i, d) for i, d in zip(t.det_indices[s:], t.detections[s:])
-                if i not in placed]
-        placed.update(i for i, _ in kept)
-        if k < len(left) and s + len(kept) == len(t):
+    ordered = left + right
+    starts = [int(np.searchsorted(t.indices, lo)) for t in ordered]
+    tails = np.concatenate([t.indices[s:] for t, s in zip(ordered, starts)])
+    first = np.zeros(tails.size, dtype=bool)
+    first[np.unique(tails, return_index=True)[1]] = True
+    out, end = [], 0
+    for k, (t, s) in enumerate(zip(ordered, starts)):
+        kept = s + np.flatnonzero(first[end : end + len(t) - s])
+        end += len(t) - s
+        if k < len(left) and kept.size == len(t) - s:
             out.append(t)
-        elif s or kept:
-            out.append(Tracklet(t.id if k < len(left) else next_id,
-                                t.detections[:s] + tuple(d for _, d in kept),
-                                t.det_indices[:s] + tuple(i for i, _ in kept)))
+        elif s or kept.size:
+            out.append(_joined(t.id if k < len(left) else next_id,
+                               [(t, slice(s)), (t, kept)]))
             next_id += k >= len(left)  # right tracks take fresh ids
     return out
 
@@ -159,38 +190,47 @@ def stitch(
 def interpolate_gaps(track: Tracklet) -> Tracklet:
     """Fill missing frames between consecutive members linearly.
 
-    Inserted detections carry the endpoint-minimum confidence, the mean
-    embedding, and detection index -1. Gap-free tracks come back as-is.
-    Members are made in frame order, so only the inserted boxes and
-    embeddings need a check.
+    The k-th of the gap - 1 rows inserted in a gap holds the box at
+    weight k / gap on the segment between the members around it, their
+    smaller confidence, their mean embedding, detection index -1 and no
+    identity. Every gap is filled in one array pass, in the operation
+    order of the scalar formula lo + w * (hi - lo), so each value is
+    bit-equal to it. Gap-free tracks come back as-is. The first inserted
+    row whose mean embedding or box Detection or BoundingBox would refuse
+    is refused, its embedding checked first.
     """
-    dets = track.detections
-    if all(b.frame - a.frame == 1 for a, b in zip(dets, dets[1:])):
+    frames = track.frames
+    first, last = frames[[0, -1]].tolist()
+    if last - first + 1 == frames.size:  # frames strictly increase
         return track
-    out, indices = [dets[0]], [track.det_indices[0]]
-    for lo, hi, i in zip(dets, dets[1:], track.det_indices[1:]):
-        gap = hi.frame - lo.frame
-        if gap > 1:
-            conf = min(lo.confidence, hi.confidence)
-            emb = 0.5 * (lo.embedding + hi.embedding)
-            if not np.all(np.isfinite(emb)):
-                raise ValidationError("embedding must be finite")
-            emb.setflags(write=False)
-            a, b = lo.box, hi.box
-            for k in range(1, gap):
-                w = k / gap
-                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
-                bw, bh = a.w + w * (b.w - a.w), a.h + w * (b.h - a.h)
-                if (fault := box_fault(x, y, bw, bh)) is not None:
-                    raise ValidationError(fault)
-                box = unchecked(BoundingBox, x=x, y=y, w=bw, h=bh)
-                out.append(unchecked(Detection, frame=lo.frame + k, box=box,
-                                     confidence=conf, embedding=emb, gt_id=None))
-            indices += [-1] * (gap - 1)
-        out.append(hi)
-        indices.append(i)
-    return unchecked(Tracklet, id=track.id, detections=tuple(out),
-                     det_indices=tuple(indices))
+    is_new = np.ones(last - first + 1, dtype=bool)
+    is_new[frames - first] = False
+    new_frames = first + np.flatnonzero(is_new)
+    lo = np.searchsorted(frames, new_frames) - 1  # the member before each
+    hi = lo + 1
+    weight = ((new_frames - frames[lo]) / (frames[hi] - frames[lo]))[:, None]
+    b, c, e = track.boxes, track.confidence, track.embeddings
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = b[lo] + weight * (b[hi] - b[lo])
+        emb = 0.5 * (e[lo] + e[hi])
+    bad_emb = ~np.isfinite(emb).all(axis=1)
+    bad = np.flatnonzero(bad_emb | box_faults(boxes))
+    if bad.size:
+        r = bad[0]
+        raise ValidationError("embedding must be finite" if bad_emb[r]
+                              else box_fault(*boxes[r].tolist()))
+    inserted = {"indices": -1, "frames": new_frames, "boxes": boxes,
+                # min(lo, hi): hi only where it is smaller
+                "confidence": np.where(c[hi] < c[lo], c[hi], c[lo]),
+                "embeddings": emb, "gt_ids": -1}
+    columns = {}
+    for name in _COLUMNS:
+        real = getattr(track, name)
+        col = np.empty(is_new.shape + real.shape[1:], dtype=real.dtype)
+        col[~is_new] = real
+        col[is_new] = inserted[name]
+        columns[name] = frozen(col)
+    return unchecked(Tracklet, id=track.id, **columns)
 
 
 def group_tracklets(
@@ -202,14 +242,13 @@ def group_tracklets(
     offset on; detection offset + i joins the tracklet of det_ids[i].
     Members come in index order, so in frame order, and an id that
     holds two detections of one frame is refused, as Tracklet would.
+    Each tracklet's columns are gathered from the set's frames, boxes,
+    confidence, embedding and identity columns; no record is made.
     """
     ids, bounds, members = _id_groups(det_ids, n_det)
     members = members + offset
     check_increasing(dets.frames[members], bounds)
-    records, order, bounds = dets.detections, members.tolist(), bounds.tolist()
-    return [unchecked(Tracklet, id=g, det_indices=tuple(order[a:b]),
-                      detections=tuple(records[i] for i in order[a:b]))
-            for g, a, b in zip(ids.tolist(), bounds, bounds[1:])]
+    return gather_tracklets(dets, ids.tolist(), bounds, members)
 
 
 # a clip's detection set -> one id per detection of the clip

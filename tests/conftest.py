@@ -4,11 +4,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackgraph.core import (
+    BoundingBox,
     Detection,
     NumericError,
     TrackGraph,
     Tracklet,
     ValidationError,
+    box_fault,
     box_rows,
     iou,
 )
@@ -526,6 +528,79 @@ def reference_stitch(tracks_a, tracks_b):
             out.append(Tracklet.from_members(next_id, members))
             next_id += 1
     return out
+
+
+def record_row(d):
+    """A Detection record's values, comparable with ==."""
+    return (d.frame, (d.box.x, d.box.y, d.box.w, d.box.h), d.confidence,
+            d.embedding.tolist(), d.gt_id)
+
+
+def track_rows(tracks):
+    """Tracks' ids, detection indices and member records' values."""
+    return [(t.id, t.det_indices, [record_row(d) for d in t.detections]) for t in tracks]
+
+
+# ----------------------------------------------------------- output reference
+#
+# Gap interpolation and MOT writing done one record at a time:
+# stitcher.interpolate_gaps and ingest.write_mot must give the same
+# tracks and bytes.
+
+
+def reference_interpolate(track):
+    """Fill each gap with records on the segment between its endpoints."""
+    dets = track.detections
+    if all(b.frame - a.frame == 1 for a, b in zip(dets, dets[1:])):
+        return track
+    members = [(track.det_indices[0], dets[0])]
+    for lo, hi, i in zip(dets, dets[1:], track.det_indices[1:]):
+        gap = hi.frame - lo.frame
+        if gap > 1:
+            conf = min(lo.confidence, hi.confidence)
+            emb = 0.5 * (lo.embedding + hi.embedding)
+            if not np.all(np.isfinite(emb)):
+                raise ValidationError("embedding must be finite")
+            a, b = lo.box, hi.box
+            for k in range(1, gap):
+                w = k / gap
+                x, y = a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)
+                bw, bh = a.w + w * (b.w - a.w), a.h + w * (b.h - a.h)
+                if (fault := box_fault(x, y, bw, bh)) is not None:
+                    raise ValidationError(fault)
+                members.append((-1, Detection(lo.frame + k, BoundingBox(x, y, bw, bh),
+                                              conf, emb)))
+        members.append((i, hi))
+    return Tracklet.from_members(track.id, members)
+
+
+def reference_run_clipped(dets, clips):
+    """run_clipped's tracks made the record way. clips holds one (offset,
+    ids) pair per tracked clip: ids[i] groups the set's record offset + i.
+    Each clip's groups become tracklets at the video's indices, folded by
+    reference_stitch, then filled by reference_interpolate."""
+    records, merged = dets.detections, []
+    for offset, ids in clips:
+        groups = {}
+        for i, g in enumerate(np.asarray(ids).tolist(), start=offset):
+            groups.setdefault(g, []).append((i, records[i]))
+        tracks = [Tracklet.from_members(g, groups[g]) for g in sorted(groups)]
+        merged = reference_stitch(merged, tracks) if merged else tracks
+    return [reference_interpolate(t) for t in merged]
+
+
+def reference_mot_row(tid, d):
+    """The MOT line of record d under id tid."""
+    b = d.box
+    values = ",".join(repr(float(v)) for v in (b.x, b.y, b.w, b.h, d.confidence))
+    return f"{d.frame + 1},{tid},{values},-1,-1,-1\n"
+
+
+def reference_write_mot(tracks):
+    """MOT text of tracks, one formatted row per member record."""
+    rows = sorted(((d.frame, t.id, d) for t in tracks for d in t.detections),
+                  key=lambda r: (r[0], r[1]))
+    return "".join(reference_mot_row(tid, d) for _, tid, d in rows)
 
 
 # -------------------------------------------------------- rounding reference

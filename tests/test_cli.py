@@ -346,6 +346,17 @@ def test_track_and_eval_refuse_overflowing_boxes(tmp_path, capsys):
             assert "idf1" not in captured.out
 
 
+def test_track_refuses_an_interpolated_box_that_overflows(tmp_path, capsys):
+    # each row is a valid box, but the box filled in at frame 2, about
+    # 5e199 on a side, has an area past any float
+    det = tmp_path / "det.txt"
+    det.write_text("1,1,0,0,1e200,1,0.9,-1,-1,-1\n3,1,0,0,1,1e200,0.9,-1,-1,-1\n")
+    assert main(["track", "--det", str(det), "--oracle", "--out", str(tmp_path / "r.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: box needs finite corners and a positive area")
+    assert "Traceback" not in err
+
+
 def test_eval_warns_on_frame_range_mismatch(tmp_path, capsys):
     gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
     write_rows(gt, [(f, 1, 0.0) for f in range(1, 6)])

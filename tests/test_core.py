@@ -234,7 +234,8 @@ def test_tracklet_rejects_empty_and_misaligned_members():
     with pytest.raises(ValidationError):
         Tracklet.from_members(0, [])
     with pytest.raises(ValidationError):
-        Tracklet(0, (make_det(0), make_det(1)), (0,))
+        Tracklet(0, [0], [0, 1], [[0.0, 0.0, 1.0, 1.0]] * 2, [1.0] * 2,
+                 np.ones((2, 2)), [-1] * 2)
 
 
 def span_tracklet(tid, start, end):

@@ -24,6 +24,8 @@ from trackgraph.ingest import (
 from trackgraph.core import Tracklet
 from trackgraph.metrics import evaluate
 
+from conftest import reference_write_mot
+
 
 def test_parse_single_row(tmp_path):
     p = tmp_path / "det.txt"
@@ -271,6 +273,15 @@ def test_write_mot_empty(tmp_path):
     p = tmp_path / "out.txt"
     assert write_mot(p, []) == ""
     assert p.read_text() == ""
+
+
+def test_write_mot_sorts_rows_by_frame_then_id(tmp_path):
+    # tracks in descending id order, sharing frames 1 and 2
+    tracks = [make_track(9, [0, 1, 2]), make_track(4, [1, 2, 3])]
+    text = write_mot(tmp_path / "out.txt", tracks)
+    assert [line.split(",")[:2] for line in text.splitlines()] == [
+        ["1", "9"], ["2", "4"], ["2", "9"], ["3", "4"], ["3", "9"], ["4", "4"]]
+    assert text == reference_write_mot(tracks)
 
 
 def test_write_then_parse_round_trip(tmp_path):

@@ -1,12 +1,14 @@
 """End-to-end clip tracking through ClipTracker."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from trackgraph import pipeline, solver
 from trackgraph.cli import _labelled_graphs
 from trackgraph.config import RunConfig
-from trackgraph.core import ValidationError
+from trackgraph.core import BoundingBox, Detection, ValidationError
 from trackgraph.ingest import (
     DetectionSet,
     ScenarioSpec,
@@ -14,13 +16,14 @@ from trackgraph.ingest import (
     synthesize,
     write_detections,
     write_embeddings,
+    write_mot,
 )
 from trackgraph.mpn import handcrafted_reach, handcrafted_scores, init_params, oracle_scores
 from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import aggregate
 from trackgraph.stitcher import ClipPlan, run_clipped
 
-from conftest import id_partition
+from conftest import id_partition, reference_run_clipped, reference_write_mot, track_rows
 
 
 def partition(tracks) -> set[frozenset]:
@@ -206,6 +209,45 @@ def test_the_graph_path_makes_no_record(tmp_path):
         assert all(a is b for a, b in zip(first.detections[-overlap:],
                                           second.detections[:overlap]))
         assert first.detections == fresh.detections[:len(first)]
+
+
+def test_the_track_path_makes_no_record(tmp_path, monkeypatch):
+    # parse_mot -> run_clipped -> write_mot, as `trackgraph track` runs
+    # them, reads and writes columns in every score mode: no Detection
+    # or BoundingBox is made until a track's detections are read, and
+    # those then equal the tracks the record path makes
+    dets = synthesize(ScenarioSpec(6, 90, seed=3, embedding_noise_sigma=0.2, miss_rate=0.1))
+    write_detections(tmp_path / "det.txt", dets)
+    write_embeddings(tmp_path / "det.emb", dets.embeddings())
+    made = []
+    for cls in (Detection, BoundingBox):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: made.append(self) or check(self))
+    # every module that makes a record without its checks
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("trackgraph") and hasattr(m, "unchecked")]:
+        monkeypatch.setattr(module, "unchecked", lambda cls, make=module.unchecked, **fields:
+                            (cls in (Detection, BoundingBox) and made.append(cls)) or make(cls, **fields))
+    plan = ClipPlan(40, 20)
+    params = init_params(0, dets.embeddings().shape[1])
+    for mode, mode_params in (("handcrafted", None), ("oracle", None), ("mpn", params)):
+        fresh = parse_mot(tmp_path / "det.txt", tmp_path / "det.emb")
+        tracker, clips = ClipTracker(score_mode=mode, params=mode_params), []
+
+        def recorded(sub):
+            clips.append(tracker(sub))
+            return clips[-1]
+
+        tracks = run_clipped(fresh, plan, recorded)
+        text = write_mot(tmp_path / "out.txt", tracks)
+        assert len(clips) == 4 and len(tracks) >= 6
+        assert made == [] and "detections" not in fresh.__dict__
+        assert not any("detections" in t.__dict__ for t in tracks)
+        expect = reference_run_clipped(fresh, zip([o for _, o in plan.clips(fresh)], clips))
+        assert track_rows(tracks) == track_rows(expect)
+        assert text == reference_write_mot(expect)
+        assert made  # reading the tracks' detections made them
+        made.clear()
 
 
 def test_training_graphs_make_no_record():

@@ -9,11 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trackgraph.core import BoundingBox, Detection, Tracklet, ValidationError
-from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
+from trackgraph.core import BoundingBox, Detection, Tracklet, ValidationError, box_fault
+from trackgraph.ingest import (
+    DetectionSet,
+    ScenarioSpec,
+    synthesize,
+    write_detections,
+    write_mot,
+)
 from trackgraph.stitcher import (
     ClipPlan,
     group_tracklets,
@@ -22,7 +28,16 @@ from trackgraph.stitcher import (
     stitch,
 )
 
-from conftest import reference_stitch, reference_track_iou
+from conftest import (
+    record_row,
+    reference_interpolate,
+    reference_mot_row,
+    reference_run_clipped,
+    reference_stitch,
+    reference_track_iou,
+    reference_write_mot,
+    track_rows,
+)
 
 
 def det(frame, idx, conf=1.0, emb=(1.0, 0.0)):
@@ -301,10 +316,7 @@ def clip_folds(draw):
 
 
 def same_tracks(a, b):
-    return len(a) == len(b) and all(
-        x.id == y.id and x.det_indices == y.det_indices
-        and all(p is q for p, q in zip(x.detections, y.detections))
-        for x, y in zip(a, b))
+    return track_rows(a) == track_rows(b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -355,7 +367,8 @@ def test_interpolate_three_frame_gap():
         assert np.array_equal(d.embedding, np.asarray([0.5, 0.5]))
     assert out.det_indices == (10, -1, -1, -1, 11)
     # endpoints untouched
-    assert out.detections[0] is lo and out.detections[4] is hi
+    assert record_row(out.detections[0]) == record_row(lo)
+    assert record_row(out.detections[4]) == record_row(hi)
 
 
 def test_interpolate_refuses_an_overflowing_box_or_embedding():
@@ -455,7 +468,7 @@ def test_group_tracklets_makes_each_track_at_the_video_indices():
     # the clip is video detections 1 to 3
     tracks = group_tracklets(dets, np.asarray([5, 2, 5]), 1, 3)
     assert [(t.id, members(t)) for t in tracks] == [(2, [(1, 2)]), (5, [(0, 1), (2, 3)])]
-    assert all(d is dets.detections[i]
+    assert all(record_row(d) == record_row(dets.detections[i])
                for t in tracks for i, d in zip(t.det_indices, t.detections))
     # an id may hold one detection per frame
     with pytest.raises(ValidationError, match="0 then 0"):
@@ -479,15 +492,13 @@ def clipped_videos(draw):
     return DetectionSet.build(rows, n_frames=(frame_of[-1] + 1 if frame_of else 0) + tail), plan
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=clipped_videos(), data=st.data())
-def test_run_clipped_folds_clip_ids_as_the_reference_does(case, data):
-    dets, plan = case
+def per_frame_ids(data):
+    """A clip pipeline drawing a permutation of 0-3 over each frame's
+    detections, so an id holds at most one detection a frame. It records
+    each call's frames and ids."""
     calls = []
 
     def pipeline(sub):
-        # a permutation of 0-3 over each frame's detections: an id holds
-        # at most one detection a frame
         ids = np.empty(len(sub), dtype=np.int64)
         for f in np.unique(sub.frames).tolist():
             at = np.flatnonzero(sub.frames == f)
@@ -495,29 +506,113 @@ def test_run_clipped_folds_clip_ids_as_the_reference_does(case, data):
         calls.append((sub.frames.tolist(), ids))
         return ids
 
+    return pipeline, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clipped_videos(), data=st.data())
+def test_run_clipped_folds_clip_ids_as_the_reference_does(case, data):
+    dets, plan = case
+    pipeline, calls = per_frame_ids(data)
     got = run_clipped(dets, plan, pipeline)
     # the reference: each clip's ids grouped into tracks at the video's
     # indices, folded by the frame-keyed reference stitch, interpolated
     clips = every_start_clips(dets, plan)
     assert len(calls) == len(clips)
-    merged = []
-    for (_, idx, _), (frames, ids) in zip(clips, calls):
+    for (_, idx, _), (frames, _) in zip(clips, calls):
         assert frames == [dets.detections[i].frame for i in idx]
-        groups = {}
-        for i, g in zip(idx, ids.tolist()):
-            groups.setdefault(g, []).append((i, dets.detections[i]))
-        tracks = [Tracklet.from_members(g, groups[g]) for g in sorted(groups)]
-        merged = reference_stitch(merged, tracks) if merged else tracks
-    expect = [interpolate_gaps(t) for t in merged]
-
-    def rows(tracks):
-        return [(t.id, t.det_indices,
-                 [(d.frame, d.box, d.confidence, d.embedding.tolist()) for d in t.detections])
-                for t in tracks]
-
-    assert rows(got) == rows(expect)
+    expect = reference_run_clipped(dets, [(idx[0], ids) for (_, idx, _), (_, ids)
+                                          in zip(clips, calls)])
+    assert track_rows(got) == track_rows(expect)
     placed = [i for t in got for i in t.det_indices if i >= 0]
     assert sorted(placed) == list(range(len(dets)))
+
+
+# box values whose repr has an exponent, a minus sign or a signed zero
+COORDS = st.sampled_from([-1.5e16, -2.5, -0.0, 0.0, 1e-05, 3.25e-07, 7.0, 1.5e16])
+SIDES = st.sampled_from([1e-05, 2.5e-07, 3.0, 1.5e16])
+CONFIDENCES = st.sampled_from([-0.0, 0.0, 1e-05, 0.5, 1.0])
+
+
+@st.composite
+def spelled_videos(draw):
+    """A frame layout with empty frames, boxes and confidences spelled with
+    exponents and signs, some identities, and a clip plan."""
+    frame_of = []
+    for f in range(draw(st.integers(0, 24))):
+        frame_of += [f] * draw(st.integers(0, 3))
+    n = len(frame_of)
+    boxes = [[draw(COORDS), draw(COORDS), draw(SIDES), draw(SIDES)] for _ in range(n)]
+    dets = DetectionSet(frame_of, np.asarray(boxes).reshape(n, 4),
+                        [draw(CONFIDENCES) for _ in range(n)],
+                        [draw(st.sampled_from([-1, 0, 7])) for _ in range(n)],
+                        (frame_of[-1] + 1 if n else 0) + draw(st.integers(0, 6)),
+                        [[draw(st.sampled_from([-1.0, 0.5, 2.0])), 1.0] for _ in range(n)])
+    clip_len = draw(st.integers(2, 8))
+    return dets, ClipPlan(clip_len, draw(st.integers(1, clip_len - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spelled_videos(), data=st.data())
+def test_written_tracks_match_the_record_reference_byte_for_byte(case, data, tmp_path_factory):
+    dets, plan = case
+    pipeline, calls = per_frame_ids(data)
+    out = tmp_path_factory.getbasetemp() / "spelled.txt"
+    text = write_mot(out, run_clipped(dets, plan, pipeline))
+    clips = [(offset, ids) for (_, offset), (_, ids) in zip(plan.clips(dets), calls)]
+    expect = reference_write_mot(reference_run_clipped(dets, clips))
+    assert out.read_bytes() == text.encode() == expect.encode()
+    if not len(dets):
+        assert out.read_bytes() == b""
+    # the input rows, in set order, through the same formatter
+    write_detections(out, dets)
+    assert out.read_bytes() == "".join(
+        reference_mot_row(-1 if d.gt_id is None else d.gt_id, d) for d in dets.detections).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_interpolate_matches_the_record_reference(data):
+    # gaps of up to 3 frames between members large enough that an
+    # inserted box or a mean embedding may overflow; both must fill the
+    # same rows bit for bit, or refuse with the same message
+    n = data.draw(st.integers(1, 6))
+    frames = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    coord = st.sampled_from([-1.7e308, -2.5, -0.0, 0.0, 1e-05, 3.0, 1e200, 1.7e308])
+    side = st.sampled_from([1e-05, 1.0, 2.5, 1e200])
+    members = []
+    for i, f in enumerate(frames.tolist()):
+        box = [data.draw(coord), data.draw(coord), data.draw(side), data.draw(side)]
+        assume(box_fault(*box) is None)
+        members.append((i, Detection(f, BoundingBox(*box), data.draw(CONFIDENCES),
+                                     np.asarray([data.draw(st.sampled_from([-3.0, 1.0, 1e308]))]),
+                                     data.draw(st.sampled_from([None, 0, 4])))))
+    track = Tracklet.from_members(data.draw(st.integers(0, 5)), members)
+
+    def outcome(fill):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return repr(track_rows([fill(track)]))
+        except ValidationError as exc:
+            return f"refused: {exc}"
+
+    assert outcome(interpolate_gaps) == outcome(reference_interpolate)
+
+
+def test_run_clipped_refuses_an_overflowing_interpolated_box_or_embedding():
+    # each detection is valid; the box or mean embedding filled between
+    # them is not, and run_clipped's caller sees interpolate_gaps' refusal
+    def video(box, embedding):
+        return DetectionSet([0, 2], [[0.0, 0.0, 1e200, 1.0], box], [0.9, 0.9], [-1, -1], 3,
+                            [[1e308], embedding])
+
+    def one_track(sub):
+        return np.zeros(len(sub), dtype=np.int64)
+
+    with pytest.raises(ValidationError, match="positive area"):
+        run_clipped(video([0.0, 0.0, 1.0, 1e200], [1.0]), ClipPlan(512, 256), one_track)
+    with pytest.raises(ValidationError, match="finite"):
+        run_clipped(video([0.0, 0.0, 1e200, 1.0], [1e308]), ClipPlan(512, 256), one_track)
 
 
 def test_run_clipped_interpolates_occlusion_gaps():
