@@ -18,7 +18,6 @@ from trackgraph.core import (
     TrackGraph,
     Tracklet,
     ValidationError,
-    iou,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "TrackGraph",
     "Tracklet",
     "ValidationError",
-    "iou",
 ]

@@ -23,7 +23,7 @@ from trackgraph.ingest import (
     write_embeddings,
     write_mot,
 )
-from trackgraph.metrics import evaluate, graph_stats, render_keyvalues, render_report
+from trackgraph.metrics import evaluate, render_keyvalues, render_report
 from trackgraph.mpn import (
     TrainSchedule,
     edge_labels,
@@ -53,15 +53,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _tracker(cfg: RunConfig, **kw) -> ClipTracker:
-    return ClipTracker(
-        window=cfg.window,
-        step=cfg.step,
-        top_k=cfg.top_k,
-        new_track_threshold=cfg.new_track_threshold,
-        assign_threshold=cfg.assign_threshold,
-        traj_passes=cfg.traj_passes,
-        **kw,
-    )
+    return ClipTracker(cfg, **kw)
 
 
 def _check_embed_dim(dets, expect: int, origin: str) -> None:
@@ -114,8 +106,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     write_mot(args.out, tracks)
     print(f"clips={len(sink)}")
-    print(f"node_count={sum(s.node_count for s in sink)}")
-    print(f"edge_count={sum(s.edge_count for s in sink)}")
+    print(f"node_count={sum(n for n, _ in sink)}")
+    print(f"edge_count={sum(e for _, e in sink)}")
     print(f"tracks={len(tracks)}")
     print(f"seconds={elapsed:.3f}")
     return 0
@@ -188,13 +180,12 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     dets = parse_mot(args.det, args.emb, cfg.embed_dim)
     graph, _ = _tracker(cfg).build_graph(dets)
-    s = graph_stats(graph)
-    print(f"node_count={s.node_count}")
-    print(f"edge_count={s.edge_count}")
+    print(f"node_count={graph.n_nodes}")
+    print(f"edge_count={graph.n_edges}")
     full = fully_connected_edge_count(dets)
     print(f"fully_connected={full}")
     if full:
-        print(f"edge_ratio={s.edge_count / full:.6f}")
+        print(f"edge_ratio={graph.n_edges / full:.6f}")
     if dets.has_gt:
         print(f"coverage={edge_coverage(graph, dets):.6f}")
     if args.dump:

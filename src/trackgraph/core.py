@@ -108,29 +108,6 @@ class BoundingBox:
         if (fault := box_fault(self.x, self.y, self.w, self.h)) is not None:
             raise ValidationError(fault)
 
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    # rounding can nudge the ratio past 1 for near-identical boxes
-    return min(1.0, inter / (a.area + b.area - inter))
-
 
 def box_rows(boxes) -> np.ndarray:
     """Boxes as an (n, 4) float array of (x, y, w, h) rows."""
@@ -142,28 +119,28 @@ def box_rows(boxes) -> np.ndarray:
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every row box of a against every row box of b.
 
-    Rows are (x, y, w, h). Each entry is computed in the operation order
-    of iou, so it equals the scalar result exactly.
+    Rows are (x, y, w, h); each entry is iou_corners' ratio of the pair.
     """
     return iou_corners(box_corners(a)[:, None, :], box_corners(b)[None, :, :])
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of aligned (x, y, w, h) rows on the last axis of a and b, the
-    other axes broadcast; in iou's operation order, so equal to it exactly."""
+    other axes broadcast, as iou_corners computes it."""
     return iou_corners(box_corners(a), box_corners(b))
 
 
 def box_corners(rows: np.ndarray) -> np.ndarray:
-    """(x, y, w, h) rows on the last axis as (x, y, x2, y2, area) rows,
-    each derived as BoundingBox derives it."""
+    """(x, y, w, h) rows on the last axis as (x, y, x2, y2, area) rows:
+    x2 = x + w, y2 = y + h and area = w * h."""
     x, y, w, h = (rows[..., k] for k in range(4))
     return np.stack([x, y, x + w, y + h, w * h], axis=-1)
 
 
 def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of aligned box_corners rows on the last axis of a and b, the
-    other axes broadcast; in iou's operation order, so equal to it exactly."""
+    other axes broadcast, in [0, 1]; every IoU the package takes is
+    computed here."""
     # x and y overlaps side by side on the last axis; a pair with no
     # overlap gets an intersection of 0, and so a ratio of 0
     overlap = np.maximum(

@@ -51,6 +51,8 @@ _MAX_FRAME = 2**53
 _INT64 = 2**63
 _SIDECAR_HEADER = np.dtype("<u8")
 _SIDECAR_VALUE = np.dtype("<f4")
+# the first 7 fields of a MOT row: frame, id, then x, y, w, h, conf
+_MOT_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("values", np.float64, (5,))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +66,9 @@ class DetectionSet:
     last frame, covers them. embedding_source is the (n, D) embedding
     column, or D alone: embeddings() then hashes pseudo-embeddings from
     the frames and boxes on first read. detections is a view of Detection
-    records made on first read; build keeps the records it is given, and
-    a slice takes its parent's when it is first read. Tracking and
-    writing read only the columns, so `trackgraph track` makes no record.
+    records made from the columns on first read, a slice's from its own;
+    only build keeps the records it is given. Tracking and writing read
+    only the columns, so `trackgraph track` makes no record.
     """
 
     frames: np.ndarray
@@ -112,12 +114,10 @@ class DetectionSet:
 
     def slice(self, lo: int, hi: int, n_frames: int) -> "DetectionSet":
         """Detections lo to hi - 1 as a set of their own; n_frames must
-        cover them. Its detection i is this set's lo + i, record and
-        embedding alike, so overlapping slices make neither twice."""
-        part = DetectionSet(self.frames[lo:hi], self.boxes[lo:hi], self.confidence[lo:hi],
+        cover them. Its columns are views of this set's, embeddings
+        included, so overlapping slices hash no pseudo-embedding twice."""
+        return DetectionSet(self.frames[lo:hi], self.boxes[lo:hi], self.confidence[lo:hi],
                             self.gt_ids[lo:hi], n_frames, self.embeddings()[lo:hi])
-        object.__setattr__(part, "_origin", (self, lo))
-        return part
 
     def __len__(self) -> int:
         return self.frames.size
@@ -129,11 +129,7 @@ class DetectionSet:
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
-        """The detections as records, made on first read: a slice takes
-        its parent's, any other set makes them from its columns."""
-        if (origin := self.__dict__.pop("_origin", None)) is not None:
-            parent, lo = origin
-            return parent.detections[lo : lo + len(self)]
+        """The detections as records, made from the columns on first read."""
         return detection_records(self.frames, self.boxes, self.confidence,
                                  self.embeddings(), self.gt_ids)
 
@@ -223,24 +219,19 @@ def _read_columns(det_path: Union[str, Path]):
     float field only if Python's int() or float() reads it to the same
     value, so an accepted file parses as _parse_lines would parse it.
     """
-    with open(det_path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError:
-            return None
-    read = dict(delimiter=",", comments=None, ndmin=2)
     try:
-        with warnings.catch_warnings():
+        with open(det_path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             # an empty file warns; _parse_lines reads it
             warnings.simplefilter("error")
-            ints = np.loadtxt(lines, dtype=np.int64, usecols=(0, 1), **read)
-            values = np.loadtxt(lines, dtype=np.float64, usecols=range(2, 7), **read)
-    except (ValueError, UserWarning):
+            rows = np.loadtxt(fh, dtype=_MOT_ROW, delimiter=",", comments=None,
+                              usecols=range(7), ndmin=1)
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
         return None
-    frames, conf = ints[:, 0], values[:, 4]
+    frames, values = rows["frame"], rows["values"]
+    conf = values[:, 4]
     ok = ((frames >= 1) & (frames <= _MAX_FRAME) & ~box_faults(values[:, :4])
           & (conf >= 0.0) & (conf <= 1.0))
-    return (frames, ints[:, 1], values) if ok.all() else None
+    return (frames, rows["id"], values) if ok.all() else None
 
 
 def _parse_lines(det_path: Union[str, Path]):

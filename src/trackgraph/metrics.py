@@ -1,4 +1,4 @@
-"""Tracker evaluation: MOTA, IDF1, identity switches, graph statistics.
+"""Tracker evaluation: MOTA, IDF1 and identity switches.
 
 The frame matching keeps yesterday's pairs alive while they still
 clear the overlap gate, which is what makes identity switches a
@@ -6,7 +6,7 @@ property of the tracker rather than of assignment jitter. Identity
 scores come from one global matching between predicted and annotated
 ids instead.
 Both read only the sets' frames, boxes and gt_ids columns, and score
-boxes with core.iou_matrix and core.iou_rows, which equal core.iou.
+boxes with core.iou_matrix and core.iou_rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackgraph.core import TrackGraph, ValidationError, iou_matrix, iou_rows
+from trackgraph.core import ValidationError, iou_matrix, iou_rows
 from trackgraph.ingest import DetectionSet
 
 
@@ -145,18 +145,6 @@ def idf1(pred: DetectionSet, gt: DetectionSet, iou_gate: float = 0.5) -> float:
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = float(overlap[rows, cols].sum())
     return 2.0 * idtp / (len(pred) + len(gt))
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Node and edge counts of a graph."""
-
-    node_count: int
-    edge_count: int
-
-
-def graph_stats(graph: TrackGraph) -> GraphStats:
-    return GraphStats(graph.n_nodes, graph.n_edges)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Wires the stages end to end: window-gated appearance affinity, frame-
 by-frame association, part-graph assembly (detection nodes and their
 links), edge scoring, and identity aggregation, whose trajectory passes
-are where tracklets become nodes. A ClipTracker instance closes over
-all knobs, so it plugs straight into run_clipped as the per-clip
-pipeline: it returns one id per detection of the clip, and run_clipped
-makes the tracks.
+are where tracklets become nodes. A ClipTracker instance closes over a
+RunConfig and the scorer, so it plugs straight into run_clipped as the
+per-clip pipeline: it returns one id per detection of the clip, and
+run_clipped makes the tracks.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from trackgraph.affinity import (
     oracle_scorer,
 )
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
+from trackgraph.config import RunConfig
 from trackgraph.core import TrackGraph, ValidationError
 from trackgraph.ingest import DetectionSet
-from trackgraph.metrics import graph_stats
 from trackgraph.mpn import (
     MpnParams,
     handcrafted_reach,
@@ -46,19 +46,17 @@ class ClipTracker:
     ground-truth ids, and "auto" resolves to "mpn" when params are
     present, "handcrafted" otherwise. The affinity stage follows suit:
     oracle mode gets identity similarities, every other mode cosine.
-    window and step lay out the affinity windows (both shrink to fit a
-    short clip); window also bounds the association lookback.
+    The stages read their settings from config, which refused bad ones
+    when it was made: window and step lay out the affinity windows (both
+    shrink to fit a short clip), window also bounds the association
+    lookback, top_k and new_track_threshold steer the association, and
+    assign_threshold and traj_passes the aggregation.
     """
 
-    window: int = 32
-    step: int = 16
-    top_k: int = 5
-    new_track_threshold: float = 0.3
-    assign_threshold: float = 0.5
-    traj_passes: int = 1
+    config: RunConfig = RunConfig()
     params: Optional[MpnParams] = None
     score_mode: str = "auto"
-    # receives one GraphStats per processed clip when set
+    # receives each processed clip's part-graph (n_nodes, n_edges) when set
     stats_sink: Optional[list] = None
 
     def __post_init__(self):
@@ -82,34 +80,35 @@ class ClipTracker:
         """
         if len(dets) == 0:
             return TrackGraph(dets, (), ()), np.empty(0, dtype=np.int64)
+        cfg = self.config
         first, last = dets.frames[[0, -1]].tolist()
         span = last - first + 1
-        window = min(self.window, span)
-        plan = WindowPlan(span, window, min(self.step, window))
+        window = min(cfg.window, span)
+        plan = WindowPlan(span, window, min(cfg.step, window))
         scorer = oracle_scorer if self.mode == "oracle" else cosine_scorer
         aff = accumulate_affinity(dets, plan, scorer, origin=first)
-        cfg = BuilderConfig(self.top_k, self.new_track_threshold, self.window)
-        owner, links = associate_frames(dets, aff, cfg)
+        builder = BuilderConfig(cfg.top_k, cfg.new_track_threshold, cfg.window)
+        owner, links = associate_frames(dets, aff, builder)
         return build_part_graph(links, dets), owner
 
     def __call__(self, dets: DetectionSet) -> np.ndarray:
         """One id per detection, numbered by first appearance."""
-        mode = self.mode
+        mode, cfg = self.mode, self.config
         graph, _ = self.build_graph(dets)
         if self.stats_sink is not None:
-            self.stats_sink.append(graph_stats(graph))
+            self.stats_sink.append((graph.n_nodes, graph.n_edges))
         score_fn, max_gap = None, None
         if mode == "oracle":
             score_fn = oracle_scores
         elif mode == "handcrafted":
             # no fragment pair further apart than the reach can pass
             score_fn = handcrafted_scores
-            max_gap = handcrafted_reach(self.assign_threshold)
+            max_gap = handcrafted_reach(cfg.assign_threshold)
         return aggregate(
             graph,
             self.params,
-            eps=self.assign_threshold,
-            traj_passes=self.traj_passes,
+            eps=cfg.assign_threshold,
+            traj_passes=cfg.traj_passes,
             score_fn=score_fn,
             max_gap=max_gap,
         )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_links, gated_pair_score, shares_a_window, window_starts
+from conftest import assert_links, gated_pair_score, iou, shares_a_window, window_starts
 from trackgraph.affinity import (
     TrackSums,
     WindowPlan,
@@ -13,7 +13,7 @@ from trackgraph.affinity import (
     step_cost,
 )
 from trackgraph.builder import BuilderConfig, associate_frames
-from trackgraph.core import BoundingBox, Detection, ValidationError, box_corners, box_rows, iou
+from trackgraph.core import BoundingBox, Detection, ValidationError, box_corners, box_rows
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import assert_links, gated_pair_score, owner_tracks, shares_a_window
+from conftest import assert_links, gated_pair_score, iou, owner_tracks, shares_a_window
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import (
     BuilderConfig,
@@ -16,13 +16,13 @@ from trackgraph.builder import (
     edge_coverage,
     fully_connected_edge_count,
 )
+from trackgraph.config import RunConfig
 from trackgraph.core import (
     BoundingBox,
     Detection,
     Edge,
     EdgeKind,
     ValidationError,
-    iou,
 )
 from trackgraph.ingest import DetectionSet, ScenarioSpec, synthesize
 from trackgraph.mpn import graph_tensors
@@ -184,7 +184,7 @@ def test_built_edges_point_forward_in_time(objects, frames, seed, miss_rate,
                         miss_rate=miss_rate, embedding_noise_sigma=sigma)
     dets = synthesize(spec)
     assume(len(dets) > 0)
-    tracker = ClipTracker(window=window, step=max(1, window // 2))
+    tracker = ClipTracker(RunConfig(window=window, step=max(1, window // 2)))
     part, owner = tracker.build_graph(dets)
     tracks = owner_tracks(owner)
     assert_forward_dag(part)

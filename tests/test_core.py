@@ -14,14 +14,13 @@ from trackgraph.core import (
     Tracklet,
     ValidationError,
     box_rows,
-    iou,
     iou_matrix,
     iou_rows,
 )
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import graph_tensors
 
-from conftest import graph_of
+from conftest import graph_of, iou
 
 
 def make_det(frame, x=0.0, y=0.0, w=10.0, h=10.0, emb=(1.0, 0.0), gt_id=None):

@@ -184,13 +184,35 @@ def test_whole_file_parse_equals_the_line_path(rows, newline):
 
 def test_whole_file_reading_takes_plain_files_and_leaves_the_rest(tmp_path):
     p = tmp_path / "det.txt"
-    p.write_text("1,1,0,0,5,5,1.0,-1,-1,-1\n\n2,-1,0.5,0,5,5,0.25\n")
-    frames, ids, values = ingest._read_columns(p)
-    assert frames.tolist() == [1, 2] and ids.tolist() == [1, -1]
-    assert values.tolist() == [[0, 0, 5, 5, 1.0], [0.5, 0, 5, 5, 0.25]]
-    for text in ("1.0,1,0,0,5,5,1.0\n", "1,1,0,0,5,5\n", "1,1,0,0,5,5,2\n", ""):
-        p.write_text(text)
-        assert ingest._read_columns(p) is None
+    row = b"1,1,0,0,5,5,1.0\n"
+    taken = [
+        (b"1,1,0,0,5,5,1.0,-1,-1,-1\n\n2,-1,0.5,0,5,5,0.25\n", [1, 2], [1, -1]),
+        (b"1,1,0,0,5,5,1.0\r\n2,-1,0.5,0,5,5,0.25", [1, 2], [1, -1]),
+        (b" 1 , +7 ,0,0,5,5,1.0\n2,-1,0.5,0,5,5,0.25\n", [1, 2], [7, -1]),
+        (b"1,9223372036854775807,0,0,5,5,1.0\n2,-9223372036854775808,0.5,0,5,5,0.25\n",
+         [1, 2], [2**63 - 1, -2**63]),
+    ]
+    for raw, frames_on_disk, ids_on_disk in taken:
+        p.write_bytes(raw)
+        frames, ids, values = ingest._read_columns(p)
+        assert frames.dtype == ids.dtype == np.int64 and values.dtype == np.float64
+        assert frames.tolist() == frames_on_disk and ids.tolist() == ids_on_disk
+        assert values.tolist() == [[0, 0, 5, 5, 1.0], [0.5, 0, 5, 5, 0.25]]
+    left = [
+        b"1.0,1,0,0,5,5,1.0\n", b"1e0,1,0,0,5,5,1.0\n", b"1,1.0,0,0,5,5,1.0\n",  # float-spelled
+        b"1,1,0,0,5,5\n", row + b"1,1,0,0\n",  # fewer than 7 fields
+        row + b"   \n",  # a blank line of spaces
+        b"1_0,1,0,0,5,5,1.0\n", b"1,1,1_0,0,5,5,1.0\n",  # fields int() and float() read
+        b"1,1,0x1p3,0,5,5,1.0\n",  # a hex float
+        b"1,9223372036854775808,0,0,5,5,1.0\n", b"1,-9223372036854775809,0,0,5,5,1.0\n",
+        row + b"\xff\xfe\n",  # not UTF-8
+        b"", b"\n",  # no rows
+        b"1,1,0,0,5,5,2\n", b"0,1,0,0,5,5,1.0\n", b"1,1,0,0,-5,5,1.0\n",  # checks
+        b"1,1,nan,0,5,5,1.0\n", b"9007199254740993,1,0,0,5,5,1.0\n",
+    ]
+    for raw in left:
+        p.write_bytes(raw)
+        assert ingest._read_columns(p) is None, raw
 
 
 def test_parse_keeps_file_order_within_a_frame(tmp_path):

@@ -22,7 +22,6 @@ from trackgraph.ingest import DetectionSet
 from trackgraph.metrics import (
     EvalReport,
     evaluate,
-    graph_stats,
     idf1,
     match_frames,
     mota,
@@ -256,14 +255,14 @@ def test_relabeling_changes_nothing():
 
 
 def test_graph_stats_empty():
-    s = graph_stats(graph_of((), (), ()))
-    assert s.node_count == 0 and s.edge_count == 0
+    graph = graph_of((), (), ())
+    assert graph.n_nodes == 0 and graph.n_edges == 0
 
 
 def test_graph_stats_counts_by_kind():
     a, b, c = mk(0, None), mk(1, None), mk(2, None)
-    s = graph_stats(graph_of((a, b, c), [0, 1], [1, 2]))
-    assert (s.node_count, s.edge_count) == (3, 2)
+    graph = graph_of((a, b, c), [0, 1], [1, 2])
+    assert (graph.n_nodes, graph.n_edges) == (3, 2)
 
 
 # ----------------------------------------------------------------- report

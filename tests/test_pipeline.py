@@ -1,12 +1,15 @@
 """End-to-end clip tracking through ClipTracker."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trackgraph import pipeline, solver
-from trackgraph.cli import _labelled_graphs
+from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
+from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
+from trackgraph.cli import _labelled_graphs, _tracker
 from trackgraph.config import RunConfig
 from trackgraph.core import BoundingBox, Detection, ValidationError
 from trackgraph.ingest import (
@@ -23,7 +26,13 @@ from trackgraph.pipeline import ClipTracker
 from trackgraph.solver import aggregate
 from trackgraph.stitcher import ClipPlan, run_clipped
 
-from conftest import id_partition, reference_run_clipped, reference_write_mot, track_rows
+from conftest import (
+    id_partition,
+    record_row,
+    reference_run_clipped,
+    reference_write_mot,
+    track_rows,
+)
 
 
 def partition(tracks) -> set[frozenset]:
@@ -50,6 +59,56 @@ def test_mode_resolution_and_validation():
         ClipTracker(score_mode="mpn")
     with pytest.raises(ValidationError):
         ClipTracker(score_mode="magic")
+
+
+def test_bad_tracker_settings_are_refused_when_the_config_is_made():
+    for bad in (dict(top_k=0), dict(assign_threshold=7.0), dict(traj_passes=-3),
+                dict(window=0), dict(step=40), dict(new_track_threshold=1.0)):
+        with pytest.raises(ValidationError):
+            RunConfig(**bad)
+    # the tracker has no settings of its own to get wrong
+    with pytest.raises(TypeError):
+        ClipTracker(top_k=0)
+    assert [f.name for f in fields(ClipTracker)] == [
+        "config", "params", "score_mode", "stats_sink"]
+
+
+def test_every_tracker_setting_reaches_its_stage(monkeypatch):
+    # all six settings off their defaults, on a noisy scene whose ids and
+    # part graph each of them changes, against the stages wired by hand;
+    # the handcrafted reach changes no id, so the call is compared too
+    cfg = RunConfig(window=16, step=8, top_k=3, new_track_threshold=0.4,
+                    assign_threshold=0.6, traj_passes=2)
+    dets = synthesize(ScenarioSpec(8, 60, seed=5, embedding_noise_sigma=0.3, miss_rate=0.15,
+                                   turn_prob=0.1, occlusions=((1, 20, 6), (3, 35, 8))))
+    first, last = dets.frames[[0, -1]].tolist()
+    assert last - first + 1 > cfg.window  # no window shrinks to fit the clip
+    params = init_params(0, dets.embeddings().shape[1])
+    runs = [("handcrafted", None, cosine_scorer, handcrafted_scores,
+             handcrafted_reach(0.6)),
+            ("oracle", None, oracle_scorer, oracle_scores, None),
+            ("mpn", params, cosine_scorer, None, None)]
+    calls = []
+    monkeypatch.setattr(pipeline, "aggregate",
+                        lambda *args, **kw: calls.append(kw) or aggregate(*args, **kw))
+    for mode, mode_params, scorer, score_fn, max_gap in runs:
+        plan = WindowPlan(last - first + 1, 16, 8)
+        aff = accumulate_affinity(dets, plan, scorer, origin=first)
+        owner, links = associate_frames(dets, aff, BuilderConfig(3, 0.4, 16))
+        graph = build_part_graph(links, dets)
+        ids = aggregate(graph, mode_params, eps=0.6, traj_passes=2,
+                        score_fn=score_fn, max_gap=max_gap)
+        tracker = ClipTracker(cfg, params=mode_params, score_mode=mode)
+        built, built_owner = tracker.build_graph(dets)
+        np.testing.assert_array_equal(built_owner, owner, strict=True)
+        np.testing.assert_array_equal(built.u, graph.u, strict=True)
+        np.testing.assert_array_equal(built.v, graph.v, strict=True)
+        np.testing.assert_array_equal(tracker(dets), ids, strict=True)
+        cli_tracker = _tracker(cfg, params=mode_params, score_mode=mode)
+        np.testing.assert_array_equal(cli_tracker(dets), ids, strict=True)
+        expect = dict(eps=0.6, traj_passes=2, score_fn=score_fn, max_gap=max_gap)
+        assert calls == [expect, expect]
+        calls.clear()
 
 
 def test_empty_input_gives_no_tracks():
@@ -136,8 +195,10 @@ def test_stats_sink_collects_one_entry_per_clip():
     sink = []
     tracker = ClipTracker(score_mode="oracle", stats_sink=sink)
     run_clipped(dets, ClipPlan(512, 256), tracker)
-    assert len(sink) == 2
-    assert all(s.node_count > 0 for s in sink)
+    # each clip's part graph: one node per detection, its links as edges
+    clips = [tracker.build_graph(sub)[0] for sub, _ in ClipPlan(512, 256).clips(dets)]
+    assert sink == [(g.n_nodes, g.n_edges) for g in clips]
+    assert len(sink) == 2 and all(n > 0 and e > 0 for n, e in sink)
 
 
 @pytest.mark.parametrize("spec,plan", [
@@ -202,13 +263,14 @@ def test_the_graph_path_makes_no_record(tmp_path):
             np.testing.assert_array_equal(tracker(clip), ids, strict=True)
             assert "detections" not in clip.__dict__
         assert "detections" not in fresh.__dict__
-        # a clip's records are its parent's, made once, when first read
+        # a clip's records are made from its own columns when first read,
+        # and hold its parent's values
         first, second = clips[1], clips[2]
         overlap = len(first) - int(np.searchsorted(fresh.frames, 32))
-        assert first.detections[-overlap:] == second.detections[:overlap]
-        assert all(a is b for a, b in zip(first.detections[-overlap:],
-                                          second.detections[:overlap]))
-        assert first.detections == fresh.detections[:len(first)]
+        assert ([record_row(d) for d in first.detections[-overlap:]]
+                == [record_row(d) for d in second.detections[:overlap]])
+        assert ([record_row(d) for d in first.detections]
+                == [record_row(d) for d in fresh.detections[:len(first)]])
 
 
 def test_the_track_path_makes_no_record(tmp_path, monkeypatch):

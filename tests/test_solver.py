@@ -19,6 +19,7 @@ from conftest import (
 )
 from trackgraph.affinity import WindowPlan, accumulate_affinity, cosine_scorer, oracle_scorer
 from trackgraph.builder import BuilderConfig, associate_frames, build_part_graph
+from trackgraph.config import RunConfig
 from trackgraph.core import (
     BoundingBox,
     Detection,
@@ -517,7 +518,7 @@ def test_aggregate_partition_invariants_on_noisy_scenario(
     dets = synthesize(spec)
     assume(len(dets) > 0)
     mode = "oracle" if scorer == "oracle" else "handcrafted"
-    graph, _ = ClipTracker(window=window, step=window // 2,
+    graph, _ = ClipTracker(RunConfig(window=window, step=window // 2),
                            score_mode=mode).build_graph(dets)
     # random scores fragment pass 1 and then propose merges of fragments
     # that overlap in time, which only the overlap refusal turns down
