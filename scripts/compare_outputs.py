@@ -5,9 +5,13 @@
 Unpacks REV with `git archive` into a temporary directory, then runs
 `trackgraph synth`, `track`, `eval`, `graph-stats --dump` and `train`
 on a fixed ladder of scenes under both trees: REV and this working tree
-(uncommitted edits included). One more `track` run reads a sparse copy
-of a scene whose later half sits far ahead in time, and one more
-`track` and `eval` read a copy of a scene respelled so that `parse_mot`
+(uncommitted edits included). `long6144` is also tracked with
+`benchmarks/long_mpn.ckpt`: its tracks disagree across its 22 seams, so
+a merged left track often gives up a member to its mate's detection of
+the same frame, which the handcrafted long6144 run and the checkpoint's
+long run never do. One more `track` run reads a sparse copy of a scene
+whose later half sits far ahead in time, and one more `track` and
+`eval` read a copy of a scene respelled so that `parse_mot`
 reads it line by line. One more `track` and `eval` read a copy of the
 weak scene with every box scaled by 1e-6 and moved by -2e-4, so that
 the written boxes are spelled with exponents and minus signs
@@ -120,6 +124,9 @@ TRACK_RUNS = [
     # trajectory pass, stitching and interpolation see fragmented tracks
     ("train120", "clips64", ["--clip-len", "64", "--overlap", "32"]),
     ("long6144", "handcrafted", []),
+    # the checkpoint's tracks disagree across seams, so merged left
+    # members yield to their mates' detections of the same frame
+    ("long6144", "mpn", CKPT),
     # a second trajectory pass, with its early stops, and no trajectory
     # pass at all
     ("weak", "passes2", ["--traj-passes", "2"]),

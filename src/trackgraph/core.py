@@ -87,11 +87,15 @@ def box_fault(x: float, y: float, w: float, h: float) -> Optional[str]:
 def box_faults(rows: np.ndarray) -> np.ndarray:
     """Which (n, 4) x/y/w/h rows BoundingBox refuses, as a bool mask;
     box_fault names why."""
+    x, y, w, h = rows.T
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # finite corners also mean finite x, y, w and h
-        corners = box_corners(rows)
-    return ~(np.isfinite(corners).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0)
-             & (corners[:, 4] > 0) & (corners[:, 4] <= MAX_BOX_AREA))
+        # box_fault's test a column at a time: an area of at most
+        # MAX_BOX_AREA is finite, and finite corners mean finite w and h
+        area = w * h
+        ok = (w > 0) & (h > 0) & (area > 0) & (area <= MAX_BOX_AREA)
+        ok &= np.isfinite(x) & np.isfinite(y)
+        ok &= np.isfinite(x + w)
+        return ~(ok & np.isfinite(y + h))
 
 
 @dataclass(frozen=True)

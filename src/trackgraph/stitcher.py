@@ -6,20 +6,21 @@ per-clip tracks describe the same object when they picked the same
 input detections in the frames both cover. That overlap ratio drives a
 bipartite assignment between consecutive clips; matched tracks merge
 under the earlier clip's id, with the later clip owning any frame both
-claim. A detection two output tracks would hold stays with the first.
+claim. Each seam detection has one owner: the first track that claims it.
 Only clips that hold a detection are tracked, so a long run of empty
 frames costs nothing. Remaining gaps are closed by linear interpolation
 at the end.
 
 A track is a Tracklet's columns, gathered once per clip from the
-video's set. Scoring a seam, merging, placing each detection once and
-interpolating all read and write those columns, so tracking makes no
-Detection record; a track's detections are a view made on first read.
+video's set. Scoring a seam, owning its detections and interpolating
+all read and write those columns, so tracking makes no Detection
+record; a track's detections are a view made on first read.
 
 Stitching relies on what run_clipped guarantees: an index names one
 detection, indices rise with frame, tracks hold only real members and
 the tracks merged so far are disjoint. A seam then reads each track only
-from the later clip's lowest index on, in time that follows the overlap.
+from the later clip's first frame on, in time that follows the overlap,
+though a merged track's columns are still copied whole.
 """
 
 from __future__ import annotations
@@ -94,48 +95,11 @@ _COLUMNS = tuple(f.name for f in fields(Tracklet) if f.name != "id")
 
 def _joined(track_id: int, parts) -> Tracklet:
     """A track under track_id of the rows of each (track, rows) part, in
-    order; the caller vouches that their frames strictly increase."""
+    order; the caller vouches that their frames strictly increase, or
+    uses the result only as a table of columns."""
     return unchecked(Tracklet, id=track_id, **{
         name: frozen(np.concatenate([getattr(t, name)[rows] for t, rows in parts]))
         for name in _COLUMNS})
-
-
-def _merge(a: Tracklet, b: Tracklet) -> Tracklet:
-    """Union of members under a's id; b's choice wins a contested frame."""
-    k = int(np.searchsorted(a.frames, b.frames[0]))
-    contested = np.isin(a.frames[k:], b.frames)
-    tail = _joined(a.id, [(a, k + np.flatnonzero(~contested)), (b, slice(None))])
-    # a's frames before k all precede the tail's, so they increase
-    return _joined(a.id, [(a, slice(k)), (tail, np.argsort(tail.frames, kind="stable"))])
-
-
-def _overlap_costs(tracks_a: Sequence[Tracklet], tracks_b: Sequence[Tracklet],
-                   starts: list[int]) -> np.ndarray:
-    """The assignment's cost matrix: 1 - overlap ratio for each pair that
-    chose a common detection, _FORBIDDEN for the rest. Left track r is
-    read from row starts[r] on."""
-    # the right tracks' members by index, each with its track's column
-    held = np.concatenate([tb.indices for tb in tracks_b])
-    order = np.argsort(held, kind="stable")
-    held = held[order]
-    holder = np.repeat(np.arange(len(tracks_b)), [len(tb) for tb in tracks_b])[order]
-    # every (left row, right column) pair per detection both hold
-    tails = [ta.indices[s:] for ta, s in zip(tracks_a, starts)]
-    mine = np.concatenate(tails)
-    first = np.searchsorted(held, mine)
-    count = np.searchsorted(held, mine, side="right") - first
-    rows = np.repeat(np.repeat(np.arange(len(tracks_a)), [t.size for t in tails]), count)
-    cols = holder[np.repeat(first - np.cumsum(count) + count, count)
-                  + np.arange(rows.size)]
-    pairs, shared = np.unique(rows * len(tracks_b) + cols, return_counts=True)
-    r, j = np.divmod(pairs, len(tracks_b))
-    sizes_a = np.asarray([len(ta) for ta in tracks_a])
-    sizes_b = np.asarray([len(tb) for tb in tracks_b])
-    # every left track keeps its row: linear_sum_assignment breaks ties
-    # by position, so dropping all-forbidden rows can change its pick
-    cost = np.full((len(tracks_a), len(tracks_b)), _FORBIDDEN)
-    cost[r, j] = 1.0 - shared / (sizes_a[r] + sizes_b[j] - shared)
-    return cost
 
 
 def stitch(
@@ -145,45 +109,76 @@ def stitch(
 
     Input contract: an index names one detection, indices rise with
     frame, tracks hold only real members and the left tracks are
-    disjoint. Each track is read from the right tracks' lowest index on;
-    a left track that ends below it comes back as it is.
+    disjoint. The seam is every right track's detections and every left
+    member from the right tracks' first frame on.
     Pairs that never chose a common detection cannot match. The
     assignment minimises total (1 - overlap ratio) over the rest, the
-    ratio being shared detections over the union of both tracks;
-    unmatched tracks pass through, right-side ones under fresh ids.
-    Each input detection is placed once: the first track in output
-    order (merged left tracks, then unmatched right ones) keeps it,
-    later tracks drop it, and tracks left empty are dropped.
+    ratio being shared detections over the union of both whole tracks.
+    A seam detection goes to the first track in output order that claims
+    it: its left track, unless that track's mate holds another detection
+    in its frame; its right track's mate; its right track if unmatched.
+    Left tracks keep their ids and rows before the seam, and one that
+    keeps every row comes back as it is; unmatched right tracks follow
+    under fresh ids; tracks left empty are dropped.
     """
     if not tracks_a or not tracks_b:
         return list(tracks_a) + list(tracks_b)
-    lo = min(int(tb.indices[0]) for tb in tracks_b)
-    starts = [int(np.searchsorted(ta.indices, lo)) for ta in tracks_a]
-    cost = _overlap_costs(tracks_a, tracks_b, starts)
-    rows, cols = linear_sum_assignment(cost)
-    pair = {r: c for r, c in zip(rows.tolist(), cols.tolist()) if cost[r, c] < 1.5}
+    n_a, n_b = len(tracks_a), len(tracks_b)
+    first = min(int(tb.frames[0]) for tb in tracks_b)
+    heads = [int(np.searchsorted(ta.frames, first)) for ta in tracks_a] + [0] * n_b
+    tracks = [*tracks_a, *tracks_b]
+    # the left tails, then the right tracks, as one table of rows (a
+    # detection both sides hold comes twice), and each row's track
+    table = _joined(-1, [(t, slice(h, None)) for t, h in zip(tracks, heads)])
+    holder = np.repeat(np.arange(n_a + n_b), [len(t) - h for t, h in zip(tracks, heads)])
+    # the seam: one row per detection, by index, with its left and right
+    # track (-1 where there is none) and its first row of the table
+    seam, row, at = np.unique(table.indices, return_index=True, return_inverse=True)
+    n_tail = int(np.searchsorted(holder, n_a))
+    left, right = np.full((2, seam.size), -1)
+    left[at[:n_tail]] = holder[:n_tail]
+    right[at[n_tail:]] = holder[n_tail:] - n_a
 
-    left = [_merge(ta, tracks_b[pair[i]]) if i in pair else ta
-            for i, ta in enumerate(tracks_a)]
-    used_b = set(pair.values())
-    right = [tb for j, tb in enumerate(tracks_b) if j not in used_b]
-    next_id = max(t.id for t in left) + 1
-    # the first track in output order keeps a detection; later ones drop it
-    ordered = left + right
-    starts = [int(np.searchsorted(t.indices, lo)) for t in ordered]
-    tails = np.concatenate([t.indices[s:] for t, s in zip(ordered, starts)])
-    first = np.zeros(tails.size, dtype=bool)
-    first[np.unique(tails, return_index=True)[1]] = True
-    out, end = [], 0
-    for k, (t, s) in enumerate(zip(ordered, starts)):
-        kept = s + np.flatnonzero(first[end : end + len(t) - s])
-        end += len(t) - s
-        if k < len(left) and kept.size == len(t) - s:
-            out.append(t)
-        elif s or kept.size:
-            out.append(_joined(t.id if k < len(left) else next_id,
-                               [(t, slice(s)), (t, kept)]))
-            next_id += k >= len(left)  # right tracks take fresh ids
+    both = (left >= 0) & (right >= 0)
+    pairs, shared = np.unique(left[both] * n_b + right[both], return_counts=True)
+    r, j = np.divmod(pairs, n_b)
+    sizes = np.asarray([len(t) for t in tracks])
+    # every left track keeps its row: linear_sum_assignment breaks ties
+    # by position, so dropping all-forbidden rows can change its pick
+    cost = np.full((n_a, n_b), _FORBIDDEN)
+    cost[r, j] = 1.0 - shared / (sizes[r] + sizes[n_a + j] - shared)
+    rows, cols = linear_sum_assignment(cost)
+    matched = cost[rows, cols] < 1.5
+
+    # the position that claims each detection, n_a + n_b for none: a
+    # right track's mate or, when it is unmatched, the track itself
+    none = n_a + n_b
+    claim_b = n_a + np.arange(n_b)
+    claim_b[cols[matched]] = rows[matched]
+    by_right = np.where(right >= 0, claim_b[right], none)
+    # a left member yields when its track's mate holds a detection of its
+    # frame; seam frames do not decrease, so a frame's first row keys it
+    frames = table.frames[row]
+    slot = np.searchsorted(frames, frames)
+    merged = by_right < n_a
+    yields = np.isin(left * seam.size + slot, by_right[merged] * seam.size + slot[merged])
+    owner = np.minimum(np.where((left < 0) | yields, none, left), by_right)
+
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(none + 1)).tolist()
+    owned = [row[order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+    mated = set(rows[matched].tolist())
+    out = []
+    for k, (ta, h, mine) in enumerate(zip(tracks_a, heads, owned)):
+        if k not in mated and mine.size == len(ta) - h:
+            out.append(ta)
+        elif h or mine.size:
+            out.append(_joined(ta.id, [(ta, slice(h)), (table, mine)]))
+    next_id = max(ta.id for ta in tracks_a) + 1
+    for mine in owned[n_a:]:  # the unmatched right tracks', under fresh ids
+        if mine.size:
+            out.append(_joined(next_id, [(table, mine)]))
+            next_id += 1
     return out
 
 

@@ -13,6 +13,8 @@ from trackgraph.core import (
     TrackGraph,
     Tracklet,
     ValidationError,
+    box_fault,
+    box_faults,
     box_rows,
     iou_matrix,
     iou_rows,
@@ -114,24 +116,48 @@ def test_box_rejects_nonfinite():
         BoundingBox(float("nan"), 0.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("box", [
+OVERFLOWING_BOXES = [
     (1e155, 1e155, 1e155, 1e155),  # w * h overflows
     (1e308, 0.0, 1e308, 1.0),  # x + w overflows
     (0.0, 1e308, 1.0, 1e308),  # y + h overflows
+    (1.7e308, 0.0, 1e307, 1.0),  # x + w overflows, the area in bounds
+    (0.0, 1.7e308, 1.0, 1e307),  # y + h overflows, the area in bounds
     (0.0, 0.0, 1e-200, 1e-200),  # w * h underflows to 0
     (0.0, 0.0, 1e154, 1e154),  # w * h is finite, but over MAX_BOX_AREA
     (0.0, 0.0, MAX_BOX_AREA, np.nextafter(1.0, 2.0)),  # one ulp over it
-])
+]
+
+
+@pytest.mark.parametrize("box", OVERFLOWING_BOXES)
 def test_box_rejects_overflowing_corners_and_area(box):
     with pytest.raises(ValidationError, match="finite corners"):
         BoundingBox(*box)
 
 
-def test_iou_of_the_largest_accepted_boxes_is_exact():
+def largest_accepted_sides():
+    """(w, h) of the largest boxes BoundingBox accepts, long and square."""
     side = np.sqrt(MAX_BOX_AREA)
     if side * side > MAX_BOX_AREA:
         side = np.nextafter(side, 0.0)
-    for w, h in ((MAX_BOX_AREA, 1.0), (side, side), (1.0, MAX_BOX_AREA)):
+    return ((MAX_BOX_AREA, 1.0), (side, side), (1.0, MAX_BOX_AREA))
+
+
+def test_box_faults_mask_the_boxes_box_fault_refuses():
+    inf, nan = float("inf"), float("nan")
+    boxes = OVERFLOWING_BOXES + [(-w / 2, 0.0, w, h) for w, h in largest_accepted_sides()]
+    boxes += [(0.0, 0.0, 2.0, 3.0), (-1.0, -1.0, 1e-3, 1e3)]  # plain valid boxes
+    for bad in (nan, inf, -inf):
+        boxes += [(bad, 0.0, 1.0, 1.0), (0.0, bad, 1.0, 1.0),
+                  (0.0, 0.0, bad, 1.0), (0.0, 0.0, 1.0, bad)]
+    boxes += [(0.0, 0.0, w, h) for w, h in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                            (1.0, -1.0), (-1.0, -1.0), (-inf, -inf))]
+    boxes += [(0.0, 0.0, 1.0, 1e300), (0.0, 0.0, -1.0, 1e300), (1e300, 0.0, 1e300, 1e300)]
+    rows = np.asarray(boxes, dtype=np.float64)
+    assert box_faults(rows).tolist() == [box_fault(*box) is not None for box in boxes]
+
+
+def test_iou_of_the_largest_accepted_boxes_is_exact():
+    for w, h in largest_accepted_sides():
         b = BoundingBox(-w / 2, 0.0, w, h)
         assert iou(b, b) == 1.0
         assert iou_matrix(box_rows([b]), box_rows([b]))[0, 0] == 1.0

@@ -226,6 +226,13 @@ def test_stitch_returns_a_track_ending_before_the_right_clip_as_is():
     assert len(out) == 2
 
 
+def test_stitch_seam_starts_at_the_right_tracks_first_frame():
+    # detection 0 lies below the right track's lowest index (1) but in
+    # its first frame, so it is a seam member and yields to detection 1
+    out = stitch([trk(0, (2, 0), (3, 2))], [trk(0, (2, 1), (3, 2))])
+    assert [(t.id, members(t)) for t in out] == [(0, [(2, 1), (3, 2)])]
+
+
 def test_stitch_places_a_shared_detection_once():
     # A's detection 6 sits alone in B2 while B1 matches A: A keeps it
     out = stitch([trk(0, (10, 5), (11, 6))], [trk(0, (10, 5)), trk(1, (11, 6))])
