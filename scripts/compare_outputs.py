@@ -203,9 +203,13 @@ print(digest.hexdigest())
 
 # prints one SHA-256 over the message-passing outputs with a checkpoint
 # on a scene's part graph and on the trajectory graph of its pass-1
-# identities: each graph's scores and final node and edge states
+# identities: each graph's scores and final edge states. Node states are
+# no longer an output: forward's first element is the edge-state array,
+# and in older trees a state object whose .edge holds it, so both trees
+# hash the same bytes
 MPN_ARRAY_CODE = """
 import hashlib, sys
+import numpy as np
 from trackgraph.ingest import parse_mot
 from trackgraph.mpn import forward, load_params
 from trackgraph.pipeline import ClipTracker
@@ -216,8 +220,9 @@ graph, _ = ClipTracker().build_graph(parse_mot(sys.argv[1], sys.argv[2]))
 ids = aggregate(graph, params, traj_passes=0)
 digest = hashlib.sha256()
 for g in (graph, build_traj_graph(graph.dets if hasattr(graph, "dets") else graph.nodes, ids)):
-    state, scores = forward(g, params)
-    for arr in (scores, state.node, state.edge):
+    out = forward(g, params)
+    edge = out[0] if isinstance(out[0], np.ndarray) else out[0].edge
+    for arr in (out[1], edge):
         digest.update(arr.tobytes())
 print(digest.hexdigest())
 """

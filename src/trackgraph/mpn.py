@@ -7,13 +7,13 @@ it packs the graph for the network from the graph's u/v endpoint
 arrays; handcrafted_scores reads the descriptors in the same blocks.
 Node states start as an affine projection of the appearance embedding;
 edge states start as an encoded feature vector. Each step updates every
-edge from its endpoints, then every node from directional message sums:
-messages arriving from earlier neighbours pass through the past MLP,
-those from later neighbours through the future MLP, and the node MLP
-fuses the two sums. Edge states keep their initial encoding
+edge from its endpoints; between two steps, every node is updated from
+directional message sums: messages from earlier neighbours pass through
+the past MLP, those from later neighbours through the future MLP, and
+the node MLP fuses the two sums. Edge states keep their initial encoding
 concatenated alongside, so step 0 information survives every update. A
-logistic classifier on the final edge state yields link scores in
-(0, 1).
+logistic classifier on the final edge state, the only state it reads,
+yields link scores in (0, 1).
 
 All forward passes are mirrored by hand-written reverse-mode backward
 passes; gradients are exact, not approximated.
@@ -28,15 +28,15 @@ h @ W_c, runs every layer in block-sized buffers reused from block to
 block, and writes its rows of the output, with the same arithmetic per
 row as one pass over all edges, so the bits do not depend on the block.
 What grows with the edge count is the initial encoding, the edge
-states, one message array, the three e0 terms and the scores, plus the
-classifier's hidden layer once the e0 terms are freed; training also
-keeps each layer's hidden activations. Backward sums the first layer's
-gradient to the nodes before it meets W_a and W_c, so the
+states, one message array, the e0 terms of the pair MLPs that run and
+the scores, plus the classifier's hidden layer once the e0 terms are
+freed; only training keeps hidden activations. Backward sums the first
+layer's gradient to the nodes before it meets W_a and W_c, so the
 (edges x 2 node_dim + 2 edge_dim) input is never built. Sums over a
 node's edges are products with two sparse incidence matrices, built once
 per pass; they add in edge order, bit-identical to np.add.at. A
 rectifier's backward mask is read from its activation, so per step the
-cache keeps the new edge state and each pair MLP's hidden activations.
+cache keeps the edge state read and each pair MLP's hidden activations.
 """
 
 from __future__ import annotations
@@ -345,15 +345,6 @@ def _as_tensors(graph: Union[TrackGraph, GraphTensors]) -> GraphTensors:
 # ----------------------------------------------------------------- forward
 
 
-@dataclass
-class EmbeddingState:
-    """Final node and edge states after message passing."""
-
-    node: np.ndarray  # (n, d_v)
-    edge: np.ndarray  # (m, 2 * d_e), initial encoding in the second half
-    step: int
-
-
 def _incidence(ends: np.ndarray, n: int) -> sparse.csr_array:
     """(n x m) matrix with a one at (ends[k], k).
 
@@ -459,9 +450,9 @@ def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
         (params.future_mlp, v, u),
     )
     # the initial encoding's share of each first layer is the same at
-    # every step
+    # every step; with one step, only the edge MLP runs
     fixed = []
-    for mlp, _, _ in pairs:
+    for mlp, _, _ in pairs[: 3 if params.steps > 1 else 1]:
         share = e0 @ _pair_blocks(mlp.weights[0], d_v, d_e)[2]
         share += mlp.biases[0]
         fixed.append(share)
@@ -488,18 +479,22 @@ def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     # nodes before the next is written
     messages = np.empty((m, d_v))
     core = e0
-    steps_cache = []
-    for _ in range(params.steps):
+    edge_steps, node_steps = [], []
+    for step in range(params.steps):
         core_new, edge_hidden = edge_mlp(*pair_input(0, core))
-        past_hidden = edge_mlp(*pair_input(1, core_new), out=messages)[1]
-        past_sum = to_v @ messages
-        fut_hidden = edge_mlp(*pair_input(2, core_new), out=messages)[1]
-        fut_sum = to_u @ messages
-        h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
         if keep_cache:
-            steps_cache.append((h, core, core_new, edge_hidden, past_hidden, fut_hidden,
-                                node_cache))
-        h, core = h_new, core_new
+            edge_steps.append((h, core, edge_hidden))
+        # no node update follows the last edge update: no score reads it
+        if step + 1 < params.steps:
+            past_hidden = edge_mlp(*pair_input(1, core_new), out=messages)[1]
+            past_sum = to_v @ messages
+            fut_hidden = edge_mlp(*pair_input(2, core_new), out=messages)[1]
+            fut_sum = to_u @ messages
+            h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
+            if keep_cache:
+                node_steps.append((h, core_new, past_hidden, fut_hidden, node_cache))
+            h = h_new
+        core = core_new
     # the shares are dead now; freeing them makes room for the
     # classifier's full-length hidden layer. The classifier runs over all
     # edges at once: its one-column output is a matrix-vector product,
@@ -511,19 +506,19 @@ def _forward(g: GraphTensors, params: MpnParams, keep_cache: bool):
     scores = scores.ravel()
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(scores))):
         raise NumericError("message passing produced non-finite values")
-    state = EmbeddingState(node=h, edge=ebar, step=params.steps)
     cache = None
     if keep_cache:
-        cache = (to_u, to_v, e0, proj_cache, (g.feats, enc_hidden), steps_cache, clf_cache)
-    return state, scores, cache
+        cache = (to_u, to_v, e0, proj_cache, (g.feats, enc_hidden), edge_steps, node_steps,
+                 clf_cache)
+    return ebar, scores, cache
 
 
 def forward(
     graph: Union[TrackGraph, GraphTensors], params: MpnParams
-) -> tuple[EmbeddingState, np.ndarray]:
-    """Run message passing; returns final states and per-edge scores."""
-    state, scores, _ = _forward(_as_tensors(graph), params, keep_cache=False)
-    return state, scores
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run message passing; returns the final (m, 2 * edge_dim) edge states,
+    initial encoding in the second half, and per-edge scores."""
+    return _forward(_as_tensors(graph), params, keep_cache=False)[:2]
 
 
 # -------------------------------------------------------------- focal loss
@@ -575,8 +570,8 @@ def backward(
     labels = np.asarray(labels)
     if labels.shape != (g.n_edges,):
         raise ValidationError("labels must align with graph edges")
-    state, scores, cache = _forward(g, params, keep_cache=True)
-    to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache = cache
+    _, scores, cache = _forward(g, params, keep_cache=True)
+    to_u, to_v, e0, proj_cache, enc_cache, edge_steps, node_steps, clf_cache = cache
     loss = focal_loss(scores, labels, gamma)
 
     grads = zero_params_like(params)
@@ -610,17 +605,20 @@ def backward(
         return dz @ w_core.T
 
     dh = np.zeros((g.n_nodes, d_v))
-    for s in range(params.steps - 1, -1, -1):
-        h, core, core_new, edge_hidden, past_hidden, fut_hidden, node_cache = steps_cache[s]
-        dnode_in = mlp_backward(params.node_mlp, node_cache, dh, grads.node_mlp)
-        dh = np.zeros((g.n_nodes, d_v))
-        # a past message of edge k went to v[k], a future one to u[k]
-        dcore = dcore + pair_backward(
-            params.past_mlp, grads.past_mlp, past_hidden, dnode_in[:, :d_v][v],
-            h, core_new, to_u, to_v, dh, de0)
-        dcore += pair_backward(
-            params.future_mlp, grads.future_mlp, fut_hidden, dnode_in[:, d_v:][u],
-            h, core_new, to_v, to_u, dh, de0)
+    for step in range(params.steps - 1, -1, -1):
+        # every step but the last updates the nodes after its edges
+        if step < len(node_steps):
+            h, core_new, past_hidden, fut_hidden, node_cache = node_steps[step]
+            dnode_in = mlp_backward(params.node_mlp, node_cache, dh, grads.node_mlp)
+            dh = np.zeros((g.n_nodes, d_v))
+            # a past message of edge k went to v[k], a future one to u[k]
+            dcore = dcore + pair_backward(
+                params.past_mlp, grads.past_mlp, past_hidden, dnode_in[:, :d_v][v],
+                h, core_new, to_u, to_v, dh, de0)
+            dcore += pair_backward(
+                params.future_mlp, grads.future_mlp, fut_hidden, dnode_in[:, d_v:][u],
+                h, core_new, to_v, to_u, dh, de0)
+        h, core, edge_hidden = edge_steps[step]
         dcore = pair_backward(
             params.edge_mlp, grads.edge_mlp, edge_hidden, dcore,
             h, core, to_u, to_v, dh, de0)

@@ -15,7 +15,6 @@ from trackgraph.core import (
 )
 from trackgraph.ingest import DetectionSet
 from trackgraph.mpn import (
-    EmbeddingState,
     GraphTensors,
     _as_tensors,
     _incidence,
@@ -235,7 +234,7 @@ def reference_one_pass_forward(g, params, keep_cache):
 
     Each pair MLP gathers (h @ W_a)[a] as a fresh full-length array and
     makes a new full-length output per layer. The blocked _forward must
-    match it bit for bit: scores, final states and the whole cache.
+    match it bit for bit: scores, final edge states and the whole cache.
     """
     d_v, d_e = params.node_dim, params.edge_dim
     u, v = g.u, g.v
@@ -265,27 +264,28 @@ def reference_one_pass_forward(g, params, keep_cache):
         return _mlp_rest(mlp, z, hidden)
 
     core = e0
-    steps_cache = []
-    for _ in range(params.steps):
-        edge_hidden, past_hidden, fut_hidden = [], [], []
+    edge_steps, node_steps = [], []
+    for step in range(params.steps):
+        edge_hidden = []
         core_new = pair_forward(0, core, edge_hidden)
-        past_sum = to_v @ pair_forward(1, core_new, past_hidden)
-        fut_sum = to_u @ pair_forward(2, core_new, fut_hidden)
-        h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
-        if keep_cache:
-            steps_cache.append((h, core, core_new, edge_hidden, past_hidden, fut_hidden,
-                                node_cache))
-        h, core = h_new, core_new
+        edge_steps.append((h, core, edge_hidden))
+        if step + 1 < params.steps:
+            past_hidden, fut_hidden = [], []
+            past_sum = to_v @ pair_forward(1, core_new, past_hidden)
+            fut_sum = to_u @ pair_forward(2, core_new, fut_hidden)
+            h_new, node_cache = mlp_forward(params.node_mlp, np.hstack([past_sum, fut_sum]))
+            node_steps.append((h, core_new, past_hidden, fut_hidden, node_cache))
+            h = h_new
+        core = core_new
     ebar = np.hstack([core, e0])
     scores, clf_cache = mlp_forward(params.classifier_mlp, ebar)
     scores = scores.ravel()
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(scores))):
         raise NumericError("message passing produced non-finite values")
-    state = EmbeddingState(node=h, edge=ebar, step=params.steps)
     cache = None
     if keep_cache:
-        cache = (to_u, to_v, e0, proj_cache, enc_cache, steps_cache, clf_cache)
-    return state, scores, cache
+        cache = (to_u, to_v, e0, proj_cache, enc_cache, edge_steps, node_steps, clf_cache)
+    return ebar, scores, cache
 
 
 def reference_mlp_forward(p, x):
@@ -328,7 +328,12 @@ def reference_mlp_backward(p, cache, dout):
 
 
 def reference_forward(g, params, keep_cache=False):
-    """(state, scores, cache) of the concatenating network."""
+    """(final edge states, scores, cache) of the concatenating network.
+
+    Every step, the last included, runs its node update; mpn._forward
+    skips the last one, whose result no score reads, and the scores,
+    edge states and gradients compared against this pass show it dead.
+    """
     d_v = params.node_dim
     u, v = g.u, g.v
     h, proj_cache = reference_mlp_forward(params.node_proj, g.node_feat)
@@ -353,9 +358,8 @@ def reference_forward(g, params, keep_cache=False):
             steps_cache.append((edge_cache, past_cache, fut_cache, node_cache))
         h, ebar = h_new, ebar_new
     scores, clf_cache = reference_mlp_forward(params.classifier_mlp, ebar)
-    state = EmbeddingState(node=h, edge=ebar, step=params.steps)
     cache = (proj_cache, enc_cache, steps_cache, clf_cache) if keep_cache else None
-    return state, scores.ravel(), cache
+    return ebar, scores.ravel(), cache
 
 
 def reference_backward(graph, params, labels, gamma=1.0):

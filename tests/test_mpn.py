@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from trackgraph.core import (
     BoundingBox,
     Detection,
+    NumericError,
     TrackGraph,
     Tracklet,
     ValidationError,
@@ -373,9 +375,8 @@ def test_node_features_known_affine():
 def test_forward_zero_params_scores_half():
     params = zero_params_like(small_params())
     g = random_tensors(np.random.default_rng(1))
-    state, scores = forward(g, params)
-    assert np.all(state.node == 0.0)
-    assert np.all(state.edge == 0.0)
+    edge, scores = forward(g, params)
+    assert np.all(edge == 0.0)
     assert np.all(scores == 0.5)
 
 
@@ -395,13 +396,14 @@ def scalar_trace_params():
         embed_dim=1,
         node_dim=1,
         edge_dim=1,
-        steps=1,
+        steps=2,
     )
 
 
 def test_forward_scalar_trace_matches_hand_computation():
-    # one edge, one step, every component a single affine layer:
-    # every intermediate below is recomputed from first principles
+    # one edge, two steps, every component a single affine layer: every
+    # intermediate below is recomputed from first principles, and the
+    # node update between the steps shows in the second edge state
     g = GraphTensors(
         u=np.asarray([0]),
         v=np.asarray([1]),
@@ -409,7 +411,7 @@ def test_forward_scalar_trace_matches_hand_computation():
         node_feat=np.asarray([[1.0], [-0.5]]),
         spans=np.asarray([[0, 0], [1, 1]]),
     )
-    state, scores = forward(g, scalar_trace_params())
+    edge, scores = forward(g, scalar_trace_params())
 
     h_u = 2.0 * 1.0 + 0.1  # 2.1
     h_v = 2.0 * -0.5 + 0.1  # -0.9
@@ -419,20 +421,22 @@ def test_forward_scalar_trace_matches_hand_computation():
     m_fut = -1.0 * h_v + 0.25 * core + 0.5 * e0 + 0.1 * h_u + 0.1  # 1.86
     h1_u = 0.3 * 0.0 + 0.6 * m_fut - 0.1  # future sum only
     h1_v = 0.3 * m_past + 0.6 * 0.0 - 0.1  # past sum only
-    logit = 2.0 * core - 1.0 * e0 + 0.4
+    core2 = 0.5 * h1_u - 0.25 * core + 0.25 * e0 + 1.0 * h1_v + 0.05
+    logit = 2.0 * core2 - 1.0 * e0 + 0.4
     expect_score = 1.0 / (1.0 + math.exp(-logit))
 
     assert core == pytest.approx(0.2, abs=1e-12)
-    assert state.edge[0, 0] == pytest.approx(core, abs=1e-12)
-    assert state.edge[0, 1] == pytest.approx(e0, abs=1e-12)
-    assert state.node[0, 0] == pytest.approx(h1_u, abs=1e-12)
-    assert state.node[1, 0] == pytest.approx(h1_v, abs=1e-12)
+    assert core2 == pytest.approx(1.1205, abs=1e-12)
+    assert edge[0, 0] == pytest.approx(core2, abs=1e-12)
+    assert edge[0, 1] == pytest.approx(e0, abs=1e-12)
     assert scores[0] == pytest.approx(expect_score, abs=1e-12)
 
 
 def test_forward_message_direction():
-    # past messages land on the later node, future messages on the earlier
+    # past messages land on the later node, future messages on the
+    # earlier: the second edge update reads h[u] - h[v]
     params = scalar_trace_params()
+    params.edge_mlp = single_layer([[1.0], [0.0], [0.0], [-1.0]], [0.0])
     params.past_mlp = single_layer([[0.0], [0.0], [0.0], [0.0]], [1.0])
     params.future_mlp = single_layer([[0.0], [0.0], [0.0], [0.0]], [2.0])
     params.node_mlp = single_layer([[1.0], [1.0]], [0.0])
@@ -443,17 +447,19 @@ def test_forward_message_direction():
         node_feat=np.asarray([[1.0], [1.0]]),
         spans=np.asarray([[0, 0], [1, 1]]),
     )
-    state, _ = forward(g, params)
-    assert state.node[0, 0] == pytest.approx(2.0)  # earlier node: future sum
-    assert state.node[1, 0] == pytest.approx(1.0)  # later node: past sum
+    edge, scores = forward(g, params)
+    # earlier node: future sum 2; later node: past sum 1
+    assert edge[0, 0] == pytest.approx(2.0 - 1.0)
+    e0 = 0.5 * 1.0 - 0.2
+    assert scores[0] == pytest.approx(1.0 / (1.0 + math.exp(-(2.0 * 1.0 - e0 + 0.4))))
 
 
 def test_forward_initial_encoding_survives_every_step():
     params = small_params(steps=4)
     g = random_tensors(np.random.default_rng(2), n_nodes=6, n_edges=8)
     e0, _ = mlp_forward(params.edge_encoder, g.feats)
-    state, _ = forward(g, params)
-    assert np.allclose(state.edge[:, params.edge_dim :], e0, rtol=0, atol=0)
+    edge, _ = forward(g, params)
+    assert np.allclose(edge[:, params.edge_dim :], e0, rtol=0, atol=0)
 
 
 def test_forward_invariant_to_node_relabelling():
@@ -483,9 +489,37 @@ def test_forward_empty_edges():
         node_feat=np.ones((3, 3)),
         spans=np.asarray([[0, 0], [1, 1], [2, 2]]),
     )
-    state, scores = forward(g, small_params())
+    edge, scores = forward(g, small_params())
     assert scores.shape == (0,)
-    assert state.node.shape == (3, 4)
+    assert edge.shape == (0, 6)
+
+
+def test_no_node_update_follows_the_last_edge_update():
+    # with one step, the node, past and future MLPs feed nothing a score
+    # reads: NaN node weights change no score, and training sends them,
+    # and the message MLPs, exactly zero gradient
+    params = small_params(steps=1)
+    g = random_tensors(np.random.default_rng(7), n_nodes=6, n_edges=9)
+    labels = np.random.default_rng(8).integers(0, 2, size=g.n_edges)
+    broken = copy.deepcopy(params)
+    for w in broken.node_mlp.weights:
+        w[...] = np.nan
+    _, scores = forward(g, params)
+    _, got = forward(g, broken)
+    assert np.all(np.isfinite(got))
+    assert bit_equal(got, scores)
+    loss, scores, _ = backward(g, params, labels)
+    got_loss, got, grads = backward(g, broken, labels)
+    assert got_loss == loss
+    assert bit_equal(got, scores)
+    for mlp in (grads.node_mlp, grads.past_mlp, grads.future_mlp):
+        assert all(np.all(a == 0.0) for a in mlp.weights + mlp.biases)
+    # with two steps, one node update runs, and its NaN reaches the scores
+    broken.steps = 2
+    with pytest.raises(NumericError):
+        forward(g, broken)
+    with pytest.raises(NumericError):
+        backward(g, broken, labels)
 
 
 # -------------------------------------------------------------- focal loss
@@ -598,10 +632,9 @@ def assert_matches_reference(g, params, labels, gamma=1.0):
     tree = max(np.abs(a).max(initial=0.0) for a in got_grads + want_grads)
     for got, want in zip(got_grads, want_grads):
         assert_rel_close(got, want, scale=tree)
-    state, _ = forward(g, params)
-    ref_state, _, _ = reference_forward(g, params)
-    assert_rel_close(state.node, ref_state.node)
-    assert_rel_close(state.edge, ref_state.edge)
+    edge, _ = forward(g, params)
+    ref_edge, _, _ = reference_forward(g, params)
+    assert_rel_close(edge, ref_edge)
 
 
 def layered_params(seed, depth, embed_dim, node_dim, edge_dim, hidden, steps):
@@ -681,11 +714,10 @@ def test_blocked_forward_equals_one_pass_reference(depth, n_edges, monkeypatch):
     params = layered_params(depth, depth, embed_dim=16, node_dim=8, edge_dim=4,
                             hidden=16, steps=2)
     for keep_cache in (False, True):
-        state, scores, cache = _forward(g, params, keep_cache)
-        ref_state, ref_scores, ref_cache = reference_one_pass_forward(g, params, keep_cache)
+        edge, scores, cache = _forward(g, params, keep_cache)
+        ref_edge, ref_scores, ref_cache = reference_one_pass_forward(g, params, keep_cache)
         assert bit_equal(scores, ref_scores)
-        assert bit_equal(state.node, ref_state.node)
-        assert bit_equal(state.edge, ref_state.edge)
+        assert bit_equal(edge, ref_edge)
     got, want = cache_arrays_in_order(cache), cache_arrays_in_order(ref_cache)
     assert len(got) == len(want) > 0
     assert all(bit_equal(a, b) for a, b in zip(got, want))
